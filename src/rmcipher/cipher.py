@@ -10,10 +10,10 @@ otherwise.
 
 from __future__ import annotations
 
-from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
-from .coding import CodingKey, MatrixBuilder
+from .coding import KeyContext, KeyLike, key_context
 from .exactmat import IntMatrix
 
 ALPHABET_MAX = 255
@@ -55,56 +55,57 @@ def assemble(blocks: Sequence[Sequence[Sequence[int]]], length: int) -> bytes:
     return bytes(out[:length])
 
 
-def encrypt(blocks: Sequence[IntMatrix], key: CodingKey, n: Optional[int] = None) -> list[IntMatrix]:
+def _check_block(block: IntMatrix, b: int, k: int) -> None:
+    if len(block) != k or any(len(row) != k for row in block):
+        raise ValueError(f"block {b} does not match the key dimension {k}")
+
+
+def encrypt(blocks: Sequence[IntMatrix], key: KeyLike, n: Optional[int] = None) -> list[IntMatrix]:
     """C_b = P_b * M_n, the same M_n for every block."""
-    if n is None:
-        n = key.index
-    builder = MatrixBuilder(key)
-    m = builder.matrix(n)
-    k = key.order
+    ctx = key_context(key, n)
+    cols = ctx.columns
     out: list[IntMatrix] = []
     for b, block in enumerate(blocks):
-        if len(block) != k or any(len(row) != k for row in block):
-            raise ValueError(f"block {b} does not match the key dimension {k}")
-        out.append([[sum(block[i][t] * m[t][j] for t in range(k)) for j in range(k)]
-                    for i in range(k)])
+        _check_block(block, b, ctx.order)
+        out.append([[sum(map(mul, row, col)) for col in cols] for row in block])
     return out
 
 
-def decrypt(blocks: Sequence[IntMatrix], key: CodingKey, length: Optional[int] = None,
+def decrypt_row(ctx: KeyContext, row: Sequence[int], block: int = 0, i: int = 0) -> list[int]:
+    """Plaintext row row * M_n**-1, which must be integral and inside the
+    alphabet; CorruptionError names the first bad entry, labelled with
+    the given block and row indices."""
+    cols, denom = ctx.scaled_inverse
+    out: list[int] = []
+    for j, col in enumerate(cols):
+        q, r = divmod(sum(map(mul, row, col)), denom)
+        if r != 0:
+            raise CorruptionError(block, i, j, "non-integral plaintext value")
+        if not 0 <= q <= ALPHABET_MAX:
+            raise CorruptionError(block, i, j, f"plaintext value {q} outside [0, {ALPHABET_MAX}]")
+        out.append(q)
+    return out
+
+
+def decrypt(blocks: Sequence[IntMatrix], key: KeyLike, length: Optional[int] = None,
             n: Optional[int] = None) -> bytes:
     """Exact decryption; every entry must be an integer in [0, 255].
 
     When length is None the full padded payload is returned.
     """
-    if n is None:
-        n = key.index
-    builder = MatrixBuilder(key)
-    minv = builder.inverse(n)
-    k = key.order
-    denom = lcm(*(f.denominator for row in minv for f in row))
-    mint = [[int(f * denom) for f in row] for row in minv]
-    plain: list[IntMatrix] = []
-    for b, block in enumerate(blocks):
-        if len(block) != k or any(len(row) != k for row in block):
-            raise ValueError(f"block {b} does not match the key dimension {k}")
-        rows: IntMatrix = []
-        for i in range(k):
-            out_row: list[int] = []
-            for j in range(k):
-                num = sum(block[i][t] * mint[t][j] for t in range(k))
-                q, r = divmod(num, denom)
-                if r != 0:
-                    raise CorruptionError(b, i, j, "non-integral plaintext value")
-                if not 0 <= q <= ALPHABET_MAX:
-                    raise CorruptionError(b, i, j, f"plaintext value {q} outside [0, {ALPHABET_MAX}]")
-                out_row.append(q)
-            rows.append(out_row)
-        plain.append(rows)
-    total = len(blocks) * k * k
-    return assemble(plain, total if length is None else length)
+    ctx = key_context(key, n)
+
+    def plain_blocks():
+        # One block at a time: assemble keeps only the bytes.
+        for b, block in enumerate(blocks):
+            _check_block(block, b, ctx.order)
+            yield [decrypt_row(ctx, row, b, i) for i, row in enumerate(block)]
+
+    total = len(blocks) * ctx.order ** 2
+    return assemble(plain_blocks(), total if length is None else length)
 
 
-def encrypt_bytes(data: bytes, key: CodingKey, n: Optional[int] = None) -> tuple[list[IntMatrix], int]:
-    blocks, length = digitize(data, key.order)
-    return encrypt(blocks, key, n), length
+def encrypt_bytes(data: bytes, key: KeyLike, n: Optional[int] = None) -> tuple[list[IntMatrix], int]:
+    ctx = key_context(key, n)
+    blocks, length = digitize(data, ctx.order)
+    return encrypt(blocks, ctx), length

@@ -14,13 +14,12 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import cipher, formats, guard, keygen, spectral
-from .coding import (KIND_RIGHT, CodingKey, key_fingerprint, left_companion,
+from .coding import (KIND_RIGHT, CodingKey, KeyContext, key_fingerprint, left_companion,
                      right_companion, validate_key)
 from .formats import ErrorModel
 from .keygen import GenConfig, GenStats
@@ -63,6 +62,17 @@ def _load_cipher_checked(path: str, key: CodingKey) -> formats.CipherText:
     if ct.order != key.order:
         raise CliError(f"dimension mismatch: ciphertext k={ct.order}, key k={key.order}")
     return ct
+
+
+def _receiver_context(key: CodingKey, n: Optional[int] = None) -> KeyContext:
+    """The key compiled for detection and correction, tau included: a key
+    without a simple positive dominant root cannot check ciphertexts."""
+    ctx = KeyContext(key, n)
+    try:
+        ctx.tau  # solved here, once, so that a bad key fails before any block
+    except (spectral.DominantRootError, spectral.RootFindingError) as exc:
+        raise CliError(f"key cannot be used to detect errors: {exc}") from exc
+    return ctx
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -205,7 +215,7 @@ def _det_transition(key: CodingKey):
 def cmd_encrypt(args: argparse.Namespace) -> int:
     key = _load_key(args.keyfile)
     data = Path(args.infile).read_bytes()
-    blocks, length = cipher.encrypt_bytes(data, key)
+    blocks, length = cipher.encrypt_bytes(data, KeyContext(key))
     text = formats.cipher_to_text(blocks, length, key.order, key_fingerprint(key))
     _write_output(text, args.out)
     return EXIT_OK
@@ -215,7 +225,7 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
     key = _load_key(args.keyfile)
     ct = _load_cipher_checked(args.cipherfile, key)
     try:
-        data = cipher.decrypt(ct.block_list(), key, ct.length)
+        data = cipher.decrypt(ct.block_list(), KeyContext(key), ct.length)
     except cipher.CorruptionError as exc:
         raise CliError(f"corrupted ciphertext: {exc}", EXIT_UNCORRECTED) from exc
     if args.out:
@@ -277,10 +287,11 @@ def _diagnosis_json(diagnoses) -> list[dict]:
 def cmd_detect(args: argparse.Namespace) -> int:
     key = _load_key(args.keyfile)
     ct = _load_cipher_checked(args.cipherfile, key)
+    ctx = _receiver_context(key)
     report = []
     any_flagged = False
     for b, block in enumerate(ct.block_list()):
-        diagnoses = guard.detect_errors(block, key, tol=args.tol)
+        diagnoses = guard.detect_errors(block, ctx, tol=args.tol)
         flagged = any(d.flagged for d in diagnoses)
         any_flagged = any_flagged or flagged
         report.append({"block": b, "clean": not flagged,
@@ -293,21 +304,22 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_correct(args: argparse.Namespace) -> int:
     key = _load_key(args.keyfile)
     ct = _load_cipher_checked(args.cipherfile, key)
+    ctx = _receiver_context(key)
     validator = _printable_ascii if args.printable_ascii else None
     fixed_blocks = []
     report: dict = {"blocks": [], "candidates_tested": 0}
     exit_code = EXIT_OK
     for b, block in enumerate(ct.block_list()):
-        diagnoses = guard.detect_errors(block, key, tol=args.tol)
+        diagnoses = guard.detect_errors(block, ctx, tol=args.tol)
         if all(d.clean for d in diagnoses):
             fixed_blocks.append(block)
             report["blocks"].append({"block": b, "status": "clean",
                                      "rows": _diagnosis_json(diagnoses)})
             continue
         try:
-            result = guard.correct(block, diagnoses, key, budget=args.budget,
+            result = guard.correct(block, diagnoses, ctx, budget=args.budget,
                                    validator=validator)
-        except guard.UncorrectableRowError as exc:
+        except guard.GuardError as exc:
             raise CliError(str(exc), EXIT_UNCORRECTED) from exc
         report["candidates_tested"] += result.tested_total
         entry = {
@@ -368,26 +380,26 @@ class TrialOutcome:
     range_length: float
 
 
-def run_bench_trial(key: CodingKey, n: int, model: ErrorModel, trial_seed: int,
+def run_bench_trial(ctx: KeyContext, model: ErrorModel, trial_seed: int,
                     plaintext: Optional[bytes] = None) -> TrialOutcome:
     rng = random.Random(trial_seed)
-    k = key.order
+    k = ctx.order
     if plaintext is None:
         data = bytes(rng.randrange(256) for _ in range(k * k))
     else:
         data = plaintext
     blocks, _ = cipher.digitize(data, k)
-    original = cipher.encrypt(blocks[:1], key, n)[0]
+    original = cipher.encrypt(blocks[:1], ctx)[0]
     corrupted, _records = formats.corrupt_blocks([original], model, seed=trial_seed)
     received = corrupted[0]
-    diagnoses = guard.detect_errors(received, key, n)
+    diagnoses = guard.detect_errors(received, ctx)
     if all(d.clean for d in diagnoses):
         changed = received != original
         return TrialOutcome(detected=not changed, success=not changed,
                             candidates=0, range_length=0.0)
     try:
-        result = guard.correct(received, diagnoses, key, n)
-    except guard.UncorrectableRowError:
+        result = guard.correct(received, diagnoses, ctx)
+    except guard.GuardError:
         return TrialOutcome(detected=True, success=False, candidates=0, range_length=0.0)
     lengths = [float(r.upper - r.lower) for rc in result.rows for r in rc.ranges.values()]
     mean_len = sum(lengths) / len(lengths) if lengths else 0.0
@@ -401,20 +413,16 @@ BENCH_COLUMNS = ["key_fp", "n", "model", "count", "magnitude", "trials", "detect
 
 
 def run_bench(key: CodingKey, n_grid: Sequence[int], model: ErrorModel, trials: int,
-              seed: int, plaintext: Optional[bytes] = None, jobs: int = 1) -> list[dict]:
+              seed: int, plaintext: Optional[bytes] = None) -> list[dict]:
     if trials <= 0:
         return []
     rows = []
     fp = key_fingerprint(key)
     for n in n_grid:
         start = time.perf_counter()
+        ctx = _receiver_context(key, n)
         trial_seeds = [keygen.derive_seed(seed, f"bench-{n}", t) for t in range(trials)]
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(
-                    lambda s: run_bench_trial(key, n, model, s, plaintext), trial_seeds))
-        else:
-            outcomes = [run_bench_trial(key, n, model, s, plaintext) for s in trial_seeds]
+        outcomes = [run_bench_trial(ctx, model, s, plaintext) for s in trial_seeds]
         wall = (time.perf_counter() - start) * 1000
         detected = [o for o in outcomes if o.detected and o.candidates > 0]
         n_detected = sum(1 for o in outcomes if o.detected)
@@ -446,8 +454,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     out_rows: list[dict] = []
     for key in keys:
         grid = n_grid if n_grid else [key.index]
-        out_rows.extend(run_bench(key, grid, model, args.trials, args.seed,
-                                  plaintext, jobs=args.jobs))
+        out_rows.extend(run_bench(key, grid, model, args.trials, args.seed, plaintext))
     target = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.DictWriter(target, fieldnames=BENCH_COLUMNS)
@@ -557,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--plaintext", default=None,
                    help="fixed plaintext (default: random bytes per trial)")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
 

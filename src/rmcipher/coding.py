@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence, Union
 
 from . import exactmat, spectral
 from .exactmat import IntMatrix, RatMatrix
@@ -286,6 +288,111 @@ def coding_matrix_inverse(key: CodingKey, n: Optional[int] = None) -> RatMatrix:
     if n is None:
         n = key.index
     return MatrixBuilder(key).inverse(n)
+
+
+# ---------------------------------------------------------------------------
+# compiled keys
+# ---------------------------------------------------------------------------
+
+def column_ratio_bounds(m: Sequence[Sequence[int]], j: int, jp: int):
+    """Extreme ratios m[l][j] / m[l][jp] over the rows l, as exact rationals.
+
+    A ratio with zero denominator counts as +/- infinity with the sign of
+    the numerator; 0/0 rows are dropped.  Returns (minimum, maximum).
+    """
+    lo = None
+    hi = None
+    for row in m:
+        num, den = row[j], row[jp]
+        if den == 0:
+            if num == 0:
+                continue
+            val = math.inf if num > 0 else -math.inf
+        else:
+            val = Fraction(num, den)
+        if lo is None or val < lo:
+            lo = val
+        if hi is None or val > hi:
+            hi = val
+    if lo is None:
+        raise ValueError("no comparable rows: both columns are zero")
+    return lo, hi
+
+
+@dataclass(frozen=True, eq=False)
+class KeyContext:
+    """A key compiled for one index n: the per-key data every block shares.
+
+    M_n and its columns are built on construction.  The integer-scaled
+    inverse, the transition ratio tau with its powers, and the table of
+    column-ratio bounds are computed on first use, so encryption never
+    pays for an inverse or a root solve.  Build one per command and pass
+    it wherever a CodingKey is accepted; like MatrixBuilder it is meant
+    for one thread.
+    """
+
+    key: CodingKey
+    n: Optional[int] = None        # None: the key's own index
+    precision: Optional[int] = None
+    matrix: tuple[tuple[int, ...], ...] = field(init=False)
+    columns: tuple[tuple[int, ...], ...] = field(init=False)
+    _builder: MatrixBuilder = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.n is None:
+            object.__setattr__(self, "n", self.key.index)
+        builder = MatrixBuilder(self.key)
+        matrix = tuple(tuple(row) for row in builder.matrix(self.n))
+        object.__setattr__(self, "_builder", builder)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "columns", tuple(zip(*matrix)))
+
+    @property
+    def order(self) -> int:
+        return self.key.order
+
+    @cached_property
+    def scaled_inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(columns of mint, denom): M_n**-1 == mint / denom exactly, with
+        denom the least common denominator of the inverse's entries."""
+        minv = self._builder.inverse(self.n)
+        denom = math.lcm(*(f.denominator for row in minv for f in row))
+        mint = [[int(f * denom) for f in row] for row in minv]
+        return tuple(zip(*mint)), denom
+
+    @cached_property
+    def tau(self):
+        """Transition ratio of the key's recurrence, at the context's precision."""
+        return spectral.transition_ratio(self.key.recurrence(), self.precision)
+
+    @cached_property
+    def tau_powers(self) -> dict:
+        """tau**d for |d| < k, evaluated in the mpmath context of the first use."""
+        k = self.order
+        return {d: self.tau ** d for d in range(1 - k, k)}
+
+    @cached_property
+    def ratio_bounds(self) -> dict:
+        """column_ratio_bounds(M_n, j, jp) for every ordered pair j != jp."""
+        k = self.order
+        return {(j, jp): column_ratio_bounds(self.matrix, j, jp)
+                for j in range(k) for jp in range(k) if j != jp}
+
+
+KeyLike = Union[CodingKey, KeyContext]
+
+
+def key_context(key: KeyLike, n: Optional[int] = None,
+                precision: Optional[int] = None) -> KeyContext:
+    """The argument itself when it is already a KeyContext, else the key
+    compiled for index n (default: the key's own index)."""
+    if isinstance(key, KeyContext):
+        if (n is not None and n != key.n) or (precision is not None
+                                              and precision != key.precision):
+            raise ValueError(f"context compiled for n = {key.n}, precision = "
+                             f"{key.precision}; got n = {n}, precision = {precision}")
+        return key
+    return KeyContext(key, n, precision)
 
 
 # ---------------------------------------------------------------------------

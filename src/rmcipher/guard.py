@@ -25,9 +25,9 @@ from typing import Callable, Optional, Sequence
 
 from mpmath import mpf, workprec
 
-from . import spectral
-from .cipher import ALPHABET_MAX, digitize
-from .coding import CodingKey, MatrixBuilder
+from .cipher import CorruptionError, decrypt_row, digitize
+from .coding import (CodingKey, KeyContext, KeyLike, MatrixBuilder, column_ratio_bounds,
+                     key_context)
 
 
 class GuardError(Exception):
@@ -87,31 +87,6 @@ class CheckingRange:
 
     def contains(self, value: int) -> bool:
         return self.lo <= value <= self.hi
-
-
-def column_ratio_bounds(m: Sequence[Sequence[int]], j: int, jp: int):
-    """Extreme ratios m[l][j] / m[l][jp] over the rows l, as exact rationals.
-
-    A ratio with zero denominator counts as +/- infinity with the sign of
-    the numerator; 0/0 rows are dropped.  Returns (minimum, maximum).
-    """
-    lo = None
-    hi = None
-    for row in m:
-        num, den = row[j], row[jp]
-        if den == 0:
-            if num == 0:
-                continue
-            val = math.inf if num > 0 else -math.inf
-        else:
-            val = Fraction(num, den)
-        if lo is None or val < lo:
-            lo = val
-        if hi is None or val > hi:
-            hi = val
-    if lo is None:
-        raise ValueError("no comparable rows: both columns are zero")
-    return lo, hi
 
 
 def _invert_bounds(bounds):
@@ -230,7 +205,7 @@ class RowDiagnosis:
         return not self.flagged
 
 
-def detect_errors(c: Sequence[Sequence[int]], key: CodingKey, n: Optional[int] = None,
+def detect_errors(c: Sequence[Sequence[int]], key: KeyLike, n: Optional[int] = None,
                   tol: Optional[float] = None,
                   precision: Optional[int] = None) -> list[RowDiagnosis]:
     """Per-row diagnosis of a received ciphertext.
@@ -243,23 +218,18 @@ def detect_errors(c: Sequence[Sequence[int]], key: CodingKey, n: Optional[int] =
     then the leftmost columns.  Rows with no consistent pair come back
     with an empty trusted set.
     """
-    if n is None:
-        n = key.index
-    builder = MatrixBuilder(key)
-    m = builder.matrix(n)
-    k = key.order
-    tau = spectral.transition_ratio(key.recurrence(), precision)
-    bounds_cache = {}
+    ctx = key_context(key, n, precision)
+    k = ctx.order
+    tau_powers = ctx.tau_powers
+    bounds = ctx.ratio_bounds
     diagnoses: list[RowDiagnosis] = []
     for i, row in enumerate(c):
         evidence: list[PairEvidence] = []
         adj: set[tuple[int, int]] = set()
         dev_of: dict[tuple[int, int], float] = {}
         for j, jp in combinations(range(k), 2):
-            expected = float(tau ** (jp - j))
-            if (j, jp) not in bounds_cache:
-                bounds_cache[(j, jp)] = column_ratio_bounds(m, j, jp)
-            lo, hi = bounds_cache[(j, jp)]
+            expected = float(tau_powers[jp - j])
+            lo, hi = bounds[(j, jp)]
             num, den = row[j], row[jp]
             if den == 0 and num == 0:
                 ratio = None
@@ -368,7 +338,7 @@ class CorrectionResult:
 
 
 def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
-            key: CodingKey, n: Optional[int] = None, budget: int = 10 ** 6,
+            key: KeyLike, n: Optional[int] = None, budget: int = 10 ** 6,
             validator: Optional[Callable[[list[int]], bool]] = None,
             precision: Optional[int] = None) -> CorrectionResult:
     """Spiral-search correction of the flagged entries.
@@ -380,18 +350,10 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
     accepted when the patched row decrypts to integral values inside the
     alphabet (plus the optional extra validator).  All accepted
     candidates are returned in discovery order; the budget caps the
-    total number of combinations tested.
+    total number of combinations tested.  A trusted reference of 0 (a
+    zero padding row) admits only the candidate 0.
     """
-    if n is None:
-        n = key.index
-    builder = MatrixBuilder(key)
-    m = builder.matrix(n)
-    minv = builder.inverse(n)
-    k = key.order
-    denom = math.lcm(*(f.denominator for row in minv for f in row))
-    mint = [[int(f * denom) for f in row] for row in minv]
-    tau = spectral.transition_ratio(key.recurrence(), precision)
-
+    ctx = key_context(key, n, precision)
     rows_out: list[RowCorrection] = []
     corrected = [list(row) for row in c]
     tested_total = 0
@@ -413,9 +375,12 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
         for j in flagged:
             ref = min(diag.trusted, key=lambda t: (abs(t - j), t))
             refs[j] = ref
-            rng = checking_range(
-                c[i][ref], column_ratio_bounds(m, j, ref),
-                tau_power=tau ** (ref - j), target=(i, j), reference=(i, ref))
+            if c[i][ref] == 0:
+                rng = _zero_reference_range(ctx, (i, j), (i, ref))
+            else:
+                rng = checking_range(
+                    c[i][ref], ctx.ratio_bounds[(j, ref)], tau_power=ctx.tau_powers[ref - j],
+                    target=(i, j), reference=(i, ref))
             ranges[j] = rng
             spirals.append(spiral_candidates(rng))
 
@@ -430,8 +395,9 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
             patched = list(c[i])
             for j, v in zip(flagged, combo):
                 patched[j] = v
-            plain = _decrypt_row(patched, mint, denom, k)
-            if plain is None:
+            try:
+                plain = decrypt_row(ctx, patched)
+            except CorruptionError:
                 continue
             if validator is not None and not validator(plain):
                 continue
@@ -457,16 +423,22 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
                             budget_exhausted=budget_exhausted)
 
 
-def _decrypt_row(row: Sequence[int], mint: Sequence[Sequence[int]], denom: int,
-                 k: int) -> Optional[list[int]]:
-    out: list[int] = []
-    for j in range(k):
-        num = sum(row[t] * mint[t][j] for t in range(k))
-        q, r = divmod(num, denom)
-        if r != 0 or not 0 <= q <= ALPHABET_MAX:
-            return None
-        out.append(q)
-    return out
+def _zero_reference_range(ctx: KeyContext, target: tuple[int, int],
+                          reference: tuple[int, int]) -> CheckingRange:
+    """The single candidate 0 for an entry whose trusted reference is 0.
+
+    With a strictly positive reference column of M_n and P >= 0, a zero
+    reference entry forces the whole plaintext row to zero, so every
+    entry of the row is 0; decryption then confirms the candidate.
+    """
+    ref = reference[1]
+    if not all(v > 0 for v in ctx.columns[ref]):
+        raise UncorrectableRowError(
+            f"row {reference[0]}: trusted entry {reference} is 0 and column {ref} "
+            f"of M_n is not positive, so the row is not determined")
+    zero = Fraction(0)
+    return CheckingRange(lower=zero, upper=zero, lo=0, hi=0, estimate=0,
+                         target=target, reference=reference)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from rmcipher import symmetric_key
 from rmcipher.cli import main
-from rmcipher.formats import load_cipher, save_key
+from rmcipher.formats import load_cipher, save_cipher, save_key
 from tests.conftest import ALGORITHM, C_ALGORITHM_15
 
 
@@ -222,3 +222,57 @@ def test_bench_csv_sanity(two_fib_keyfile, tmp_path):
     by_n = {r["n"]: r for r in rows}
     assert float(by_n["29"]["success_rate"]) == 1.0
     assert float(by_n["29"]["mean_candidates"]) < float(by_n["15"]["mean_candidates"])
+
+
+def test_detect_compiles_the_key_once(two_fib_29_keyfile, tmp_path, monkeypatch):
+    from rmcipher import coding, spectral
+    calls = {"tau": 0, "builds": 0}
+    tau, init = spectral.transition_ratio, coding.MatrixBuilder.__init__
+
+    def counting_tau(*args, **kwargs):
+        calls["tau"] += 1
+        return tau(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        calls["builds"] += 1
+        init(self, *args, **kwargs)
+
+    msg = _write(tmp_path, "msg.bin", random.Random(4).randbytes(40 * 9))
+    cfile = tmp_path / "c.rmc"
+    assert main(["encrypt", two_fib_29_keyfile, msg, "--out", str(cfile)]) == 0
+    monkeypatch.setattr(spectral, "transition_ratio", counting_tau)
+    monkeypatch.setattr(coding.MatrixBuilder, "__init__", counting_init)
+    assert main(["detect", two_fib_29_keyfile, str(cfile), "--out", str(tmp_path / "d.json")]) == 0
+    assert len(json.loads((tmp_path / "d.json").read_text())["blocks"]) == 40
+    assert calls["tau"] == 1
+    assert calls["builds"] <= 2      # the key's positivity check, then the context
+
+
+@pytest.mark.parametrize("command", ["detect", "correct"])
+def test_key_without_dominant_root_exits_2(tmp_path, capsys, command):
+    keyfile = tmp_path / "key.json"
+    save_key(symmetric_key((1, 0), (1, 0), 10), keyfile)    # X[n+2] = X[n]: roots +-1
+    msg = _write(tmp_path, "msg.txt", ALGORITHM)
+    cfile = tmp_path / "c.rmc"
+    assert main(["encrypt", str(keyfile), msg, "--out", str(cfile)]) == 0
+    capsys.readouterr()
+    assert main([command, str(keyfile), str(cfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dominant root" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("delta", [37, -37])
+def test_correct_repairs_a_zero_padding_row(two_fib_29_keyfile, tmp_path, delta):
+    msg = _write(tmp_path, "msg.txt", b"ABCDEF")
+    cfile = tmp_path / "c.rmc"
+    assert main(["encrypt", two_fib_29_keyfile, msg, "--out", str(cfile)]) == 0
+    ct = load_cipher(cfile)
+    blocks = ct.block_list()
+    blocks[0][2][1] += delta
+    bad = tmp_path / "bad.rmc"
+    save_cipher(blocks, ct.length, ct.order, ct.fingerprint, bad)
+    fixed = tmp_path / "fixed.rmc"
+    assert main(["correct", two_fib_29_keyfile, str(bad), "--out", str(fixed),
+                 "--report", str(tmp_path / "r.json")]) == 0
+    assert fixed.read_text() == cfile.read_text()

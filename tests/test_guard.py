@@ -6,10 +6,10 @@ import pytest
 
 from rmcipher import (Recurrence, checking_range, column_ratio_bounds, correct,
                       detect_errors, digitize, encrypt, general_key, range_length,
-                      smallest_unambiguous_n, symmetric_key, transition_ratio,
-                      verify_ciphertext)
+                      right_form_key, smallest_unambiguous_n, symmetric_key,
+                      transition_ratio, verify_ciphertext)
 from rmcipher.coding import MatrixBuilder
-from rmcipher.guard import (EmptyCheckingRangeError, UncorrectableRowError,
+from rmcipher.guard import (EmptyCheckingRangeError, RowDiagnosis, UncorrectableRowError,
                             spiral_candidates)
 from tests.conftest import ALGORITHM, C_ALGORITHM_15, EXTRATERRESTRIAL, M15_2FIB
 
@@ -335,3 +335,28 @@ def test_smallest_unambiguous_wielandt3(wielandt3_key):
 
 def test_smallest_unambiguous_none_within_cap(wielandt4_key):
     assert smallest_unambiguous_n(wielandt4_key, EXTRATERRESTRIAL, 2, 1, cap=40) is None
+
+
+@pytest.mark.parametrize("delta", [37, -37])
+def test_single_error_in_zero_padding_row_is_repaired(delta):
+    key = symmetric_key((1, 0, 1), (1, 0, 0), 29)
+    blocks, _ = digitize(b"ABCDEF", 3)          # row 2 is all padding
+    original = encrypt(blocks, key)[0]
+    received = [row[:] for row in original]
+    received[2][1] += delta
+    diagnoses = detect_errors(received, key)
+    assert diagnoses[2].flagged == (1,)
+    result = correct(received, diagnoses, key)
+    assert result.unique and result.matrix == original
+    rng = result.rows[0].ranges[1]
+    assert (rng.lo, rng.hi, rng.estimate) == (0, 0, 0)
+    assert result.rows[0].accepted[0].plaintext_row == [0, 0, 0]
+
+
+def test_zero_reference_needs_a_positive_reference_column():
+    # M_0 = I: column 0 has zeros, so a zero entry there pins nothing.
+    key = right_form_key((1, 0, 1), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 0)
+    received = [[1, 2, 3], [4, 5, 6], [0, 37, 0]]
+    diagnoses = [RowDiagnosis(row=2, trusted=(0, 2), flagged=(1,), pairs=())]
+    with pytest.raises(UncorrectableRowError):
+        correct(received, diagnoses, key)
