@@ -5,13 +5,15 @@ zero bytes; the original length is kept alongside so binary payloads
 invert exactly.  Encryption is C = P * M_n; decryption multiplies by the
 exact rational inverse and demands an integral, in-alphabet result,
 raising a corruption error that names the offending block and entry
-otherwise.
+otherwise.  Every block shares M_n, so both products run on any number
+of rows at once (encrypt_rows, decrypt_rows), a column at a time.
 """
 
 from __future__ import annotations
 
-from operator import mul
-from typing import Optional, Sequence
+from itertools import chain, repeat
+from operator import add, floordiv, mod, mul
+from typing import Iterator, Optional, Sequence
 
 from .coding import KeyContext, KeyLike, key_context
 from .exactmat import IntMatrix
@@ -30,45 +32,94 @@ class CorruptionError(ValueError):
         self.detail = detail
 
 
+def padded(data: bytes, k: int) -> bytes:
+    """The bytes followed by zero bytes up to a whole number of k x k blocks."""
+    return data + bytes(-len(data) % (k * k))
+
+
+def _blocks(values: Sequence[int], k: int) -> list[IntMatrix]:
+    """Flat row-major entries cut into k x k blocks of row lists."""
+    rows = [list(values[i:i + k]) for i in range(0, len(values), k)]
+    return [rows[i:i + k] for i in range(0, len(rows), k)]
+
+
+def _entries(blocks: Sequence[IntMatrix], k: int) -> list[int]:
+    """Entries of k x k blocks, row-major, block after block."""
+    rows = list(chain.from_iterable(blocks))
+    if not {k}.issuperset(chain(map(len, blocks), map(len, rows))):
+        b = next(b for b, block in enumerate(blocks)
+                 if len(block) != k or any(len(row) != k for row in block))
+        raise ValueError(f"block {b} does not match the key dimension {k}")
+    return list(chain.from_iterable(rows))
+
+
 def digitize(data: bytes, k: int) -> tuple[list[IntMatrix], int]:
     """Split bytes into k x k blocks (row-major), zero-padded; returns
     the blocks and the original byte length."""
     if k < 2:
         raise ValueError("block dimension must be at least 2")
-    size = k * k
-    blocks: list[IntMatrix] = []
-    for start in range(0, len(data), size):
-        chunk = data[start:start + size]
-        chunk = chunk + b"\x00" * (size - len(chunk))
-        blocks.append([[chunk[i * k + j] for j in range(k)] for i in range(k)])
-    return blocks, len(data)
+    return _blocks(padded(data, k), k), len(data)
 
 
 def assemble(blocks: Sequence[Sequence[Sequence[int]]], length: int) -> bytes:
     """Inverse of digitize: flatten row-major and strip the padding."""
-    out = bytearray()
-    for block in blocks:
-        for row in block:
-            out.extend(int(v) for v in row)
-    if length > len(out):
+    return _trim(bytes(map(int, chain.from_iterable(chain.from_iterable(blocks)))), length)
+
+
+def _trim(plain: bytes, length: int) -> bytes:
+    if length > len(plain):
         raise ValueError("stored length exceeds block capacity")
-    return bytes(out[:length])
+    return plain[:length]
 
 
-def _check_block(block: IntMatrix, b: int, k: int) -> None:
-    if len(block) != k or any(len(row) != k for row in block):
-        raise ValueError(f"block {b} does not match the key dimension {k}")
+def _product_columns(values: Sequence[int], cols, k: int) -> Iterator[list[int]]:
+    """Column j of R * M for each column cols[j] of M, where R is the
+    matrix whose rows are the consecutive k-entry runs of values.  Each
+    column is one chain of map multiply-adds over the strided slices."""
+    slices = [values[t::k] for t in range(k)]
+    for col in cols:
+        acc = map(mul, slices[0], repeat(col[0]))
+        for s, c in zip(slices[1:], col[1:]):
+            acc = map(add, acc, map(mul, s, repeat(c)))
+        yield list(acc)
+
+
+def encrypt_rows(ctx: KeyContext, values: Sequence[int]) -> list[int]:
+    """Rows times M_n, for rows given as flat row-major entries (bytes
+    work); the product comes back flat in the same layout."""
+    k = ctx.order
+    out = [0] * len(values)
+    for j, column in enumerate(_product_columns(values, ctx.columns, k)):
+        out[j::k] = column
+    return out
+
+
+def decrypt_rows(ctx: KeyContext, values: Sequence[int], first_row: int = 0) -> bytes:
+    """Rows times M_n**-1, for rows given as flat row-major entries, as
+    plaintext bytes.  Row r of values is row first_row + r of the whole
+    ciphertext, which labels a CorruptionError with its block and row."""
+    k = ctx.order
+    cols, denom = ctx.scaled_inverse
+    out = bytearray(len(values))
+    try:
+        for j, column in enumerate(_product_columns(values, cols, k)):
+            if denom != 1:
+                if any(map(mod, column, repeat(denom))):
+                    raise ValueError("non-integral plaintext value")
+                column = map(floordiv, column, repeat(denom))
+            out[j::k] = bytes(column)         # ValueError outside [0, 255]
+    except ValueError:
+        # decrypt_row raises at the first bad entry in row order.
+        out = bytearray()
+        for r in range(len(values) // k):
+            out += bytes(decrypt_row(ctx, values[r * k:(r + 1) * k], *divmod(first_row + r, k)))
+    return bytes(out)
 
 
 def encrypt(blocks: Sequence[IntMatrix], key: KeyLike, n: Optional[int] = None) -> list[IntMatrix]:
     """C_b = P_b * M_n, the same M_n for every block."""
     ctx = key_context(key, n)
-    cols = ctx.columns
-    out: list[IntMatrix] = []
-    for b, block in enumerate(blocks):
-        _check_block(block, b, ctx.order)
-        out.append([[sum(map(mul, row, col)) for col in cols] for row in block])
-    return out
+    return _blocks(encrypt_rows(ctx, _entries(blocks, ctx.order)), ctx.order)
 
 
 def decrypt_row(ctx: KeyContext, row: Sequence[int], block: int = 0, i: int = 0) -> list[int]:
@@ -94,15 +145,8 @@ def decrypt(blocks: Sequence[IntMatrix], key: KeyLike, length: Optional[int] = N
     When length is None the full padded payload is returned.
     """
     ctx = key_context(key, n)
-
-    def plain_blocks():
-        # One block at a time: assemble keeps only the bytes.
-        for b, block in enumerate(blocks):
-            _check_block(block, b, ctx.order)
-            yield [decrypt_row(ctx, row, b, i) for i, row in enumerate(block)]
-
-    total = len(blocks) * ctx.order ** 2
-    return assemble(plain_blocks(), total if length is None else length)
+    plain = decrypt_rows(ctx, _entries(blocks, ctx.order))
+    return _trim(plain, len(plain) if length is None else length)
 
 
 def encrypt_bytes(data: bytes, key: KeyLike, n: Optional[int] = None) -> tuple[list[IntMatrix], int]:

@@ -14,9 +14,11 @@ import json
 import random
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import ContextManager, Optional, Sequence, TextIO, Union
 
 from . import cipher, formats, guard, keygen, spectral
 from .coding import (KIND_RIGHT, CodingKey, KeyContext, key_fingerprint, left_companion,
@@ -51,16 +53,30 @@ def _load_key(path: str) -> CodingKey:
         raise CliError(f"cannot load key {path}: {exc}") from exc
 
 
-def _load_cipher_checked(path: str, key: CodingKey) -> formats.CipherText:
+def _cipher_error(path: str, exc: Exception) -> CliError:
+    return CliError(f"cannot load ciphertext {path}: {exc}")
+
+
+def _header_error(header: Union[formats.CipherHeader, formats.CipherText],
+                  key: CodingKey) -> Optional[CliError]:
+    """Why a ciphertext (or its header) does not belong to the key, if it does not."""
+    fp = key_fingerprint(key)
+    if header.fingerprint != fp:
+        return CliError(f"fingerprint mismatch: ciphertext carries {header.fingerprint}, key is {fp}")
+    if header.order != key.order:
+        return CliError(f"dimension mismatch: ciphertext k={header.order}, key k={key.order}")
+    return None
+
+
+def _load_cipher_checked(path: str, key: Optional[CodingKey] = None) -> formats.CipherText:
+    """The parsed ciphertext file; with a key, also checked to belong to it."""
     try:
         ct = formats.load_cipher(path)
     except (formats.CipherFormatError, OSError) as exc:
-        raise CliError(f"cannot load ciphertext {path}: {exc}") from exc
-    fp = key_fingerprint(key)
-    if ct.fingerprint != fp:
-        raise CliError(f"fingerprint mismatch: ciphertext carries {ct.fingerprint}, key is {fp}")
-    if ct.order != key.order:
-        raise CliError(f"dimension mismatch: ciphertext k={ct.order}, key k={key.order}")
+        raise _cipher_error(path, exc) from exc
+    error = _header_error(ct, key) if key is not None else None
+    if error is not None:
+        raise error
     return ct
 
 
@@ -75,11 +91,13 @@ def _receiver_context(key: CodingKey, n: Optional[int] = None) -> KeyContext:
     return ctx
 
 
+def _open_output(out: Optional[str]) -> ContextManager[TextIO]:
+    return open(out, "w") if out else nullcontext(sys.stdout)
+
+
 def _write_output(text: str, out: Optional[str]) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with _open_output(out) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -213,21 +231,51 @@ def _det_transition(key: CodingKey):
 # ---------------------------------------------------------------------------
 
 def cmd_encrypt(args: argparse.Namespace) -> int:
+    # The ciphertext is written CHUNK_ROWS matrix rows at a time.
     key = _load_key(args.keyfile)
-    data = Path(args.infile).read_bytes()
-    blocks, length = cipher.encrypt_bytes(data, KeyContext(key))
-    text = formats.cipher_to_text(blocks, length, key.order, key_fingerprint(key))
-    _write_output(text, args.out)
+    ctx = KeyContext(key)
+    k = key.order
+    try:
+        data = Path(args.infile).read_bytes()
+    except OSError as exc:
+        raise CliError(f"cannot read {args.infile}: {exc}") from exc
+    plain = cipher.padded(data, k)
+    step = formats.CHUNK_ROWS * k
+    with _open_output(args.out) as out:
+        out.write(formats.cipher_header(len(plain) // (k * k), len(data), k,
+                                        key_fingerprint(key)))
+        for start in range(0, len(plain), step):
+            out.write(formats.format_rows(cipher.encrypt_rows(ctx, plain[start:start + step]), k))
     return EXIT_OK
 
 
-def cmd_decrypt(args: argparse.Namespace) -> int:
-    key = _load_key(args.keyfile)
-    ct = _load_cipher_checked(args.cipherfile, key)
+def _decrypt_file(path: str, key: CodingKey) -> bytes:
+    """Reads and decrypts a ciphertext file a chunk of rows at a time,
+    keeping only the plaintext bytes.  Faults rank as for a whole-file
+    load followed by decryption: the file format (anywhere in the file),
+    then the fingerprint and the dimension, then the first corrupted
+    entry, so the whole file is read before any of them is raised."""
+    ctx = KeyContext(key)
+    plain = bytearray()
     try:
-        data = cipher.decrypt(ct.block_list(), KeyContext(key), ct.length)
-    except cipher.CorruptionError as exc:
-        raise CliError(f"corrupted ciphertext: {exc}", EXIT_UNCORRECTED) from exc
+        with open(path) as fh:
+            header, chunks = formats.read_cipher(formats.text_lines(fh))
+            error = _header_error(header, key)
+            for values in chunks:
+                if error is None:
+                    try:
+                        plain += cipher.decrypt_rows(ctx, values, len(plain) // key.order)
+                    except cipher.CorruptionError as exc:
+                        error = CliError(f"corrupted ciphertext: {exc}", EXIT_UNCORRECTED)
+    except (formats.CipherFormatError, OSError) as exc:
+        raise _cipher_error(path, exc) from exc
+    if error is not None:
+        raise error
+    return bytes(plain[:header.length])
+
+
+def cmd_decrypt(args: argparse.Namespace) -> int:
+    data = _decrypt_file(args.cipherfile, _load_key(args.keyfile))
     if args.out:
         Path(args.out).write_bytes(data)
     else:
@@ -240,7 +288,7 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_corrupt(args: argparse.Namespace) -> int:
-    ct = _try_load_cipher(args.cipherfile)
+    ct = _load_cipher_checked(args.cipherfile)
     model = ErrorModel(kind=args.model, count=args.count,
                        magnitude=args.magnitude, seed=args.seed)
     blocks, records = formats.corrupt_blocks(ct.block_list(), model)
@@ -253,13 +301,6 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
             "corruptions": formats.records_to_json(records),
         }, indent=2) + "\n")
     return EXIT_OK
-
-
-def _try_load_cipher(path: str) -> formats.CipherText:
-    try:
-        return formats.load_cipher(path)
-    except (formats.CipherFormatError, OSError) as exc:
-        raise CliError(f"cannot load ciphertext {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +346,6 @@ def cmd_correct(args: argparse.Namespace) -> int:
     key = _load_key(args.keyfile)
     ct = _load_cipher_checked(args.cipherfile, key)
     ctx = _receiver_context(key)
-    validator = _printable_ascii if args.printable_ascii else None
     fixed_blocks = []
     report: dict = {"blocks": [], "candidates_tested": 0}
     exit_code = EXIT_OK
@@ -316,6 +356,8 @@ def cmd_correct(args: argparse.Namespace) -> int:
             report["blocks"].append({"block": b, "status": "clean",
                                      "rows": _diagnosis_json(diagnoses)})
             continue
+        validator = (partial(_printable_ascii, ct.length, b * ct.order ** 2)
+                     if args.printable_ascii else None)
         try:
             result = guard.correct(block, diagnoses, ctx, budget=args.budget,
                                    validator=validator)
@@ -364,8 +406,12 @@ def cmd_correct(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _printable_ascii(row: Sequence[int]) -> bool:
-    return all(9 <= v <= 126 for v in row)
+def _printable_ascii(length: int, block_offset: int, row: int, plain: Sequence[int]) -> bool:
+    """Printable ASCII (9..126) before the stored length, zero padding after
+    it; block_offset is the byte offset of the block's first entry."""
+    start = block_offset + row * len(plain)
+    return all(v == 0 if start + j >= length else 9 <= v <= 126
+               for j, v in enumerate(plain))
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--budget", type=int, default=10 ** 6)
     p.add_argument("--printable-ascii", action="store_true",
-                   help="additionally require printable-ASCII plaintext rows")
+                   help="additionally require printable ASCII (9..126) before "
+                        "the stored length and zero padding after it")
     p.add_argument("--report", default=None, help="write the JSON report here")
     p.add_argument("--out", default=None, help="write the corrected ciphertext here")
     p.set_defaults(func=cmd_correct)

@@ -17,8 +17,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .coding import (KIND_GENERAL, KIND_RIGHT, KIND_SYMMETRIC, CodingKey,
                      key_fingerprint, validate_key)
@@ -130,6 +132,17 @@ def load_key(path: Union[str, Path], validate: bool = True) -> CodingKey:
 # ciphertext files
 # ---------------------------------------------------------------------------
 
+CHUNK_ROWS = 1024              # matrix rows per chunk of a streamed ciphertext
+
+
+@dataclass(frozen=True)
+class CipherHeader:
+    order: int
+    count: int                 # blocks
+    length: int
+    fingerprint: str
+
+
 @dataclass(frozen=True)
 class CipherText:
     blocks: tuple[tuple[tuple[int, ...], ...], ...]
@@ -141,50 +154,102 @@ class CipherText:
         return [[list(row) for row in block] for block in self.blocks]
 
 
+def cipher_header(count: int, length: int, order: int, fingerprint: str) -> str:
+    return f"{CIPHER_MAGIC} k={order} blocks={count} len={length} fp={fingerprint}\n"
+
+
+def format_rows(values: Sequence[int], order: int) -> str:
+    """Matrix lines for flat row-major entries, order entries a line."""
+    if not values:
+        return ""
+    return ((" ".join(["%d"] * order) + "\n") * (len(values) // order)) % tuple(values)
+
+
 def cipher_to_text(blocks: Sequence[IntMatrix], length: int, order: int,
                    fingerprint: str) -> str:
-    lines = [f"{CIPHER_MAGIC} k={order} blocks={len(blocks)} len={length} fp={fingerprint}"]
-    for block in blocks:
-        for row in block:
-            lines.append(" ".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    values = list(chain.from_iterable(chain.from_iterable(blocks)))
+    if len(values) != len(blocks) * order * order:
+        raise ValueError(f"blocks must be {order} x {order}")
+    return cipher_header(len(blocks), length, order, fingerprint) + format_rows(values, order)
 
 
-def cipher_from_text(text: str) -> CipherText:
-    lines = text.splitlines()
-    if not lines:
+def text_lines(fh: TextIO) -> Iterator[str]:
+    """The lines of a text file as str.splitlines() splits its whole
+    text, read a batch of lines at a time."""
+    for batch in iter(partial(fh.readlines, 1 << 16), []):
+        yield from "".join(batch).splitlines()
+
+
+def read_cipher(lines: Iterable[str]) -> tuple[CipherHeader, Iterator[list[int]]]:
+    """The header of a ciphertext and an iterator over its matrix rows,
+    CHUNK_ROWS lines at a time, each chunk a flat row-major list.
+
+    The iterator checks the whole body before it reports a fault, so the
+    fault raised is the one a whole-file parse reports first: the line
+    count, then the capacity, then the first malformed row.  Chunks before
+    a fault may already have been yielded.
+    """
+    lines = iter(lines)
+    first = next(lines, None)
+    if first is None:
         raise CipherFormatError("empty ciphertext file")
-    head = lines[0].split()
+    head = first.split()
     if not head or head[0] != CIPHER_MAGIC:
         raise CipherFormatError("missing RMCv1 header")
     fields = dict(part.split("=", 1) for part in head[1:] if "=" in part)
     try:
-        order = int(fields["k"])
-        count = int(fields["blocks"])
-        length = int(fields["len"])
-        fingerprint = fields["fp"]
+        header = CipherHeader(order=int(fields["k"]), count=int(fields["blocks"]),
+                              length=int(fields["len"]), fingerprint=fields["fp"])
     except (KeyError, ValueError) as exc:
-        raise CipherFormatError(f"malformed header: {lines[0]!r}") from exc
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != count * order:
-        raise CipherFormatError(
-            f"expected {count * order} matrix lines, found {len(body)}")
-    if count * order * order < length:
-        raise CipherFormatError("declared length exceeds block capacity")
-    blocks = []
-    for b in range(count):
-        rows = []
-        for i in range(order):
-            parts = body[b * order + i].split()
-            if len(parts) != order:
-                raise CipherFormatError(f"block {b} row {i} has {len(parts)} entries, wanted {order}")
+        raise CipherFormatError(f"malformed header: {first!r}") from exc
+    return header, _read_rows(header, lines)
+
+
+def _read_rows(header: CipherHeader, lines: Iterator[str]) -> Iterator[list[int]]:
+    k = header.order
+    rows = 0
+    bad: Optional[tuple[list[list[str]], int]] = None     # chunk and first row of a fault
+    while batch := list(islice(lines, CHUNK_ROWS)):
+        chunk = list(filter(None, map(str.split, batch)))  # blank lines dropped
+        if bad is None:
             try:
-                rows.append(tuple(int(p) for p in parts))
-            except ValueError as exc:
-                raise CipherFormatError(f"non-integer entry in block {b} row {i}") from exc
-        blocks.append(tuple(rows))
-    return CipherText(blocks=tuple(blocks), length=length, order=order,
-                      fingerprint=fingerprint)
+                if not {k}.issuperset(map(len, chunk)):
+                    raise ValueError
+                values = list(map(int, chain.from_iterable(chunk)))
+            except ValueError:
+                bad = chunk, rows
+            else:
+                if values:
+                    yield values
+        rows += len(chunk)
+    if rows != header.count * k:
+        raise CipherFormatError(f"expected {header.count * k} matrix lines, found {rows}")
+    if header.count * k * k < header.length:
+        raise CipherFormatError("declared length exceeds block capacity")
+    if bad is not None:
+        raise _row_error(*bad, k)
+
+
+def _row_error(chunk: list[list[str]], first_row: int, k: int) -> CipherFormatError:
+    """The fault of the first malformed row of a chunk."""
+    for r, parts in enumerate(chunk, first_row):
+        b, i = divmod(r, k)
+        if len(parts) != k:
+            return CipherFormatError(f"block {b} row {i} has {len(parts)} entries, wanted {k}")
+        try:
+            list(map(int, parts))
+        except ValueError:
+            return CipherFormatError(f"non-integer entry in block {b} row {i}")
+    raise AssertionError("chunk has no malformed row")
+
+
+def cipher_from_text(text: str) -> CipherText:
+    header, chunks = read_cipher(text.splitlines())
+    k = header.order
+    values = list(chain.from_iterable(chunks))          # reads and checks the whole body
+    rows = list(zip(*[iter(values)] * k))
+    return CipherText(blocks=tuple(tuple(rows[b * k:(b + 1) * k]) for b in range(header.count)),
+                      length=header.length, order=k, fingerprint=header.fingerprint)
 
 
 def save_cipher(blocks: Sequence[IntMatrix], length: int, order: int,

@@ -339,7 +339,7 @@ class CorrectionResult:
 
 def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
             key: KeyLike, n: Optional[int] = None, budget: int = 10 ** 6,
-            validator: Optional[Callable[[list[int]], bool]] = None,
+            validator: Optional[Callable[[int, list[int]], bool]] = None,
             precision: Optional[int] = None) -> CorrectionResult:
     """Spiral-search correction of the flagged entries.
 
@@ -348,9 +348,10 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
     the transition-ratio estimate; combinations across a row's flagged
     entries are tested in combined spiral order.  A candidate is
     accepted when the patched row decrypts to integral values inside the
-    alphabet (plus the optional extra validator).  All accepted
-    candidates are returned in discovery order; the budget caps the
-    total number of combinations tested.  A trusted reference of 0 (a
+    alphabet (plus the optional extra validator, called with the row
+    index and the decrypted row).  All accepted candidates are returned
+    in discovery order; the budget caps the total number of combinations
+    tested.  A trusted reference of 0 (a
     zero padding row) admits only the candidate 0.
     """
     ctx = key_context(key, n, precision)
@@ -399,7 +400,7 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
                 plain = decrypt_row(ctx, patched)
             except CorruptionError:
                 continue
-            if validator is not None and not validator(plain):
+            if validator is not None and not validator(i, plain):
                 continue
             accepted.append(RowCandidate(values=dict(zip(flagged, combo)),
                                          plaintext_row=plain, order_index=tested))

@@ -276,3 +276,32 @@ def test_correct_repairs_a_zero_padding_row(two_fib_29_keyfile, tmp_path, delta)
     assert main(["correct", two_fib_29_keyfile, str(bad), "--out", str(fixed),
                  "--report", str(tmp_path / "r.json")]) == 0
     assert fixed.read_text() == cfile.read_text()
+
+
+def test_correct_printable_ascii_repairs_a_zero_padding_row(two_fib_29_keyfile, tmp_path):
+    msg = _write(tmp_path, "msg.txt", b"ABCDEF")             # row 2 of block 0 is padding
+    cfile, bad, fixed = tmp_path / "c.rmc", tmp_path / "bad.rmc", tmp_path / "fixed.rmc"
+    assert main(["encrypt", two_fib_29_keyfile, msg, "--out", str(cfile)]) == 0
+    assert main(["corrupt", str(cfile), "--model", "replace_uniform", "--seed", "0",
+                 "--out", str(bad)]) == 0
+    assert main(["correct", two_fib_29_keyfile, str(bad), "--printable-ascii",
+                 "--out", str(fixed), "--report", str(tmp_path / "r.json")]) == 0
+    assert fixed.read_text() == cfile.read_text()
+
+
+def test_correct_printable_ascii_refuses_nonzero_padding(two_fib_29_keyfile, tmp_path):
+    # 6 bytes of text then three bytes past the stored length: a plaintext
+    # with 'A' in the padding is rejected, so no candidate is accepted.
+    msg = _write(tmp_path, "msg.txt", b"ABCDEFAAA")
+    cfile = tmp_path / "c.rmc"
+    assert main(["encrypt", two_fib_29_keyfile, msg, "--out", str(cfile)]) == 0
+    text = cfile.read_text().replace(" len=9 ", " len=6 ")
+    lines = text.splitlines()
+    parts = lines[3].split()
+    parts[1] = str(int(parts[1]) + 37)
+    lines[3] = " ".join(parts)
+    bad = tmp_path / "bad.rmc"
+    bad.write_text("\n".join(lines) + "\n")
+    args = ["correct", two_fib_29_keyfile, str(bad), "--report", str(tmp_path / "r.json")]
+    assert main(args) == 0
+    assert main(args + ["--printable-ascii"]) == 3

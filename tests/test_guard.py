@@ -249,7 +249,7 @@ def test_correct_extra_validator(two_fib_key):
     received[0][2] = 28373
     diagnoses = detect_errors(received, two_fib_key, 15)
     result = correct(received, diagnoses, two_fib_key, 15,
-                     validator=lambda row: bytes(row) == b"ALG")
+                     validator=lambda i, row: bytes(row) == b"ALG")
     accepted = result.rows[0].accepted
     assert len(accepted) == 1 and accepted[0].values[2] == 28337
     assert result.unique and result.matrix == C_ALGORITHM_15
