@@ -72,7 +72,7 @@ def _load_cipher_checked(path: str, key: Optional[CodingKey] = None) -> formats.
     """The parsed ciphertext file; with a key, also checked to belong to it."""
     try:
         ct = formats.load_cipher(path)
-    except (formats.CipherFormatError, OSError) as exc:
+    except (formats.CipherFormatError, UnicodeDecodeError, OSError) as exc:
         raise _cipher_error(path, exc) from exc
     error = _header_error(ct, key) if key is not None else None
     if error is not None:
@@ -130,7 +130,8 @@ def cmd_keygen(args: argparse.Namespace) -> int:
         x0 = keygen.random_cyclic_vector(left_companion(rec), 0, 9, rng)
         index = rng.randint(*cfg.index_range)
         key = CodingKey("symmetric", rec.order, index, coeffs=rec.coeffs, x0=x0)
-        gen = keygen.GeneratedKey(key, fam.report, "abt_family", validate_key(key))
+        gen = keygen.GeneratedKey(key, fam.report, "abt_family",
+                                  validate_key(key, report=fam.report))
     elif args.method == "primitive":
         seed01 = _load_seed_matrix(args.seed_matrix, args.k)
         gen = next(keygen.primitive_growth(seed01, cfg, stats), None)
@@ -179,7 +180,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     rec = key.recurrence()
     target = right_companion(rec) if key.kind == KIND_RIGHT else key.left_matrix()
     report = spectral.analyze_matrix(target)
-    validation = validate_key(key)
+    validation = validate_key(key, report=report)
     out: dict = {
         "kind": key.kind,
         "order": key.order,
@@ -267,7 +268,7 @@ def _decrypt_file(path: str, key: CodingKey) -> bytes:
                         plain += cipher.decrypt_rows(ctx, values, len(plain) // key.order)
                     except cipher.CorruptionError as exc:
                         error = CliError(f"corrupted ciphertext: {exc}", EXIT_UNCORRECTED)
-    except (formats.CipherFormatError, OSError) as exc:
+    except (formats.CipherFormatError, UnicodeDecodeError, OSError) as exc:
         raise _cipher_error(path, exc) from exc
     if error is not None:
         raise error

@@ -35,6 +35,7 @@ KIND_SYMMETRIC = "symmetric"
 KIND_GENERAL = "general"
 KIND_RIGHT = "right_form"
 KINDS = (KIND_SYMMETRIC, KIND_GENERAL, KIND_RIGHT)
+KEY_FORMAT = "rmc-key-v1"
 
 
 class InvalidKeyError(ValueError):
@@ -171,7 +172,7 @@ def induced_left_matrix(key: CodingKey) -> RatMatrix:
 
 def canonical_key_dict(key: CodingKey) -> dict:
     """Canonical serialization; every integer leaf is a decimal string."""
-    out: dict = {"format": "rmc-key-v1", "kind": key.kind, "order": key.order,
+    out: dict = {"format": KEY_FORMAT, "kind": key.kind, "order": key.order,
                  "index": str(key.index)}
     if key.coeffs is not None:
         out["coefficients"] = [str(c) for c in key.coeffs]
@@ -429,9 +430,17 @@ class KeyReport:
 
 
 def validate_key(key: CodingKey, precision: Optional[int] = None,
-                 tau_cap: float = 3.0) -> KeyReport:
+                 tau_cap: float = 3.0,
+                 report: Optional[spectral.SpectralReport] = None) -> KeyReport:
     """Structured feasibility report: invertibility, cyclicity, spectral
-    verdicts, a transition-ratio cap, and eventual positivity of M_n."""
+    verdicts, a transition-ratio cap, and eventual positivity of M_n.
+
+    The spectral verdicts come from `report`, the `analyze_matrix` report
+    on the key's strong Perron-Frobenius target (its transition matrix, or
+    the right companion matrix of a right_form key) when the caller holds
+    one, else from one such analysis here.  A report on another polynomial,
+    precision or tolerance raises ValueError.
+    """
     items: list[CheckItem] = []
     rec = key.recurrence()
 
@@ -457,22 +466,22 @@ def validate_key(key: CodingKey, precision: Optional[int] = None,
                                "pass" if nonneg else "fail",
                                "", hard=True))
 
-    spf_target = right_companion(rec) if key.kind == KIND_RIGHT else key.left_matrix()
-    spf = spectral.is_strong_perron_frobenius(spf_target, precision)
-    status = {"yes": "pass", "no": "fail", "indeterminate": "indeterminate"}[spf.verdict]
-    items.append(CheckItem("strong_perron_frobenius", status, spf.reason))
+    if report is None:
+        spf_target = right_companion(rec) if key.kind == KIND_RIGHT else key.left_matrix()
+        report = spectral.analyze_matrix(spf_target, precision)
+    elif (report.char_poly != rec.char_poly()
+          or report.precision_bits != spectral.resolve_precision(precision)
+          or report.tolerance != spectral.DEFAULT_TOLERANCE):
+        raise ValueError("the spectral report is not on this key's polynomial "
+                         "at this precision and tolerance")
+    status = {"yes": "pass", "no": "fail", "indeterminate": "indeterminate"}
+    items.append(CheckItem("strong_perron_frobenius", status[report.is_spf], report.spf_reason))
+    items.append(CheckItem("pisot", status[report.is_pisot]))
 
-    try:
-        pisot = spectral.is_pisot(rec.char_poly(), precision)
-    except ValueError:
-        pisot = "no"  # zero free term: singular, certainly not Pisot
-    items.append(CheckItem("pisot",
-                           {"yes": "pass", "no": "fail", "indeterminate": "indeterminate"}[pisot]))
-
-    if spf.tau is not None:
-        within = float(spf.tau) <= tau_cap
+    if report.tau is not None:
+        within = float(report.tau) <= tau_cap
         items.append(CheckItem("tau_within_cap", "pass" if within else "warn",
-                               f"tau = {float(spf.tau):.6g}, cap = {tau_cap:g}"))
+                               f"tau = {float(report.tau):.6g}, cap = {tau_cap:g}"))
     else:
         items.append(CheckItem("tau_within_cap", "indeterminate", "no dominant eigenvalue"))
 

@@ -22,11 +22,10 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
-from .coding import (KIND_GENERAL, KIND_RIGHT, KIND_SYMMETRIC, CodingKey,
-                     key_fingerprint, validate_key)
+from .coding import (KEY_FORMAT, KIND_GENERAL, KIND_RIGHT, KIND_SYMMETRIC, CodingKey,
+                     canonical_key_dict, key_fingerprint, validate_key)
 from .exactmat import IntMatrix
 
-KEY_FORMAT = "rmc-key-v1"
 CIPHER_MAGIC = "RMCv1"
 
 
@@ -47,18 +46,8 @@ class FingerprintMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 
 def key_to_dict(key: CodingKey) -> dict:
-    out: dict = {"format": KEY_FORMAT, "kind": key.kind, "order": key.order,
-                 "index": str(key.index)}
-    if key.coeffs is not None:
-        out["coefficients"] = [str(c) for c in key.coeffs]
-    if key.left is not None:
-        out["left_matrix"] = [[str(v) for v in row] for row in key.left]
-    if key.x0 is not None:
-        out["initial_vector"] = [str(v) for v in key.x0]
-    if key.m0 is not None:
-        out["initial_matrix"] = [[str(v) for v in row] for row in key.m0]
-    out["fingerprint"] = key_fingerprint(key)
-    return out
+    """The key file's content: the canonical key fields and the fingerprint."""
+    return {**canonical_key_dict(key), "fingerprint": key_fingerprint(key)}
 
 
 def _ints(values, what: str) -> list[int]:
@@ -200,6 +189,8 @@ def read_cipher(lines: Iterable[str]) -> tuple[CipherHeader, Iterator[list[int]]
     try:
         header = CipherHeader(order=int(fields["k"]), count=int(fields["blocks"]),
                               length=int(fields["len"]), fingerprint=fields["fp"])
+        if header.order < 1 or header.count < 0 or header.length < 0:
+            raise ValueError("header field out of range")
     except (KeyError, ValueError) as exc:
         raise CipherFormatError(f"malformed header: {first!r}") from exc
     return header, _read_rows(header, lines)

@@ -13,9 +13,10 @@ Four routes:
                       matrix with a random nonnegative invertible
                       initial matrix.
 
-Every emitted key is re-validated.  Streams are deterministic in the
-configured seed: each candidate draws from its own sub-seeded generator
-(derive_seed), so streams can be reproduced and split across workers.
+Every emitted key is validated with the spectral report that admitted
+it.  Streams are deterministic in the configured seed: each candidate
+draws from its own sub-seeded generator (derive_seed), so streams can be
+reproduced and split across workers.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def sieve_companion(cfg: GenConfig, stats: Optional[GenStats] = None) -> Iterato
             stats.reject("no_cyclic_vector")
             continue
         key = symmetric_key(coeffs, x0, _draw_index(cfg, rng))
-        validation = validate_key(key, cfg.precision, cfg.tau_cap)
+        validation = validate_key(key, cfg.precision, cfg.tau_cap, report)
         if not validation.ok:
             stats.reject("validation")
             continue
@@ -259,7 +260,7 @@ def primitive_growth(seed01: IntMatrix, cfg: GenConfig,
             stats.reject("no_cyclic_vector")
             continue
         key = general_key(m, x0, _draw_index(cfg, rng))
-        validation = validate_key(key, cfg.precision, cfg.tau_cap)
+        validation = validate_key(key, cfg.precision, cfg.tau_cap, report)
         if not validation.ok:
             stats.reject("validation")
             continue
@@ -277,11 +278,11 @@ def right_form_keygen(rec: Recurrence, cfg: GenConfig,
     random nonnegative invertible initial matrix."""
     if rec.a0 == 0:
         raise ValueError("right companion matrix is singular (a_0 = 0)")
-    r_matrix = right_companion(rec)
-    spf = spectral.is_strong_perron_frobenius(r_matrix, cfg.precision)
-    if spf.verdict != VERDICT_YES:
+    report = spectral.analyze_matrix(right_companion(rec), cfg.precision)
+    if report.is_spf != VERDICT_YES:
         raise spectral.DominantRootError(
-            f"right companion matrix lacks the strong Perron-Frobenius property: {spf.reason}")
+            "right companion matrix lacks the strong Perron-Frobenius property: "
+            f"{report.spf_reason}")
     rng = random.Random(derive_seed(cfg.seed, "right_form", 0))
     lo, hi = cfg.vector_range
     lo = max(0, lo)
@@ -292,6 +293,5 @@ def right_form_keygen(rec: Recurrence, cfg: GenConfig,
     else:
         raise RuntimeError(f"no invertible nonnegative initial matrix in {retries} draws")
     key = right_form_key(rec.coeffs, m0, _draw_index(cfg, rng))
-    report = spectral.analyze_matrix(r_matrix, cfg.precision)
-    validation = validate_key(key, cfg.precision, cfg.tau_cap)
+    validation = validate_key(key, cfg.precision, cfg.tau_cap, report)
     return GeneratedKey(key, report, "right_form", validation)

@@ -23,7 +23,7 @@ from mpmath import mp, mpc, mpf, workprec
 
 from . import exactmat
 from .exactmat import IntPolynomial, poly_degree, poly_trim
-from .recurrence import Recurrence, standard_seed
+from .recurrence import Recurrence
 
 DEFAULT_PRECISION_BITS = 128
 PRECISION_ENV = "RMC_PRECISION_BITS"
@@ -247,58 +247,21 @@ def second_eigenmodulus(f: Sequence, precision: Optional[int] = None):
 
 
 def transition_ratio(rec: Recurrence, precision: Optional[int] = None):
-    """Dominant eigenvalue of the recurrence, via its standard sequence.
+    """Dominant eigenvalue tau of the recurrence, rounded to the working
+    precision.
 
-    The starting guess is the first consecutive-term ratio of the
-    standard sequence stable to six digits; Newton refinement on the
-    characteristic polynomial then polishes it to working precision.
-    The result is cross-checked against the full root set and an error
-    is raised when no simple positive dominant root exists.
+    tau is the simple positive dominant root certified by `_dominance`
+    among the roots that `all_roots` finds at twice that precision; a
+    DominantRootError is raised when no such root exists.
     """
     if rec.a0 == 0:
         raise ValueError("transition ratio requires an invertible recurrence (a_0 != 0)")
     bits = resolve_precision(precision)
-    f = rec.char_poly()
-    rootset = all_roots(f, bits)
-    dom = _dominance(rootset, DEFAULT_TOLERANCE)
+    dom = _dominance(all_roots(rec.char_poly(), bits), DEFAULT_TOLERANCE)
     if dom.verdict != VERDICT_YES:
         raise DominantRootError(f"no simple positive dominant root: {dom.reason}")
-
-    guess = _standard_ratio_guess(rec)
-    with workprec(2 * bits):
-        z = mpf(guess) if guess is not None else mpf(dom.tau)
-        df = [c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])]
-        eps = mpf(2) ** (-(2 * bits - 6))
-        for _ in range(120):
-            fz = _horner(f, z).real
-            dfz = _horner(df, z).real
-            if dfz == 0:
-                break
-            step = fz / dfz
-            z -= step
-            if abs(step) <= eps * max(mpf(1), abs(z)):
-                break
-        tau = z
-        if abs(tau - dom.tau) > mpf(2) ** (-(bits // 2)) * max(mpf(1), abs(tau)):
-            # Newton wandered to a different root; trust the certified one.
-            tau = mpf(dom.tau)
     with workprec(bits):
-        return +tau
-
-
-def _standard_ratio_guess(rec: Recurrence, limit: int = 2000) -> Optional[float]:
-    window = list(reversed(standard_seed(rec.order)))
-    prev_ratio = None
-    for _ in range(limit):
-        nxt = sum(a * x for a, x in zip(rec.coeffs, window))
-        last = window[-1]
-        if last != 0:
-            ratio = nxt / last
-            if prev_ratio is not None and ratio != 0 and abs(ratio - prev_ratio) <= 1e-6 * max(1.0, abs(ratio)):
-                return ratio
-            prev_ratio = ratio
-        window = window[1:] + [nxt]
-    return None
+        return +dom.tau
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +330,15 @@ def is_strong_perron_frobenius(
     come back indeterminate instead of guessed.  Companion-form matrices
     take the closed-form eigenvector (tau**(k-1), ..., tau, 1).
     """
-    bits = resolve_precision(precision)
+    rootset = all_roots(exactmat.char_poly(a), resolve_precision(precision))
+    return _spf(a, rootset, tol)
+
+
+def _spf(a: Sequence[Sequence[int]], rootset: RootSet, tol: float) -> SpfResult:
+    """The strong Perron-Frobenius verdict on a, given the roots of its
+    characteristic polynomial."""
+    bits = rootset.precision_bits
     k = exactmat.dim(a)
-    f = exactmat.char_poly(a)
-    rootset = all_roots(f, bits)
     dom = _dominance(rootset, tol)
     if dom.verdict != VERDICT_YES:
         return SpfResult(dom.verdict, reason=dom.reason, tolerance=tol)
@@ -414,12 +382,17 @@ def is_pisot(f: Sequence[int], precision: Optional[int] = None,
     indeterminate rather than guessed.
     """
     f = poly_trim(list(f))
+    return _pisot(f, all_roots(f, resolve_precision(precision)), tol)
+
+
+def _pisot(f: IntPolynomial, rootset: RootSet, tol: float) -> str:
+    """The Pisot verdict on f, given its roots; ValueError unless f is
+    monic with a nonzero free term."""
     if f[0] != 1:
         raise ValueError("Pisot test requires a monic polynomial")
     if f[-1] == 0:
         raise ValueError("Pisot test requires a nonzero free term")
-    bits = resolve_precision(precision)
-    rootset = all_roots(f, bits)
+    bits = rootset.precision_bits
     dom = _dominance(rootset, tol)
     if dom.verdict != VERDICT_YES:
         return dom.verdict if dom.verdict == VERDICT_INDETERMINATE else VERDICT_NO
@@ -511,6 +484,7 @@ class SpectralReport:
     tolerance: float
     precision_bits: int
     char_poly: IntPolynomial = field(default_factory=list)
+    spf_reason: str = ""       # why is_spf is not "yes"; not part of to_dict()
 
     def to_dict(self) -> dict:
         return {
@@ -529,14 +503,16 @@ class SpectralReport:
 
 def analyze_matrix(a: Sequence[Sequence[int]], precision: Optional[int] = None,
                    tol: float = DEFAULT_TOLERANCE) -> SpectralReport:
+    """Every spectral verdict on a, from one root solve of its
+    characteristic polynomial."""
     bits = resolve_precision(precision)
     f = exactmat.char_poly(a)
     rootset = all_roots(f, bits)
     with workprec(2 * bits):
         moduli = rootset.moduli()
-    spf = is_strong_perron_frobenius(a, bits, tol)
+    spf = _spf(a, rootset, tol)
     try:
-        pisot = is_pisot(f, bits, tol)
+        pisot = _pisot(f, rootset, tol)
     except ValueError:
         pisot = VERDICT_NO
     primitive = None
@@ -553,6 +529,7 @@ def analyze_matrix(a: Sequence[Sequence[int]], precision: Optional[int] = None,
         tolerance=tol,
         precision_bits=bits,
         char_poly=f,
+        spf_reason=spf.reason,
     )
 
 

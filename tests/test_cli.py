@@ -123,6 +123,29 @@ def test_fingerprint_mismatch_detected(two_fib_keyfile, tmp_path):
     assert main(["decrypt", str(other), str(cfile), "--out", str(tmp_path / "x")]) == 2
 
 
+def test_negative_length_header_is_refused(two_fib_keyfile, tmp_path, capsys):
+    msg = _write(tmp_path, "msg.bin", random.Random(3).randbytes(3100))
+    cfile = tmp_path / "c.rmc"
+    assert main(["encrypt", two_fib_keyfile, msg, "--out", str(cfile)]) == 0
+    cfile.write_text(cfile.read_text().replace(" len=3100 ", " len=-7 ", 1))
+    out = tmp_path / "plain.bin"
+    capsys.readouterr()
+    assert main(["decrypt", two_fib_keyfile, str(cfile), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "malformed header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["decrypt", "detect", "corrupt"])
+def test_non_utf8_ciphertext_is_a_format_fault(two_fib_keyfile, tmp_path, capsys, command):
+    cfile = _write(tmp_path, "c.rmc", b"RMCv1 k=3 blocks=1 len=9 fp=\xff\xfe\n")
+    argv = [command, cfile] if command == "corrupt" else [command, two_fib_keyfile, cfile]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load ciphertext {cfile}: ") and "codec" in err
+    assert not out.exists()
+
+
 def test_malformed_key_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -89,6 +89,10 @@ def test_cipher_format_errors():
         cipher_from_text("RMCv1 k=2 blocks=1 len=9 fp=x\n1 2\n3 4\n")  # len > capacity
     with pytest.raises(CipherFormatError):
         cipher_from_text("RMCv1 k=2 blocks=1 len=3 fp=x\n1 two\n3 4\n")
+    for header in ("k=0 blocks=-3 len=-1", "k=0 blocks=0 len=0", "k=-2 blocks=0 len=0",
+                   "k=2 blocks=-1 len=0", "k=2 blocks=1 len=-7"):
+        with pytest.raises(CipherFormatError, match="^malformed header: "):
+            cipher_from_text(f"RMCv1 {header} fp=x\n1 2\n3 4\n")
 
 
 def test_error_model_zero_count_is_identity():
@@ -159,3 +163,88 @@ def test_key_roundtrip_preserves_fingerprint(tmp_path):
     save_key(key, path)
     raw = json.loads(path.read_text())
     assert raw["fingerprint"] == key_fingerprint(key)
+
+
+GOLDEN_KEY_FILES = [
+    (symmetric_key((1, 0, 1), (1, 0, 0), 15), """\
+{
+  "coefficients": [
+    "1",
+    "0",
+    "1"
+  ],
+  "fingerprint": "4dd2eb75dd977f43",
+  "format": "rmc-key-v1",
+  "index": "15",
+  "initial_vector": [
+    "1",
+    "0",
+    "0"
+  ],
+  "kind": "symmetric",
+  "order": 3
+}
+"""),
+    (general_key([[1, 2], [3, 4]], (1, 0), 9), """\
+{
+  "fingerprint": "a8ef2f41b53d3e39",
+  "format": "rmc-key-v1",
+  "index": "9",
+  "initial_vector": [
+    "1",
+    "0"
+  ],
+  "kind": "general",
+  "left_matrix": [
+    [
+      "1",
+      "2"
+    ],
+    [
+      "3",
+      "4"
+    ]
+  ],
+  "order": 2
+}
+"""),
+    (right_form_key((-4, 0, 5), [[8, 2, 1], [4, 0, 0], [8, 2, 0]], 5), """\
+{
+  "coefficients": [
+    "-4",
+    "0",
+    "5"
+  ],
+  "fingerprint": "5dd2604c0c428356",
+  "format": "rmc-key-v1",
+  "index": "5",
+  "initial_matrix": [
+    [
+      "8",
+      "2",
+      "1"
+    ],
+    [
+      "4",
+      "0",
+      "0"
+    ],
+    [
+      "8",
+      "2",
+      "0"
+    ]
+  ],
+  "kind": "right_form",
+  "order": 3
+}
+"""),
+]
+
+
+@pytest.mark.parametrize("key,text", GOLDEN_KEY_FILES, ids=lambda v: getattr(v, "kind", ""))
+def test_key_file_text_is_pinned(key, text, tmp_path):
+    path = tmp_path / "key.json"
+    save_key(key, path)
+    assert path.read_text() == text
+    assert load_key(path) == key

@@ -1,0 +1,101 @@
+"""One root solve per characteristic polynomial: every spectral verdict on
+a key (tau, sigma, SPF, Pisot) comes from one `all_roots` call."""
+
+import pytest
+
+from rmcipher import (GenConfig, Recurrence, analyze_matrix, general_key, left_companion,
+                      right_companion, right_form_key, right_form_keygen, sieve_companion,
+                      spectral, symmetric_key, validate_key)
+from rmcipher.cli import main
+from rmcipher.formats import save_key
+from rmcipher.keygen import GenStats
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts calls of spectral.all_roots."""
+    calls = [0]
+    solve = spectral.all_roots
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "all_roots", counting)
+    return calls
+
+
+def _target(key):
+    return right_companion(key.recurrence()) if key.kind == "right_form" else key.left_matrix()
+
+
+KEYS = ["two_fib_key", "tetranacci_key", "general_1234_key", "right_form_504_key"]
+
+
+@pytest.mark.parametrize("fixture", KEYS)
+def test_analyze_matrix_solves_once(fixture, request, solves):
+    analyze_matrix(_target(request.getfixturevalue(fixture)))
+    assert solves[0] == 1
+
+
+@pytest.mark.parametrize("fixture", KEYS)
+def test_validate_key_with_a_report_solves_nothing(fixture, request, solves):
+    key = request.getfixturevalue(fixture)
+    report = analyze_matrix(_target(key))
+    solves[0] = 0
+    validate_key(key, report=report)
+    assert solves[0] == 0
+
+
+@pytest.mark.parametrize("key", [
+    symmetric_key((1, 0, 1), (1, 0, 0), 15),
+    symmetric_key((1, 1, 0, 0), (1, 0, 0, 0), 12),          # SPF but not Pisot
+    symmetric_key((1, 0), (1, 0), 10),                      # roots +-1: no dominant root
+    symmetric_key((0, 1), (1, 0), 5),                       # a_0 = 0
+    general_key([[1, 2], [3, 4]], (1, 0), 9),
+    general_key([[0, -1], [1, 0]], (1, 0), 6),              # conjugate pair
+    right_form_key((-4, 0, 5), [[8, 2, 1], [4, 0, 0], [8, 2, 0]], 5),  # vector changes sign
+    right_form_key((2, 0, 1), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 6),
+], ids=lambda key: f"{key.kind}-{key.coeffs or key.left}")
+def test_validate_key_is_the_same_with_or_without_a_report(key):
+    report = analyze_matrix(_target(key))
+    assert validate_key(key).to_dict() == validate_key(key, report=report).to_dict()
+
+
+def test_a_report_on_another_polynomial_or_precision_is_refused(two_fib_key):
+    with pytest.raises(ValueError):
+        validate_key(two_fib_key, report=analyze_matrix(left_companion(Recurrence((1, 1, 1)))))
+    with pytest.raises(ValueError):
+        validate_key(two_fib_key, report=analyze_matrix(_target(two_fib_key), 64))
+    with pytest.raises(ValueError):
+        validate_key(two_fib_key, report=analyze_matrix(_target(two_fib_key), tol=1e-6))
+    assert validate_key(two_fib_key, 64, report=analyze_matrix(_target(two_fib_key), 64)).ok
+
+
+@pytest.mark.parametrize("order,seed", [(3, 0), (3, 1), (5, 2)])
+def test_sieve_solves_once_per_candidate(order, seed, solves):
+    cfg = GenConfig(order=order, coeff_range=(0, 2), require_pisot=True, seed=seed, budget=12)
+    stats = GenStats()
+    keys = list(sieve_companion(cfg, stats))
+    assert stats.tried == 12 and keys
+    assert solves[0] == stats.tried
+
+
+def test_right_form_keygen_solves_once_and_keeps_its_message(solves):
+    cfg = GenConfig(order=3, coeff_range=(0, 2), seed=3)
+    assert right_form_keygen(Recurrence((2, 0, 1)), cfg).validation.ok
+    assert solves[0] == 1
+    with pytest.raises(spectral.DominantRootError,
+                       match="^right companion matrix lacks the strong Perron-Frobenius "
+                             "property: dominant eigenvector changes sign$"):
+        right_form_keygen(Recurrence((-4, 0, 5)), cfg)
+
+
+@pytest.mark.parametrize("fixture", KEYS)
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_rmc_analyze_solves_at_most_twice(fixture, json_flag, request, tmp_path, solves):
+    path = tmp_path / "key.json"
+    save_key(request.getfixturevalue(fixture), path)
+    solves[0] = 0
+    assert main(["analyze", str(path), "--out", str(tmp_path / "a.txt")] + json_flag) == 0
+    assert solves[0] <= 2          # loading the key, then the report
