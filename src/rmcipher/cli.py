@@ -1,9 +1,27 @@
 """Command-line surface: key generation, analysis, encryption, decryption,
 channel simulation, error detection/correction, and a Monte-Carlo benchmark.
 
-Exit codes: 0 success, 2 validation failure (bad key or file, fingerprint
-mismatch), 3 corruption detected but not uniquely corrected, 4 candidate
-budget exhausted.  Column and row indices in reports are 0-based.
+Column and row indices in reports are 0-based.
+
+Exit codes, and the exceptions that end in each.  `main` maps them, in
+this one place, so that bad input of any kind ends in one of these codes
+and never in a traceback; argparse itself exits 2 on bad command-line
+syntax.
+
+  0  success.
+  2  validation failure.  A CliError with its default code: an unreadable
+     or malformed key or ciphertext, a fingerprint or dimension mismatch,
+     a key that fails validation, a key without a simple positive
+     dominant root (DominantRootError) where tau is needed.  Also any
+     ValueError that reaches main (KeyFormatError, CipherFormatError,
+     FingerprintMismatchError, InvalidKeyError, bad option values),
+     DominantRootError and RootFindingError (keygen on a recurrence
+     without the spectral property it needs) and OSError (an output
+     file that cannot be written).
+  3  CliError(code=3): corruption detected but not uniquely corrected
+     (CorruptionError in decrypt, GuardError or an ambiguous or failed
+     repair in correct).
+  4  correct: the candidate budget ran out.
 """
 
 from __future__ import annotations
@@ -20,9 +38,8 @@ from functools import partial
 from pathlib import Path
 from typing import ContextManager, Optional, Sequence, TextIO, Union
 
-from . import cipher, formats, guard, keygen, spectral
-from .coding import (KIND_RIGHT, CodingKey, KeyContext, key_fingerprint, left_companion,
-                     right_companion, validate_key)
+from . import cipher, exactmat, formats, guard, keygen, spectral
+from .coding import CodingKey, KeyContext, key_fingerprint, left_companion, spf_target, validate_key
 from .formats import ErrorModel
 from .keygen import GenConfig, GenStats
 from .recurrence import Recurrence
@@ -46,11 +63,18 @@ def _parse_int_pair(text: str, what: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _load_key(path: str) -> CodingKey:
+def _load_context(path: str) -> KeyContext:
+    """The key file, validated on one `analyze_matrix` report and compiled
+    for its own index with that report, so a command solves the key's
+    polynomial once.  Validation runs before M_n is built."""
     try:
-        return formats.load_key(path)
-    except (formats.KeyFormatError, formats.FingerprintMismatchError, OSError) as exc:
+        key = formats.load_key(path, validate=False)
+        report = spectral.analyze_matrix(spf_target(key))
+        formats.require_valid(key, report)
+    except (formats.KeyFormatError, formats.FingerprintMismatchError, OSError,
+            spectral.RootFindingError) as exc:
         raise CliError(f"cannot load key {path}: {exc}") from exc
+    return KeyContext(key, report=report)
 
 
 def _cipher_error(path: str, exc: Exception) -> CliError:
@@ -80,13 +104,15 @@ def _load_cipher_checked(path: str, key: Optional[CodingKey] = None) -> formats.
     return ct
 
 
-def _receiver_context(key: CodingKey, n: Optional[int] = None) -> KeyContext:
-    """The key compiled for detection and correction, tau included: a key
-    without a simple positive dominant root cannot check ciphertexts."""
-    ctx = KeyContext(key, n)
+def _receiver_context(ctx: KeyContext, n: Optional[int] = None) -> KeyContext:
+    """The loaded key compiled for detection and correction at index n
+    (default: its own), tau included: a key without a simple positive
+    dominant root cannot check ciphertexts."""
+    if n is not None and n != ctx.n:
+        ctx = KeyContext(ctx.key, n, report=ctx.report)
     try:
-        ctx.tau  # solved here, once, so that a bad key fails before any block
-    except (spectral.DominantRootError, spectral.RootFindingError) as exc:
+        ctx.tau  # read here, once, so that a bad key fails before any block
+    except spectral.DominantRootError as exc:
         raise CliError(f"key cannot be used to detect errors: {exc}") from exc
     return ctx
 
@@ -157,12 +183,14 @@ def cmd_keygen(args: argparse.Namespace) -> int:
 
 def _load_seed_matrix(path: Optional[str], k: int) -> list[list[int]]:
     if path is None:
-        # Default seed: the order-k pattern with first row (0, 1, 1, 0...)
-        # and a companion subdiagonal, primitive for k >= 3.
+        # Default seed: a companion subdiagonal and two ones in the first
+        # row, at columns 1 and k-1 for odd k (cycles of lengths 2 and k)
+        # and at k-2 and k-1 for even k (lengths k-1 and k), so the cycle
+        # lengths are coprime and the seed is primitive for every k >= 3.
         if k == 2:
             return [[1, 1], [1, 0]]
         m = [[0] * k for _ in range(k)]
-        m[0][1] = 1
+        m[0][1 if k % 2 else k - 2] = 1
         m[0][k - 1] = 1
         for i in range(1, k):
             m[i][i - 1] = 1
@@ -176,18 +204,16 @@ def _load_seed_matrix(path: Optional[str], k: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    key = _load_key(args.keyfile)
-    rec = key.recurrence()
-    target = right_companion(rec) if key.kind == KIND_RIGHT else key.left_matrix()
-    report = spectral.analyze_matrix(target)
-    validation = validate_key(key, report=report)
+    ctx = _load_context(args.keyfile)
+    key, report = ctx.key, ctx.report
+    validation = validate_key(key, report=report)     # no root solve: the report is held
     out: dict = {
         "kind": key.kind,
         "order": key.order,
         "fingerprint": key_fingerprint(key),
         "spectral": report.to_dict(),
         "validation": validation.to_dict(),
-        "det_transition": str(_det_transition(key)),
+        "det_transition": str(exactmat.det_exact(spf_target(key))),
     }
     if args.text is not None:
         plain = args.text.encode()
@@ -220,21 +246,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _det_transition(key: CodingKey):
-    from . import exactmat
-    if key.kind == KIND_RIGHT:
-        return exactmat.det_exact(right_companion(key.recurrence()))
-    return exactmat.det_exact(key.left_matrix())
-
-
 # ---------------------------------------------------------------------------
 # encrypt / decrypt
 # ---------------------------------------------------------------------------
 
 def cmd_encrypt(args: argparse.Namespace) -> int:
     # The ciphertext is written CHUNK_ROWS matrix rows at a time.
-    key = _load_key(args.keyfile)
-    ctx = KeyContext(key)
+    ctx = _load_context(args.keyfile)
+    key = ctx.key
     k = key.order
     try:
         data = Path(args.infile).read_bytes()
@@ -250,22 +269,21 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _decrypt_file(path: str, key: CodingKey) -> bytes:
+def _decrypt_file(path: str, ctx: KeyContext) -> bytes:
     """Reads and decrypts a ciphertext file a chunk of rows at a time,
     keeping only the plaintext bytes.  Faults rank as for a whole-file
     load followed by decryption: the file format (anywhere in the file),
     then the fingerprint and the dimension, then the first corrupted
     entry, so the whole file is read before any of them is raised."""
-    ctx = KeyContext(key)
     plain = bytearray()
     try:
         with open(path) as fh:
             header, chunks = formats.read_cipher(formats.text_lines(fh))
-            error = _header_error(header, key)
+            error = _header_error(header, ctx.key)
             for values in chunks:
                 if error is None:
                     try:
-                        plain += cipher.decrypt_rows(ctx, values, len(plain) // key.order)
+                        plain += cipher.decrypt_rows(ctx, values, len(plain) // ctx.order)
                     except cipher.CorruptionError as exc:
                         error = CliError(f"corrupted ciphertext: {exc}", EXIT_UNCORRECTED)
     except (formats.CipherFormatError, UnicodeDecodeError, OSError) as exc:
@@ -276,7 +294,7 @@ def _decrypt_file(path: str, key: CodingKey) -> bytes:
 
 
 def cmd_decrypt(args: argparse.Namespace) -> int:
-    data = _decrypt_file(args.cipherfile, _load_key(args.keyfile))
+    data = _decrypt_file(args.cipherfile, _load_context(args.keyfile))
     if args.out:
         Path(args.out).write_bytes(data)
     else:
@@ -327,9 +345,9 @@ def _diagnosis_json(diagnoses) -> list[dict]:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    key = _load_key(args.keyfile)
-    ct = _load_cipher_checked(args.cipherfile, key)
-    ctx = _receiver_context(key)
+    ctx = _load_context(args.keyfile)
+    ct = _load_cipher_checked(args.cipherfile, ctx.key)
+    ctx = _receiver_context(ctx)
     report = []
     any_flagged = False
     for b, block in enumerate(ct.block_list()):
@@ -344,9 +362,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_correct(args: argparse.Namespace) -> int:
-    key = _load_key(args.keyfile)
-    ct = _load_cipher_checked(args.cipherfile, key)
-    ctx = _receiver_context(key)
+    ctx = _load_context(args.keyfile)
+    ct = _load_cipher_checked(args.cipherfile, ctx.key)
+    ctx = _receiver_context(ctx)
     fixed_blocks = []
     report: dict = {"blocks": [], "candidates_tested": 0}
     exit_code = EXIT_OK
@@ -459,15 +477,15 @@ BENCH_COLUMNS = ["key_fp", "n", "model", "count", "magnitude", "trials", "detect
                  "success_rate", "mean_candidates", "mean_range_length", "wall_ms"]
 
 
-def run_bench(key: CodingKey, n_grid: Sequence[int], model: ErrorModel, trials: int,
+def run_bench(loaded: KeyContext, n_grid: Sequence[int], model: ErrorModel, trials: int,
               seed: int, plaintext: Optional[bytes] = None) -> list[dict]:
     if trials <= 0:
         return []
     rows = []
-    fp = key_fingerprint(key)
+    fp = key_fingerprint(loaded.key)
     for n in n_grid:
         start = time.perf_counter()
-        ctx = _receiver_context(key, n)
+        ctx = _receiver_context(loaded, n)
         trial_seeds = [keygen.derive_seed(seed, f"bench-{n}", t) for t in range(trials)]
         outcomes = [run_bench_trial(ctx, model, s, plaintext) for s in trial_seeds]
         wall = (time.perf_counter() - start) * 1000
@@ -493,15 +511,15 @@ def run_bench(key: CodingKey, n_grid: Sequence[int], model: ErrorModel, trials: 
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    keys = [_load_key(path) for path in args.keyfiles]
+    contexts = [_load_context(path) for path in args.keyfiles]
     model = ErrorModel(kind=args.model, count=args.count,
                        magnitude=args.magnitude, seed=args.seed)
     n_grid = [int(x) for x in args.n_grid.split(",")] if args.n_grid else None
     plaintext = args.plaintext.encode() if args.plaintext else None
     out_rows: list[dict] = []
-    for key in keys:
-        grid = n_grid if n_grid else [key.index]
-        out_rows.extend(run_bench(key, grid, model, args.trials, args.seed, plaintext))
+    for ctx in contexts:
+        grid = n_grid if n_grid else [ctx.n]
+        out_rows.extend(run_bench(ctx, grid, model, args.trials, args.seed, plaintext))
     target = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.DictWriter(target, fieldnames=BENCH_COLUMNS)
@@ -626,8 +644,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (formats.KeyFormatError, formats.CipherFormatError,
-            formats.FingerprintMismatchError, ValueError) as exc:
+    except (ValueError, spectral.DominantRootError, spectral.RootFindingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -12,9 +12,11 @@ are supported:
                 plus an arbitrary nonnegative invertible initial matrix.
 
 Matrices are built by running the recurrence along each row, never by
-repeated matrix products; inverses go through the backward (rational)
-extension M_n**-1 = M_0**-1 * M_(-n) * M_0**-1, so a single small
-inversion serves every index.
+repeated matrix products.  MatrixBuilder.inverse gives M_n**-1 through
+the backward (rational) extension M_n**-1 = M_0**-1 * M_(-n) * M_0**-1;
+a KeyContext, which holds the integer M_n anyway, inverts it directly
+by exact elimination, which is far cheaper than the k * n backward steps
+at the index sizes keys use.
 """
 
 from __future__ import annotations
@@ -154,6 +156,14 @@ def right_form_key(coeffs: Sequence[int], m0: Sequence[Sequence[int]], index: in
     return CodingKey(KIND_RIGHT, k, index,
                      coeffs=tuple(int(c) for c in coeffs),
                      m0=tuple(tuple(int(v) for v in row) for row in m0))
+
+
+def spf_target(key: CodingKey) -> IntMatrix:
+    """The matrix whose strong Perron-Frobenius property the key needs:
+    its transition matrix, or the right companion matrix of a right_form key."""
+    if key.kind == KIND_RIGHT:
+        return right_companion(key.recurrence())
+    return key.left_matrix()
 
 
 def induced_left_matrix(key: CodingKey) -> RatMatrix:
@@ -327,24 +337,26 @@ class KeyContext:
     M_n and its columns are built on construction.  The integer-scaled
     inverse, the transition ratio tau with its powers, and the table of
     column-ratio bounds are computed on first use, so encryption never
-    pays for an inverse or a root solve.  Build one per command and pass
-    it wherever a CodingKey is accepted; like MatrixBuilder it is meant
-    for one thread.
+    pays for an inverse or a root solve.  Given `report`, the
+    `analyze_matrix` report on the key's spf_target that validated the
+    key, tau is read off it with no further root solve.  Build one per
+    command and pass it wherever a CodingKey is accepted; like
+    MatrixBuilder it is meant for one thread.
     """
 
     key: CodingKey
     n: Optional[int] = None        # None: the key's own index
     precision: Optional[int] = None
+    report: Optional[spectral.SpectralReport] = field(default=None, repr=False)
     matrix: tuple[tuple[int, ...], ...] = field(init=False)
     columns: tuple[tuple[int, ...], ...] = field(init=False)
-    _builder: MatrixBuilder = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n is None:
             object.__setattr__(self, "n", self.key.index)
-        builder = MatrixBuilder(self.key)
-        matrix = tuple(tuple(row) for row in builder.matrix(self.n))
-        object.__setattr__(self, "_builder", builder)
+        if self.report is not None:
+            check_report(self.report, self.key, self.precision)
+        matrix = tuple(tuple(row) for row in MatrixBuilder(self.key).matrix(self.n))
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "columns", tuple(zip(*matrix)))
 
@@ -356,14 +368,16 @@ class KeyContext:
     def scaled_inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(columns of mint, denom): M_n**-1 == mint / denom exactly, with
         denom the least common denominator of the inverse's entries."""
-        minv = self._builder.inverse(self.n)
+        minv = exactmat.inverse_exact(self.matrix)
         denom = math.lcm(*(f.denominator for row in minv for f in row))
-        mint = [[int(f * denom) for f in row] for row in minv]
+        mint = [[f.numerator * (denom // f.denominator) for f in row] for row in minv]
         return tuple(zip(*mint)), denom
 
     @cached_property
     def tau(self):
         """Transition ratio of the key's recurrence, at the context's precision."""
+        if self.report is not None:
+            return spectral.report_transition_ratio(self.report)
         return spectral.transition_ratio(self.key.recurrence(), self.precision)
 
     @cached_property
@@ -429,6 +443,17 @@ class KeyReport:
         ]}
 
 
+def check_report(report: spectral.SpectralReport, key: CodingKey,
+                 precision: Optional[int] = None) -> None:
+    """ValueError unless the report is on the key's characteristic
+    polynomial, at this precision and the default tolerance."""
+    if (report.char_poly != key.recurrence().char_poly()
+            or report.precision_bits != spectral.resolve_precision(precision)
+            or report.tolerance != spectral.DEFAULT_TOLERANCE):
+        raise ValueError("the spectral report is not on this key's polynomial "
+                         "at this precision and tolerance")
+
+
 def validate_key(key: CodingKey, precision: Optional[int] = None,
                  tau_cap: float = 3.0,
                  report: Optional[spectral.SpectralReport] = None) -> KeyReport:
@@ -439,10 +464,9 @@ def validate_key(key: CodingKey, precision: Optional[int] = None,
     on the key's strong Perron-Frobenius target (its transition matrix, or
     the right companion matrix of a right_form key) when the caller holds
     one, else from one such analysis here.  A report on another polynomial,
-    precision or tolerance raises ValueError.
+    precision or tolerance raises ValueError (see check_report).
     """
     items: list[CheckItem] = []
-    rec = key.recurrence()
 
     if key.kind == KIND_GENERAL:
         det_l = exactmat.det_exact(key.left_matrix())
@@ -467,13 +491,9 @@ def validate_key(key: CodingKey, precision: Optional[int] = None,
                                "", hard=True))
 
     if report is None:
-        spf_target = right_companion(rec) if key.kind == KIND_RIGHT else key.left_matrix()
-        report = spectral.analyze_matrix(spf_target, precision)
-    elif (report.char_poly != rec.char_poly()
-          or report.precision_bits != spectral.resolve_precision(precision)
-          or report.tolerance != spectral.DEFAULT_TOLERANCE):
-        raise ValueError("the spectral report is not on this key's polynomial "
-                         "at this precision and tolerance")
+        report = spectral.analyze_matrix(spf_target(key), precision)
+    else:
+        check_report(report, key, precision)
     status = {"yes": "pass", "no": "fail", "indeterminate": "indeterminate"}
     items.append(CheckItem("strong_perron_frobenius", status[report.is_spf], report.spf_reason))
     items.append(CheckItem("pisot", status[report.is_pisot]))

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 from .coding import (KEY_FORMAT, KIND_GENERAL, KIND_RIGHT, KIND_SYMMETRIC, CodingKey,
                      canonical_key_dict, key_fingerprint, validate_key)
 from .exactmat import IntMatrix
+from .spectral import SpectralReport
 
 CIPHER_MAGIC = "RMCv1"
 
@@ -51,9 +52,14 @@ def key_to_dict(key: CodingKey) -> dict:
 
 
 def _ints(values, what: str) -> list[int]:
+    """A JSON list of integers, each a JSON integer or a decimal string;
+    floats, booleans, null and a bare string are refused, not coerced."""
+    if not isinstance(values, list) or not all(
+            type(v) is int or isinstance(v, str) for v in values):
+        raise KeyFormatError(f"bad integer list in {what}")
     try:
         return [int(v) for v in values]
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise KeyFormatError(f"bad integer list in {what}") from exc
 
 
@@ -65,13 +71,14 @@ def _int_matrix(rows, what: str) -> list[list[int]]:
 
 def key_from_dict(data: dict, verify_fingerprint: bool = True,
                   validate: bool = True) -> CodingKey:
+    if not isinstance(data, dict):
+        raise KeyFormatError("a key file must hold a JSON object")
     if data.get("format") != KEY_FORMAT:
         raise KeyFormatError(f"unsupported key format {data.get('format')!r}")
     kind = data.get("kind")
     try:
-        order = int(data["order"])
-        index = int(data["index"])
-    except (KeyError, TypeError, ValueError) as exc:
+        order, index = _ints([data["order"], data["index"]], "order/index")
+    except (KeyError, KeyFormatError) as exc:
         raise KeyFormatError("missing or malformed order/index") from exc
     try:
         if kind == KIND_SYMMETRIC:
@@ -98,11 +105,16 @@ def key_from_dict(data: dict, verify_fingerprint: bool = True,
             raise FingerprintMismatchError(
                 f"key fingerprint {data['fingerprint']} does not match content ({actual})")
     if validate:
-        report = validate_key(key)
-        if not report.ok:
-            failures = [it.name for it in report.items if it.hard and it.status == "fail"]
-            raise KeyFormatError(f"key fails validation: {', '.join(failures)}")
+        require_valid(key)
     return key
+
+
+def require_valid(key: CodingKey, report: Optional[SpectralReport] = None) -> None:
+    """KeyFormatError naming the hard checks of validate_key that fail."""
+    validation = validate_key(key, report=report)
+    if not validation.ok:
+        failures = [it.name for it in validation.items if it.hard and it.status == "fail"]
+        raise KeyFormatError(f"key fails validation: {', '.join(failures)}")
 
 
 def save_key(key: CodingKey, path: Union[str, Path]) -> None:
@@ -112,7 +124,7 @@ def save_key(key: CodingKey, path: Union[str, Path]) -> None:
 def load_key(path: Union[str, Path], validate: bool = True) -> CodingKey:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:     # bad JSON, bad UTF-8, an integer past int()'s digit limit
         raise KeyFormatError(f"not a JSON key file: {exc}") from exc
     return key_from_dict(data, validate=validate)
 

@@ -246,6 +246,9 @@ def second_eigenmodulus(f: Sequence, precision: Optional[int] = None):
         return +sigma
 
 
+_SINGULAR_RECURRENCE = "transition ratio requires an invertible recurrence (a_0 != 0)"
+
+
 def transition_ratio(rec: Recurrence, precision: Optional[int] = None):
     """Dominant eigenvalue tau of the recurrence, rounded to the working
     precision.
@@ -255,13 +258,29 @@ def transition_ratio(rec: Recurrence, precision: Optional[int] = None):
     DominantRootError is raised when no such root exists.
     """
     if rec.a0 == 0:
-        raise ValueError("transition ratio requires an invertible recurrence (a_0 != 0)")
+        raise ValueError(_SINGULAR_RECURRENCE)
     bits = resolve_precision(precision)
     dom = _dominance(all_roots(rec.char_poly(), bits), DEFAULT_TOLERANCE)
-    if dom.verdict != VERDICT_YES:
-        raise DominantRootError(f"no simple positive dominant root: {dom.reason}")
+    return _rounded_tau(dom.tau, dom.reason, bits)
+
+
+def report_transition_ratio(report: SpectralReport):
+    """What transition_ratio returns or raises for the report's polynomial
+    at the report's precision, read off an `analyze_matrix` report made at
+    the default tolerance, with no root solve: both take tau from the same
+    `_dominance` verdict on the same roots."""
+    if report.char_poly[-1] == 0:
+        raise ValueError(_SINGULAR_RECURRENCE)
+    return _rounded_tau(report.tau, report.spf_reason, report.precision_bits)
+
+
+def _rounded_tau(tau, reason: str, bits: int):
+    """A certified dominant root rounded to the working precision; None
+    (no simple positive dominant root) raises DominantRootError."""
+    if tau is None:
+        raise DominantRootError(f"no simple positive dominant root: {reason}")
     with workprec(bits):
-        return +dom.tau
+        return +tau
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from rmcipher import symmetric_key
-from rmcipher.cli import main
+from rmcipher import is_primitive, symmetric_key
+from rmcipher.cli import _load_seed_matrix, main
 from rmcipher.formats import load_cipher, save_cipher, save_key
 from tests.conftest import ALGORITHM, C_ALGORITHM_15
 
@@ -249,12 +249,12 @@ def test_bench_csv_sanity(two_fib_keyfile, tmp_path):
 
 def test_detect_compiles_the_key_once(two_fib_29_keyfile, tmp_path, monkeypatch):
     from rmcipher import coding, spectral
-    calls = {"tau": 0, "builds": 0}
-    tau, init = spectral.transition_ratio, coding.MatrixBuilder.__init__
+    calls = {"roots": 0, "builds": 0}
+    roots, init = spectral.all_roots, coding.MatrixBuilder.__init__
 
-    def counting_tau(*args, **kwargs):
-        calls["tau"] += 1
-        return tau(*args, **kwargs)
+    def counting_roots(*args, **kwargs):
+        calls["roots"] += 1
+        return roots(*args, **kwargs)
 
     def counting_init(self, *args, **kwargs):
         calls["builds"] += 1
@@ -263,11 +263,11 @@ def test_detect_compiles_the_key_once(two_fib_29_keyfile, tmp_path, monkeypatch)
     msg = _write(tmp_path, "msg.bin", random.Random(4).randbytes(40 * 9))
     cfile = tmp_path / "c.rmc"
     assert main(["encrypt", two_fib_29_keyfile, msg, "--out", str(cfile)]) == 0
-    monkeypatch.setattr(spectral, "transition_ratio", counting_tau)
+    monkeypatch.setattr(spectral, "all_roots", counting_roots)
     monkeypatch.setattr(coding.MatrixBuilder, "__init__", counting_init)
     assert main(["detect", two_fib_29_keyfile, str(cfile), "--out", str(tmp_path / "d.json")]) == 0
     assert len(json.loads((tmp_path / "d.json").read_text())["blocks"]) == 40
-    assert calls["tau"] == 1
+    assert calls["roots"] == 1      # validation and tau share one root solve
     assert calls["builds"] <= 2      # the key's positivity check, then the context
 
 
@@ -328,3 +328,64 @@ def test_correct_printable_ascii_refuses_nonzero_padding(two_fib_29_keyfile, tmp
     args = ["correct", two_fib_29_keyfile, str(bad), "--report", str(tmp_path / "r.json")]
     assert main(args) == 0
     assert main(args + ["--printable-ascii"]) == 3
+
+
+@pytest.mark.parametrize("coeffs", ["-4,0,5", "1,0", "-1,0", "1,-1", "-1,1,1"])
+def test_right_form_keygen_without_spf_exits_2(coeffs, tmp_path, capsys):
+    out = tmp_path / "rf.json"
+    assert main(["keygen", "--method", "right-form", f"--coeffs={coeffs}",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_default_primitive_seed_is_primitive(k):
+    assert is_primitive(_load_seed_matrix(None, k))
+
+
+def test_default_primitive_seed_is_unchanged_at_k_2_and_odd_k():
+    assert _load_seed_matrix(None, 2) == [[1, 1], [1, 0]]
+    assert _load_seed_matrix(None, 5) == [[0, 1, 0, 0, 1], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
+                                          [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]
+
+
+def test_keygen_primitive_at_k_4(tmp_path):
+    out = tmp_path / "prim4.json"
+    assert main(["keygen", "--method", "primitive", "--k", "4", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["order"] == 4
+
+
+def _key_text_with(two_fib_keyfile, **fields):
+    data = json.loads(open(two_fib_keyfile).read())
+    data.pop("fingerprint")
+    data.update(fields)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 0, 1]", '"rmc-key-v1"', "null", "17",
+    "KEY:coefficients=[1.5, 0, 1]", "KEY:coefficients=[true, false, true]",
+    'KEY:coefficients="101"', "KEY:order=3.0", "KEY:index=true",
+    '{"format": "rmc-key-v1", "order": ' + "9" * 5000 + "}",
+], ids=["list", "string", "null", "number", "float-leaf", "bool-leaf", "string-list",
+        "float-order", "bool-index", "huge-json-int"])
+def test_malformed_key_files_exit_2(text, two_fib_keyfile, tmp_path, capsys):
+    if text.startswith("KEY:"):
+        name, value = text[4:].split("=", 1)
+        text = _key_text_with(two_fib_keyfile, **{name: json.loads(value)})
+    keyfile = _write(tmp_path, "bad.json", text.encode())
+    msg = _write(tmp_path, "msg.txt", ALGORITHM)
+    assert main(["encrypt", keyfile, msg, "--out", str(tmp_path / "c.rmc")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load key {keyfile}: ")
+
+
+def test_integer_and_decimal_string_leaves_are_accepted(two_fib_keyfile, tmp_path):
+    text = _key_text_with(two_fib_keyfile, coefficients=[1, "0", 1], order="3", index=15)
+    keyfile = _write(tmp_path, "ok.json", text.encode())
+    msg = _write(tmp_path, "msg.txt", ALGORITHM)
+    out = tmp_path / "c.rmc"
+    assert main(["encrypt", keyfile, msg, "--out", str(out)]) == 0
+    assert load_cipher(out).blocks[0] == tuple(map(tuple, C_ALGORITHM_15))

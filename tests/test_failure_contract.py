@@ -1,0 +1,145 @@
+"""Failure contract, by seeded fuzzing: every command that reads a key file
+or a ciphertext, fed damaged ones, ends in a documented exit code (0, 2,
+3 or 4) and lets no exception escape `main`."""
+
+import json
+import random
+from collections import Counter
+
+import pytest
+
+from rmcipher import right_form_key, symmetric_key
+from rmcipher.cli import main
+from rmcipher.formats import save_key
+
+SEED = 5
+EXIT_CODES = {0, 2, 3, 4}
+HUGE = "7" * 5000                     # past int()'s 4300-digit limit
+REPLACEMENTS = [[1, 2], "abc", 1.5, True, None, -3, "-3", HUGE, int(HUGE[:60])]
+
+KEYS = {
+    "symmetric": symmetric_key((1, 0, 1), (1, 0, 0), 15),
+    "right_form": right_form_key((1, 0, 1), [[1, 1, 0], [0, 1, 1], [1, 0, 1]], 12),
+}
+
+
+def _run(argv) -> int:
+    try:
+        code = main([str(a) for a in argv])
+    except BaseException as exc:      # noqa: BLE001 - the contract is that nothing escapes
+        pytest.fail(f"{' '.join(map(str, argv))}: {type(exc).__name__} escaped main: {exc}")
+    assert code in EXIT_CODES, argv
+    return code
+
+
+def _key_commands(keyfile, cipherfile, msgfile, out):
+    return [
+        ["encrypt", keyfile, msgfile, "--out", out],
+        ["decrypt", keyfile, cipherfile, "--out", out],
+        ["detect", keyfile, cipherfile, "--out", out],
+        ["correct", keyfile, cipherfile, "--budget", "50", "--report", out],
+        ["analyze", keyfile, "--json", "--out", out],
+        ["bench", keyfile, "--trials", "1", "--out", out],
+    ]
+
+
+def _cipher_commands(keyfile, cipherfile, out):
+    return [
+        ["decrypt", keyfile, cipherfile, "--out", out],
+        ["detect", keyfile, cipherfile, "--out", out],
+        ["correct", keyfile, cipherfile, "--budget", "50", "--report", out],
+        ["corrupt", cipherfile, "--seed", "1", "--out", out],
+    ]
+
+
+@pytest.fixture
+def files(tmp_path):
+    """A valid key file, a message and its ciphertext, for each key kind."""
+    made = {}
+    for name, key in KEYS.items():
+        keyfile, msg, cfile = (tmp_path / f"{name}.json", tmp_path / "msg.txt",
+                               tmp_path / f"{name}.rmc")
+        save_key(key, keyfile)
+        msg.write_bytes(b"ALGORITHM EXTRA")
+        assert main(["encrypt", str(keyfile), str(msg), "--out", str(cfile)]) == 0
+        made[name] = keyfile, msg, cfile
+    return made
+
+
+def _damaged_keys(text: str, rng: random.Random):
+    """Truncations, the whole object replaced, each field replaced, and
+    (with the fingerprint dropped, so that validation is reached) integer
+    leaves replaced."""
+    for cut in sorted(rng.sample(range(len(text)), 6)) + [0]:
+        yield text[:cut]
+    for value in REPLACEMENTS:
+        yield json.dumps(value)
+    data = json.loads(text)
+    for field in data:
+        for value in REPLACEMENTS:
+            yield json.dumps({**data, field: value})
+    bare = {f: v for f, v in data.items() if f != "fingerprint"}
+    for field, value in bare.items():
+        if not isinstance(value, list):
+            continue
+        for value_new in rng.sample(REPLACEMENTS, 4) + ["-1", "0", "2"]:
+            leaf = json.loads(json.dumps(value))
+            if isinstance(leaf[0], list):
+                leaf[rng.randrange(len(leaf))][rng.randrange(len(leaf))] = value_new
+            else:
+                leaf[rng.randrange(len(leaf))] = value_new
+            yield json.dumps({**bare, field: leaf})
+
+
+@pytest.mark.parametrize("kind", sorted(KEYS))
+def test_damaged_key_files(kind, files, tmp_path):
+    keyfile, msg, cfile = files[kind]
+    rng = random.Random(f"{SEED}-key-{kind}")
+    codes = Counter()
+    bad = tmp_path / "bad.json"
+    for text in _damaged_keys(keyfile.read_text(), rng):
+        bad.write_text(text)
+        for argv in _key_commands(bad, cfile, msg, tmp_path / "out"):
+            codes[_run(argv)] += 1
+    assert codes[2] > 0 and codes[0] > 0           # refusals, and keys that still work
+
+
+def _damaged_ciphers(text: str, rng: random.Random):
+    """Truncations, garbled headers, and entries replaced."""
+    for cut in sorted(rng.sample(range(len(text)), 5)) + [0]:
+        yield text[:cut]
+    header, body = text.split("\n", 1)
+    parts = header.split()
+    garbles = ["", "RMCv2", "k=", "k=0", "k=-2", "k=4", "blocks=-1", "blocks=999",
+               "len=-7", "len=99999", "fp=0000", f"k={HUGE}", "k=1.5", "x=y"]
+    for i in range(len(parts)):
+        for garble in rng.sample(garbles, 5):
+            yield " ".join(parts[:i] + [garble] + parts[i + 1:]) + "\n" + body
+    yield header + " extra=1\n" + body
+    lines = body.splitlines()
+    for value in ["x", "1.5", "-5", "0", HUGE, str(10 ** 200), "", "1 2"]:
+        r = rng.randrange(len(lines))
+        entries = lines[r].split()
+        entries[rng.randrange(len(entries))] = value
+        yield "\n".join([header] + lines[:r] + [" ".join(entries)] + lines[r + 1:]) + "\n"
+    yield text.replace("\n", "\r\n")
+    yield text + "\n\n"
+
+
+def test_damaged_ciphertexts(files, tmp_path):
+    keyfile, _msg, cfile = files["symmetric"]
+    rng = random.Random(f"{SEED}-cipher")
+    codes = Counter()
+    bad = tmp_path / "bad.rmc"
+    for text in _damaged_ciphers(cfile.read_text(), rng):
+        bad.write_text(text)
+        for argv in _cipher_commands(keyfile, bad, tmp_path / "out"):
+            codes[_run(argv)] += 1
+    assert codes[2] > 0 and codes[0] > 0 and codes[3] > 0
+
+
+def test_non_utf8_key_file_exits_2(files, tmp_path):
+    _keyfile, msg, _cfile = files["symmetric"]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"format": "\xff\xfe"}')
+    assert _run(["encrypt", bad, msg, "--out", tmp_path / "out"]) == 2
