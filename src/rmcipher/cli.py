@@ -34,7 +34,7 @@ import sys
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import ContextManager, Optional, Sequence, TextIO, Union
 
@@ -636,9 +636,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: every build leaves reference
+    cycles that only a full garbage collection frees."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -59,10 +59,6 @@ def mat_vec(a: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> list[Scalar]:
     return [sum(row[t] * v[t] for t in range(len(v))) for row in a]
 
 
-def mat_eq(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> bool:
-    return len(a) == len(b) and all(list(ra) == list(rb) for ra, rb in zip(a, b))
-
-
 def det_exact(a: Sequence[Sequence[int]]) -> int:
     """Exact determinant by fraction-free Bareiss elimination.
 

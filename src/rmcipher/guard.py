@@ -278,34 +278,37 @@ def _max_clique(k: int, adj: set[tuple[int, int]],
 # correction
 # ---------------------------------------------------------------------------
 
+def spiral_candidate(rng: CheckingRange, i: int) -> int:
+    """The i-th integer of [lo, hi] by distance from the estimate, upward
+    first on ties: e, e+1, e-1, e+2, ...; once one side of the range runs
+    out, the other continues alone."""
+    e = rng.estimate
+    both = min(e - rng.lo, rng.hi - e)          # steps taken on both sides
+    if i <= 2 * both:
+        return e + (i + 1) // 2 if i % 2 else e - i // 2
+    beyond = i - both
+    return e + beyond if rng.hi - e > both else e - beyond
+
+
 def spiral_candidates(rng: CheckingRange) -> list[int]:
-    """Every integer in [lo, hi] ordered by distance from the estimate,
-    upward first on ties: e, e+1, e-1, e+2, ..."""
-    out = [rng.estimate]
-    step = 1
-    while len(out) < rng.count:
-        up = rng.estimate + step
-        if up <= rng.hi:
-            out.append(up)
-        down = rng.estimate - step
-        if down >= rng.lo:
-            out.append(down)
-        step += 1
-    return out
+    """Every integer in [lo, hi] in spiral order (see spiral_candidate)."""
+    return [spiral_candidate(rng, i) for i in range(rng.count)]
 
 
-def _ranked_product(lists: Sequence[Sequence[int]]):
-    """Cartesian product ordered by total spiral rank, ties lexicographic."""
-    start = (0,) * len(lists)
+def _ranked_product(ranges: Sequence[CheckingRange]):
+    """Cartesian product of the ranges' spirals ordered by total spiral
+    rank, ties lexicographic; each candidate is computed when reached, so
+    the cost follows the number taken, not the width of the ranges."""
+    start = (0,) * len(ranges)
     heap = [(0, start)]
     seen = {start}
     while heap:
         rank, idx = heapq.heappop(heap)
-        yield tuple(lists[d][i] for d, i in enumerate(idx))
-        for d in range(len(lists)):
+        yield tuple(spiral_candidate(rng, i) for rng, i in zip(ranges, idx))
+        for d, rng in enumerate(ranges):
             nxt = list(idx)
             nxt[d] += 1
-            if nxt[d] < len(lists[d]):
+            if nxt[d] < rng.count:
                 t = tuple(nxt)
                 if t not in seen:
                     seen.add(t)
@@ -371,7 +374,6 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
         i = diag.row
         refs: dict[int, int] = {}
         ranges: dict[int, CheckingRange] = {}
-        spirals: list[list[int]] = []
         flagged = list(diag.flagged)
         for j in flagged:
             ref = min(diag.trusted, key=lambda t: (abs(t - j), t))
@@ -383,11 +385,10 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
                     c[i][ref], ctx.ratio_bounds[(j, ref)], tau_power=ctx.tau_powers[ref - j],
                     target=(i, j), reference=(i, ref))
             ranges[j] = rng
-            spirals.append(spiral_candidates(rng))
 
         accepted: list[RowCandidate] = []
         tested = 0
-        for combo in _ranked_product(spirals):
+        for combo in _ranked_product([ranges[j] for j in flagged]):
             if tested_total >= budget:
                 budget_exhausted = True
                 break

@@ -3,9 +3,17 @@ Perron-Frobenius and Pisot verdicts, primitivity of nonnegative matrices.
 
 Root finding runs the Aberth-Ehrlich simultaneous iteration in mpmath
 arithmetic at twice the requested precision, after an exact square-free
-decomposition so multiple roots cannot stall the iteration.  Verdicts
-carry a tolerance: anything within the tolerance band is reported as
-"indeterminate" rather than guessed.
+decomposition so multiple roots cannot stall the iteration.  Each factor
+is solved in two stages, as in MPSolve (Bini & Fiorentino, Numer.
+Algorithms 23, 2000): the iteration first runs in Python complex from
+the start points on a circle until its steps stop shrinking, then
+continues from those roots at full precision until it meets the same
+stopping test as before, within about log3(precision / 50) + 3 steps.
+Where double precision cannot be used (a coefficient or iterate beyond
+its range, a NaN, a zero derivative, coincident iterates) or the
+refinement misses that cap, the factor is solved from the circle at full
+precision, as a cold start.  Verdicts carry a tolerance: anything within
+the tolerance band is reported as "indeterminate" rather than guessed.
 
 The environment variable RMC_PRECISION_BITS overrides the default
 working precision (bits of mantissa) for every operation here.
@@ -95,57 +103,119 @@ def _to_mp_coeffs(f: Sequence) -> list:
 
 
 def _horner(coeffs: Sequence, z):
-    acc = mpc(0)
+    acc = z * 0
     for c in coeffs:
         acc = acc * z + c
     return acc
 
 
-def _aberth(coeffs: list, max_steps: int = 200) -> list:
-    """Aberth-Ehrlich iteration for a square-free polynomial (mp coefficients)."""
+def _aberth_step(coeffs: Sequence, dcoeffs: Sequence, z: list, nudge) -> tuple:
+    """One Aberth-Ehrlich sweep over the iterates z, in the arithmetic of
+    z and the coefficients (mpc/mpf or Python complex/float alike).
+
+    Returns the new iterates and the largest step.  An iterate with a zero
+    derivative, or one that coincides with another, is moved by
+    nudge * (1 + |z|); with nudge None it raises ZeroDivisionError instead.
+    """
+    new = list(z)
+    max_step = 0
+    for j, zj in enumerate(z):
+        pj = _horner(coeffs, zj)
+        dpj = _horner(dcoeffs, zj)
+        if dpj == 0 and nudge is not None:
+            new[j] = zj + nudge * (1 + abs(zj))
+            max_step = max(max_step, abs(new[j] - zj))
+            continue
+        w = pj / dpj
+        s = 0
+        for l, zl in enumerate(z):
+            if l != j:
+                diff = zj - zl
+                if diff == 0 and nudge is not None:
+                    diff = nudge * (1 + abs(zj))
+                s += 1 / diff
+        denom = 1 - w * s
+        corr = w if denom == 0 else w / denom
+        new[j] = zj - corr
+        max_step = max(max_step, abs(corr))
+    return new, max_step
+
+
+def _aberth_iterate(coeffs: list, dcoeffs: list, z: list, max_steps: int) -> list:
+    """Aberth steps at the working precision from the iterates z until the
+    largest step is at most 2**-(prec-8) times the largest root modulus."""
+    eps = mpf(2) ** (-(mp.prec - 8))
+    best = z
+    for _ in range(max_steps):
+        z, max_step = _aberth_step(coeffs, dcoeffs, z, eps)
+        best = z
+        scale = max(mpf(1), max(abs(x) for x in z))
+        if max_step <= eps * scale:
+            return z
+    raise RootFindingError("Aberth iteration did not converge", best=best)
+
+
+_MAX_STEPS = 200                  # Aberth steps from a start on the circle
+_DOUBLE_SETTLED = 2.0 ** -26      # half a double's digits: the cubic phase has begun
+
+
+def _double_seeds(coeffs: list, dcoeffs: list, start: list) -> Optional[list]:
+    """Aberth in Python complex from the start points, run until its steps
+    stop shrinking (a settled step at least a quarter of the one
+    before: rounding noise, not cubic convergence).  None when double
+    precision cannot be used: a coefficient or iterate that overflows, a
+    NaN, a zero derivative, coincident iterates, or no settling within the
+    step limit."""
+    try:
+        fcoeffs = [float(c) for c in coeffs]
+        fdcoeffs = [float(c) for c in dcoeffs]
+        if not all(map(math.isfinite, fcoeffs + fdcoeffs)):
+            return None
+        z = [complex(x) for x in start]
+        last = math.inf
+        for _ in range(_MAX_STEPS):
+            z, step = _aberth_step(fcoeffs, fdcoeffs, z, None)
+            if not math.isfinite(step):
+                return None
+            scale = max(1.0, max(abs(x) for x in z))
+            if step <= _DOUBLE_SETTLED * scale and 4 * step >= last:
+                break
+            last = step
+        else:
+            return None
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return z if len(set(z)) == len(z) else None
+
+
+def _refine_steps(prec: int) -> int:
+    """Aberth converges cubically from double-precision seeds: about
+    log3(prec / 50) steps, plus a margin."""
+    return 3 + max(0, math.ceil(math.log(prec / 50, 3)))
+
+
+def _aberth(coeffs: list) -> list:
+    """All roots of a square-free polynomial (mp coefficients) by
+    Aberth-Ehrlich at the working precision, seeded by a double-precision
+    pass; the cold start on a circle is the fallback."""
     deg = len(coeffs) - 1
     if deg == 1:
         return [mpc(-coeffs[1] / coeffs[0])]
     dcoeffs = [c * (deg - i) for i, c in enumerate(coeffs[:-1])]
     radius = 1 + max(abs(c) for c in coeffs[1:]) / abs(coeffs[0])
     # Asymmetric start angles keep the iteration off the real axis traps.
-    z = [
+    start = [
         radius * mp.exp(mpc(0, 2 * mp.pi * (j + mpf(3) / 8) / deg + mpf(1) / (2 * deg)))
         for j in range(deg)
     ]
-    eps = mpf(2) ** (-(mp.prec - 8))
-    best = z
-    for _ in range(max_steps):
-        new = list(z)
-        max_step = mpf(0)
-        for j in range(deg):
-            pj = _horner(coeffs, z[j])
-            dpj = _horner(dcoeffs, z[j])
-            if dpj == 0:
-                new[j] = z[j] + eps * (1 + abs(z[j]))
-                max_step = max(max_step, abs(new[j] - z[j]))
-                continue
-            w = pj / dpj
-            s = mpc(0)
-            for l in range(deg):
-                if l != j:
-                    diff = z[j] - z[l]
-                    if diff == 0:
-                        diff = eps * (1 + abs(z[j]))
-                    s += 1 / diff
-            denom = 1 - w * s
-            if denom == 0:
-                corr = w
-            else:
-                corr = w / denom
-            new[j] = z[j] - corr
-            max_step = max(max_step, abs(corr))
-        z = new
-        best = z
-        scale = max(mpf(1), max(abs(x) for x in z))
-        if max_step <= eps * scale:
-            return z
-    raise RootFindingError("Aberth iteration did not converge", best=best)
+    seeds = _double_seeds(coeffs, dcoeffs, start)
+    if seeds is not None:
+        try:
+            return _aberth_iterate(coeffs, dcoeffs, [mpc(x) for x in seeds],
+                                   _refine_steps(mp.prec))
+        except RootFindingError:
+            pass
+    return _aberth_iterate(coeffs, dcoeffs, start, _MAX_STEPS)
 
 
 def _snap_real(roots: list) -> list:

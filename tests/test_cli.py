@@ -389,3 +389,31 @@ def test_integer_and_decimal_string_leaves_are_accepted(two_fib_keyfile, tmp_pat
     out = tmp_path / "c.rmc"
     assert main(["encrypt", keyfile, msg, "--out", str(out)]) == 0
     assert load_cipher(out).blocks[0] == tuple(map(tuple, C_ALGORITHM_15))
+
+
+def test_main_builds_one_parser_and_flags_do_not_carry_over(tmp_path, monkeypatch):
+    from rmcipher import cli
+    builds = [0]
+    build = cli.build_parser
+
+    def counting():
+        builds[0] += 1
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    keys = [tmp_path / f"{i}.json" for i in range(3)]
+    base = ["keygen", "--k", "3", "--range=-2,2", "--seed", "2"]
+    assert main(base + ["--out", str(keys[0])]) == 0
+    assert main(base + ["--pisot", "--out", str(keys[1])]) == 0
+    assert main(base + ["--out", str(keys[2])]) == 0
+    assert keys[0].read_bytes() != keys[1].read_bytes()        # --pisot mattered once
+    assert keys[2].read_bytes() == keys[0].read_bytes()
+    reports = [tmp_path / f"{i}.txt" for i in range(2)]
+    assert main(["analyze", str(keys[0]), "--json", "--out", str(reports[0])]) == 0
+    assert main(["analyze", str(keys[0]), "--out", str(reports[1])]) == 0
+    json.loads(reports[0].read_text())
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(reports[1].read_text())
+    assert builds[0] == 1
+    cli._parser.cache_clear()

@@ -8,7 +8,7 @@ from rmcipher import (Recurrence, checking_range, column_ratio_bounds, correct,
                       detect_errors, digitize, encrypt, general_key, range_length,
                       right_form_key, smallest_unambiguous_n, symmetric_key,
                       transition_ratio, verify_ciphertext)
-from rmcipher.coding import MatrixBuilder
+from rmcipher.coding import KeyContext, MatrixBuilder
 from rmcipher.guard import (EmptyCheckingRangeError, RowDiagnosis, UncorrectableRowError,
                             spiral_candidates)
 from tests.conftest import ALGORITHM, C_ALGORITHM_15, EXTRATERRESTRIAL, M15_2FIB
@@ -189,6 +189,32 @@ def test_spiral_exhaustive_random():
         cr = CheckingRange(lower=Fraction(lo), upper=Fraction(hi), lo=lo, hi=hi, estimate=est)
         spiral = spiral_candidates(cr)
         assert sorted(spiral) == list(range(lo, hi + 1))
+        assert spiral == _spiral_by_steps(cr)
+
+
+def _spiral_by_steps(rng):
+    """The spiral built step by step: e, e+1, e-1, e+2, ... within [lo, hi]."""
+    out = [rng.estimate]
+    step = 1
+    while len(out) < rng.count:
+        if rng.estimate + step <= rng.hi:
+            out.append(rng.estimate + step)
+        if rng.estimate - step >= rng.lo:
+            out.append(rng.estimate - step)
+        step += 1
+    return out
+
+
+def test_correct_on_a_wide_range_spends_only_its_budget():
+    # I + cyclic shift at k=5: the column ratios converge slowly, so at
+    # n=60 a checking range holds about 2e15 candidates.
+    left = [[int(j in (i, (i + 1) % 5)) for j in range(5)] for i in range(5)]
+    ctx = KeyContext(general_key(left, (1, 0, 0, 0, 0), 60))
+    c = encrypt(digitize(b"A" * 25, 5)[0], ctx)[0]
+    c[0][1] *= 3
+    result = correct(c, detect_errors(c, ctx), ctx, budget=5)
+    assert result.rows[0].ranges[1].count > 10 ** 12
+    assert result.tested_total == 5 and result.budget_exhausted
 
 
 def test_correct_worked_single_error(two_fib_key):

@@ -47,7 +47,7 @@ def test_validate_key_with_a_report_solves_nothing(fixture, request, solves):
     assert solves[0] == 0
 
 
-@pytest.mark.parametrize("key", [
+VALIDATION_KEYS = [
     symmetric_key((1, 0, 1), (1, 0, 0), 15),
     symmetric_key((1, 1, 0, 0), (1, 0, 0, 0), 12),          # SPF but not Pisot
     symmetric_key((1, 0), (1, 0), 10),                      # roots +-1: no dominant root
@@ -56,7 +56,11 @@ def test_validate_key_with_a_report_solves_nothing(fixture, request, solves):
     general_key([[0, -1], [1, 0]], (1, 0), 6),              # conjugate pair
     right_form_key((-4, 0, 5), [[8, 2, 1], [4, 0, 0], [8, 2, 0]], 5),  # vector changes sign
     right_form_key((2, 0, 1), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 6),
-], ids=lambda key: f"{key.kind}-{key.coeffs or key.left}")
+]
+
+
+@pytest.mark.parametrize("key", VALIDATION_KEYS,
+                         ids=lambda key: f"{key.kind}-{key.coeffs or key.left}")
 def test_validate_key_is_the_same_with_or_without_a_report(key):
     report = analyze_matrix(_target(key))
     assert validate_key(key).to_dict() == validate_key(key, report=report).to_dict()
