@@ -290,11 +290,6 @@ def spiral_candidate(rng: CheckingRange, i: int) -> int:
     return e + beyond if rng.hi - e > both else e - beyond
 
 
-def spiral_candidates(rng: CheckingRange) -> list[int]:
-    """Every integer in [lo, hi] in spiral order (see spiral_candidate)."""
-    return [spiral_candidate(rng, i) for i in range(rng.count)]
-
-
 def _ranked_product(ranges: Sequence[CheckingRange]):
     """Cartesian product of the ranges' spirals ordered by total spiral
     rank, ties lexicographic; each candidate is computed when reached, so

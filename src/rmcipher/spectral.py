@@ -21,6 +21,7 @@ working precision (bits of mantissa) for every operation here.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass, field
@@ -163,9 +164,9 @@ def _double_seeds(coeffs: list, dcoeffs: list, start: list) -> Optional[list]:
     """Aberth in Python complex from the start points, run until its steps
     stop shrinking (a settled step at least a quarter of the one
     before: rounding noise, not cubic convergence).  None when double
-    precision cannot be used: a coefficient or iterate that overflows, a
-    NaN, a zero derivative, coincident iterates, or no settling within the
-    step limit."""
+    precision cannot be used: a coefficient or iterate that overflows or
+    turns NaN, a zero derivative, coincident iterates, or no settling
+    within the step limit."""
     try:
         fcoeffs = [float(c) for c in coeffs]
         fdcoeffs = [float(c) for c in dcoeffs]
@@ -175,7 +176,9 @@ def _double_seeds(coeffs: list, dcoeffs: list, start: list) -> Optional[list]:
         last = math.inf
         for _ in range(_MAX_STEPS):
             z, step = _aberth_step(fcoeffs, fdcoeffs, z, None)
-            if not math.isfinite(step):
+            # Complex arithmetic overflows to inf or NaN without raising, and
+            # max() drops a NaN step, so the iterates themselves are checked.
+            if not all(map(cmath.isfinite, z)):
                 return None
             scale = max(1.0, max(abs(x) for x in z))
             if step <= _DOUBLE_SETTLED * scale and 4 * step >= last:

@@ -10,7 +10,7 @@ from rmcipher import (Recurrence, checking_range, column_ratio_bounds, correct,
                       transition_ratio, verify_ciphertext)
 from rmcipher.coding import KeyContext, MatrixBuilder
 from rmcipher.guard import (EmptyCheckingRangeError, RowDiagnosis, UncorrectableRowError,
-                            spiral_candidates)
+                            spiral_candidate)
 from tests.conftest import ALGORITHM, C_ALGORITHM_15, EXTRATERRESTRIAL, M15_2FIB
 
 
@@ -173,7 +173,7 @@ def test_detect_with_explicit_tolerance(two_fib_key):
 def test_spiral_order_and_exhaustiveness():
     tau = transition_ratio(Recurrence((1, 0, 1)))
     rng = checking_range(41528, column_ratio_bounds(M15_2FIB, 2, 1), tau_power=tau ** -1)
-    spiral = spiral_candidates(rng)
+    spiral = [spiral_candidate(rng, i) for i in range(rng.count)]
     assert spiral[:3] == [28336, 28337, 28335]
     assert sorted(spiral) == list(range(28329, 28345))
     assert len(set(spiral)) == len(spiral) == rng.count
@@ -187,7 +187,7 @@ def test_spiral_exhaustive_random():
         hi = lo + rand.randint(0, 40)
         est = rand.randint(lo, hi)
         cr = CheckingRange(lower=Fraction(lo), upper=Fraction(hi), lo=lo, hi=hi, estimate=est)
-        spiral = spiral_candidates(cr)
+        spiral = [spiral_candidate(cr, i) for i in range(cr.count)]
         assert sorted(spiral) == list(range(lo, hi + 1))
         assert spiral == _spiral_by_steps(cr)
 
