@@ -114,23 +114,17 @@ def _compare_with_cold(f, monkeypatch, bits=None):
     return seeded
 
 
-def test_a_coefficient_beyond_double_range_takes_the_cold_start(monkeypatch, paths):
-    f = poly_mul([1, -10 ** 310], GOLDEN)
-    seeded = _compare_with_cold(f, monkeypatch)
-    assert paths == ["cold"]                    # one square-free factor, too big for a float
-    assert any(abs(r / 10 ** 310 - 1) < mpf(2) ** -40 for r in seeded.roots)
-
-
 @pytest.mark.parametrize("f, bits", [
+    (poly_mul([1, -10 ** 310], GOLDEN), None),  # a coefficient too big for a float
     ([1, -10 ** 200, 1], None),                 # radius**2 overflows at the start points
     ([1, -10 ** 70, 0, 0, 0, -1], 64),          # radius**5 overflows; the cold start
-], ids=["k2-1e200", "k5-1e70"])                 # converges at 64 bits, not at 128
-def test_an_overflowing_double_pass_takes_the_cold_start(f, bits, monkeypatch, paths):
+], ids=["float-1e310", "k2-1e200", "k5-1e70"])  # converges at 64 bits, not at 128
+def test_a_coefficient_beyond_double_range_takes_the_cold_start(f, bits, monkeypatch, paths):
     seeded = _compare_with_cold(f, monkeypatch, bits)
-    assert paths == ["cold"]                    # inf/NaN iterates are never seeds
+    assert paths == ["cold"]                    # one square-free factor; inf/NaN never seeds
     with workprec(2 * seeded.precision_bits):
         assert all(mp.isfinite(r) for r in seeded.roots)
-        assert max(abs(r) for r in seeded.roots) / -f[1] - 1 < mpf(2) ** -40
+        assert abs(max(abs(r) for r in seeded.roots) / -f[1] - 1) < mpf(2) ** -40
 
 
 def test_a_near_double_root_is_found_by_the_fallback(monkeypatch, paths):
