@@ -37,7 +37,7 @@ def padded(data: bytes, k: int) -> bytes:
     return data + bytes(-len(data) % (k * k))
 
 
-def _blocks(values: Sequence[int], k: int) -> list[IntMatrix]:
+def split_blocks(values: Sequence[int], k: int) -> list[IntMatrix]:
     """Flat row-major entries cut into k x k blocks of row lists."""
     rows = [list(values[i:i + k]) for i in range(0, len(values), k)]
     return [rows[i:i + k] for i in range(0, len(rows), k)]
@@ -58,7 +58,7 @@ def digitize(data: bytes, k: int) -> tuple[list[IntMatrix], int]:
     the blocks and the original byte length."""
     if k < 2:
         raise ValueError("block dimension must be at least 2")
-    return _blocks(padded(data, k), k), len(data)
+    return split_blocks(padded(data, k), k), len(data)
 
 
 def assemble(blocks: Sequence[Sequence[Sequence[int]]], length: int) -> bytes:
@@ -119,7 +119,7 @@ def decrypt_rows(ctx: KeyContext, values: Sequence[int], first_row: int = 0) -> 
 def encrypt(blocks: Sequence[IntMatrix], key: KeyLike, n: Optional[int] = None) -> list[IntMatrix]:
     """C_b = P_b * M_n, the same M_n for every block."""
     ctx = key_context(key, n)
-    return _blocks(encrypt_rows(ctx, _entries(blocks, ctx.order)), ctx.order)
+    return split_blocks(encrypt_rows(ctx, _entries(blocks, ctx.order)), ctx.order)
 
 
 def decrypt_row(ctx: KeyContext, row: Sequence[int], block: int = 0, i: int = 0) -> list[int]:

@@ -22,6 +22,25 @@ syntax.
      (CorruptionError in decrypt, GuardError or an ambiguous or failed
      repair in correct).
   4  correct: the candidate budget ran out.
+
+Ciphertexts are read a chunk of whole blocks at a time, and nothing is
+written until the whole file has been read, so a fault anywhere in the
+file outranks one met in the rows and leaves no output file.
+
+detect and correct test each chunk's rows against the checking relations
+by integer cross-multiplication, and diagnose in full only the blocks
+with a failing row.  Their JSON reports give block counts by status and
+one entry per such block:
+
+  detect   {"blocks": [...], "clean": <no row flagged>,
+            "counts": {"clean": B0, "flagged": B1}}; an entry is
+           {"block", "clean": false, "rows"}, every row of the block with
+           its trusted and flagged columns and its column-pair evidence.
+  correct  {"blocks": [...], "candidates_tested": N,
+            "counts": {"clean": B0, "corrected": B1, "failed": B2}}; an
+           entry is the repair of one block ("status" corrected or failed).
+
+A clean block is only counted: its evidence is the ciphertext itself.
 """
 
 from __future__ import annotations
@@ -35,8 +54,9 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import chain
 from pathlib import Path
-from typing import ContextManager, Optional, Sequence, TextIO, Union
+from typing import ContextManager, Iterator, Optional, Sequence, TextIO
 
 from . import cipher, exactmat, formats, guard, keygen, spectral
 from .coding import CodingKey, KeyContext, key_fingerprint, left_companion, spf_target, validate_key
@@ -81,9 +101,8 @@ def _cipher_error(path: str, exc: Exception) -> CliError:
     return CliError(f"cannot load ciphertext {path}: {exc}")
 
 
-def _header_error(header: Union[formats.CipherHeader, formats.CipherText],
-                  key: CodingKey) -> Optional[CliError]:
-    """Why a ciphertext (or its header) does not belong to the key, if it does not."""
+def _header_error(header: formats.CipherHeader, key: CodingKey) -> Optional[CliError]:
+    """Why a ciphertext header does not belong to the key, if it does not."""
     fp = key_fingerprint(key)
     if header.fingerprint != fp:
         return CliError(f"fingerprint mismatch: ciphertext carries {header.fingerprint}, key is {fp}")
@@ -92,16 +111,41 @@ def _header_error(header: Union[formats.CipherHeader, formats.CipherText],
     return None
 
 
-def _load_cipher_checked(path: str, key: Optional[CodingKey] = None) -> formats.CipherText:
-    """The parsed ciphertext file; with a key, also checked to belong to it."""
+def _cipher_chunks(path: str, key: Optional[CodingKey] = None) -> Iterator:
+    """The header of a ciphertext file, then its matrix rows a chunk of
+    whole blocks at a time, each chunk a flat row-major list.
+
+    Faults rank as for a whole-file parse: the file format (anywhere in the
+    file), then, given a key, the fingerprint and the dimension, then a
+    caller's own.  So a key mismatch is raised once the whole file has been
+    read, and a caller that meets a fault reads the rest (_read_rest)
+    before it raises.
+    """
     try:
-        ct = formats.load_cipher(path)
+        with open(path) as fh:
+            header, chunks = formats.read_cipher(formats.text_lines(fh))
+            yield header
+            error = _header_error(header, key) if key is not None else None
+            if error is not None:
+                _read_rest(chunks)
+                raise error
+            size = header.order ** 2
+            pending: list[int] = []
+            for values in chunks:
+                pending += values
+                whole = len(pending) - len(pending) % size
+                if whole:
+                    yield pending[:whole]
+                    del pending[:whole]
     except (formats.CipherFormatError, UnicodeDecodeError, OSError) as exc:
         raise _cipher_error(path, exc) from exc
-    error = _header_error(ct, key) if key is not None else None
-    if error is not None:
-        raise error
-    return ct
+
+
+def _read_rest(chunks: Iterator) -> None:
+    """Reads and checks the rest of a ciphertext, so that a format fault
+    later in the file is raised before the caller's own."""
+    for _ in chunks:
+        pass
 
 
 def _receiver_context(ctx: KeyContext, n: Optional[int] = None) -> KeyContext:
@@ -271,25 +315,17 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
 
 def _decrypt_file(path: str, ctx: KeyContext) -> bytes:
     """Reads and decrypts a ciphertext file a chunk of rows at a time,
-    keeping only the plaintext bytes.  Faults rank as for a whole-file
-    load followed by decryption: the file format (anywhere in the file),
-    then the fingerprint and the dimension, then the first corrupted
-    entry, so the whole file is read before any of them is raised."""
+    keeping only the plaintext bytes.  A corrupted entry ranks after
+    every fault of the file and its header (see _cipher_chunks)."""
+    chunks = _cipher_chunks(path, ctx.key)
+    header = next(chunks)
     plain = bytearray()
-    try:
-        with open(path) as fh:
-            header, chunks = formats.read_cipher(formats.text_lines(fh))
-            error = _header_error(header, ctx.key)
-            for values in chunks:
-                if error is None:
-                    try:
-                        plain += cipher.decrypt_rows(ctx, values, len(plain) // ctx.order)
-                    except cipher.CorruptionError as exc:
-                        error = CliError(f"corrupted ciphertext: {exc}", EXIT_UNCORRECTED)
-    except (formats.CipherFormatError, UnicodeDecodeError, OSError) as exc:
-        raise _cipher_error(path, exc) from exc
-    if error is not None:
-        raise error
+    for values in chunks:
+        try:
+            plain += cipher.decrypt_rows(ctx, values, len(plain) // ctx.order)
+        except cipher.CorruptionError as exc:
+            _read_rest(chunks)
+            raise CliError(f"corrupted ciphertext: {exc}", EXIT_UNCORRECTED) from exc
     return bytes(plain[:header.length])
 
 
@@ -307,12 +343,26 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_corrupt(args: argparse.Namespace) -> int:
-    ct = _load_cipher_checked(args.cipherfile)
-    model = ErrorModel(kind=args.model, count=args.count,
-                       magnitude=args.magnitude, seed=args.seed)
-    blocks, records = formats.corrupt_blocks(ct.block_list(), model)
-    text = formats.cipher_to_text(blocks, ct.length, ct.order, ct.fingerprint)
-    _write_output(text, args.out)
+    chunks = _cipher_chunks(args.cipherfile)
+    header = next(chunks)
+    try:
+        model = ErrorModel(kind=args.model, count=args.count,
+                           magnitude=args.magnitude, seed=args.seed)
+    except ValueError:
+        _read_rest(chunks)
+        raise
+    rng = random.Random(model.seed)
+    k = header.order
+    text = [formats.cipher_header(header.count, header.length, k, header.fingerprint)]
+    records: list[formats.CorruptionRecord] = []
+    done = 0
+    for values in chunks:
+        blocks = cipher.split_blocks(values, k)
+        for b, block in enumerate(blocks, done):
+            records += formats.corrupt_block(block, b, model, rng)
+        done += len(blocks)
+        text.append(formats.format_rows(list(chain.from_iterable(chain.from_iterable(blocks))), k))
+    _write_output("".join(text), args.out)
     if args.sidecar:
         Path(args.sidecar).write_text(json.dumps({
             "model": {"kind": model.kind, "count": model.count,
@@ -344,84 +394,115 @@ def _diagnosis_json(diagnoses) -> list[dict]:
     return out
 
 
+def _receive(path: str, ctx: KeyContext) -> tuple[KeyContext, formats.CipherHeader, Iterator]:
+    """The loaded key compiled for detection and correction, and the header
+    and chunks of the ciphertext file (see _cipher_chunks).  A key that
+    cannot check ciphertexts ranks after the faults of the file."""
+    chunks = _cipher_chunks(path, ctx.key)
+    header = next(chunks)
+    try:
+        ctx = _receiver_context(ctx)
+    except CliError:
+        _read_rest(chunks)
+        raise
+    return ctx, header, chunks
+
+
+def _flagged_blocks(ctx: KeyContext, values: list[int], tol: Optional[float]) -> list[int]:
+    """Indices, within a chunk of whole blocks, of the blocks with a row
+    that detect_errors flags."""
+    return sorted({r // ctx.order for r in guard.failing_rows(ctx, values, tol)})
+
+
 def cmd_detect(args: argparse.Namespace) -> int:
-    ctx = _load_context(args.keyfile)
-    ct = _load_cipher_checked(args.cipherfile, ctx.key)
-    ctx = _receiver_context(ctx)
-    report = []
-    any_flagged = False
-    for b, block in enumerate(ct.block_list()):
-        diagnoses = guard.detect_errors(block, ctx, tol=args.tol)
-        flagged = any(d.flagged for d in diagnoses)
-        any_flagged = any_flagged or flagged
-        report.append({"block": b, "clean": not flagged,
-                       "rows": _diagnosis_json(diagnoses)})
-    _write_output(json.dumps({"blocks": report, "clean": not any_flagged},
-                             indent=2) + "\n", args.out)
+    ctx, _header, chunks = _receive(args.cipherfile, _load_context(args.keyfile))
+    k = ctx.order
+    size = k * k
+    found = []
+    blocks = 0
+    for values in chunks:
+        for b in _flagged_blocks(ctx, values, args.tol):
+            block = cipher.split_blocks(values[b * size:(b + 1) * size], k)[0]
+            diagnoses = guard.detect_errors(block, ctx, tol=args.tol)
+            found.append({"block": blocks + b, "clean": False, "rows": _diagnosis_json(diagnoses)})
+        blocks += len(values) // size
+    report = {"blocks": found, "clean": not found,
+              "counts": {"clean": blocks - len(found), "flagged": len(found)}}
+    _write_output(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
+def _correction_json(b: int, result: guard.CorrectionResult) -> dict:
+    return {
+        "block": b,
+        "status": "corrected" if result.matrix is not None else "failed",
+        "unique": result.unique,
+        "tested": result.tested_total,
+        "budget_exhausted": result.budget_exhausted,
+        "rows": [{
+            "row": rc.row,
+            "references": {str(j): jp for j, jp in rc.references.items()},
+            "ranges": {str(j): {
+                "lower": f"{r.lower.numerator}/{r.lower.denominator}",
+                "upper": f"{r.upper.numerator}/{r.upper.denominator}",
+                "lo": str(r.lo), "hi": str(r.hi),
+                "estimate": str(r.estimate), "count": r.count,
+            } for j, r in rc.ranges.items()},
+            "accepted": [{
+                "values": {str(j): str(v) for j, v in cand.values.items()},
+                "order_index": cand.order_index,
+            } for cand in rc.accepted],
+            "tested": rc.tested,
+        } for rc in result.rows],
+    }
+
+
 def cmd_correct(args: argparse.Namespace) -> int:
-    ctx = _load_context(args.keyfile)
-    ct = _load_cipher_checked(args.cipherfile, ctx.key)
-    ctx = _receiver_context(ctx)
-    fixed_blocks = []
-    report: dict = {"blocks": [], "candidates_tested": 0}
+    ctx, header, chunks = _receive(args.cipherfile, _load_context(args.keyfile))
+    k = ctx.order
+    size = k * k
+    text = [formats.cipher_header(header.count, header.length, k, header.fingerprint)]
+    found = []
+    counts = {"clean": 0, "corrected": 0, "failed": 0}
+    tested = 0
     exit_code = EXIT_OK
-    for b, block in enumerate(ct.block_list()):
-        diagnoses = guard.detect_errors(block, ctx, tol=args.tol)
-        if all(d.clean for d in diagnoses):
-            fixed_blocks.append(block)
-            report["blocks"].append({"block": b, "status": "clean",
-                                     "rows": _diagnosis_json(diagnoses)})
-            continue
-        validator = (partial(_printable_ascii, ct.length, b * ct.order ** 2)
-                     if args.printable_ascii else None)
-        try:
-            result = guard.correct(block, diagnoses, ctx, budget=args.budget,
-                                   validator=validator)
-        except guard.GuardError as exc:
-            raise CliError(str(exc), EXIT_UNCORRECTED) from exc
-        report["candidates_tested"] += result.tested_total
-        entry = {
-            "block": b,
-            "status": "corrected" if result.matrix is not None else "failed",
-            "unique": result.unique,
-            "tested": result.tested_total,
-            "budget_exhausted": result.budget_exhausted,
-            "rows": [{
-                "row": rc.row,
-                "references": {str(j): jp for j, jp in rc.references.items()},
-                "ranges": {str(j): {
-                    "lower": f"{r.lower.numerator}/{r.lower.denominator}",
-                    "upper": f"{r.upper.numerator}/{r.upper.denominator}",
-                    "lo": str(r.lo), "hi": str(r.hi),
-                    "estimate": str(r.estimate), "count": r.count,
-                } for j, r in rc.ranges.items()},
-                "accepted": [{
-                    "values": {str(j): str(v) for j, v in cand.values.items()},
-                    "order_index": cand.order_index,
-                } for cand in rc.accepted],
-                "tested": rc.tested,
-            } for rc in result.rows],
-        }
-        report["blocks"].append(entry)
-        if result.budget_exhausted:
-            exit_code = EXIT_BUDGET
-            fixed_blocks.append(block)
-        elif result.matrix is None:
-            exit_code = max(exit_code, EXIT_UNCORRECTED)
-            fixed_blocks.append(block)
-        else:
-            if not result.unique:
+    blocks = 0
+    for values in chunks:
+        for b in _flagged_blocks(ctx, values, args.tol):
+            span = slice(b * size, (b + 1) * size)
+            block = cipher.split_blocks(values[span], k)[0]
+            diagnoses = guard.detect_errors(block, ctx, tol=args.tol)
+            validator = (partial(_printable_ascii, header.length, (blocks + b) * size)
+                         if args.printable_ascii else None)
+            try:
+                result = guard.correct(block, diagnoses, ctx, budget=args.budget,
+                                       validator=validator)
+            except guard.GuardError as exc:
+                _read_rest(chunks)
+                raise CliError(str(exc), EXIT_UNCORRECTED) from exc
+            except ValueError:
+                _read_rest(chunks)
+                raise
+            tested += result.tested_total
+            found.append(_correction_json(blocks + b, result))
+            counts[found[-1]["status"]] += 1
+            if result.budget_exhausted:
+                exit_code = EXIT_BUDGET
+            elif result.matrix is None or not result.unique:
                 exit_code = max(exit_code, EXIT_UNCORRECTED)
-            fixed_blocks.append(result.matrix)
+            if result.matrix is not None:
+                values[span] = chain.from_iterable(result.matrix)
+        text.append(formats.format_rows(values, k))
+        blocks += len(values) // size
+    counts["clean"] = blocks - len(found)
     if args.out:
-        formats.save_cipher(fixed_blocks, ct.length, ct.order, ct.fingerprint, args.out)
+        Path(args.out).write_text("".join(text))
+    report = json.dumps({"blocks": found, "candidates_tested": tested, "counts": counts},
+                        indent=2) + "\n"
     if args.report:
-        Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
+        Path(args.report).write_text(report)
     else:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(report)
     return exit_code
 
 

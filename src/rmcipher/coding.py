@@ -393,6 +393,19 @@ class KeyContext:
         return {(j, jp): column_ratio_bounds(self.matrix, j, jp)
                 for j in range(k) for jp in range(k) if j != jp}
 
+    @cached_property
+    def cross_bounds(self) -> dict:
+        """ratio_bounds[(j, jp)] for j < jp as integers (lo_num, lo_den,
+        hi_num, hi_den), each denominator >= 0 and +/-inf as (+/-1, 0).  A
+        ratio num / den with den > 0 lies within the bounds exactly when
+        lo_num * den <= num * lo_den and num * hi_den <= hi_num * den."""
+        def pair(bound) -> tuple[int, int]:
+            if bound in (math.inf, -math.inf):
+                return (1 if bound > 0 else -1), 0
+            return bound.numerator, bound.denominator
+        return {(j, jp): pair(lo) + pair(hi) for (j, jp), (lo, hi) in self.ratio_bounds.items()
+                if j < jp}
+
 
 KeyLike = Union[CodingKey, KeyContext]
 

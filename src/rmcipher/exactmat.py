@@ -153,17 +153,6 @@ def poly_eval(f: Sequence[Scalar], x):
     return acc
 
 
-def poly_eval_matrix(f: Sequence[Scalar], a: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """Evaluate a polynomial at a square matrix by Horner's scheme."""
-    k = dim(a)
-    acc = [[f[0] if i == j else 0 for j in range(k)] for i in range(k)]
-    for c in f[1:]:
-        acc = mat_mul(acc, a)
-        for i in range(k):
-            acc[i][i] += c
-    return acc
-
-
 def poly_add(f: Sequence[Scalar], g: Sequence[Scalar]) -> list[Scalar]:
     n = max(len(f), len(g))
     fp = [0] * (n - len(f)) + list(f)

@@ -22,6 +22,7 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
+from .cipher import split_blocks
 from .coding import (KEY_FORMAT, KIND_GENERAL, KIND_RIGHT, KIND_SYMMETRIC, CodingKey,
                      canonical_key_dict, key_fingerprint, validate_key)
 from .exactmat import IntMatrix
@@ -144,17 +145,6 @@ class CipherHeader:
     fingerprint: str
 
 
-@dataclass(frozen=True)
-class CipherText:
-    blocks: tuple[tuple[tuple[int, ...], ...], ...]
-    length: int
-    order: int
-    fingerprint: str
-
-    def block_list(self) -> list[IntMatrix]:
-        return [[list(row) for row in block] for block in self.blocks]
-
-
 def cipher_header(count: int, length: int, order: int, fingerprint: str) -> str:
     return f"{CIPHER_MAGIC} k={order} blocks={count} len={length} fp={fingerprint}\n"
 
@@ -246,22 +236,10 @@ def _row_error(chunk: list[list[str]], first_row: int, k: int) -> CipherFormatEr
     raise AssertionError("chunk has no malformed row")
 
 
-def cipher_from_text(text: str) -> CipherText:
+def cipher_from_text(text: str) -> tuple[CipherHeader, list[IntMatrix]]:
+    """The header and the blocks of a whole ciphertext text."""
     header, chunks = read_cipher(text.splitlines())
-    k = header.order
-    values = list(chain.from_iterable(chunks))          # reads and checks the whole body
-    rows = list(zip(*[iter(values)] * k))
-    return CipherText(blocks=tuple(tuple(rows[b * k:(b + 1) * k]) for b in range(header.count)),
-                      length=header.length, order=k, fingerprint=header.fingerprint)
-
-
-def save_cipher(blocks: Sequence[IntMatrix], length: int, order: int,
-                fingerprint: str, path: Union[str, Path]) -> None:
-    Path(path).write_text(cipher_to_text(blocks, length, order, fingerprint))
-
-
-def load_cipher(path: Union[str, Path]) -> CipherText:
-    return cipher_from_text(Path(path).read_text())
+    return header, split_blocks(list(chain.from_iterable(chunks)), header.order)
 
 
 # ---------------------------------------------------------------------------
@@ -335,20 +313,26 @@ def corrupt_blocks(blocks: Sequence[IntMatrix], model: ErrorModel,
     Returns the corrupted blocks and a ground-truth record of every
     change (the sidecar content for audits)."""
     rng = random.Random(model.seed if seed is None else seed)
-    out: list[IntMatrix] = []
+    out = [[list(row) for row in block] for block in blocks]
     records: list[CorruptionRecord] = []
-    for b, block in enumerate(blocks):
-        k = len(block)
-        copy = [list(row) for row in block]
-        count = min(model.count, k * k)
-        positions = rng.sample([(i, j) for i in range(k) for j in range(k)], count)
-        for i, j in positions:
-            original = copy[i][j]
-            corrupted = _corrupt_value(original, model, rng)
-            copy[i][j] = corrupted
-            records.append(CorruptionRecord(b, i, j, original, corrupted))
-        out.append(copy)
+    for b, block in enumerate(out):
+        records += corrupt_block(block, b, model, rng)
     return out, records
+
+
+def corrupt_block(block: IntMatrix, b: int, model: ErrorModel,
+                  rng: random.Random) -> list[CorruptionRecord]:
+    """Corrupts `count` distinct entries of block number b in place, drawing
+    from rng; the records of the changes.  One rng threaded through the
+    blocks in order gives the blocks corrupt_blocks gives."""
+    k = len(block)
+    positions = rng.sample([(i, j) for i in range(k) for j in range(k)], min(model.count, k * k))
+    records = []
+    for i, j in positions:
+        original = block[i][j]
+        block[i][j] = _corrupt_value(original, model, rng)
+        records.append(CorruptionRecord(b, i, j, original, block[i][j]))
+    return records
 
 
 def records_to_json(records: Sequence[CorruptionRecord]) -> list[dict]:

@@ -6,7 +6,9 @@ and j' of M.  Those exact two-sided bounds drive everything here:
 
 * verification tests consecutive-column ratios against the bounds,
 * detection builds a per-row consistency graph over all column pairs
-  and trusts the maximum consistent clique,
+  and trusts the maximum consistent clique; a receiver first tests whole
+  chunks of rows by integer cross-multiplication (failing_rows) and
+  builds the graph only where a row fails,
 * correction enumerates integer candidates for each flagged entry in a
   spiral around the transition-ratio estimate, validating candidate
   combinations by exact decryption.
@@ -20,7 +22,9 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import partial
+from itertools import combinations, repeat
+from operator import le, mul
 from typing import Callable, Optional, Sequence
 
 from mpmath import mpf, workprec
@@ -241,11 +245,14 @@ def detect_errors(c: Sequence[Sequence[int]], key: KeyLike, n: Optional[int] = N
                     consistent = False
                     rel_dev = None
                 else:
-                    rel_dev = abs(float(ratio) / expected - 1.0)
+                    try:
+                        rel_dev = abs(float(ratio) / expected - 1.0)
+                    except OverflowError:        # |ratio| beyond the float range
+                        rel_dev = None
                     if tol is None:
                         consistent = lo <= ratio <= hi
                     else:
-                        consistent = rel_dev <= tol
+                        consistent = rel_dev is not None and rel_dev <= tol
             if consistent:
                 adj.add((j, jp))
                 dev_of[(j, jp)] = rel_dev if rel_dev is not None else 0.0
@@ -255,6 +262,59 @@ def detect_errors(c: Sequence[Sequence[int]], key: KeyLike, n: Optional[int] = N
         diagnoses.append(RowDiagnosis(row=i, trusted=trusted, flagged=flagged,
                                       pairs=tuple(evidence)))
     return diagnoses
+
+
+def failing_rows(ctx: KeyContext, values: Sequence[int],
+                 tol: Optional[float] = None) -> set[int]:
+    """Indices of the rows that detect_errors flags, for rows given as flat
+    row-major entries: the rows with a column pair outside its checking
+    bounds (exact), or, with a tolerance, off tau**(jp-j) by more than it.
+
+    The exact test cross-multiplies integers, a whole column at a time, and
+    goes row by row only for a column pair where that fails; no Fraction
+    is built.
+    """
+    k = ctx.order
+    cols = [values[t::k] for t in range(k)]
+    failing: set[int] = set()
+    for (j, jp), bound in ctx.cross_bounds.items():
+        nums, dens = cols[j], cols[jp]
+        if tol is None:
+            if _all_within(nums, dens, *bound):
+                continue
+            pair_ok = partial(_within, *bound)
+        else:
+            pair_ok = partial(_within_tol, float(ctx.tau_powers[jp - j]), tol)
+        failing.update(r for r, ok in enumerate(map(pair_ok, nums, dens)) if not ok)
+    return failing
+
+
+def _all_within(nums, dens, lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> bool:
+    """Every denominator positive and every ratio within the bounds."""
+    return (min(dens, default=1) > 0
+            and all(map(le, map(mul, dens, repeat(lo_num)), map(mul, nums, repeat(lo_den))))
+            and all(map(le, map(mul, nums, repeat(hi_den)), map(mul, dens, repeat(hi_num)))))
+
+
+def _within(lo_num: int, lo_den: int, hi_num: int, hi_den: int, num: int, den: int) -> bool:
+    """detect_errors' exact test of one pair: 0/0 is consistent, x/0 is
+    not, and otherwise num/den must lie within the bounds."""
+    if den == 0:
+        return num == 0
+    if den < 0:
+        num, den = -num, -den
+    return lo_num * den <= num * lo_den and num * hi_den <= hi_num * den
+
+
+def _within_tol(expected: float, tol: float, num: int, den: int) -> bool:
+    """detect_errors' test of one pair under a tolerance.  int / int rounds
+    as float(Fraction(num, den)) does, and overflows where it does."""
+    if den == 0:
+        return num == 0
+    try:
+        return abs(num / den / expected - 1.0) <= tol
+    except OverflowError:
+        return False
 
 
 def _max_clique(k: int, adj: set[tuple[int, int]],

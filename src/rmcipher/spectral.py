@@ -283,19 +283,20 @@ def _dominance_inner(rootset: RootSet, tol: float) -> _Dominance:
     )
     top_mod, top_i = pairs[0]
     top = rootset.roots[top_i]
+    # The band of roots whose modulus is within tol of the top.  Which of
+    # them sorts first is rounding noise, so the verdict reads the band as
+    # a whole: a lone root, exactly one conjugate pair, or indeterminate.
+    band = [i for mod, i in pairs[1:]
+            if ((top_mod - mod) / top_mod if top_mod > 0 else mpf(0)) <= tol]
+    if band and not (len(band) == 1 and abs(top.imag) > tol * top_mod
+                     and abs(rootset.roots[band[0]] - mp.conj(top)) <= tol * top_mod):
+        return _Dominance(VERDICT_INDETERMINATE, reason="dominance margin within tolerance")
     if rootset.multiplicities[top_i] > 1:
         return _Dominance(VERDICT_NO, reason="dominant root is not simple")
-    if len(pairs) > 1:
-        second_mod = pairs[1][0]
-        margin = (top_mod - second_mod) / top_mod if top_mod > 0 else mpf(0)
-        if margin <= tol:
-            second = rootset.roots[pairs[1][1]]
-            conj_gap = abs(second - mp.conj(top))
-            if abs(top.imag) > tol * top_mod and conj_gap <= tol * top_mod:
-                # A complex conjugate pair shares its modulus exactly: no
-                # single eigenvalue dominates.
-                return _Dominance(VERDICT_NO, reason="dominant modulus is a conjugate pair")
-            return _Dominance(VERDICT_INDETERMINATE, reason="dominance margin within tolerance")
+    if band:
+        # A complex conjugate pair shares its modulus exactly: no single
+        # eigenvalue dominates.
+        return _Dominance(VERDICT_NO, reason="dominant modulus is a conjugate pair")
     if abs(top.imag) > tol * max(top_mod, mpf(1)):
         return _Dominance(VERDICT_NO, reason="dominant root is not real")
     tau = top.real

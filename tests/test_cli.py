@@ -6,7 +6,7 @@ import pytest
 
 from rmcipher import is_primitive, symmetric_key
 from rmcipher.cli import _load_seed_matrix, main
-from rmcipher.formats import load_cipher, save_cipher, save_key
+from rmcipher.formats import cipher_from_text, cipher_to_text, save_key
 from tests.conftest import ALGORITHM, C_ALGORITHM_15
 
 
@@ -85,8 +85,8 @@ def test_encrypt_decrypt_worked_example(two_fib_keyfile, tmp_path):
     msg = _write(tmp_path, "msg.txt", ALGORITHM)
     cfile = tmp_path / "c.rmc"
     assert main(["encrypt", two_fib_keyfile, msg, "--out", str(cfile)]) == 0
-    ct = load_cipher(cfile)
-    assert ct.block_list() == [C_ALGORITHM_15]
+    _header, blocks = cipher_from_text(cfile.read_text())
+    assert blocks == [C_ALGORITHM_15]
     out = tmp_path / "out.bin"
     assert main(["decrypt", two_fib_keyfile, str(cfile), "--out", str(out)]) == 0
     assert out.read_bytes() == ALGORITHM
@@ -215,7 +215,7 @@ def test_correct_clean_input_is_noop(two_fib_keyfile, tmp_path):
                  "--report", str(report)]) == 0
     assert fixed.read_text() == cfile.read_text()
     rep = json.loads(report.read_text())
-    assert rep["blocks"][0]["status"] == "clean"
+    assert rep["blocks"] == [] and rep["counts"] == {"clean": 1, "corrected": 0, "failed": 0}
 
 
 def test_correct_budget_exhaustion_exit_code(two_fib_keyfile, tmp_path):
@@ -266,7 +266,7 @@ def test_detect_compiles_the_key_once(two_fib_29_keyfile, tmp_path, monkeypatch)
     monkeypatch.setattr(spectral, "all_roots", counting_roots)
     monkeypatch.setattr(coding.MatrixBuilder, "__init__", counting_init)
     assert main(["detect", two_fib_29_keyfile, str(cfile), "--out", str(tmp_path / "d.json")]) == 0
-    assert len(json.loads((tmp_path / "d.json").read_text())["blocks"]) == 40
+    assert json.loads((tmp_path / "d.json").read_text())["counts"] == {"clean": 40, "flagged": 0}
     assert calls["roots"] == 1      # validation and tau share one root solve
     assert calls["builds"] <= 2      # the key's positivity check, then the context
 
@@ -290,11 +290,10 @@ def test_correct_repairs_a_zero_padding_row(two_fib_29_keyfile, tmp_path, delta)
     msg = _write(tmp_path, "msg.txt", b"ABCDEF")
     cfile = tmp_path / "c.rmc"
     assert main(["encrypt", two_fib_29_keyfile, msg, "--out", str(cfile)]) == 0
-    ct = load_cipher(cfile)
-    blocks = ct.block_list()
+    header, blocks = cipher_from_text(cfile.read_text())
     blocks[0][2][1] += delta
     bad = tmp_path / "bad.rmc"
-    save_cipher(blocks, ct.length, ct.order, ct.fingerprint, bad)
+    bad.write_text(cipher_to_text(blocks, header.length, header.order, header.fingerprint))
     fixed = tmp_path / "fixed.rmc"
     assert main(["correct", two_fib_29_keyfile, str(bad), "--out", str(fixed),
                  "--report", str(tmp_path / "r.json")]) == 0
@@ -388,7 +387,7 @@ def test_integer_and_decimal_string_leaves_are_accepted(two_fib_keyfile, tmp_pat
     msg = _write(tmp_path, "msg.txt", ALGORITHM)
     out = tmp_path / "c.rmc"
     assert main(["encrypt", keyfile, msg, "--out", str(out)]) == 0
-    assert load_cipher(out).blocks[0] == tuple(map(tuple, C_ALGORITHM_15))
+    assert cipher_from_text(out.read_text())[1][0] == C_ALGORITHM_15
 
 
 def test_main_builds_one_parser_and_flags_do_not_carry_over(tmp_path, monkeypatch):

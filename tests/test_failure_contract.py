@@ -122,6 +122,9 @@ def _damaged_ciphers(text: str, rng: random.Random):
         entries = lines[r].split()
         entries[rng.randrange(len(entries))] = value
         yield "\n".join([header] + lines[:r] + [" ".join(entries)] + lines[r + 1:]) + "\n"
+    # An entry 10**400 times its row neighbour: a ratio beyond the float range.
+    first = lines[0].split()
+    yield "\n".join([header, " ".join([str(10 ** 400)] + first[1:])] + lines[1:]) + "\n"
     yield text.replace("\n", "\r\n")
     yield text + "\n\n"
 

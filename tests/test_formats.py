@@ -3,11 +3,12 @@ import json
 import pytest
 
 from rmcipher import general_key, key_fingerprint, right_form_key, symmetric_key
+from rmcipher.cipher import split_blocks
 from rmcipher.formats import (CipherFormatError, ErrorModel, FingerprintMismatchError,
                               KeyFormatError, cipher_from_text, cipher_to_text,
-                              corrupt_blocks, key_from_dict, key_to_dict, load_cipher,
-                              load_key, records_from_json, records_to_json, save_cipher,
-                              save_key)
+                              corrupt_blocks, key_from_dict, key_to_dict, load_key,
+                              read_cipher, records_from_json, records_to_json, save_key,
+                              text_lines)
 
 
 @pytest.mark.parametrize("key_builder", [
@@ -61,21 +62,22 @@ def test_key_format_errors():
 def test_cipher_text_roundtrip(tmp_path):
     blocks = [[[60861, 41528, 28337], [68585, 46798, 31933], [68601, 46809, 31940]]]
     text = cipher_to_text(blocks, 9, 3, "ab" * 8)
-    parsed = cipher_from_text(text)
-    assert parsed.block_list() == blocks
-    assert parsed.length == 9 and parsed.order == 3 and parsed.fingerprint == "ab" * 8
-    assert cipher_to_text(parsed.block_list(), parsed.length, parsed.order,
-                          parsed.fingerprint) == text
+    header, parsed = cipher_from_text(text)
+    assert parsed == blocks
+    assert header.length == 9 and header.order == 3 and header.fingerprint == "ab" * 8
+    assert cipher_to_text(parsed, header.length, header.order, header.fingerprint) == text
     path = tmp_path / "c.rmc"
-    save_cipher(blocks, 9, 3, "ab" * 8, path)
-    assert load_cipher(path).block_list() == blocks
+    path.write_text(cipher_to_text(blocks, 9, 3, "ab" * 8))
+    with open(path) as fh:
+        header, chunks = read_cipher(text_lines(fh))
+        assert split_blocks([v for chunk in chunks for v in chunk], header.order) == blocks
 
 
 def test_cipher_header_only_for_empty_payload():
     text = cipher_to_text([], 0, 3, "00" * 8)
     assert text == "RMCv1 k=3 blocks=0 len=0 fp=" + "00" * 8 + "\n"
-    parsed = cipher_from_text(text)
-    assert parsed.block_list() == [] and parsed.length == 0
+    header, parsed = cipher_from_text(text)
+    assert parsed == [] and header.length == 0
 
 
 def test_cipher_format_errors():

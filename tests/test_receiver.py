@@ -1,0 +1,205 @@
+"""The streamed receiver: `rmc detect`/`rmc correct` test each chunk of rows
+by integer cross-multiplication, diagnose only the blocks with a failing
+row, and report block counts plus the entries of those blocks."""
+
+import json
+import random
+import tracemalloc
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from rmcipher import (KeyContext, detect_errors, general_key, right_form_key, symmetric_key)
+from rmcipher.cipher import encrypt_rows
+from rmcipher.cli import main
+from rmcipher.formats import (ErrorModel, cipher_from_text, cipher_to_text, corrupt_blocks,
+                              records_to_json, save_key)
+from rmcipher.guard import failing_rows
+
+
+def _shift_plus_identity(k):
+    return [[1 if j in (i, (i + 1) % k) else 0 for j in range(k)] for i in range(k)]
+
+
+def _bidiagonal(k):
+    return [[1 if j in (i - 1, i) else 0 for j in range(k)] for i in range(k)]
+
+
+KEYS = {
+    "symmetric-2": symmetric_key((1, 1), (1, 0), 12),
+    "symmetric-3": symmetric_key((1, 0, 1), (1, 0, 0), 29),
+    "symmetric-5": symmetric_key((1, 1, 1, 1, 1), (1, 0, 0, 0, 0), 30),
+    "general-3": general_key(_shift_plus_identity(3), (1, 0, 0), 20),
+    "general-3-zeros": general_key(_shift_plus_identity(3), (1, 0, 0), 1),   # +inf bounds
+    "right_form-3": right_form_key((1, 0, 1), [[1, 1, 0], [0, 1, 1], [1, 0, 1]], 29),
+    "right_form-5-zeros": right_form_key((1, 1, 1, 1, 1), _bidiagonal(5), 2),
+}
+CONTEXTS = {name: KeyContext(key) for name, key in KEYS.items()}
+TOLERANCES = [None, 1e-12, 0.01, 0.3]
+
+DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150,
+                        suppress_health_check=[HealthCheck.too_slow])
+
+
+def test_some_bounds_are_infinite():
+    for name in ("general-3-zeros", "right_form-5-zeros"):
+        assert any(0 in (b[1], b[3]) for b in CONTEXTS[name].cross_bounds.values()), name
+
+
+@st.composite
+def received_rows(draw):
+    """A key and rows as a receiver may see them: genuine rows, genuine rows
+    with an entry changed (to zero, its negative, a nearby or a huge value),
+    and arbitrary rows with zeros and negative entries."""
+    name = draw(st.sampled_from(sorted(KEYS)))
+    ctx = CONTEXTS[name]
+    k = ctx.order
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10 ** 12, 10 ** 12),
+                      st.just(10 ** 400))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["genuine", "changed", "arbitrary"]))
+        if kind == "arbitrary":
+            rows.append(draw(st.lists(entry, min_size=k, max_size=k)))
+            continue
+        row = encrypt_rows(ctx, draw(st.lists(st.integers(0, 255), min_size=k, max_size=k)))
+        if kind == "changed":
+            j = draw(st.integers(0, k - 1))
+            row[j] = draw(st.one_of(st.just(0), st.just(-row[j]),
+                                    st.integers(row[j] - 50, row[j] + 50), entry))
+        rows.append(row)
+    return name, rows
+
+
+@DERANDOMIZED
+@given(received_rows(), st.sampled_from(TOLERANCES))
+def test_chunk_test_flags_the_rows_detect_errors_flags(case, tol):
+    name, rows = case
+    ctx = CONTEXTS[name]
+    flagged = {d.row for d in detect_errors(rows, ctx, tol=tol) if d.flagged}
+    assert failing_rows(ctx, [v for row in rows for v in row], tol) == flagged
+
+
+@DERANDOMIZED
+@given(st.sampled_from(sorted(KEYS)), st.lists(st.integers(0, 255), max_size=200))
+def test_genuine_rows_pass_the_exact_test(name, plain):
+    ctx = CONTEXTS[name]
+    plain = plain[:len(plain) - len(plain) % ctx.order]
+    assert failing_rows(ctx, encrypt_rows(ctx, plain)) == set()
+
+
+def test_a_ratio_beyond_the_float_range_is_reported_not_raised():
+    ctx = CONTEXTS["symmetric-3"]
+    row = encrypt_rows(ctx, [65, 76, 71])
+    row[1] = 10 ** 400
+    for tol in (None, 0.01):
+        (diag,) = detect_errors([row], ctx, tol=tol)
+        pair = next(p for p in diag.pairs if (p.j, p.jp) == (1, 2))
+        assert pair.rel_deviation is None and not pair.consistent
+        assert diag.flagged == (1,)
+        assert failing_rows(ctx, row, tol) == {0}
+
+
+# ---------------------------------------------------------------------------
+# through the command line
+# ---------------------------------------------------------------------------
+
+# M_n > 0: where a column of M_n has a zero, a genuine row can have a zero
+# below a nonzero entry, which detect_errors flags (x/0 is inconsistent).
+CLI_KEYS = ["symmetric-3", "general-3", "right_form-3"]
+
+
+@pytest.fixture(scope="module")
+def keyfiles(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("keys")
+    paths = {}
+    for name in CLI_KEYS:
+        paths[name] = folder / f"{name}.json"
+        save_key(KEYS[name], paths[name])
+    return paths
+
+
+@settings(derandomize=True, deadline=None, max_examples=20,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(CLI_KEYS), st.binary(max_size=120))
+def test_detect_passes_clean_ciphertexts(keyfiles, tmp_path, name, plain):
+    msg, cfile, out = tmp_path / "m.bin", tmp_path / "c.rmc", tmp_path / "d.json"
+    msg.write_bytes(plain)
+    assert main(["encrypt", str(keyfiles[name]), str(msg), "--out", str(cfile)]) == 0
+    assert main(["detect", str(keyfiles[name]), str(cfile), "--out", str(out)]) == 0
+    k = KEYS[name].order
+    blocks = -(-len(plain) // (k * k))
+    assert json.loads(out.read_text()) == {"blocks": [], "clean": True,
+                                           "counts": {"clean": blocks, "flagged": 0}}
+
+
+def _clean_ciphertext(keyfiles, tmp_path, blocks: int):
+    msg, cfile = tmp_path / f"m{blocks}.bin", tmp_path / f"c{blocks}.rmc"
+    msg.write_bytes(random.Random(blocks).randbytes(9 * blocks))
+    assert main(["encrypt", str(keyfiles["symmetric-3"]), str(msg), "--out", str(cfile)]) == 0
+    return cfile
+
+
+def _detect(keyfiles, cfile, out) -> int:
+    """The tracemalloc peak of one `rmc detect`."""
+    tracemalloc.start()
+    try:
+        assert main(["detect", str(keyfiles["symmetric-3"]), str(cfile), "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_detect_report_and_memory_do_not_grow_with_the_file(keyfiles, tmp_path):
+    reports = {}
+    for blocks in (40, 400):
+        out = tmp_path / f"d{blocks}.json"
+        _detect(keyfiles, _clean_ciphertext(keyfiles, tmp_path, blocks), out)
+        reports[blocks] = out.read_text()
+    assert reports[400] == reports[40].replace('"clean": 40', '"clean": 400')
+    # Once the file is past one read batch (64 KiB of text) and one chunk
+    # (1024 matrix lines), detect holds a batch and a chunk at a time: four
+    # times the blocks, much the same peak.
+    peaks = {blocks: _detect(keyfiles, _clean_ciphertext(keyfiles, tmp_path, blocks),
+                             tmp_path / "d.json")
+             for blocks in (2000, 8000)}
+    assert peaks[8000] < 1.1 * peaks[2000], peaks
+
+
+def test_a_malformed_tail_outranks_a_failed_repair_and_nothing_is_written(keyfiles, tmp_path,
+                                                                         capsys):
+    # Block 0 gets a row with no consistent column pair, which correct cannot
+    # repair (exit 3); the file spans two reader chunks, and a stray line at
+    # its end is a format fault (exit 2) that ranks first.
+    cfile = _clean_ciphertext(keyfiles, tmp_path, 400)
+    lines = cfile.read_text().splitlines()
+    lines[1] = "1 1000000 1"
+    bad = tmp_path / "bad.rmc"
+    out, report = tmp_path / "fixed.rmc", tmp_path / "r.json"
+    key = str(keyfiles["symmetric-3"])
+    correct = ["correct", key, str(bad), "--out", str(out), "--report", str(report)]
+    for tail, code, message in [([], 3, "error: row 0 has no trusted entry"),
+                                (["1 2 3"], 2, f"error: cannot load ciphertext {bad}: ")]:
+        bad.write_text("\n".join(lines + tail) + "\n")
+        out.write_text("kept")
+        report.write_text("kept")
+        capsys.readouterr()
+        assert main(correct) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert out.read_text() == report.read_text() == "kept"
+    assert main(["detect", key, str(bad), "--out", str(out)]) == 2
+    assert out.read_text() == "kept"
+
+
+def test_corrupt_threads_one_generator_across_chunks(keyfiles, tmp_path):
+    # 1200 matrix lines: two reader chunks, with block 341 split between them.
+    cfile = _clean_ciphertext(keyfiles, tmp_path, 400)
+    out, sidecar = tmp_path / "bad.rmc", tmp_path / "truth.json"
+    assert main(["corrupt", str(cfile), "--model", "additive_noise", "--count", "2",
+                 "--seed", "9", "--out", str(out), "--sidecar", str(sidecar)]) == 0
+    header, blocks = cipher_from_text(cfile.read_text())
+    expect, records = corrupt_blocks(blocks, ErrorModel(kind="additive_noise", count=2, seed=9))
+    assert out.read_text() == cipher_to_text(expect, header.length, header.order,
+                                             header.fingerprint)
+    assert json.loads(sidecar.read_text())["corruptions"] == records_to_json(records)

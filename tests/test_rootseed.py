@@ -12,9 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 
-from rmcipher import Recurrence, analyze_matrix, left_companion, spectral, transition_ratio
+from rmcipher import (Recurrence, analyze_matrix, left_companion, spectral, symmetric_key,
+                      transition_ratio)
+from rmcipher.cli import main
 from rmcipher.exactmat import (char_poly, poly_degree, poly_derivative, poly_divide, poly_eval,
                                poly_gcd, poly_mul, poly_trim)
+from rmcipher.formats import save_key
 from tests.test_keyload import _outcome, _seeded_recurrences
 from tests.test_onepass import VALIDATION_KEYS, _target
 
@@ -323,3 +326,33 @@ def test_verdicts_are_exact_or_indeterminate(coeffs):
     pisot = exact_pisot(f)
     if pisot is not None:
         assert report.is_pisot in allowed | {pisot}, f
+
+
+@pytest.mark.parametrize("f, bits", [
+    (poly_mul([1, 0, 0, -2], [1, 1, 1]), None),   # three roots of modulus 2**(1/3)
+    ([1, 0, 0, -3, 0, 0], 16),                    # z**2 (z**3 - 3): three of modulus 3**(1/3)
+], ids=["z3-2_times_cyclotomic3", "z5-3z2_16bits"])
+def test_a_modulus_tie_gives_one_verdict_from_either_solve(f, bits, monkeypatch, tmp_path,
+                                                           capsys):
+    # Which of the tied roots sorts first is rounding noise; the verdict
+    # reads the whole band of tied moduli, so both solves agree.
+    if bits is not None:
+        monkeypatch.setenv(spectral.PRECISION_ENV, str(bits))
+    _compare_with_cold(f, monkeypatch)
+    rec = Recurrence.from_char_poly(f)
+    report = analyze_matrix(left_companion(rec))
+    assert _verdicts(report) == _verdicts(_cold(monkeypatch,
+                                                lambda: analyze_matrix(left_companion(rec))))
+    assert (report.is_spf, report.spf_reason) == ("indeterminate",
+                                                  "dominance margin within tolerance")
+    if rec.a0 == 0:
+        return                                    # no valid key has this polynomial
+    keyfile = tmp_path / "key.json"
+    save_key(symmetric_key(rec.coeffs, (1, 0, 0, 0, 0), 12), keyfile)
+    outputs = []
+    for solve in (lambda: main(["analyze", str(keyfile)]),
+                  lambda: _cold(monkeypatch, lambda: main(["analyze", str(keyfile)]))):
+        assert solve() == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert "strong Perron-Frobenius: indeterminate" in outputs[0].out

@@ -108,9 +108,9 @@ def test_reader_chunks_and_whole_text_parse_agree():
     header, chunks = read_cipher(text.splitlines())
     chunks = list(chunks)
     assert [len(c) for c in chunks] == [CHUNK_ROWS * 3] * 3
-    ct = cipher_from_text(text)
-    assert header.count == len(ct.blocks) and header.order == ct.order == 3
-    assert [v for c in chunks for v in c] == [v for b in ct.blocks for row in b for v in row]
+    whole, blocks = cipher_from_text(text)
+    assert header.count == len(blocks) and header.order == whole.order == 3
+    assert [v for c in chunks for v in c] == [v for b in blocks for row in b for v in row]
 
 
 # ---------------------------------------------------------------------------
