@@ -11,9 +11,10 @@ syntax.
   0  success.
   2  validation failure.  A CliError with its default code: an unreadable
      or malformed key or ciphertext, a fingerprint or dimension mismatch,
-     a key that fails validation, a key without a simple positive
-     dominant root (DominantRootError) where tau is needed.  Also any
-     ValueError that reaches main (KeyFormatError, CipherFormatError,
+     a key that fails validation or whose ciphertext entries could pass
+     4300 digits (coding.writable_matrix; keygen too), a key without a
+     simple positive dominant root (DominantRootError) where tau is needed.
+     Also any ValueError that reaches main (KeyFormatError, CipherFormatError,
      FingerprintMismatchError, InvalidKeyError, bad option values),
      DominantRootError and RootFindingError (keygen on a recurrence
      without the spectral property it needs) and OSError (an output
@@ -52,14 +53,15 @@ import random
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import chain
 from pathlib import Path
 from typing import ContextManager, Iterator, Optional, Sequence, TextIO
 
 from . import cipher, exactmat, formats, guard, keygen, spectral
-from .coding import CodingKey, KeyContext, key_fingerprint, left_companion, spf_target, validate_key
+from .coding import (CodingKey, InvalidKeyError, KeyContext, key_fingerprint, left_companion,
+                     spf_target, validate_key, writable_matrix)
 from .formats import ErrorModel
 from .keygen import GenConfig, GenStats
 from .recurrence import Recurrence
@@ -86,15 +88,16 @@ def _parse_int_pair(text: str, what: str) -> tuple[int, int]:
 def _load_context(path: str) -> KeyContext:
     """The key file, validated on one `analyze_matrix` report and compiled
     for its own index with that report, so a command solves the key's
-    polynomial once.  Validation runs before M_n is built."""
+    polynomial once.  Validation runs before M_n is built, and a key whose
+    ciphertexts could not be written is refused (coding.writable_matrix)."""
     try:
         key = formats.load_key(path, validate=False)
         report = spectral.analyze_matrix(spf_target(key))
         formats.require_valid(key, report)
-    except (formats.KeyFormatError, formats.FingerprintMismatchError, OSError,
+        return KeyContext(key, report=report)
+    except (formats.KeyFormatError, formats.FingerprintMismatchError, InvalidKeyError, OSError,
             spectral.RootFindingError) as exc:
         raise CliError(f"cannot load key {path}: {exc}") from exc
-    return KeyContext(key, report=report)
 
 
 def _cipher_error(path: str, exc: Exception) -> CliError:
@@ -215,11 +218,9 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     else:
         raise CliError(f"unknown method {args.method!r}")
     if args.index is not None:
-        key = gen.key
-        gen.key = CodingKey(key.kind, key.order, args.index, coeffs=key.coeffs,
-                            left=key.left, x0=key.x0, m0=key.m0)
-    text = json.dumps(formats.key_to_dict(gen.key), indent=2, sort_keys=True) + "\n"
-    _write_output(text, args.out)
+        gen.key = replace(gen.key, index=args.index)
+    writable_matrix(gen.key, gen.key.index)      # refuse a key no ciphertext fits
+    _write_output(formats.key_text(gen.key), args.out)
     if args.stats:
         print(json.dumps(stats.to_dict()), file=sys.stderr)
     return EXIT_OK

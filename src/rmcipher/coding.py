@@ -11,12 +11,12 @@ are supported:
 * right_form  - a recurrence (acting on the right in companion form)
                 plus an arbitrary nonnegative invertible initial matrix.
 
-Matrices are built by running the recurrence along each row, never by
-repeated matrix products.  MatrixBuilder.inverse gives M_n**-1 through
-the backward (rational) extension M_n**-1 = M_0**-1 * M_(-n) * M_0**-1;
-a KeyContext, which holds the integer M_n anyway, inverts it directly
-by exact elimination, which is far cheaper than the k * n backward steps
-at the index sizes keys use.
+Every kind satisfies M_(n+1) = M_n R, R the right companion matrix of
+the key's recurrence, so M_n = M_0 R**n is built by repeated matrix
+products: binary powering, or one step by R where n is walked upward.
+MatrixBuilder.inverse gives M_n**-1 by the paper's identity
+M_n**-1 = M_0**-1 * M_(-n) * M_0**-1, powering the rational R**-1; a
+KeyContext inverts its integer M_n directly by exact elimination.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Union
 
 from . import exactmat, spectral
 from .exactmat import IntMatrix, RatMatrix
-from .recurrence import Recurrence, extend_forward, step_backward
+from .recurrence import Recurrence
 
 KIND_SYMMETRIC = "symmetric"
 KIND_GENERAL = "general"
@@ -215,13 +215,8 @@ class CodingMatrix:
 
 
 class MatrixBuilder:
-    """Per-key cache of row sequences, forward and backward.
-
-    Rows of M_0 seed one sequence each; M_n windows are read off the
-    cached terms, and negative indices (needed for inverses) extend the
-    rational backward cache.  Not safe for concurrent mutation: use one
-    builder per thread or synchronize externally.
-    """
+    """M_n = M_0 R**n for one key, R the right companion matrix of its
+    recurrence (the rational R**-1 for n < 0).  Holds no per-index state."""
 
     def __init__(self, key: CodingKey):
         self.key = key
@@ -229,81 +224,57 @@ class MatrixBuilder:
         self.m0 = key.initial()
         if exactmat.det_exact(self.m0) == 0:
             raise InvalidKeyError("initial matrix is singular (initial vector not cyclic)")
-        self._m0_inv: Optional[RatMatrix] = None
-        k = key.order
-        # Forward cache: ascending terms X_0 .. X_top per row; row i of M_0
-        # is the descending window (X_{k-1}, ..., X_0).
-        self._fwd: list[list[int]] = [list(reversed(row)) for row in self.m0]
-        self._bwd: list[list[Fraction]] = [[] for _ in range(k)]
-        self._inv_cache: dict[int, RatMatrix] = {}
+        self.r = right_companion(self.rec)
 
-    @property
-    def order(self) -> int:
-        return self.key.order
-
-    @property
-    def m0_inverse(self) -> RatMatrix:
-        if self._m0_inv is None:
-            self._m0_inv = exactmat.inverse_exact(self.m0)
-        return self._m0_inv
-
-    def _ensure_forward(self, row: int, idx: int) -> None:
-        seq = self._fwd[row]
-        if idx < len(seq):
-            return
-        need = idx - len(seq) + 1
-        seed = tuple(reversed(seq[-self.order:]))
-        seq.extend(extend_forward(self.rec, seed, need)[self.order:])
-
-    def _ensure_backward(self, row: int, depth: int) -> None:
-        back = self._bwd[row]
-        while len(back) < depth:
-            m = -len(back)  # lowest index already available for this row
-            window = [self.term(row, m + self.order - 1 - t) for t in range(self.order)]
-            back.append(step_backward(self.rec, window))
-
-    def term(self, row: int, idx: int):
-        """Sequence term X_idx of the given row; Fraction for negative idx."""
-        if idx >= 0:
-            self._ensure_forward(row, idx)
-            return self._fwd[row][idx]
-        self._ensure_backward(row, -idx)
-        return self._bwd[row][-idx - 1]
-
-    def matrix(self, n: int) -> list[list]:
-        """M_n rows: descending windows (X_{n+k-1}, ..., X_n) per row."""
-        k = self.order
-        return [[self.term(i, n + k - 1 - j) for j in range(k)] for i in range(k)]
+    def matrix(self, n: int, max_bits: Optional[int] = None) -> list[list]:
+        """M_n, row i the descending window (X_(n+k-1), ..., X_n) of row i's
+        sequence; Fraction entries for n < 0.  max_bits: see mat_pow."""
+        if n >= 0:
+            return exactmat.mat_mul(self.m0, exactmat.mat_pow(self.r, n, max_bits))
+        if self.rec.a0 == 0:
+            raise ValueError("sequence is not backward-extendable: trailing coefficient a_0 is zero")
+        return exactmat.mat_mul(self.m0, exactmat.mat_pow(exactmat.inverse_exact(self.r), -n))
 
     def inverse(self, n: int) -> RatMatrix:
-        """Exact inverse of M_n through the backward extension."""
-        if n not in self._inv_cache:
-            minus = self.matrix(-n)
-            m0i = self.m0_inverse
-            prod = exactmat.mat_mul(exactmat.mat_mul(m0i, minus), m0i)
-            self._inv_cache[n] = [[Fraction(x) for x in row] for row in prod]
-        return self._inv_cache[n]
+        """Exact inverse of M_n as M_0**-1 * M_(-n) * M_0**-1."""
+        m0i = exactmat.inverse_exact(self.m0)
+        return exactmat.mat_mul(exactmat.mat_mul(m0i, self.matrix(-n)), m0i)
 
 
 def coding_matrix(key: CodingKey, n: Optional[int] = None) -> CodingMatrix:
-    if n is None:
-        n = key.index
+    n = key.index if n is None else n
     if n < 0:
         raise ValueError("coding_matrix is defined for n >= 0")
-    builder = MatrixBuilder(key)
-    entries = tuple(tuple(int(v) for v in row) for row in builder.matrix(n))
+    entries = tuple(map(tuple, MatrixBuilder(key).matrix(n)))
     return CodingMatrix(n=n, entries=entries, fingerprint=key_fingerprint(key))
 
 
 def coding_matrix_inverse(key: CodingKey, n: Optional[int] = None) -> RatMatrix:
-    if n is None:
-        n = key.index
-    return MatrixBuilder(key).inverse(n)
+    return MatrixBuilder(key).inverse(key.index if n is None else n)
 
 
 # ---------------------------------------------------------------------------
 # compiled keys
 # ---------------------------------------------------------------------------
+
+MAX_ENTRY_DIGITS = 4300     # of a ciphertext entry: sys.int_info.default_max_str_digits
+
+
+def writable_matrix(key: CodingKey, n: int) -> IntMatrix:
+    """M_n, or InvalidKeyError where 255 * max_j sum_t |M_n[t][j]| reaches
+    10**MAX_ENTRY_DIGITS, so a block of bytes could encrypt to a longer
+    entry.  The key is refused as soon as a power of R has an entry of
+    twice the bound's bits, so a huge index fails after a few products."""
+    bound = 10 ** MAX_ENTRY_DIGITS
+    try:
+        m = MatrixBuilder(key).matrix(n, max_bits=2 * bound.bit_length())
+    except OverflowError:
+        m = None
+    if m is None or 255 * max(sum(map(abs, col)) for col in zip(*m)) >= bound:
+        raise InvalidKeyError(f"ciphertext entries at index {n} would pass "
+                              f"{MAX_ENTRY_DIGITS} decimal digits")
+    return m
+
 
 def column_ratio_bounds(m: Sequence[Sequence[int]], j: int, jp: int):
     """Extreme ratios m[l][j] / m[l][jp] over the rows l, as exact rationals.
@@ -334,14 +305,15 @@ def column_ratio_bounds(m: Sequence[Sequence[int]], j: int, jp: int):
 class KeyContext:
     """A key compiled for one index n: the per-key data every block shares.
 
-    M_n and its columns are built on construction.  The integer-scaled
-    inverse, the transition ratio tau with its powers, and the table of
-    column-ratio bounds are computed on first use, so encryption never
-    pays for an inverse or a root solve.  Given `report`, the
+    M_n and its columns are built on construction, by writable_matrix.
+    The integer-scaled inverse, the transition ratio tau with its powers,
+    and the table of column-ratio bounds are computed on first use, so
+    encryption never pays for an inverse or a root solve.  Given `report`, the
     `analyze_matrix` report on the key's spf_target that validated the
     key, tau is read off it with no further root solve.  Build one per
-    command and pass it wherever a CodingKey is accepted; like
-    MatrixBuilder it is meant for one thread.
+    command and pass it wherever a CodingKey is accepted.  The library
+    allows one thread per process: tau and the spectral checks run under
+    mpmath's process-global working precision (mp.prec, set by workprec).
     """
 
     key: CodingKey
@@ -356,7 +328,7 @@ class KeyContext:
             object.__setattr__(self, "n", self.key.index)
         if self.report is not None:
             check_report(self.report, self.key, self.precision)
-        matrix = tuple(tuple(row) for row in MatrixBuilder(self.key).matrix(self.n))
+        matrix = tuple(map(tuple, writable_matrix(self.key, self.n)))
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "columns", tuple(zip(*matrix)))
 
@@ -527,16 +499,14 @@ def _positivity_check(key: CodingKey, horizon: int = 300) -> CheckItem:
         builder = MatrixBuilder(key)
     except InvalidKeyError as exc:
         return CheckItem("entries_eventually_positive", "indeterminate", str(exc))
-    for n in range(horizon):
-        m = builder.matrix(n)
-        if all(v > 0 for row in m for v in row):
-            nxt = builder.matrix(n + 1)
-            if all(v > 0 for row in nxt for v in row):
-                return CheckItem("entries_eventually_positive", "pass", f"positive from n = {n}")
-        if all(v < 0 for row in m for v in row):
-            nxt = builder.matrix(n + 1)
-            if all(v < 0 for row in nxt for v in row):
-                return CheckItem("entries_eventually_positive", "fail",
-                                 "entries stabilize negative; negate the initial data")
+    m, prev = builder.m0, None
+    for n in range(horizon + 1):
+        signs = {(v > 0) - (v < 0) for row in m for v in row}     # of M_n's entries
+        if signs == prev == {1}:
+            return CheckItem("entries_eventually_positive", "pass", f"positive from n = {n - 1}")
+        if signs == prev == {-1}:
+            return CheckItem("entries_eventually_positive", "fail",
+                             "entries stabilize negative; negate the initial data")
+        m, prev = exactmat.mat_mul(m, builder.r), signs
     return CheckItem("entries_eventually_positive", "indeterminate",
                      f"no stable sign within n <= {horizon}")

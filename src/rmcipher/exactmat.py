@@ -11,7 +11,7 @@ exponentially with the index and rounding would break decryption.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 IntMatrix = list[list[int]]
@@ -51,6 +51,25 @@ def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> lis
         [sum(row[t] * b[t][j] for t in range(inner)) for j in range(cols)]
         for row in a
     ]
+
+
+def mat_pow(a: Sequence[Sequence[Scalar]], n: int,
+            max_bits: Optional[int] = None) -> list[list[Scalar]]:
+    """a**n, n >= 0, by binary powering.  With max_bits (integer matrices),
+    OverflowError once a square or partial product has a longer entry."""
+    if n < 0:
+        raise ValueError("mat_pow needs n >= 0")
+    result = identity(dim(a))
+    while n:
+        if n & 1:
+            result = mat_mul(result, a)
+        n >>= 1
+        if n:
+            a = mat_mul(a, a)
+        if max_bits is not None and any(v.bit_length() > max_bits
+                                        for m in (result, a) for row in m for v in row):
+            raise OverflowError(f"a power has an entry of more than {max_bits} bits")
+    return result
 
 
 def mat_vec(a: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> list[Scalar]:

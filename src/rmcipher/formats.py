@@ -118,8 +118,12 @@ def require_valid(key: CodingKey, report: Optional[SpectralReport] = None) -> No
         raise KeyFormatError(f"key fails validation: {', '.join(failures)}")
 
 
+def key_text(key: CodingKey) -> str:
+    return json.dumps(key_to_dict(key), indent=2, sort_keys=True) + "\n"
+
+
 def save_key(key: CodingKey, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(key_to_dict(key), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(key_text(key))
 
 
 def load_key(path: Union[str, Path], validate: bool = True) -> CodingKey:

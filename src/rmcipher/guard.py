@@ -32,6 +32,7 @@ from mpmath import mpf, workprec
 from .cipher import CorruptionError, decrypt_row, digitize
 from .coding import (CodingKey, KeyContext, KeyLike, MatrixBuilder, column_ratio_bounds,
                      key_context)
+from .exactmat import mat_mul
 
 
 class GuardError(Exception):
@@ -523,8 +524,9 @@ def smallest_unambiguous_n(key: CodingKey, plaintext: bytes, j: int, jp: int,
     p_row = blocks[0][row]
     builder = MatrixBuilder(key)
     k = key.order
+    m = builder.m0
     for n in range(1, cap + 1):
-        m = builder.matrix(n)
+        m = mat_mul(m, builder.r)
         c_ref = sum(p_row[t] * m[t][jp] for t in range(k))
         if c_ref <= 0:
             continue

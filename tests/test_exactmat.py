@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rmcipher.exactmat import (SingularMatrixError, char_poly, det_exact, identity,
-                               inverse_exact, mat_mul, mat_vec, poly_degree,
+                               inverse_exact, mat_mul, mat_pow, mat_vec, poly_degree,
                                poly_divide, poly_eval, poly_gcd,
                                poly_mul, poly_reverse, squarefree_factors)
 from tests.conftest import C_ALGORITHM_15, M15_2FIB
@@ -55,6 +55,28 @@ def test_mat_mul_against_schoolbook():
 def test_mat_mul_dimension_mismatch():
     with pytest.raises(ValueError):
         mat_mul([[1, 2]], [[1, 2]])
+
+
+def test_mat_pow_against_repeated_products():
+    rng = random.Random(17)
+    for _ in range(10):
+        k = rng.randint(1, 4)
+        a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        acc = identity(k)
+        for n in range(20):
+            assert mat_pow(a, n) == acc
+            acc = mat_mul(acc, a)
+    half = [[Fraction(1, 2), Fraction(1)], [Fraction(0), Fraction(3)]]
+    assert mat_pow(half, 5) == mat_mul(mat_pow(half, 2), mat_pow(half, 3))
+
+
+def test_mat_pow_stops_past_max_bits():
+    fib = [[1, 1], [1, 0]]
+    assert mat_pow(fib, 90, max_bits=64)[0][1] == 2880067194370816120    # F_90, 62 bits
+    with pytest.raises(OverflowError):
+        mat_pow(fib, 10 ** 100, max_bits=64)
+    with pytest.raises(ValueError):
+        mat_pow(fib, -1)
 
 
 def test_mat_vec():

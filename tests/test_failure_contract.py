@@ -4,6 +4,7 @@ or a ciphertext, fed damaged ones, ends in a documented exit code (0, 2,
 
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -16,6 +17,7 @@ SEED = 5
 EXIT_CODES = {0, 2, 3, 4}
 HUGE = "7" * 5000                     # past int()'s 4300-digit limit
 REPLACEMENTS = [[1, 2], "abc", 1.5, True, None, -3, "-3", HUGE, int(HUGE[:60])]
+HUGE_INDICES = [10 ** 6, 10 ** 100]   # valid keys whose ciphertexts could not be written
 
 KEYS = {
     "symmetric": symmetric_key((1, 0, 1), (1, 0, 0), 15),
@@ -69,7 +71,7 @@ def files(tmp_path):
 def _damaged_keys(text: str, rng: random.Random):
     """Truncations, the whole object replaced, each field replaced, and
     (with the fingerprint dropped, so that validation is reached) integer
-    leaves replaced."""
+    leaves replaced or the index made huge."""
     for cut in sorted(rng.sample(range(len(text)), 6)) + [0]:
         yield text[:cut]
     for value in REPLACEMENTS:
@@ -89,6 +91,8 @@ def _damaged_keys(text: str, rng: random.Random):
             else:
                 leaf[rng.randrange(len(leaf))] = value_new
             yield json.dumps({**bare, field: leaf})
+    for index in HUGE_INDICES:
+        yield json.dumps({**bare, "index": str(index)})
 
 
 @pytest.mark.parametrize("kind", sorted(KEYS))
@@ -102,6 +106,24 @@ def test_damaged_key_files(kind, files, tmp_path):
         for argv in _key_commands(bad, cfile, msg, tmp_path / "out"):
             codes[_run(argv)] += 1
     assert codes[2] > 0 and codes[0] > 0           # refusals, and keys that still work
+
+
+@pytest.mark.parametrize("index", HUGE_INDICES, ids=["1e6", "1e100"])
+def test_huge_index_is_refused_at_key_load(files, tmp_path, capsys, index):
+    keyfile, msg, cfile = files["symmetric"]
+    data = {f: v for f, v in json.loads(keyfile.read_text()).items() if f != "fingerprint"}
+    bad, out = tmp_path / "huge.json", tmp_path / "out"
+    bad.write_text(json.dumps({**data, "index": str(index)}))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        for argv in _key_commands(bad, cfile, msg, out):
+            assert _run(argv) == 2, argv
+            assert capsys.readouterr().err.startswith(f"error: cannot load key {bad}: ")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 22 and not out.exists()
 
 
 def _damaged_ciphers(text: str, rng: random.Random):
