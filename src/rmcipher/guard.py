@@ -243,7 +243,9 @@ def detect_errors(c: Sequence[Sequence[int]], key: KeyLike, n: Optional[int] = N
             else:
                 ratio = Fraction(num, den) if den != 0 else None
                 if ratio is None:
-                    consistent = False
+                    # x/0 reads as +inf or -inf: consistent only where the
+                    # exact bounds reach that infinity.
+                    consistent = tol is None and lo <= (math.inf if num > 0 else -math.inf) <= hi
                     rel_dev = None
                 else:
                     try:
@@ -299,9 +301,12 @@ def _all_within(nums, dens, lo_num: int, lo_den: int, hi_num: int, hi_den: int) 
 
 def _within(lo_num: int, lo_den: int, hi_num: int, hi_den: int, num: int, den: int) -> bool:
     """detect_errors' exact test of one pair: 0/0 is consistent, x/0 is
-    not, and otherwise num/den must lie within the bounds."""
+    +inf or -inf by the sign of x and must lie within the bounds, as must
+    any other num/den."""
     if den == 0:
-        return num == 0
+        if num > 0:
+            return hi_den == 0 and hi_num > 0
+        return num == 0 or (lo_den == 0 and lo_num < 0)
     if den < 0:
         num, den = -num, -den
     return lo_num * den <= num * lo_den and num * hi_den <= hi_num * den

@@ -1,19 +1,22 @@
 """Spectral certification: dominant eigenvalue, second eigenmodulus, strong
 Perron-Frobenius and Pisot verdicts, primitivity of nonnegative matrices.
 
-Root finding runs the Aberth-Ehrlich simultaneous iteration in mpmath
-arithmetic at twice the requested precision, after an exact square-free
-decomposition so multiple roots cannot stall the iteration.  Each factor
-is solved in two stages, as in MPSolve (Bini & Fiorentino, Numer.
-Algorithms 23, 2000): the iteration first runs in Python complex from
-the start points on a circle until its steps stop shrinking, then
-continues from those roots at full precision until it meets the same
-stopping test as before, within about log3(precision / 50) + 3 steps.
-Where double precision cannot be used (a coefficient or iterate beyond
-its range, a NaN, a zero derivative, coincident iterates) or the
-refinement misses that cap, the factor is solved from the circle at full
-precision, as a cold start.  Verdicts carry a tolerance: anything within
-the tolerance band is reported as "indeterminate" rather than guessed.
+Root finding runs the Aberth-Ehrlich simultaneous iteration at twice the
+requested precision, after an exact square-free decomposition so
+multiple roots cannot stall the iteration.  Each factor is solved in two
+stages, as in MPSolve (Bini & Fiorentino, Numer. Algorithms 23, 2000):
+the iteration first runs in Python complex from start points on a circle
+until its steps stop shrinking, then continues from those roots at full
+precision in Gaussian integers on one binary point, z = (X + iY) * 2**-f,
+on the factor's coefficients scaled to integers.  It stops on the same
+test as the mpmath iteration (the largest step at most 2**-(prec-8)
+times the largest modulus, compared exactly), within about
+log3(precision / 50) + 3 steps.  Where double precision cannot be used
+(a coefficient or iterate beyond its range, a NaN, a zero derivative,
+coincident iterates) or the refinement misses that cap, the factor is
+solved from the circle in mpmath arithmetic, as a cold start.  Verdicts
+carry a tolerance: anything within the tolerance band is reported as
+"indeterminate" rather than guessed.
 
 The environment variable RMC_PRECISION_BITS overrides the default
 working precision (bits of mantissa) for every operation here.
@@ -142,12 +145,17 @@ def _aberth_step(coeffs: Sequence, dcoeffs: Sequence, z: list, nudge) -> tuple:
     return new, max_step
 
 
-def _aberth_iterate(coeffs: list, dcoeffs: list, z: list, max_steps: int) -> list:
-    """Aberth steps at the working precision from the iterates z until the
-    largest step is at most 2**-(prec-8) times the largest root modulus."""
+_MAX_STEPS = 200                  # Aberth steps from a start on the circle
+_DOUBLE_SETTLED = 2.0 ** -26      # half a double's digits: the cubic phase has begun
+
+
+def _aberth_iterate(coeffs: list, dcoeffs: list, z: list) -> list:
+    """Aberth steps in mpmath at the working precision from the iterates z
+    until the largest step is at most 2**-(prec-8) times the largest root
+    modulus, within _MAX_STEPS."""
     eps = mpf(2) ** (-(mp.prec - 8))
     best = z
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         z, max_step = _aberth_step(coeffs, dcoeffs, z, eps)
         best = z
         scale = max(mpf(1), max(abs(x) for x in z))
@@ -156,23 +164,23 @@ def _aberth_iterate(coeffs: list, dcoeffs: list, z: list, max_steps: int) -> lis
     raise RootFindingError("Aberth iteration did not converge", best=best)
 
 
-_MAX_STEPS = 200                  # Aberth steps from a start on the circle
-_DOUBLE_SETTLED = 2.0 ** -26      # half a double's digits: the cubic phase has begun
-
-
-def _double_seeds(coeffs: list, dcoeffs: list, start: list) -> Optional[list]:
-    """Aberth in Python complex from the start points, run until its steps
-    stop shrinking (a settled step at least a quarter of the one
+def _double_seeds(factor: list) -> Optional[list]:
+    """Aberth in Python complex from start points on a circle, run until
+    its steps stop shrinking (a settled step at least a quarter of the one
     before: rounding noise, not cubic convergence).  None when double
     precision cannot be used: a coefficient or iterate that overflows or
     turns NaN, a zero derivative, coincident iterates, or no settling
     within the step limit."""
+    deg = len(factor) - 1
     try:
-        fcoeffs = [float(c) for c in coeffs]
-        fdcoeffs = [float(c) for c in dcoeffs]
+        fcoeffs = [float(c) for c in factor]
+        fdcoeffs = [float(c * (deg - i)) for i, c in enumerate(factor[:-1])]
         if not all(map(math.isfinite, fcoeffs + fdcoeffs)):
             return None
-        z = [complex(x) for x in start]
+        radius = 1 + max(abs(c) for c in fcoeffs[1:]) / abs(fcoeffs[0])
+        # The cold start's points, in double precision.
+        z = [radius * cmath.exp(1j * (2 * math.pi * (j + 0.375) / deg + 0.5 / deg))
+             for j in range(deg)]
         last = math.inf
         for _ in range(_MAX_STEPS):
             z, step = _aberth_step(fcoeffs, fdcoeffs, z, None)
@@ -197,13 +205,86 @@ def _refine_steps(prec: int) -> int:
     return 3 + max(0, math.ceil(math.log(prec / 50, 3)))
 
 
-def _aberth(coeffs: list) -> list:
-    """All roots of a square-free polynomial (mp coefficients) by
+def _gaussian_horner(coeffs: Sequence[int], x: int, y: int) -> tuple[int, int]:
+    """The polynomial with integer coefficients at the Gaussian integer x + iy."""
+    re, im = coeffs[0], 0
+    for c in coeffs[1:]:
+        re, im = re * x - im * y + c, re * y + im * x
+    return re, im
+
+
+def _refine_seeds(factor: list, seeds: list) -> list:
+    """Aberth steps from the double seeds at the working precision, in
+    Gaussian integers on one binary point: z = (X + iY) * 2**-f, where f
+    gives the largest seed 16 bits beyond the precision.  Each step
+    reads the old iterates (a Jacobi update) and the stopping test is
+    _aberth_iterate's, compared exactly on squares.  Coincident iterates
+    or a missed cap raise RootFindingError."""
+    prec = mp.prec
+    lcd = math.lcm(*(c.denominator for c in factor))
+    ints = [int(c * lcd) for c in factor]
+    deg = len(ints) - 1
+    f = max(0, prec + 16 - math.ceil(max(1.0, max(map(abs, seeds)))).bit_length())
+    # p(z) * 2**(f*deg) and p'(z) * 2**(f*(deg-1)), by Horner in X + iY.
+    p = [c << (f * i) for i, c in enumerate(ints)]
+    dp = [c * (deg - i) << (f * i) for i, c in enumerate(ints[:-1])]
+    two_f = 2 * f
+    zs = []
+    for s in seeds:
+        (xn, xd), (yn, yd) = s.real.as_integer_ratio(), s.imag.as_integer_ratio()
+        zs.append(((xn << f) // xd, (yn << f) // yd))
+    for _ in range(_refine_steps(prec)):
+        # S_j = 2**f * sum over l != j of 1 / (z_j - z_l), one pair at a time.
+        sx, sy = [0] * deg, [0] * deg
+        for j in range(deg):
+            xj, yj = zs[j]
+            for l in range(j + 1, deg):
+                gx, gy = xj - zs[l][0], yj - zs[l][1]
+                m = gx * gx + gy * gy
+                if m == 0:
+                    raise RootFindingError("coincident Aberth iterates")
+                tx, ty = (gx << two_f) // m, (-gy << two_f) // m
+                sx[j] += tx
+                sy[j] += ty
+                sx[l] -= tx
+                sy[l] -= ty
+        new = []
+        max_c2 = 0
+        for (x, y), s_x, s_y in zip(zs, sx, sy):
+            ax, ay = _gaussian_horner(p, x, y)
+            dx, dy = _gaussian_horner(dp, x, y)
+            # 2**f * corr = A * 2**(2f) / (D * 2**(2f) - A * S)
+            nx = (dx << two_f) - (ax * s_x - ay * s_y)
+            ny = (dy << two_f) - (ax * s_y + ay * s_x)
+            m = nx * nx + ny * ny
+            if m == 0:
+                raise RootFindingError("zero Aberth denominator")
+            cx = ((ax * nx + ay * ny) << two_f) // m
+            cy = ((ay * nx - ax * ny) << two_f) // m
+            new.append((x - cx, y - cy))
+            max_c2 = max(max_c2, cx * cx + cy * cy)
+        zs = new
+        # max|corr| <= 2**-(prec-8) * max(1, max|z|), squared and times 2**(2f)
+        if max_c2 << (2 * prec - 16) <= max(1 << two_f, max(x * x + y * y for x, y in zs)):
+            return [mpc(mp.ldexp(x, -f), mp.ldexp(y, -f)) for x, y in zs]
+    raise RootFindingError("Aberth refinement did not converge")
+
+
+def _aberth(factor: list) -> list:
+    """All roots of a square-free polynomial (exact coefficients) by
     Aberth-Ehrlich at the working precision, seeded by a double-precision
     pass; the cold start on a circle is the fallback."""
-    deg = len(coeffs) - 1
+    deg = len(factor) - 1
     if deg == 1:
-        return [mpc(-coeffs[1] / coeffs[0])]
+        a, b = _to_mp_coeffs(factor)
+        return [mpc(-b / a)]
+    seeds = _double_seeds(factor)
+    if seeds is not None:
+        try:
+            return _refine_seeds(factor, seeds)
+        except RootFindingError:
+            pass
+    coeffs = _to_mp_coeffs(factor)
     dcoeffs = [c * (deg - i) for i, c in enumerate(coeffs[:-1])]
     radius = 1 + max(abs(c) for c in coeffs[1:]) / abs(coeffs[0])
     # Asymmetric start angles keep the iteration off the real axis traps.
@@ -211,14 +292,7 @@ def _aberth(coeffs: list) -> list:
         radius * mp.exp(mpc(0, 2 * mp.pi * (j + mpf(3) / 8) / deg + mpf(1) / (2 * deg)))
         for j in range(deg)
     ]
-    seeds = _double_seeds(coeffs, dcoeffs, start)
-    if seeds is not None:
-        try:
-            return _aberth_iterate(coeffs, dcoeffs, [mpc(x) for x in seeds],
-                                   _refine_steps(mp.prec))
-        except RootFindingError:
-            pass
-    return _aberth_iterate(coeffs, dcoeffs, start, _MAX_STEPS)
+    return _aberth_iterate(coeffs, dcoeffs, start)
 
 
 def _snap_real(roots: list) -> list:
@@ -248,7 +322,7 @@ def all_roots(f: Sequence, precision: Optional[int] = None) -> RootSet:
     mults: list[int] = []
     with workprec(2 * bits):
         for factor, mult in factors:
-            found = _aberth(_to_mp_coeffs(factor))
+            found = _aberth(factor)
             for r in _snap_real(found):
                 roots.append(r)
                 mults.append(mult)

@@ -7,7 +7,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rmcipher import (KeyContext, detect_errors, general_key, right_form_key, symmetric_key)
@@ -83,6 +83,8 @@ def test_chunk_test_flags_the_rows_detect_errors_flags(case, tol):
 
 @DERANDOMIZED
 @given(st.sampled_from(sorted(KEYS)), st.lists(st.integers(0, 255), max_size=200))
+@example("right_form-5-zeros", [1, 0, 0, 0, 0])     # the row [2, 1, 1, 0, 0] reads 1/0
+@example("general-3-zeros", [0, 1, 0])              # the row [3, 1, 0] reads 3/0 and 1/0
 def test_genuine_rows_pass_the_exact_test(name, plain):
     ctx = CONTEXTS[name]
     plain = plain[:len(plain) - len(plain) % ctx.order]
@@ -105,9 +107,10 @@ def test_a_ratio_beyond_the_float_range_is_reported_not_raised():
 # through the command line
 # ---------------------------------------------------------------------------
 
-# M_n > 0: where a column of M_n has a zero, a genuine row can have a zero
-# below a nonzero entry, which detect_errors flags (x/0 is inconsistent).
-CLI_KEYS = ["symmetric-3", "general-3", "right_form-3"]
+# Two of the keys have zeros in M_n: a genuine row can then have a zero
+# below a nonzero entry, and x/0 is consistent where its bound is infinite.
+CLI_KEYS = ["symmetric-3", "general-3", "general-3-zeros", "right_form-3",
+            "right_form-5-zeros"]
 
 
 @pytest.fixture(scope="module")

@@ -12,8 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 
-from rmcipher import (Recurrence, analyze_matrix, left_companion, spectral, symmetric_key,
-                      transition_ratio)
+from rmcipher import (Recurrence, analyze_matrix, exactmat, left_companion, spectral,
+                      symmetric_key, transition_ratio)
 from rmcipher.cli import main
 from rmcipher.exactmat import (char_poly, poly_degree, poly_derivative, poly_divide, poly_eval,
                                poly_gcd, poly_mul, poly_trim)
@@ -24,32 +24,33 @@ from tests.test_onepass import VALIDATION_KEYS, _target
 
 @pytest.fixture
 def paths(monkeypatch):
-    """Records, per square-free factor, whether double seeds were found
-    ("seeded") or not ("cold"), and each refinement that missed its cap."""
+    """Records, per square-free factor of degree 2 or more, whether double
+    seeds were found ("seeded") or not ("cold"), and each refinement of
+    the seeds that missed its cap."""
     log = []
-    seeds, iterate = spectral._double_seeds, spectral._aberth_iterate
+    seeds, refine = spectral._double_seeds, spectral._refine_seeds
 
-    def recording_seeds(coeffs, dcoeffs, start):
-        found = seeds(coeffs, dcoeffs, start)
+    def recording_seeds(factor):
+        found = seeds(factor)
         log.append("cold" if found is None else "seeded")
         return found
 
-    def recording_iterate(coeffs, dcoeffs, z, max_steps):
+    def recording_refine(factor, start):
         try:
-            return iterate(coeffs, dcoeffs, z, max_steps)
+            return refine(factor, start)
         except spectral.RootFindingError:
             log.append("missed")
             raise
 
     monkeypatch.setattr(spectral, "_double_seeds", recording_seeds)
-    monkeypatch.setattr(spectral, "_aberth_iterate", recording_iterate)
+    monkeypatch.setattr(spectral, "_refine_seeds", recording_refine)
     return log
 
 
 def _cold(monkeypatch, solve):
     """solve() with the double-precision pass switched off: today's cold start."""
     with monkeypatch.context() as m:
-        m.setattr(spectral, "_double_seeds", lambda coeffs, dcoeffs, start: None)
+        m.setattr(spectral, "_double_seeds", lambda factor: None)
         return solve()
 
 
@@ -112,9 +113,16 @@ def _compare_with_cold(f, monkeypatch, bits=None):
     tol = spectral.DEFAULT_TOLERANCE
     ours, theirs = spectral._dominance(seeded, tol), spectral._dominance(cold, tol)
     assert (ours.verdict, ours.reason) == (theirs.verdict, theirs.reason)
-    if f[-1] != 0:
-        assert spectral._pisot(f, seeded, tol) == spectral._pisot(f, cold, tol)
+    assert _pisot_outcome(f, seeded) == _pisot_outcome(f, cold)
     return seeded
+
+
+def _pisot_outcome(f, rootset):
+    """The Pisot verdict, or the error for a non-monic f or one with f(0) = 0."""
+    try:
+        return spectral._pisot(f, rootset, spectral.DEFAULT_TOLERANCE)
+    except ValueError as exc:
+        return str(exc)
 
 
 @pytest.mark.parametrize("f, bits", [
@@ -135,6 +143,19 @@ def test_a_near_double_root_is_found_by_the_fallback(monkeypatch, paths):
     seeded = _compare_with_cold(f, monkeypatch)
     assert paths[:2] == ["seeded", "missed"]    # double precision cannot split them
     assert sorted(round(float(r.real)) for r in seeded.roots) == [10 ** 9, 10 ** 9 + 1]
+
+
+@pytest.mark.parametrize("f, multiplicities, n_factors", [
+    (poly_mul(poly_mul(GOLDEN, GOLDEN), poly_mul([1, -3], [1, 2])), [1, 1, 2, 2], 2),
+    ([2, -3, -1], [1, 1], 1),       # monic factor z**2 - 3/2 z - 1/2: Fraction coefficients
+], ids=["golden-squared-times-(z-3)(z+2)", "non-monic-2z2-3z-1"])
+def test_exact_factors_are_refined_from_the_seeds(f, multiplicities, n_factors, monkeypatch,
+                                                   paths):
+    factors = [factor for factor, _ in exactmat.squarefree_factors(f)]
+    assert any(isinstance(c, Fraction) for factor in factors for c in factor) == (f[0] != 1)
+    roots = _compare_with_cold(f, monkeypatch)
+    assert sorted(roots.multiplicities) == multiplicities
+    assert paths == ["seeded"] * n_factors
 
 
 @pytest.mark.parametrize("f", [
