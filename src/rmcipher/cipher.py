@@ -7,6 +7,9 @@ exact rational inverse and demands an integral, in-alphabet result,
 raising a corruption error that names the offending block and entry
 otherwise.  Every block shares M_n, so both products run on any number
 of rows at once (encrypt_rows, decrypt_rows), a column at a time.
+Plaintext entries are bytes, so encryption looks each product b * M_n[t][j]
+up in the key's byte tables (KeyContext.byte_tables) and only adds;
+decryption multiplies ciphertext entries by the scaled inverse.
 """
 
 from __future__ import annotations
@@ -75,7 +78,8 @@ def _trim(plain: bytes, length: int) -> bytes:
 def _product_columns(values: Sequence[int], cols, k: int) -> Iterator[list[int]]:
     """Column j of R * M for each column cols[j] of M, where R is the
     matrix whose rows are the consecutive k-entry runs of values.  Each
-    column is one chain of map multiply-adds over the strided slices."""
+    column is one chain of map multiply-adds over the strided slices.
+    Decryption's product: its entries are not bytes."""
     slices = [values[t::k] for t in range(k)]
     for col in cols:
         acc = map(mul, slices[0], repeat(col[0]))
@@ -84,13 +88,22 @@ def _product_columns(values: Sequence[int], cols, k: int) -> Iterator[list[int]]
         yield list(acc)
 
 
-def encrypt_rows(ctx: KeyContext, values: Sequence[int]) -> list[int]:
-    """Rows times M_n, for rows given as flat row-major entries (bytes
-    work); the product comes back flat in the same layout."""
+def encrypt_rows(ctx: KeyContext, plain: Sequence[int]) -> list[int]:
+    """Rows times M_n, for rows given as flat row-major bytes; the product
+    comes back flat in the same layout.  Column j of a row p is the sum of
+    byte_tables[j][t][p[t]] over t.  Entries outside [0, 255] raise
+    ValueError; an empty plaintext builds no tables."""
+    plain = bytes(plain)
+    if not plain:
+        return []
     k = ctx.order
-    out = [0] * len(values)
-    for j, column in enumerate(_product_columns(values, ctx.columns, k)):
-        out[j::k] = column
+    slices = [plain[t::k] for t in range(k)]
+    out = [0] * len(plain)
+    for j, tables in enumerate(ctx.byte_tables):
+        acc = map(tables[0].__getitem__, slices[0])
+        for s, table in zip(slices[1:], tables[1:]):
+            acc = map(add, acc, map(table.__getitem__, s))
+        out[j::k] = acc
     return out
 
 
@@ -117,7 +130,8 @@ def decrypt_rows(ctx: KeyContext, values: Sequence[int], first_row: int = 0) -> 
 
 
 def encrypt(blocks: Sequence[IntMatrix], key: KeyLike, n: Optional[int] = None) -> list[IntMatrix]:
-    """C_b = P_b * M_n, the same M_n for every block."""
+    """C_b = P_b * M_n, the same M_n for every block; an entry outside
+    [0, 255] raises ValueError."""
     ctx = key_context(key, n)
     return split_blocks(encrypt_rows(ctx, _entries(blocks, ctx.order)), ctx.order)
 

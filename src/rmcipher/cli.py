@@ -126,7 +126,7 @@ def _cipher_chunks(path: str, key: Optional[CodingKey] = None) -> Iterator:
     """
     try:
         with open(path) as fh:
-            header, chunks = formats.read_cipher(formats.text_lines(fh))
+            header, chunks = formats.read_cipher(fh)
             yield header
             error = _header_error(header, key) if key is not None else None
             if error is not None:

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, repeat
 from typing import Optional, Sequence, Union
 
 from . import exactmat, spectral
@@ -306,14 +307,16 @@ class KeyContext:
     """A key compiled for one index n: the per-key data every block shares.
 
     M_n and its columns are built on construction, by writable_matrix.
-    The integer-scaled inverse, the transition ratio tau with its powers,
-    and the table of column-ratio bounds are computed on first use, so
-    encryption never pays for an inverse or a root solve.  Given `report`, the
-    `analyze_matrix` report on the key's spf_target that validated the
-    key, tau is read off it with no further root solve.  Build one per
-    command and pass it wherever a CodingKey is accepted.  The library
-    allows one thread per process: tau and the spectral checks run under
-    mpmath's process-global working precision (mp.prec, set by workprec).
+    The byte tables of encryption, the integer-scaled inverse, the
+    transition ratio tau with its powers, and the table of column-ratio
+    bounds are computed on first use, so encryption never pays for an
+    inverse or a root solve, and decryption never builds byte tables.
+    Given `report`, the `analyze_matrix` report on the key's spf_target
+    that validated the key, tau is read off it with no further root solve.
+    Build one per command and pass it wherever a CodingKey is accepted.
+    The library allows one thread per process: tau and the spectral checks
+    run under mpmath's process-global working precision (mp.prec, set by
+    workprec).
     """
 
     key: CodingKey
@@ -335,6 +338,13 @@ class KeyContext:
     @property
     def order(self) -> int:
         return self.key.order
+
+    @cached_property
+    def byte_tables(self) -> tuple[tuple[list[int], ...], ...]:
+        """byte_tables[j][t][b] == b * M_n[t][j] for every byte b, built by
+        running sums: encryption's product is a sum of lookups."""
+        return tuple(tuple(list(accumulate(repeat(c, 255), initial=0)) for c in col)
+                     for col in self.columns)
 
     @cached_property
     def scaled_inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:

@@ -10,6 +10,12 @@ followed by k lines of k space-separated decimal integers per block, LF
 line endings.  The key index n never appears in a ciphertext file: it is
 secret key material.  Fingerprints tie the two formats together and are
 checked before any arithmetic is attempted.
+
+A reader takes the lines a batch at a time.  A batch as the writer
+leaves it (ASCII, single spaces and line ends, k - 1 spaces and k entries
+on every line) is parsed with one split of its whole text; any other
+batch goes through the per-line parse, which alone names a malformed
+row, so both give the same values and the same faults.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
@@ -139,6 +145,7 @@ def load_key(path: Union[str, Path], validate: bool = True) -> CodingKey:
 # ---------------------------------------------------------------------------
 
 CHUNK_ROWS = 1024              # matrix rows per chunk of a streamed ciphertext
+READ_HINT = 1 << 15            # characters of whole lines per batch read from a file
 
 
 @dataclass(frozen=True)
@@ -168,26 +175,28 @@ def cipher_to_text(blocks: Sequence[IntMatrix], length: int, order: int,
     return cipher_header(len(blocks), length, order, fingerprint) + format_rows(values, order)
 
 
-def text_lines(fh: TextIO) -> Iterator[str]:
-    """The lines of a text file as str.splitlines() splits its whole
-    text, read a batch of lines at a time."""
-    for batch in iter(partial(fh.readlines, 1 << 16), []):
-        yield from "".join(batch).splitlines()
-
-
-def read_cipher(lines: Iterable[str]) -> tuple[CipherHeader, Iterator[list[int]]]:
-    """The header of a ciphertext and an iterator over its matrix rows,
-    CHUNK_ROWS lines at a time, each chunk a flat row-major list.
+def read_cipher(lines: Union[TextIO, Iterable[str]]) -> tuple[CipherHeader, Iterator[list[int]]]:
+    """The header of a ciphertext and an iterator over its matrix rows, a
+    batch of lines at a time, each chunk a flat row-major list.  `lines`
+    is a text file, read READ_HINT characters of whole lines at a time,
+    or lines as str.splitlines() gives them, taken CHUNK_ROWS at a time;
+    either way the lines are those str.splitlines() finds in the text.
 
     The iterator checks the whole body before it reports a fault, so the
     fault raised is the one a whole-file parse reports first: the line
     count, then the capacity, then the first malformed row.  Chunks before
     a fault may already have been yielded.
     """
-    lines = iter(lines)
-    first = next(lines, None)
-    if first is None:
+    if hasattr(lines, "readlines"):
+        batches = iter(partial(lines.readlines, READ_HINT), [])
+        batch = next(batches, [])
+    else:
+        lines = iter(lines)
+        batches = iter(lambda: list(islice(lines, CHUNK_ROWS)), [])
+        batch = list(islice(lines, 1))
+    if not batch:
         raise CipherFormatError("empty ciphertext file")
+    first, *rest = batch[0].splitlines() or [""]
     head = first.split()
     if not head or head[0] != CIPHER_MAGIC:
         raise CipherFormatError("missing RMCv1 header")
@@ -199,15 +208,41 @@ def read_cipher(lines: Iterable[str]) -> tuple[CipherHeader, Iterator[list[int]]
             raise ValueError("header field out of range")
     except (KeyError, ValueError) as exc:
         raise CipherFormatError(f"malformed header: {first!r}") from exc
-    return header, _read_rows(header, lines)
+    return header, _read_rows(header, chain([rest + batch[1:]], batches))
 
 
-def _read_rows(header: CipherHeader, lines: Iterator[str]) -> Iterator[list[int]]:
+_OTHER_WHITESPACE = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f"   # ASCII whitespace but ' ' and '\n'
+
+
+def _canonical_values(batch: list[str], k: int) -> Optional[list[int]]:
+    """The entries of a batch of lines parsed as one text, or None unless
+    the batch is ASCII, its only whitespace is ' ' and line ends, every
+    line holds k - 1 spaces and the text splits into k entries a line:
+    then every line holds exactly k entries, as the per-line parse needs."""
+    text = "\n".join(batch)
+    if (not text.isascii() or any(c in text for c in _OTHER_WHITESPACE)
+            or {k - 1} != set(map(str.count, batch, repeat(" ")))):
+        return None
+    entries = text.encode().split()      # int() reads ASCII bytes faster than str
+    if len(entries) != k * len(batch):
+        return None
+    try:
+        return list(map(int, entries))
+    except ValueError:
+        return None
+
+
+def _read_rows(header: CipherHeader, batches: Iterator[list[str]]) -> Iterator[list[int]]:
     k = header.order
     rows = 0
     bad: Optional[tuple[list[list[str]], int]] = None     # chunk and first row of a fault
-    while batch := list(islice(lines, CHUNK_ROWS)):
-        chunk = list(filter(None, map(str.split, batch)))  # blank lines dropped
+    for batch in batches:
+        values = _canonical_values(batch, k) if bad is None else None
+        if values is not None:
+            rows += len(batch)
+            yield values
+            continue
+        chunk = list(filter(None, map(str.split, "\n".join(batch).splitlines())))  # blank lines dropped
         if bad is None:
             try:
                 if not {k}.issuperset(map(len, chunk)):

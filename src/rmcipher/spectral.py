@@ -29,6 +29,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from mpmath import mp, mpc, mpf, workprec
@@ -75,13 +76,21 @@ def resolve_precision(bits: Optional[int] = None) -> int:
 
 @dataclass
 class RootSet:
-    """All complex roots of a polynomial with multiplicities and residuals."""
+    """All complex roots of a polynomial with multiplicities.  The
+    residuals are evaluated on first use: no verdict reads them."""
 
     roots: list
     multiplicities: list[int]
-    residuals: list
     degree: int
     precision_bits: int
+    polynomial: list = field(repr=False)
+
+    @cached_property
+    def residuals(self) -> list:
+        """|f(r)| for each root r, at the solve's working precision."""
+        with workprec(2 * self.precision_bits):
+            full = _to_mp_coeffs(self.polynomial)
+            return [abs(_horner(full, r)) for r in self.roots]
 
     @property
     def residual_bound(self):
@@ -326,10 +335,8 @@ def all_roots(f: Sequence, precision: Optional[int] = None) -> RootSet:
             for r in _snap_real(found):
                 roots.append(r)
                 mults.append(mult)
-        full = _to_mp_coeffs(f)
-        residuals = [abs(_horner(full, r)) for r in roots]
-    return RootSet(roots=roots, multiplicities=mults, residuals=residuals,
-                   degree=poly_degree(f), precision_bits=bits)
+    return RootSet(roots=roots, multiplicities=mults, degree=poly_degree(f),
+                   precision_bits=bits, polynomial=f)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import csv
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -357,7 +358,7 @@ def test_keygen_primitive_at_k_4(tmp_path):
 
 
 def _key_text_with(two_fib_keyfile, **fields):
-    data = json.loads(open(two_fib_keyfile).read())
+    data = json.loads(Path(two_fib_keyfile).read_text())
     data.pop("fingerprint")
     data.update(fields)
     return json.dumps(data)

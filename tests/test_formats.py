@@ -7,8 +7,7 @@ from rmcipher.cipher import split_blocks
 from rmcipher.formats import (CipherFormatError, ErrorModel, FingerprintMismatchError,
                               KeyFormatError, cipher_from_text, cipher_to_text,
                               corrupt_blocks, key_from_dict, key_to_dict, load_key,
-                              read_cipher, records_from_json, records_to_json, save_key,
-                              text_lines)
+                              read_cipher, records_from_json, records_to_json, save_key)
 
 
 @pytest.mark.parametrize("key_builder", [
@@ -69,7 +68,7 @@ def test_cipher_text_roundtrip(tmp_path):
     path = tmp_path / "c.rmc"
     path.write_text(cipher_to_text(blocks, 9, 3, "ab" * 8))
     with open(path) as fh:
-        header, chunks = read_cipher(text_lines(fh))
+        header, chunks = read_cipher(fh)
         assert split_blocks([v for chunk in chunks for v in chunk], header.order) == blocks
 
 
