@@ -7,9 +7,10 @@ exact rational inverse and demands an integral, in-alphabet result,
 raising a corruption error that names the offending block and entry
 otherwise.  Every block shares M_n, so both products run on any number
 of rows at once (encrypt_rows, decrypt_rows), a column at a time.
-Plaintext entries are bytes, so encryption looks each product b * M_n[t][j]
-up in the key's byte tables (KeyContext.byte_tables) and only adds;
-decryption multiplies ciphertext entries by the scaled inverse.
+Plaintext entries are bytes, so encryption of TABLE_ROWS rows or more
+looks each product b * M_n[t][j] up in the key's byte tables
+(KeyContext.byte_tables) and only adds, unless M_n's entries are wider
+than TABLE_BITS; shorter plaintexts, and decryption, multiply.
 """
 
 from __future__ import annotations
@@ -22,6 +23,15 @@ from .coding import KeyContext, KeyLike, key_context
 from .exactmat import IntMatrix
 
 ALPHABET_MAX = 255
+# encrypt_rows sums byte-table lookups for a call of TABLE_ROWS rows or
+# more while M_n's entries fit in TABLE_BITS bits; otherwise it multiplies.
+# The k * k * 256 table entries pay back their building within about 600
+# rows at k = 3, n = 29, and fewer for wider entries; `rmc encrypt` passes
+# 1024-row chunks.  At 1024 bits the tables hold about 1 MB at k = 5, and
+# the decimal text of a chunk already costs over twice its product, so
+# wider tables would hold more memory for less time saved.
+TABLE_ROWS = 1024
+TABLE_BITS = 1024
 
 
 class CorruptionError(ValueError):
@@ -78,8 +88,7 @@ def _trim(plain: bytes, length: int) -> bytes:
 def _product_columns(values: Sequence[int], cols, k: int) -> Iterator[list[int]]:
     """Column j of R * M for each column cols[j] of M, where R is the
     matrix whose rows are the consecutive k-entry runs of values.  Each
-    column is one chain of map multiply-adds over the strided slices.
-    Decryption's product: its entries are not bytes."""
+    column is one chain of map multiply-adds over the strided slices."""
     slices = [values[t::k] for t in range(k)]
     for col in cols:
         acc = map(mul, slices[0], repeat(col[0]))
@@ -88,22 +97,33 @@ def _product_columns(values: Sequence[int], cols, k: int) -> Iterator[list[int]]
         yield list(acc)
 
 
-def encrypt_rows(ctx: KeyContext, plain: Sequence[int]) -> list[int]:
-    """Rows times M_n, for rows given as flat row-major bytes; the product
-    comes back flat in the same layout.  Column j of a row p is the sum of
-    byte_tables[j][t][p[t]] over t.  Entries outside [0, 255] raise
-    ValueError; an empty plaintext builds no tables."""
-    plain = bytes(plain)
-    if not plain:
-        return []
-    k = ctx.order
+def _table_columns(plain: bytes, byte_tables, k: int) -> Iterator[Iterator[int]]:
+    """The columns of _product_columns(plain, M_n's columns, k), column j
+    of row p summed from the lookups byte_tables[j][t][p[t]]."""
     slices = [plain[t::k] for t in range(k)]
-    out = [0] * len(plain)
-    for j, tables in enumerate(ctx.byte_tables):
+    for tables in byte_tables:
         acc = map(tables[0].__getitem__, slices[0])
         for s, table in zip(slices[1:], tables[1:]):
             acc = map(add, acc, map(table.__getitem__, s))
-        out[j::k] = acc
+        yield acc
+
+
+def encrypt_rows(ctx: KeyContext, plain: Sequence[int]) -> list[int]:
+    """Rows times M_n, for rows given as flat row-major bytes; the product
+    comes back flat in the same layout.  Entries outside [0, 255] raise
+    ValueError.  A call of TABLE_ROWS rows or more, by a key whose entries
+    fit in TABLE_BITS bits, sums lookups in ctx.byte_tables, building them
+    on first use; any other call multiplies and builds nothing."""
+    plain = bytes(plain)
+    k = ctx.order
+    if (len(plain) >= TABLE_ROWS * k
+            and max(map(abs, chain.from_iterable(ctx.matrix))).bit_length() <= TABLE_BITS):
+        columns = _table_columns(plain, ctx.byte_tables, k)
+    else:
+        columns = _product_columns(plain, ctx.columns, k)
+    out = [0] * len(plain)
+    for j, column in enumerate(columns):
+        out[j::k] = column
     return out
 
 

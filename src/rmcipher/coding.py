@@ -310,7 +310,9 @@ class KeyContext:
     The byte tables of encryption, the integer-scaled inverse, the
     transition ratio tau with its powers, and the table of column-ratio
     bounds are computed on first use, so encryption never pays for an
-    inverse or a root solve, and decryption never builds byte tables.
+    inverse or a root solve, and only an encryption of at least
+    cipher.TABLE_ROWS rows (by entries of at most cipher.TABLE_BITS bits)
+    builds byte tables.
     Given `report`, the `analyze_matrix` report on the key's spf_target
     that validated the key, tau is read off it with no further root solve.
     Build one per command and pass it wherever a CodingKey is accepted.
@@ -342,7 +344,8 @@ class KeyContext:
     @cached_property
     def byte_tables(self) -> tuple[tuple[list[int], ...], ...]:
         """byte_tables[j][t][b] == b * M_n[t][j] for every byte b, built by
-        running sums: encryption's product is a sum of lookups."""
+        running sums: k * k * 256 entries as wide as M_n's, so a long
+        encryption's product is a sum of lookups."""
         return tuple(tuple(list(accumulate(repeat(c, 255), initial=0)) for c in col)
                      for col in self.columns)
 

@@ -220,6 +220,8 @@ def _canonical_values(batch: list[str], k: int) -> Optional[list[int]]:
     line holds k - 1 spaces and the text splits into k entries a line:
     then every line holds exactly k entries, as the per-line parse needs."""
     text = "\n".join(batch)
+    # ASCII first: encode() raises on a lone surrogate, which a str may hold
+    # (a file read with errors="surrogateescape", or cipher_from_text).
     if (not text.isascii() or any(c in text for c in _OTHER_WHITESPACE)
             or {k - 1} != set(map(str.count, batch, repeat(" ")))):
         return None

@@ -1,6 +1,7 @@
-"""The bulk kernels against references kept here: the byte-table encrypt
-product against a multiply product, and the canonical-batch ciphertext
-parse against a per-line parse of the whole text."""
+"""The bulk kernels against references kept here: both encrypt kernels
+(byte tables and multiplies) against a multiply product, and the
+canonical-batch ciphertext parse against a per-line parse of the whole
+text."""
 
 import io
 import random
@@ -12,8 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rmcipher import KeyContext, encrypt, general_key, right_form_key, symmetric_key
-from rmcipher import cli, formats
-from rmcipher.cipher import encrypt_rows
+from rmcipher import cipher, cli, formats
+from rmcipher.cipher import TABLE_BITS, TABLE_ROWS, encrypt_rows
 from rmcipher.formats import CipherFormatError, read_cipher, save_key
 
 KEYS = {
@@ -45,15 +46,21 @@ def test_encrypt_rows_equals_the_multiply_product(name, data):
     ctx = CONTEXTS[name]
     rows = data.draw(st.integers(0, 40))
     plain = data.draw(st.binary(min_size=rows * ctx.order, max_size=rows * ctx.order))
-    assert encrypt_rows(ctx, plain) == _multiply_product(ctx, plain)
-    assert encrypt_rows(ctx, list(plain)) == _multiply_product(ctx, plain)
+    assert encrypt_rows(ctx, plain) == _multiply_product(ctx, plain)       # multiplies
+    with mock.patch.object(cipher, "TABLE_ROWS", 1):                        # byte tables
+        assert encrypt_rows(ctx, plain) == _multiply_product(ctx, plain)
+        assert encrypt_rows(ctx, list(plain)) == _multiply_product(ctx, plain)
 
 
 def test_every_byte_of_every_table():
     ctx = CONTEXTS["bigint-5"]
+    m = ctx.matrix
+    assert all(ctx.byte_tables[j][t] == [b * m[t][j] for b in range(256)]
+               for j in range(ctx.order) for t in range(ctx.order))
     for t in range(ctx.order):
         plain = bytes([b if u == t else 0 for b in range(256) for u in range(ctx.order)])
-        assert encrypt_rows(ctx, plain) == _multiply_product(ctx, plain)
+        with mock.patch.object(cipher, "TABLE_ROWS", 256):
+            assert encrypt_rows(ctx, plain) == _multiply_product(ctx, plain)
 
 
 @pytest.mark.parametrize("entry", [-1, 256, 10 ** 20])
@@ -64,18 +71,26 @@ def test_library_encrypt_refuses_entries_outside_the_alphabet(entry):
 
 
 def test_empty_encrypt_builds_no_tables(tmp_path, monkeypatch):
-    keyfile, plain = tmp_path / "key.json", tmp_path / "empty.bin"
+    keyfile, plain = tmp_path / "key.json", tmp_path / "plain.bin"
     save_key(KEYS["symmetric-3"], keyfile)
-    plain.write_bytes(b"")
     contexts = []
     load = cli._load_context
     monkeypatch.setattr(cli, "_load_context", lambda path: contexts.append(load(path)) or contexts[-1])
-    assert cli.main(["encrypt", str(keyfile), str(plain), "--out", str(tmp_path / "c.rmc")]) == 0
-    assert len(contexts) == 1 and "byte_tables" not in vars(contexts[0])
-    assert cli.main(["encrypt", str(keyfile), str(keyfile), "--out", str(tmp_path / "c.rmc")]) == 0
-    assert "byte_tables" in vars(contexts[1])
+    # Empty, one row short of a chunk, then one whole chunk of rows.
+    for size, built in ((0, False), (3 * TABLE_ROWS - 3, False), (3 * TABLE_ROWS, True)):
+        plain.write_bytes(random.Random(size).randbytes(size))
+        assert cli.main(["encrypt", str(keyfile), str(plain), "--out", str(tmp_path / "c.rmc")]) == 0
+        assert ("byte_tables" in vars(contexts[-1])) == built
     ctx = KeyContext(KEYS["general-3"])
     assert encrypt([], ctx) == [] and encrypt_rows(ctx, b"") == []
+    assert "byte_tables" not in vars(ctx)
+
+
+def test_keys_wider_than_the_table_bound_multiply():
+    ctx = KeyContext(symmetric_key((1, 0, 1), (1, 0, 0), 2000))
+    assert max(abs(e) for row in ctx.matrix for e in row).bit_length() > TABLE_BITS
+    plain = random.Random(4).randbytes(3 * TABLE_ROWS)
+    assert encrypt_rows(ctx, plain) == _multiply_product(ctx, plain)
     assert "byte_tables" not in vars(ctx)
 
 
@@ -235,3 +250,10 @@ def test_form_feed_in_the_header_line_starts_the_body():
     text = "RMCv1 k=2 blocks=1 len=4 fp=ab\x0c1 2\n3 4\n"
     assert _reference_parse(text) == [1, 2, 3, 4]
     assert _parse(io.StringIO(text)) == _parse(text.splitlines()) == [1, 2, 3, 4]
+
+
+def test_a_lone_surrogate_takes_the_per_line_parse():
+    # A str can hold what no UTF-8 file does; it faults as a bad entry.
+    text = "RMCv1 k=2 blocks=1 len=4 fp=ab\n1 2\n3 \ud800\n"
+    assert _reference_parse(text) == "non-integer entry in block 0 row 1"
+    assert _parse(text.splitlines()) == _parse(io.StringIO(text)) == _reference_parse(text)
