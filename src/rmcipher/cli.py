@@ -25,13 +25,16 @@ syntax.
   4  correct: the candidate budget ran out.
 
 Ciphertexts are read a chunk of whole blocks at a time, and nothing is
-written until the whole file has been read, so a fault anywhere in the
-file outranks one met in the rows and leaves no output file.
+written until the whole file has been read.  A command raises a fault of
+its own (a corrupted entry, a key that does not fit, a failed repair)
+under _draining, which reads and checks the rest of the file first: so a
+fault anywhere in the file outranks one met in the rows and leaves no
+output file.
 
 detect and correct test each chunk's rows against the checking relations
-by integer cross-multiplication, and diagnose in full only the blocks
-with a failing row.  Their JSON reports give block counts by status and
-one entry per such block:
+(guard.failing_rows), and diagnose in full only the blocks with a
+failing row (_flagged_blocks).  Their JSON reports give block counts by
+status and one entry per such block:
 
   detect   {"blocks": [...], "clean": <no row flagged>,
             "counts": {"clean": B0, "flagged": B1}}; an entry is
@@ -52,7 +55,7 @@ import json
 import random
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import chain
@@ -100,18 +103,26 @@ def _load_context(path: str) -> KeyContext:
         raise CliError(f"cannot load key {path}: {exc}") from exc
 
 
-def _cipher_error(path: str, exc: Exception) -> CliError:
-    return CliError(f"cannot load ciphertext {path}: {exc}")
-
-
-def _header_error(header: formats.CipherHeader, key: CodingKey) -> Optional[CliError]:
-    """Why a ciphertext header does not belong to the key, if it does not."""
+def _check_header(header: formats.CipherHeader, key: CodingKey) -> None:
+    """CliError unless the ciphertext header belongs to the key."""
     fp = key_fingerprint(key)
     if header.fingerprint != fp:
-        return CliError(f"fingerprint mismatch: ciphertext carries {header.fingerprint}, key is {fp}")
+        raise CliError(f"fingerprint mismatch: ciphertext carries {header.fingerprint}, key is {fp}")
     if header.order != key.order:
-        return CliError(f"dimension mismatch: ciphertext k={header.order}, key k={key.order}")
-    return None
+        raise CliError(f"dimension mismatch: ciphertext k={header.order}, key k={key.order}")
+
+
+@contextmanager
+def _draining(chunks: Iterator):
+    """Reads and checks the rest of a ciphertext when the body raises a
+    CliError or ValueError, so that a fault later in the file outranks the
+    caller's own."""
+    try:
+        yield
+    except (CliError, ValueError):
+        for _ in chunks:
+            pass
+        raise
 
 
 def _cipher_chunks(path: str, key: Optional[CodingKey] = None) -> Iterator:
@@ -120,18 +131,15 @@ def _cipher_chunks(path: str, key: Optional[CodingKey] = None) -> Iterator:
 
     Faults rank as for a whole-file parse: the file format (anywhere in the
     file), then, given a key, the fingerprint and the dimension, then a
-    caller's own.  So a key mismatch is raised once the whole file has been
-    read, and a caller that meets a fault reads the rest (_read_rest)
-    before it raises.
+    caller's own (raised under _draining).
     """
     try:
         with open(path) as fh:
             header, chunks = formats.read_cipher(fh)
             yield header
-            error = _header_error(header, key) if key is not None else None
-            if error is not None:
-                _read_rest(chunks)
-                raise error
+            if key is not None:
+                with _draining(chunks):
+                    _check_header(header, key)
             size = header.order ** 2
             pending: list[int] = []
             for values in chunks:
@@ -141,14 +149,7 @@ def _cipher_chunks(path: str, key: Optional[CodingKey] = None) -> Iterator:
                     yield pending[:whole]
                     del pending[:whole]
     except (formats.CipherFormatError, UnicodeDecodeError, OSError) as exc:
-        raise _cipher_error(path, exc) from exc
-
-
-def _read_rest(chunks: Iterator) -> None:
-    """Reads and checks the rest of a ciphertext, so that a format fault
-    later in the file is raised before the caller's own."""
-    for _ in chunks:
-        pass
+        raise CliError(f"cannot load ciphertext {path}: {exc}") from exc
 
 
 def _receiver_context(ctx: KeyContext, n: Optional[int] = None) -> KeyContext:
@@ -164,8 +165,8 @@ def _receiver_context(ctx: KeyContext, n: Optional[int] = None) -> KeyContext:
     return ctx
 
 
-def _open_output(out: Optional[str]) -> ContextManager[TextIO]:
-    return open(out, "w") if out else nullcontext(sys.stdout)
+def _open_output(out: Optional[str], newline: Optional[str] = None) -> ContextManager[TextIO]:
+    return open(out, "w", newline=newline) if out else nullcontext(sys.stdout)
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -240,8 +241,10 @@ def _load_seed_matrix(path: Optional[str], k: int) -> list[list[int]]:
         for i in range(1, k):
             m[i][i - 1] = 1
         return m
-    data = json.loads(Path(path).read_text())
-    return [[int(v) for v in row] for row in data]
+    try:
+        return formats._int_matrix(json.loads(Path(path).read_text()), "the seed matrix")
+    except (ValueError, OSError) as exc:
+        raise CliError(f"cannot load seed matrix {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +254,8 @@ def _load_seed_matrix(path: Optional[str], k: int) -> list[list[int]]:
 def cmd_analyze(args: argparse.Namespace) -> int:
     ctx = _load_context(args.keyfile)
     key, report = ctx.key, ctx.report
+    if args.text is not None and not 0 <= args.row < key.order:
+        raise CliError(f"--row must lie in [0, {key.order}), got {args.row}")
     validation = validate_key(key, report=report)     # no root solve: the report is held
     out: dict = {
         "kind": key.kind,
@@ -321,12 +326,12 @@ def _decrypt_file(path: str, ctx: KeyContext) -> bytes:
     chunks = _cipher_chunks(path, ctx.key)
     header = next(chunks)
     plain = bytearray()
-    for values in chunks:
-        try:
-            plain += cipher.decrypt_rows(ctx, values, len(plain) // ctx.order)
-        except cipher.CorruptionError as exc:
-            _read_rest(chunks)
-            raise CliError(f"corrupted ciphertext: {exc}", EXIT_UNCORRECTED) from exc
+    with _draining(chunks):
+        for values in chunks:
+            try:
+                plain += cipher.decrypt_rows(ctx, values, len(plain) // ctx.order)
+            except cipher.CorruptionError as exc:
+                raise CliError(f"corrupted ciphertext: {exc}", EXIT_UNCORRECTED) from exc
     return bytes(plain[:header.length])
 
 
@@ -346,12 +351,9 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
 def cmd_corrupt(args: argparse.Namespace) -> int:
     chunks = _cipher_chunks(args.cipherfile)
     header = next(chunks)
-    try:
+    with _draining(chunks):
         model = ErrorModel(kind=args.model, count=args.count,
                            magnitude=args.magnitude, seed=args.seed)
-    except ValueError:
-        _read_rest(chunks)
-        raise
     rng = random.Random(model.seed)
     k = header.order
     text = [formats.cipher_header(header.count, header.length, k, header.fingerprint)]
@@ -401,34 +403,37 @@ def _receive(path: str, ctx: KeyContext) -> tuple[KeyContext, formats.CipherHead
     cannot check ciphertexts ranks after the faults of the file."""
     chunks = _cipher_chunks(path, ctx.key)
     header = next(chunks)
-    try:
+    with _draining(chunks):
         ctx = _receiver_context(ctx)
-    except CliError:
-        _read_rest(chunks)
-        raise
     return ctx, header, chunks
 
 
-def _flagged_blocks(ctx: KeyContext, values: list[int], tol: Optional[float]) -> list[int]:
-    """Indices, within a chunk of whole blocks, of the blocks with a row
-    that detect_errors flags."""
-    return sorted({r // ctx.order for r in guard.failing_rows(ctx, values, tol)})
+def _flagged_blocks(ctx: KeyContext, chunks: Iterator, tol: Optional[float],
+                    text: Optional[list[str]] = None) -> Iterator:
+    """(b, block, diagnoses) for each block of the ciphertext with a row that
+    detect_errors flags, b counted from the first block of the file.  The
+    caller may repair the block in place; given `text`, the matrix lines of
+    each chunk, repairs included, are appended to it."""
+    k = ctx.order
+    size = k * k
+    first = 0
+    for values in chunks:
+        for b in sorted({r // k for r in guard.failing_rows(ctx, values, tol)}):
+            span = slice(b * size, (b + 1) * size)
+            block = cipher.split_blocks(values[span], k)[0]
+            yield first + b, block, guard.detect_errors(block, ctx, tol=tol)
+            values[span] = chain.from_iterable(block)
+        if text is not None:
+            text.append(formats.format_rows(values, k))
+        first += len(values) // size
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    ctx, _header, chunks = _receive(args.cipherfile, _load_context(args.keyfile))
-    k = ctx.order
-    size = k * k
-    found = []
-    blocks = 0
-    for values in chunks:
-        for b in _flagged_blocks(ctx, values, args.tol):
-            block = cipher.split_blocks(values[b * size:(b + 1) * size], k)[0]
-            diagnoses = guard.detect_errors(block, ctx, tol=args.tol)
-            found.append({"block": blocks + b, "clean": False, "rows": _diagnosis_json(diagnoses)})
-        blocks += len(values) // size
+    ctx, header, chunks = _receive(args.cipherfile, _load_context(args.keyfile))
+    found = [{"block": b, "clean": False, "rows": _diagnosis_json(diagnoses)}
+             for b, _block, diagnoses in _flagged_blocks(ctx, chunks, args.tol)]
     report = {"blocks": found, "clean": not found,
-              "counts": {"clean": blocks - len(found), "flagged": len(found)}}
+              "counts": {"clean": header.count - len(found), "flagged": len(found)}}
     _write_output(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -461,49 +466,35 @@ def _correction_json(b: int, result: guard.CorrectionResult) -> dict:
 def cmd_correct(args: argparse.Namespace) -> int:
     ctx, header, chunks = _receive(args.cipherfile, _load_context(args.keyfile))
     k = ctx.order
-    size = k * k
     text = [formats.cipher_header(header.count, header.length, k, header.fingerprint)]
     found = []
     counts = {"clean": 0, "corrected": 0, "failed": 0}
     tested = 0
     exit_code = EXIT_OK
-    blocks = 0
-    for values in chunks:
-        for b in _flagged_blocks(ctx, values, args.tol):
-            span = slice(b * size, (b + 1) * size)
-            block = cipher.split_blocks(values[span], k)[0]
-            diagnoses = guard.detect_errors(block, ctx, tol=args.tol)
-            validator = (partial(_printable_ascii, header.length, (blocks + b) * size)
+    with _draining(chunks):
+        for b, block, diagnoses in _flagged_blocks(ctx, chunks, args.tol, text):
+            validator = (partial(_printable_ascii, header.length, b * k * k)
                          if args.printable_ascii else None)
             try:
                 result = guard.correct(block, diagnoses, ctx, budget=args.budget,
                                        validator=validator)
             except guard.GuardError as exc:
-                _read_rest(chunks)
                 raise CliError(str(exc), EXIT_UNCORRECTED) from exc
-            except ValueError:
-                _read_rest(chunks)
-                raise
             tested += result.tested_total
-            found.append(_correction_json(blocks + b, result))
+            found.append(_correction_json(b, result))
             counts[found[-1]["status"]] += 1
             if result.budget_exhausted:
                 exit_code = EXIT_BUDGET
             elif result.matrix is None or not result.unique:
                 exit_code = max(exit_code, EXIT_UNCORRECTED)
             if result.matrix is not None:
-                values[span] = chain.from_iterable(result.matrix)
-        text.append(formats.format_rows(values, k))
-        blocks += len(values) // size
-    counts["clean"] = blocks - len(found)
+                block[:] = result.matrix
+    counts["clean"] = header.count - len(found)
     if args.out:
         Path(args.out).write_text("".join(text))
     report = json.dumps({"blocks": found, "candidates_tested": tested, "counts": counts},
                         indent=2) + "\n"
-    if args.report:
-        Path(args.report).write_text(report)
-    else:
-        sys.stdout.write(report)
+    _write_output(report, args.report)
     return exit_code
 
 
@@ -602,15 +593,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for ctx in contexts:
         grid = n_grid if n_grid else [ctx.n]
         out_rows.extend(run_bench(ctx, grid, model, args.trials, args.seed, plaintext))
-    target = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    with _open_output(args.out, newline="") as target:
         writer = csv.DictWriter(target, fieldnames=BENCH_COLUMNS)
         writer.writeheader()
-        for row in out_rows:
-            writer.writerow(row)
-    finally:
-        if args.out:
-            target.close()
+        writer.writerows(out_rows)
     return EXIT_OK
 
 

@@ -302,6 +302,14 @@ def column_ratio_bounds(m: Sequence[Sequence[int]], j: int, jp: int):
     return lo, hi
 
 
+def cross_bound(bound) -> tuple[int, int]:
+    """A column-ratio bound as integers (num, den) with den >= 0, +/-inf
+    as (+/-1, 0), for tests by cross-multiplication."""
+    if bound in (math.inf, -math.inf):
+        return (1 if bound > 0 else -1), 0
+    return bound.numerator, bound.denominator
+
+
 @dataclass(frozen=True, eq=False)
 class KeyContext:
     """A key compiled for one index n: the per-key data every block shares.
@@ -384,12 +392,8 @@ class KeyContext:
         hi_num, hi_den), each denominator >= 0 and +/-inf as (+/-1, 0).  A
         ratio num / den with den > 0 lies within the bounds exactly when
         lo_num * den <= num * lo_den and num * hi_den <= hi_num * den."""
-        def pair(bound) -> tuple[int, int]:
-            if bound in (math.inf, -math.inf):
-                return (1 if bound > 0 else -1), 0
-            return bound.numerator, bound.denominator
-        return {(j, jp): pair(lo) + pair(hi) for (j, jp), (lo, hi) in self.ratio_bounds.items()
-                if j < jp}
+        return {(j, jp): cross_bound(lo) + cross_bound(hi)
+                for (j, jp), (lo, hi) in self.ratio_bounds.items() if j < jp}
 
 
 KeyLike = Union[CodingKey, KeyContext]

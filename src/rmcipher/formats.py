@@ -11,22 +11,24 @@ line endings.  The key index n never appears in a ciphertext file: it is
 secret key material.  Fingerprints tie the two formats together and are
 checked before any arithmetic is attempted.
 
-A reader takes the lines a batch at a time.  A batch as the writer
-leaves it (ASCII, single spaces and line ends, k - 1 spaces and k entries
-on every line) is parsed with one split of its whole text; any other
-batch goes through the per-line parse, which alone names a malformed
-row, so both give the same values and the same faults.
+A reader takes a text file a batch of whole lines at a time; a whole
+text is read as a file too (io.StringIO).  A batch as the writer leaves
+it (ASCII, single spaces and line ends, k - 1 spaces and k entries on
+every line) is parsed with one split of its whole text; any other batch
+goes through the per-line parse, which alone names a malformed row, so
+both give the same values and the same faults.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import random
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
+from typing import Iterator, Optional, Sequence, TextIO, Union
 
 from .cipher import split_blocks
 from .coding import (KEY_FORMAT, KIND_GENERAL, KIND_RIGHT, KIND_SYMMETRIC, CodingKey,
@@ -144,7 +146,7 @@ def load_key(path: Union[str, Path], validate: bool = True) -> CodingKey:
 # ciphertext files
 # ---------------------------------------------------------------------------
 
-CHUNK_ROWS = 1024              # matrix rows per chunk of a streamed ciphertext
+CHUNK_ROWS = 1024              # matrix rows per chunk of a ciphertext written in chunks
 READ_HINT = 1 << 15            # characters of whole lines per batch read from a file
 
 
@@ -175,25 +177,19 @@ def cipher_to_text(blocks: Sequence[IntMatrix], length: int, order: int,
     return cipher_header(len(blocks), length, order, fingerprint) + format_rows(values, order)
 
 
-def read_cipher(lines: Union[TextIO, Iterable[str]]) -> tuple[CipherHeader, Iterator[list[int]]]:
+def read_cipher(fh: TextIO) -> tuple[CipherHeader, Iterator[list[int]]]:
     """The header of a ciphertext and an iterator over its matrix rows, a
-    batch of lines at a time, each chunk a flat row-major list.  `lines`
-    is a text file, read READ_HINT characters of whole lines at a time,
-    or lines as str.splitlines() gives them, taken CHUNK_ROWS at a time;
-    either way the lines are those str.splitlines() finds in the text.
+    batch of lines at a time, each chunk a flat row-major list.  The text
+    file fh is read READ_HINT characters of whole lines at a time; the
+    lines are those str.splitlines() finds in its text.
 
     The iterator checks the whole body before it reports a fault, so the
     fault raised is the one a whole-file parse reports first: the line
     count, then the capacity, then the first malformed row.  Chunks before
     a fault may already have been yielded.
     """
-    if hasattr(lines, "readlines"):
-        batches = iter(partial(lines.readlines, READ_HINT), [])
-        batch = next(batches, [])
-    else:
-        lines = iter(lines)
-        batches = iter(lambda: list(islice(lines, CHUNK_ROWS)), [])
-        batch = list(islice(lines, 1))
+    batches = iter(partial(fh.readlines, READ_HINT), [])
+    batch = next(batches, [])
     if not batch:
         raise CipherFormatError("empty ciphertext file")
     first, *rest = batch[0].splitlines() or [""]
@@ -221,7 +217,7 @@ def _canonical_values(batch: list[str], k: int) -> Optional[list[int]]:
     then every line holds exactly k entries, as the per-line parse needs."""
     text = "\n".join(batch)
     # ASCII first: encode() raises on a lone surrogate, which a str may hold
-    # (a file read with errors="surrogateescape", or cipher_from_text).
+    # (a file read with errors="surrogateescape", or a text for cipher_from_text).
     if (not text.isascii() or any(c in text for c in _OTHER_WHITESPACE)
             or {k - 1} != set(map(str.count, batch, repeat(" ")))):
         return None
@@ -279,7 +275,7 @@ def _row_error(chunk: list[list[str]], first_row: int, k: int) -> CipherFormatEr
 
 def cipher_from_text(text: str) -> tuple[CipherHeader, list[IntMatrix]]:
     """The header and the blocks of a whole ciphertext text."""
-    header, chunks = read_cipher(text.splitlines())
+    header, chunks = read_cipher(io.StringIO(text))
     return header, split_blocks(list(chain.from_iterable(chunks)), header.order)
 
 

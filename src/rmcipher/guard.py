@@ -7,13 +7,17 @@ and j' of M.  Those exact two-sided bounds drive everything here:
 * verification tests consecutive-column ratios against the bounds,
 * detection builds a per-row consistency graph over all column pairs
   and trusts the maximum consistent clique; a receiver first tests whole
-  chunks of rows by integer cross-multiplication (failing_rows) and
-  builds the graph only where a row fails,
+  chunks of rows (failing_rows) and builds the graph only where a row
+  fails,
 * correction enumerates integer candidates for each flagged entry in a
   spiral around the transition-ratio estimate, validating candidate
   combinations by exact decryption.
 
 All bounds are exact rationals; column indices are 0-based throughout.
+One test decides whether a pair meets its checking relation, for
+verification, detection and the chunk test alike: _within, by integer
+cross-multiplication against the bounds (coding.cross_bound), or, under a
+tolerance, _within_tol against the matching power of the transition ratio.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from mpmath import mpf, workprec
 
 from .cipher import CorruptionError, decrypt_row, digitize
 from .coding import (CodingKey, KeyContext, KeyLike, MatrixBuilder, column_ratio_bounds,
-                     key_context)
+                     cross_bound, key_context)
 from .exactmat import mat_mul
 
 
@@ -47,12 +51,7 @@ class UncorrectableRowError(GuardError):
     """A row has errors but no trusted entry to correct from."""
 
 
-def _fraction_floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def _fraction_ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
+_INFINITE = (math.inf, -math.inf)
 
 
 @dataclass(frozen=True)
@@ -80,11 +79,11 @@ class CheckingRange:
 
     @property
     def tight_lo(self) -> int:
-        return _fraction_ceil(self.lower)
+        return math.ceil(self.lower)
 
     @property
     def tight_hi(self) -> int:
-        return _fraction_floor(self.upper)
+        return math.floor(self.upper)
 
     @property
     def tight_count(self) -> int:
@@ -94,38 +93,25 @@ class CheckingRange:
         return self.lo <= value <= self.hi
 
 
-def _invert_bounds(bounds):
-    lo, hi = bounds
-    new_hi = math.inf if lo == 0 else (Fraction(0) if lo == math.inf else 1 / lo)
-    new_lo = Fraction(0) if hi == math.inf else (math.inf if hi == 0 else 1 / hi)
-    if hi == -math.inf or lo == -math.inf:
-        raise ValueError("cannot invert bounds spanning negative infinity")
-    return new_lo, new_hi
-
-
-def checking_range(c_ref: int, bounds, direction: int = 1, tau_power=None,
+def checking_range(c_ref: int, bounds, tau_power=None,
                    target: Optional[tuple[int, int]] = None,
                    reference: Optional[tuple[int, int]] = None) -> CheckingRange:
     """Integer candidate interval for a suspect entry given a trusted reference.
 
-    bounds are the column ratio bounds oriented suspect-over-reference
-    when direction is +1, reference-over-suspect when -1.  tau_power is
+    bounds are the column ratio bounds suspect-over-reference, as
+    column_ratio_bounds(m, suspect, reference) gives them.  tau_power is
     the transition-ratio power tau**(j'-j) used for the spiral estimate;
     without it the estimate falls back to the interval midpoint.
     """
     if c_ref <= 0:
         raise ValueError("reference entry must be positive")
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    if direction == -1:
-        bounds = _invert_bounds(bounds)
     blo, bhi = bounds
-    if blo == math.inf or bhi == math.inf or blo == -math.inf or bhi == -math.inf:
+    if blo in _INFINITE or bhi in _INFINITE:
         raise ValueError("reference column admits an unbounded ratio; pick another reference")
     lower = c_ref * blo
     upper = c_ref * bhi
-    lo = _fraction_floor(lower + Fraction(1, 2))
-    hi = _fraction_floor(upper)
+    lo = math.floor(lower + Fraction(1, 2))
+    hi = math.floor(upper)
     if lo > hi:
         raise EmptyCheckingRangeError(
             f"empty checking range [{float(lower):.3f}, {float(upper):.3f}]: reference is suspect")
@@ -135,7 +121,7 @@ def checking_range(c_ref: int, bounds, direction: int = 1, tau_power=None,
         with workprec(int(c_ref).bit_length() + 64):
             estimate = int(mpf(c_ref) * tau_power + mpf("0.5"))
     else:
-        estimate = _fraction_floor((lower + upper) / 2 + Fraction(1, 2))
+        estimate = math.floor((lower + upper) / 2 + Fraction(1, 2))
     estimate = min(max(estimate, lo), hi)
     return CheckingRange(lower=lower, upper=upper, lo=lo, hi=hi, estimate=estimate,
                          target=target, reference=reference)
@@ -169,16 +155,15 @@ def verify_ciphertext(c: Sequence[Sequence[int]], m: Sequence[Sequence[int]]) ->
     k = len(m)
     if any(len(row) != k for row in c):
         raise ValueError("ciphertext and coding matrix dimensions differ")
+    bounds = [column_ratio_bounds(m, j, j + 1) for j in range(k - 1)]
+    tests = [partial(_within, *cross_bound(lo), *cross_bound(hi)) for lo, hi in bounds]
     out: list[RowCheck] = []
     for i, row in enumerate(c):
         violations = []
-        for j in range(k - 1):
+        for j, (lo, hi), within in zip(range(k), bounds, tests):
             num, den = row[j], row[j + 1]
-            if num == 0 and den == 0:
-                continue
-            ratio = Fraction(num, den) if den != 0 else (math.inf if num > 0 else -math.inf)
-            lo, hi = column_ratio_bounds(m, j, j + 1)
-            if not (lo <= ratio <= hi):
+            if not within(num, den):
+                ratio = Fraction(num, den) if den else (math.inf if num > 0 else -math.inf)
                 violations.append(PairViolation(j, j + 1, ratio, lo, hi))
         out.append(RowCheck(row=i, ok=not violations, violations=tuple(violations)))
     return out
@@ -225,37 +210,21 @@ def detect_errors(c: Sequence[Sequence[int]], key: KeyLike, n: Optional[int] = N
     """
     ctx = key_context(key, n, precision)
     k = ctx.order
-    tau_powers = ctx.tau_powers
-    bounds = ctx.ratio_bounds
+    pairs = [(j, jp, float(ctx.tau_powers[jp - j]), bound)
+             for (j, jp), bound in ctx.cross_bounds.items()]       # j < jp, as combinations
     diagnoses: list[RowDiagnosis] = []
     for i, row in enumerate(c):
         evidence: list[PairEvidence] = []
         adj: set[tuple[int, int]] = set()
         dev_of: dict[tuple[int, int], float] = {}
-        for j, jp in combinations(range(k), 2):
-            expected = float(tau_powers[jp - j])
-            lo, hi = bounds[(j, jp)]
+        for j, jp, expected, bound in pairs:
             num, den = row[j], row[jp]
-            if den == 0 and num == 0:
-                ratio = None
-                consistent = True
-                rel_dev = None
+            rel_dev = _deviation(expected, num, den)
+            if tol is None:
+                consistent = _within(*bound, num, den)
             else:
-                ratio = Fraction(num, den) if den != 0 else None
-                if ratio is None:
-                    # x/0 reads as +inf or -inf: consistent only where the
-                    # exact bounds reach that infinity.
-                    consistent = tol is None and lo <= (math.inf if num > 0 else -math.inf) <= hi
-                    rel_dev = None
-                else:
-                    try:
-                        rel_dev = abs(float(ratio) / expected - 1.0)
-                    except OverflowError:        # |ratio| beyond the float range
-                        rel_dev = None
-                    if tol is None:
-                        consistent = lo <= ratio <= hi
-                    else:
-                        consistent = rel_dev is not None and rel_dev <= tol
+                consistent = _within_tol(expected, tol, num, den)
+            ratio = Fraction(num, den) if den else None
             if consistent:
                 adj.add((j, jp))
                 dev_of[(j, jp)] = rel_dev if rel_dev is not None else 0.0
@@ -270,12 +239,11 @@ def detect_errors(c: Sequence[Sequence[int]], key: KeyLike, n: Optional[int] = N
 def failing_rows(ctx: KeyContext, values: Sequence[int],
                  tol: Optional[float] = None) -> set[int]:
     """Indices of the rows that detect_errors flags, for rows given as flat
-    row-major entries: the rows with a column pair outside its checking
-    bounds (exact), or, with a tolerance, off tau**(jp-j) by more than it.
+    row-major entries: the rows with a column pair that fails _within
+    (exact) or, with a tolerance, _within_tol.
 
-    The exact test cross-multiplies integers, a whole column at a time, and
-    goes row by row only for a column pair where that fails; no Fraction
-    is built.
+    The exact test goes a whole column pair at a time (_all_within) and row
+    by row only for a column pair where that fails; no Fraction is built.
     """
     k = ctx.order
     cols = [values[t::k] for t in range(k)]
@@ -293,16 +261,17 @@ def failing_rows(ctx: KeyContext, values: Sequence[int],
 
 
 def _all_within(nums, dens, lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> bool:
-    """Every denominator positive and every ratio within the bounds."""
+    """Every denominator positive and _within true for every pair: the
+    same cross-multiplication, a whole column pair at a time."""
     return (min(dens, default=1) > 0
             and all(map(le, map(mul, dens, repeat(lo_num)), map(mul, nums, repeat(lo_den))))
             and all(map(le, map(mul, nums, repeat(hi_den)), map(mul, dens, repeat(hi_num)))))
 
 
 def _within(lo_num: int, lo_den: int, hi_num: int, hi_den: int, num: int, den: int) -> bool:
-    """detect_errors' exact test of one pair: 0/0 is consistent, x/0 is
-    +inf or -inf by the sign of x and must lie within the bounds, as must
-    any other num/den."""
+    """The exact test of one pair against its cross_bound bounds: 0/0 is
+    consistent, x/0 is +inf or -inf by the sign of x and must lie within
+    the bounds, as must any other num/den."""
     if den == 0:
         if num > 0:
             return hi_den == 0 and hi_num > 0
@@ -313,30 +282,34 @@ def _within(lo_num: int, lo_den: int, hi_num: int, hi_den: int, num: int, den: i
 
 
 def _within_tol(expected: float, tol: float, num: int, den: int) -> bool:
-    """detect_errors' test of one pair under a tolerance.  int / int rounds
-    as float(Fraction(num, den)) does, and overflows where it does."""
+    """The test of one pair under a tolerance: 0/0 is consistent, x/0 is
+    not, and any other num/den must deviate from expected by at most tol."""
     if den == 0:
         return num == 0
+    dev = _deviation(expected, num, den)
+    return dev is not None and dev <= tol
+
+
+def _deviation(expected: float, num: int, den: int) -> Optional[float]:
+    """|num / den / expected - 1|, or None where den is 0 or the ratio is
+    beyond the float range.  int / int rounds as float(Fraction(num, den))
+    does, and overflows where it does."""
+    if den == 0:
+        return None
     try:
-        return abs(num / den / expected - 1.0) <= tol
+        return abs(num / den / expected - 1.0)
     except OverflowError:
-        return False
+        return None
 
 
 def _max_clique(k: int, adj: set[tuple[int, int]],
                 dev_of: dict[tuple[int, int], float]) -> tuple[int, ...]:
-    if not adj:
-        return ()
     for size in range(k, 1, -1):
-        best: Optional[tuple[float, tuple[int, ...]]] = None
-        for cols in combinations(range(k), size):
-            if all((a, b) in adj for a, b in combinations(cols, 2)):
-                dev = sum(dev_of[(a, b)] for a, b in combinations(cols, 2))
-                cand = (dev, cols)
-                if best is None or cand < best:
-                    best = cand
-        if best is not None:
-            return best[1]
+        cliques = [(sum(dev_of[pair] for pair in combinations(cols, 2)), cols)
+                   for cols in combinations(range(k), size)
+                   if all(pair in adj for pair in combinations(cols, 2))]
+        if cliques:
+            return min(cliques)[1]
     return ()
 
 
@@ -513,7 +486,7 @@ def range_length(key: CodingKey, n: int, j: int, jp: int, c_ref: int) -> Fractio
     relative to a reference value in column jp."""
     m = MatrixBuilder(key).matrix(n)
     lo, hi = column_ratio_bounds(m, j, jp)
-    if lo == math.inf or hi == math.inf or lo == -math.inf or hi == -math.inf:
+    if lo in _INFINITE or hi in _INFINITE:
         raise ValueError("unbounded ratio in the requested columns")
     return (hi - lo) * c_ref
 
@@ -536,7 +509,7 @@ def smallest_unambiguous_n(key: CodingKey, plaintext: bytes, j: int, jp: int,
         if c_ref <= 0:
             continue
         lo, hi = column_ratio_bounds(m, j, jp)
-        if lo == math.inf or hi == math.inf or lo == -math.inf or hi == -math.inf:
+        if lo in _INFINITE or hi in _INFINITE:
             continue
         if (hi - lo) * c_ref < 1:
             return n

@@ -168,3 +168,41 @@ def test_non_utf8_key_file_exits_2(files, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b'{"format": "\xff\xfe"}')
     assert _run(["encrypt", bad, msg, "--out", tmp_path / "out"]) == 2
+
+
+# A seed matrix is read as strictly as a key file's matrices: a bare
+# number, a nested list, a float or a boolean is refused, not truncated.
+BAD_SEED_MATRICES = ["5", "[[1,[2]],[1,0]]", "[[1.7,1],[1,0]]", "[[true,1],[1,0]]", "null",
+                     '"[[1,1],[1,0]]"', "{}", "[[1,1],[1]]", "[]", "[[-1,1],[1,0]]", "not json"]
+
+
+@pytest.mark.parametrize("text", BAD_SEED_MATRICES)
+def test_malformed_seed_matrix_exits_2(tmp_path, capsys, text):
+    seed, out = tmp_path / "seed.json", tmp_path / "key.json"
+    seed.write_text(text)
+    argv = ["keygen", "--method", "primitive", "--k", "2", "--seed-matrix", seed, "--out", out]
+    assert _run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_seed_matrix_of_decimal_strings_is_read_as_integers(tmp_path):
+    seeds = []
+    for name, text in [("ints", "[[1,1],[1,0]]"), ("strings", '[["1","1"],["1","0"]]')]:
+        seed, out = tmp_path / f"{name}.json", tmp_path / f"{name}.key"
+        seed.write_text(text)
+        assert _run(["keygen", "--method", "primitive", "--k", "2", "--seed-matrix", seed,
+                     "--out", out]) == 0
+        seeds.append(out.read_text())
+    assert seeds[0] == seeds[1]
+
+
+@pytest.mark.parametrize("row", [99, 3, -1])
+def test_analyze_row_outside_the_block_exits_2(files, tmp_path, capsys, row):
+    keyfile = files["symmetric"][0]
+    out = tmp_path / "analysis.json"
+    capsys.readouterr()
+    assert _run(["analyze", keyfile, "--text", "ab", "--row", row, "--json", "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: --row must lie in [0, 3), got {row}\n"
+    assert not out.exists()
+    assert _run(["analyze", keyfile, "--text", "ab", "--row", 2, "--json", "--out", out]) == 0

@@ -64,12 +64,6 @@ def test_checking_range_empty():
         checking_range(7, (Fraction(1, 10), Fraction(1, 9)))
 
 
-def test_checking_range_direction_flip():
-    direct = checking_range(1000, (Fraction(2), Fraction(4)))
-    flipped = checking_range(1000, (Fraction(1, 4), Fraction(1, 2)), direction=-1)
-    assert (direct.lo, direct.hi) == (flipped.lo, flipped.hi) == (2000, 4000)
-
-
 def test_checking_range_requires_positive_reference():
     with pytest.raises(ValueError):
         checking_range(0, (Fraction(1), Fraction(2)))

@@ -3,14 +3,18 @@ by integer cross-multiplication, diagnose only the blocks with a failing
 row, and report block counts plus the entries of those blocks."""
 
 import json
+import math
 import random
 import tracemalloc
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from rmcipher import (KeyContext, detect_errors, general_key, right_form_key, symmetric_key)
+from rmcipher import (KeyContext, column_ratio_bounds, detect_errors, general_key, right_form_key,
+                      symmetric_key, verify_ciphertext)
 from rmcipher.cipher import encrypt_rows
 from rmcipher.cli import main
 from rmcipher.formats import (ErrorModel, cipher_from_text, cipher_to_text, corrupt_blocks,
@@ -79,6 +83,57 @@ def test_chunk_test_flags_the_rows_detect_errors_flags(case, tol):
     ctx = CONTEXTS[name]
     flagged = {d.row for d in detect_errors(rows, ctx, tol=tol) if d.flagged}
     assert failing_rows(ctx, [v for row in rows for v in row], tol) == flagged
+
+
+def _reference_ratio(num, den):
+    """num / den exactly, x/0 as +inf or -inf by the sign of x; None for 0/0."""
+    if den == 0:
+        return None if num == 0 else (math.inf if num > 0 else -math.inf)
+    return Fraction(num, den)
+
+
+def _reference_within(num, den, lo, hi):
+    ratio = _reference_ratio(num, den)
+    return ratio is None or lo <= ratio <= hi
+
+
+def _reference_deviation(num, den, expected):
+    ratio = _reference_ratio(num, den)
+    if not isinstance(ratio, Fraction):
+        return None
+    try:
+        return abs(float(ratio) / expected - 1.0)
+    except OverflowError:
+        return None
+
+
+@DERANDOMIZED
+@given(received_rows(), st.sampled_from(TOLERANCES))
+def test_pair_verdicts_match_a_fraction_reference(case, tol):
+    """Every pair verdict of detect_errors and verify_ciphertext against a
+    Fraction comparison with column_ratio_bounds, written out here."""
+    name, rows = case
+    ctx = CONTEXTS[name]
+    k = ctx.order
+    for row, diag in zip(rows, detect_errors(rows, ctx, tol=tol)):
+        assert [(p.j, p.jp) for p in diag.pairs] == list(combinations(range(k), 2))
+        for p in diag.pairs:
+            num, den = row[p.j], row[p.jp]
+            dev = _reference_deviation(num, den, float(ctx.tau_powers[p.jp - p.j]))
+            assert p.rel_deviation == dev
+            if tol is None:
+                bounds = column_ratio_bounds(ctx.matrix, p.j, p.jp)
+                assert p.consistent == _reference_within(num, den, *bounds)
+            else:
+                assert p.consistent == (num == den == 0 or dev is not None and dev <= tol)
+    for row, check in zip(rows, verify_ciphertext(rows, ctx.matrix)):
+        expected = []
+        for j in range(k - 1):
+            lo, hi = column_ratio_bounds(ctx.matrix, j, j + 1)
+            if not _reference_within(row[j], row[j + 1], lo, hi):
+                expected.append((j, j + 1, _reference_ratio(row[j], row[j + 1]), lo, hi))
+        assert [(v.j, v.jp, v.ratio, v.lower, v.upper) for v in check.violations] == expected
+        assert check.ok == (not expected)
 
 
 @DERANDOMIZED
