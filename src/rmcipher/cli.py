@@ -180,7 +180,7 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 def cmd_keygen(args: argparse.Namespace) -> int:
     cfg = GenConfig(
-        order=args.k,
+        order=3 if args.k is None else args.k,
         coeff_range=_parse_int_pair(args.range, "--range"),
         tau_cap=args.tau_max,
         require_pisot=args.pisot,
@@ -207,7 +207,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
         gen = keygen.GeneratedKey(key, fam.report, "abt_family",
                                   validate_key(key, report=fam.report))
     elif args.method == "primitive":
-        seed01 = _load_seed_matrix(args.seed_matrix, args.k)
+        seed01 = _load_seed_matrix(args.seed_matrix, cfg.order)
         gen = next(keygen.primitive_growth(seed01, cfg, stats), None)
         if gen is None:
             raise CliError(f"primitive growth emitted no key: {stats.to_dict()}")
@@ -218,6 +218,8 @@ def cmd_keygen(args: argparse.Namespace) -> int:
         gen = keygen.right_form_keygen(Recurrence(coeffs), cfg)
     else:
         raise CliError(f"unknown method {args.method!r}")
+    if args.k is not None and gen.key.order != args.k:
+        raise CliError(f"--k {args.k} differs from the generated key's order {gen.key.order}")
     if args.index is not None:
         gen.key = replace(gen.key, index=args.index)
     writable_matrix(gen.key, gen.key.index)      # refuse a key no ciphertext fits
@@ -617,7 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keygen", help="generate a feasible key")
     p.add_argument("--method", choices=["sieve", "abt", "primitive", "right-form"],
                    default="sieve")
-    p.add_argument("--k", type=int, default=3, help="recurrence order")
+    p.add_argument("--k", type=int, default=None,
+                   help="recurrence order (default 3; must match a given seed or --coeffs)")
     p.add_argument("--range", default="-2,2", help="coefficient range lo,hi")
     p.add_argument("--tau-max", type=float, default=3.0, dest="tau_max")
     p.add_argument("--pisot", action="store_true", help="require a Pisot verdict")

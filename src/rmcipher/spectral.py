@@ -2,20 +2,20 @@
 Perron-Frobenius and Pisot verdicts, primitivity of nonnegative matrices.
 
 Root finding runs the Aberth-Ehrlich simultaneous iteration at twice the
-requested precision, after an exact square-free decomposition so
-multiple roots cannot stall the iteration.  Each factor is solved in two
-stages, as in MPSolve (Bini & Fiorentino, Numer. Algorithms 23, 2000):
-the iteration first runs in Python complex from start points on a circle
-until its steps stop shrinking, then continues from those roots at full
-precision in Gaussian integers on one binary point, z = (X + iY) * 2**-f,
-on the factor's coefficients scaled to integers.  It stops on the same
-test as the mpmath iteration (the largest step at most 2**-(prec-8)
-times the largest modulus, compared exactly), within about
-log3(precision / 50) + 3 steps.  Where double precision cannot be used
-(a coefficient or iterate beyond its range, a NaN, a zero derivative,
-coincident iterates) or the refinement misses that cap, the factor is
-solved from the circle in mpmath arithmetic, as a cold start.  Verdicts
-carry a tolerance: anything within the tolerance band is reported as
+requested precision on each exact square-free factor, so multiple roots
+cannot stall it; a root at 0 is taken exactly.  One kernel does the
+full-precision work: exact integer steps with floor divisions, on
+Gaussian integers on one binary point, z = (X + iY) * 2**-f, and on the
+factor's coefficients scaled to integers.  As in MPSolve (Bini &
+Fiorentino, Numer. Algorithms 23, 2000; Bini & Robol, J. Comput. Appl.
+Math. 272, 2014) it starts from a double-precision pass and then needs
+about log3(precision / 50) + 3 steps.  Where double precision cannot be
+used (a coefficient or iterate beyond its range, a NaN, a zero
+derivative, coincident iterates) or that cap is missed, it starts cold
+from the radii of the Newton polygon.  Each iterate stops on its own
+modulus: a step of at most 2**-(prec-8) * max(1, |z|).  mpmath holds only
+the returned roots and what is computed from them.  Verdicts carry a
+tolerance: anything within the tolerance band is reported as
 "indeterminate" rather than guessed.
 
 The environment variable RMC_PRECISION_BITS overrides the default
@@ -48,11 +48,7 @@ VERDICT_INDETERMINATE = "indeterminate"
 
 
 class RootFindingError(ArithmeticError):
-    """Simultaneous iteration failed to converge; carries the best iterate."""
-
-    def __init__(self, message: str, best: Optional[list] = None):
-        super().__init__(message)
-        self.best = best or []
+    """Simultaneous iteration failed to converge."""
 
 
 class DominantRootError(ArithmeticError):
@@ -122,31 +118,18 @@ def _horner(coeffs: Sequence, z):
     return acc
 
 
-def _aberth_step(coeffs: Sequence, dcoeffs: Sequence, z: list, nudge) -> tuple:
-    """One Aberth-Ehrlich sweep over the iterates z, in the arithmetic of
-    z and the coefficients (mpc/mpf or Python complex/float alike).
-
-    Returns the new iterates and the largest step.  An iterate with a zero
-    derivative, or one that coincides with another, is moved by
-    nudge * (1 + |z|); with nudge None it raises ZeroDivisionError instead.
-    """
+def _aberth_step(coeffs: Sequence, dcoeffs: Sequence, z: list) -> tuple:
+    """One Aberth-Ehrlich sweep over the iterates z in Python complex.
+    Returns the new iterates and the largest step; a zero derivative or
+    coincident iterates raise ZeroDivisionError."""
     new = list(z)
     max_step = 0
     for j, zj in enumerate(z):
-        pj = _horner(coeffs, zj)
-        dpj = _horner(dcoeffs, zj)
-        if dpj == 0 and nudge is not None:
-            new[j] = zj + nudge * (1 + abs(zj))
-            max_step = max(max_step, abs(new[j] - zj))
-            continue
-        w = pj / dpj
+        w = _horner(coeffs, zj) / _horner(dcoeffs, zj)
         s = 0
         for l, zl in enumerate(z):
             if l != j:
-                diff = zj - zl
-                if diff == 0 and nudge is not None:
-                    diff = nudge * (1 + abs(zj))
-                s += 1 / diff
+                s += 1 / (zj - zl)
         denom = 1 - w * s
         corr = w if denom == 0 else w / denom
         new[j] = zj - corr
@@ -154,23 +137,8 @@ def _aberth_step(coeffs: Sequence, dcoeffs: Sequence, z: list, nudge) -> tuple:
     return new, max_step
 
 
-_MAX_STEPS = 200                  # Aberth steps from a start on the circle
+_MAX_STEPS = 200                  # Aberth steps of the double pass and of the cold start
 _DOUBLE_SETTLED = 2.0 ** -26      # half a double's digits: the cubic phase has begun
-
-
-def _aberth_iterate(coeffs: list, dcoeffs: list, z: list) -> list:
-    """Aberth steps in mpmath at the working precision from the iterates z
-    until the largest step is at most 2**-(prec-8) times the largest root
-    modulus, within _MAX_STEPS."""
-    eps = mpf(2) ** (-(mp.prec - 8))
-    best = z
-    for _ in range(_MAX_STEPS):
-        z, max_step = _aberth_step(coeffs, dcoeffs, z, eps)
-        best = z
-        scale = max(mpf(1), max(abs(x) for x in z))
-        if max_step <= eps * scale:
-            return z
-    raise RootFindingError("Aberth iteration did not converge", best=best)
 
 
 def _double_seeds(factor: list) -> Optional[list]:
@@ -184,15 +152,12 @@ def _double_seeds(factor: list) -> Optional[list]:
     try:
         fcoeffs = [float(c) for c in factor]
         fdcoeffs = [float(c * (deg - i)) for i, c in enumerate(factor[:-1])]
-        if not all(map(math.isfinite, fcoeffs + fdcoeffs)):
-            return None
         radius = 1 + max(abs(c) for c in fcoeffs[1:]) / abs(fcoeffs[0])
-        # The cold start's points, in double precision.
         z = [radius * cmath.exp(1j * (2 * math.pi * (j + 0.375) / deg + 0.5 / deg))
              for j in range(deg)]
         last = math.inf
         for _ in range(_MAX_STEPS):
-            z, step = _aberth_step(fcoeffs, fdcoeffs, z, None)
+            z, step = _aberth_step(fcoeffs, fdcoeffs, z)
             # Complex arithmetic overflows to inf or NaN without raising, and
             # max() drops a NaN step, so the iterates themselves are checked.
             if not all(map(cmath.isfinite, z)):
@@ -214,6 +179,30 @@ def _refine_steps(prec: int) -> int:
     return 3 + max(0, math.ceil(math.log(prec / 50, 3)))
 
 
+def _newton_polygon_starts(ints: list) -> list:
+    """Cold start points as (complex mantissa, binary exponent) pairs, one
+    per root, on the radii of the Newton polygon: the upper convex hull of
+    (power, log2|coefficient|).  An edge spanning m powers with slope s
+    gets m points on the circle of radius 2**-s (Bini & Fiorentino's
+    start).  The exponent keeps radii beyond a float's range."""
+    hull: list = []
+    for q in [(i, math.log2(abs(c))) for i, c in enumerate(reversed(ints)) if c]:
+        # Drop the last vertex while it lies on or below the chord to q.
+        while len(hull) >= 2 and ((hull[-1][1] - hull[-2][1]) * (q[0] - hull[-2][0])
+                                  <= (q[1] - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()
+        hull.append(q)
+    starts = []
+    for (p0, v0), (p1, v1) in zip(hull, hull[1:]):
+        m, log_radius = p1 - p0, (v0 - v1) / (p1 - p0)
+        exponent = math.floor(log_radius)
+        # Asymmetric angles keep the iterates off the real axis.
+        starts += [(cmath.rect(2.0 ** (log_radius - exponent),
+                               2 * math.pi * (j + 0.375) / m + 0.5 / m), exponent)
+                   for j in range(m)]
+    return starts
+
+
 def _gaussian_horner(coeffs: Sequence[int], x: int, y: int) -> tuple[int, int]:
     """The polynomial with integer coefficients at the Gaussian integer x + iy."""
     re, im = coeffs[0], 0
@@ -222,27 +211,30 @@ def _gaussian_horner(coeffs: Sequence[int], x: int, y: int) -> tuple[int, int]:
     return re, im
 
 
-def _refine_seeds(factor: list, seeds: list) -> list:
-    """Aberth steps from the double seeds at the working precision, in
-    Gaussian integers on one binary point: z = (X + iY) * 2**-f, where f
-    gives the largest seed 16 bits beyond the precision.  Each step
-    reads the old iterates (a Jacobi update) and the stopping test is
-    _aberth_iterate's, compared exactly on squares.  Coincident iterates
-    or a missed cap raise RootFindingError."""
+def _gaussian_aberth(ints: list, starts: list, steps: int) -> list:
+    """Aberth steps at the working precision on the polynomial with integer
+    coefficients `ints`, in Gaussian integers on one binary point,
+    z = (X + iY) * 2**-f, from the start points (complex mantissa c,
+    exponent e: z = c * 2**e), at most `steps` of them.  f is
+    the precision plus 16 bits, plus the bits above 1 of the largest start
+    modulus and the bits below 1 of the smallest, so that every iterate
+    and every sum 1 / (z_j - z_l) keeps its bits.  Each step reads the old
+    iterates (a Jacobi update); it stops when every correction c_j has
+    |c_j| <= 2**-(prec-8) * max(1, |z_j|), compared exactly on squares.
+    Coincident iterates or a missed cap raise RootFindingError."""
     prec = mp.prec
-    lcd = math.lcm(*(c.denominator for c in factor))
-    ints = [int(c * lcd) for c in factor]
     deg = len(ints) - 1
-    f = max(0, prec + 16 - math.ceil(max(1.0, max(map(abs, seeds)))).bit_length())
+    scales = [math.frexp(abs(c))[1] + e for c, e in starts]
+    f = prec + 16 + max(0, max(scales)) + max(0, -min(scales))
     # p(z) * 2**(f*deg) and p'(z) * 2**(f*(deg-1)), by Horner in X + iY.
     p = [c << (f * i) for i, c in enumerate(ints)]
     dp = [c * (deg - i) << (f * i) for i, c in enumerate(ints[:-1])]
     two_f = 2 * f
     zs = []
-    for s in seeds:
-        (xn, xd), (yn, yd) = s.real.as_integer_ratio(), s.imag.as_integer_ratio()
-        zs.append(((xn << f) // xd, (yn << f) // yd))
-    for _ in range(_refine_steps(prec)):
+    for c, e in starts:
+        (xn, xd), (yn, yd) = c.real.as_integer_ratio(), c.imag.as_integer_ratio()
+        zs.append(((xn << (f + e)) // xd, (yn << (f + e)) // yd))
+    for _ in range(steps):
         # S_j = 2**f * sum over l != j of 1 / (z_j - z_l), one pair at a time.
         sx, sy = [0] * deg, [0] * deg
         for j in range(deg):
@@ -258,7 +250,7 @@ def _refine_seeds(factor: list, seeds: list) -> list:
                 sx[l] -= tx
                 sy[l] -= ty
         new = []
-        max_c2 = 0
+        settled = True
         for (x, y), s_x, s_y in zip(zs, sx, sy):
             ax, ay = _gaussian_horner(p, x, y)
             dx, dy = _gaussian_horner(dp, x, y)
@@ -270,49 +262,45 @@ def _refine_seeds(factor: list, seeds: list) -> list:
                 raise RootFindingError("zero Aberth denominator")
             cx = ((ax * nx + ay * ny) << two_f) // m
             cy = ((ay * nx - ax * ny) << two_f) // m
-            new.append((x - cx, y - cy))
-            max_c2 = max(max_c2, cx * cx + cy * cy)
+            x, y = x - cx, y - cy
+            new.append((x, y))
+            # |corr| <= 2**-(prec-8) * max(1, |z|), squared and times 2**(2f)
+            settled = settled and ((cx * cx + cy * cy) << (2 * prec - 16)
+                                   <= max(1 << two_f, x * x + y * y))
         zs = new
-        # max|corr| <= 2**-(prec-8) * max(1, max|z|), squared and times 2**(2f)
-        if max_c2 << (2 * prec - 16) <= max(1 << two_f, max(x * x + y * y for x, y in zs)):
+        if settled:
             return [mpc(mp.ldexp(x, -f), mp.ldexp(y, -f)) for x, y in zs]
-    raise RootFindingError("Aberth refinement did not converge")
+    raise RootFindingError("Aberth iteration did not converge")
 
 
 def _aberth(factor: list) -> list:
     """All roots of a square-free polynomial (exact coefficients) by
-    Aberth-Ehrlich at the working precision, seeded by a double-precision
-    pass; the cold start on a circle is the fallback."""
-    deg = len(factor) - 1
-    if deg == 1:
-        a, b = _to_mp_coeffs(factor)
-        return [mpc(-b / a)]
-    seeds = _double_seeds(factor)
-    if seeds is not None:
-        try:
-            return _refine_seeds(factor, seeds)
-        except RootFindingError:
-            pass
-    coeffs = _to_mp_coeffs(factor)
-    dcoeffs = [c * (deg - i) for i, c in enumerate(coeffs[:-1])]
-    radius = 1 + max(abs(c) for c in coeffs[1:]) / abs(coeffs[0])
-    # Asymmetric start angles keep the iteration off the real axis traps.
-    start = [
-        radius * mp.exp(mpc(0, 2 * mp.pi * (j + mpf(3) / 8) / deg + mpf(1) / (2 * deg)))
-        for j in range(deg)
-    ]
-    return _aberth_iterate(coeffs, dcoeffs, start)
+    Aberth-Ehrlich at the working precision in Gaussian integers, from a
+    double-precision pass, or from the Newton polygon where that pass
+    cannot be used or its refinement misses its cap."""
+    lcd = math.lcm(*(c.denominator for c in factor))
+    ints = [int(c * lcd) for c in factor]
+    roots = []
+    if ints[-1] == 0:                 # a simple root at 0: exact, and deflated
+        roots.append(mpc(0))
+        ints.pop()
+    if len(ints) == 2:
+        roots.append(mpc(mpf(-ints[1]) / mpf(ints[0])))
+    elif len(ints) > 2:
+        seeds = _double_seeds(ints)
+        if seeds is not None:
+            try:
+                return roots + _gaussian_aberth(ints, [(s, 0) for s in seeds],
+                                                _refine_steps(mp.prec))
+            except RootFindingError:
+                pass
+        roots += _gaussian_aberth(ints, _newton_polygon_starts(ints), _MAX_STEPS)
+    return roots
 
 
 def _snap_real(roots: list) -> list:
     thr = mpf(2) ** (-(mp.prec // 2))
-    out = []
-    for r in roots:
-        if abs(r.imag) <= thr * (1 + abs(r)):
-            out.append(mpc(r.real, 0))
-        else:
-            out.append(r)
-    return out
+    return [mpc(r.real, 0) if abs(r.imag) <= thr * (1 + abs(r)) else r for r in roots]
 
 
 def all_roots(f: Sequence, precision: Optional[int] = None) -> RootSet:
@@ -320,7 +308,7 @@ def all_roots(f: Sequence, precision: Optional[int] = None) -> RootSet:
 
     The polynomial is first split into exact square-free factors, each of
     which is solved by Aberth-Ehrlich at twice the requested precision.
-    On persistent non-convergence the error carries the best iterate.
+    Non-convergence raises RootFindingError.
     """
     bits = resolve_precision(precision)
     f = poly_trim(list(f))
@@ -331,10 +319,9 @@ def all_roots(f: Sequence, precision: Optional[int] = None) -> RootSet:
     mults: list[int] = []
     with workprec(2 * bits):
         for factor, mult in factors:
-            found = _aberth(factor)
-            for r in _snap_real(found):
-                roots.append(r)
-                mults.append(mult)
+            found = _snap_real(_aberth(factor))
+            roots += found
+            mults += [mult] * len(found)
     return RootSet(roots=roots, multiplicities=mults, degree=poly_degree(f),
                    precision_bits=bits, polynomial=f)
 

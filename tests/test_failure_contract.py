@@ -197,6 +197,22 @@ def test_seed_matrix_of_decimal_strings_is_read_as_integers(tmp_path):
     assert seeds[0] == seeds[1]
 
 
+@pytest.mark.parametrize("method, k", [
+    (["--method", "primitive", "--seed-matrix", "seed.json"], 2),
+    (["--method", "right-form", "--coeffs", "1,0,1"], 5),
+], ids=["seed-matrix", "right-form"])
+def test_keygen_refuses_a_k_that_differs_from_the_key_order(tmp_path, capsys, monkeypatch,
+                                                            method, k):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seed.json").write_text("[[1,1,0],[0,1,1],[1,0,1]]")
+    out = tmp_path / "key.json"
+    assert _run(["keygen", *method, "--k", k, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: --k {k} differs from the generated key's order 3\n"
+    assert not out.exists()
+    assert _run(["keygen", *method, "--k", 3, "--out", out]) == 0
+    assert json.loads(out.read_text())["order"] == 3
+
+
 @pytest.mark.parametrize("row", [99, 3, -1])
 def test_analyze_row_outside_the_block_exits_2(files, tmp_path, capsys, row):
     keyfile = files["symmetric"][0]

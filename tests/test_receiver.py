@@ -19,7 +19,8 @@ from rmcipher.cipher import encrypt_rows
 from rmcipher.cli import main
 from rmcipher.formats import (ErrorModel, cipher_from_text, cipher_to_text, corrupt_blocks,
                               records_to_json, save_key)
-from rmcipher.guard import failing_rows
+from rmcipher.coding import cross_bound
+from rmcipher.guard import _within, failing_rows
 
 
 def _shift_plus_identity(k):
@@ -134,6 +135,32 @@ def test_pair_verdicts_match_a_fraction_reference(case, tol):
                 expected.append((j, j + 1, _reference_ratio(row[j], row[j + 1]), lo, hi))
         assert [(v.j, v.jp, v.ratio, v.lower, v.upper) for v in check.violations] == expected
         assert check.ok == (not expected)
+
+
+BOUNDS = st.one_of(st.sampled_from([-math.inf, math.inf]),
+                   st.fractions(min_value=-9, max_value=9, max_denominator=9))
+
+
+@DERANDOMIZED
+@given(st.lists(BOUNDS, min_size=2, max_size=2).map(sorted), st.integers(-9, 9),
+       st.integers(-9, 9))
+@example([-math.inf, -math.inf], 1, 0)      # +inf against an upper bound of -inf
+@example([math.inf, math.inf], -1, 0)       # -inf against a lower bound of +inf
+def test_within_matches_the_fraction_reference(bounds, num, den):
+    lo, hi = bounds
+    assert _within(*cross_bound(lo), *cross_bound(hi), num, den) == \
+        _reference_within(num, den, lo, hi)
+
+
+def test_verify_ciphertext_reads_x_over_0_by_its_sign_beside_a_zero_column():
+    # An upper bound of -inf needs an all-zero column: a singular matrix,
+    # never an M_n, but verify_ciphertext takes any matrix.
+    m = [[2, -1, 0], [1, 0, 0], [1, -3, 0]]
+    assert column_ratio_bounds(m, 1, 2) == (-math.inf, -math.inf)
+    checks = verify_ciphertext([[1, 1, 0], [1, -1, 0], [0, 0, 0], [3, 2, 1]], m)
+    assert [check.ok for check in checks] == [False, True, True, False]
+    assert [(v.j, v.jp, v.ratio) for check in checks for v in check.violations] == \
+        [(1, 2, math.inf), (1, 2, 2)]
 
 
 @DERANDOMIZED

@@ -1,14 +1,16 @@
 """The root solver seeds its exact-precision Aberth iteration from a
 double-precision pass.  It must find the roots and verdicts of the cold
-start on a circle, fall back to that start where double precision cannot
-be used, and never give a verdict that an exact oracle refutes."""
+start from the Newton polygon, fall back to that start where double
+precision cannot be used, find known roots at every scale, and never give
+a verdict that an exact oracle refutes."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 
@@ -28,27 +30,27 @@ def paths(monkeypatch):
     seeds were found ("seeded") or not ("cold"), and each refinement of
     the seeds that missed its cap."""
     log = []
-    seeds, refine = spectral._double_seeds, spectral._refine_seeds
+    seeds, refine = spectral._double_seeds, spectral._gaussian_aberth
 
     def recording_seeds(factor):
         found = seeds(factor)
         log.append("cold" if found is None else "seeded")
         return found
 
-    def recording_refine(factor, start):
+    def recording_refine(factor, start, steps):
         try:
-            return refine(factor, start)
+            return refine(factor, start, steps)
         except spectral.RootFindingError:
             log.append("missed")
             raise
 
     monkeypatch.setattr(spectral, "_double_seeds", recording_seeds)
-    monkeypatch.setattr(spectral, "_refine_seeds", recording_refine)
+    monkeypatch.setattr(spectral, "_gaussian_aberth", recording_refine)
     return log
 
 
 def _cold(monkeypatch, solve):
-    """solve() with the double-precision pass switched off: today's cold start."""
+    """solve() with the double-precision pass switched off: the cold start."""
     with monkeypatch.context() as m:
         m.setattr(spectral, "_double_seeds", lambda factor: None)
         return solve()
@@ -128,8 +130,8 @@ def _pisot_outcome(f, rootset):
 @pytest.mark.parametrize("f, bits", [
     (poly_mul([1, -10 ** 310], GOLDEN), None),  # a coefficient too big for a float
     ([1, -10 ** 200, 1], None),                 # radius**2 overflows at the start points
-    ([1, -10 ** 70, 0, 0, 0, -1], 64),          # radius**5 overflows; the cold start
-], ids=["float-1e310", "k2-1e200", "k5-1e70"])  # converges at 64 bits, not at 128
+    ([1, -10 ** 70, 0, 0, 0, -1], None),        # radius**5 overflows
+], ids=["float-1e310", "k2-1e200", "k5-1e70"])
 def test_a_coefficient_beyond_double_range_takes_the_cold_start(f, bits, monkeypatch, paths):
     seeded = _compare_with_cold(f, monkeypatch, bits)
     assert paths == ["cold"]                    # one square-free factor; inf/NaN never seeds
@@ -190,6 +192,7 @@ def test_refinement_steps_grow_with_the_precision():
 # exact oracle: Sturm sequences and the Schur-Cohn recursion, in int/Fraction
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def _sturm_chain(f):
     f = poly_divide(f, poly_gcd(f, poly_derivative(f)))[0]      # square-free part
     chain = [f, poly_derivative(f)]
@@ -208,7 +211,7 @@ def _sign_changes(values):
 
 def real_roots_above(f, r):
     """Distinct real roots of f strictly greater than the rational r."""
-    chain = _sturm_chain(f)
+    chain = _sturm_chain(tuple(f))
     return (_sign_changes([poly_eval(p, Fraction(r)) for p in chain])
             - _sign_changes([poly_trim(p)[0] for p in chain]))
 
@@ -347,6 +350,80 @@ def test_verdicts_are_exact_or_indeterminate(coeffs):
     pisot = exact_pisot(f)
     if pisot is not None:
         assert report.is_pisot in allowed | {pisot}, f
+
+
+# ---------------------------------------------------------------------------
+# across scales: products of known factors, against the known roots and
+# the exact oracle
+# ---------------------------------------------------------------------------
+
+BIG_ROOTS = st.builds(lambda m, e: m * 10 ** e, st.integers(-99, 99).filter(bool),
+                      st.integers(0, 298))
+SMALL_FACTORS = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(lambda c: [1] + c)
+
+
+def _product(known, small):
+    f = [1]
+    for a in known:
+        f = poly_mul(f, [1, -a])
+    for g in small:
+        f = poly_mul(f, g)
+    return f
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(BIG_ROOTS, min_size=1, max_size=2), st.lists(SMALL_FACTORS, min_size=1, max_size=2))
+@example([10 ** 110], [GOLDEN])             # small roots beside a huge one
+@example([10 ** 9, 10 ** 9 + 1], [GOLDEN])  # a near double root: the seeds miss their cap
+@example([10 ** 310], [GOLDEN])             # beyond the double range: a cold start
+def test_known_roots_and_verdicts_across_scales(known, small):
+    f = _product(known, small)
+    rootset = spectral.all_roots(f)
+    assert sum(rootset.multiplicities) == poly_degree(f)
+    with workprec(2 * rootset.precision_bits):
+        for a in known:
+            assert min(abs(r - a) for r in rootset.roots) <= mpf(2) ** -128 * abs(a), (a, f)
+    report = analyze_matrix(left_companion(Recurrence.from_char_poly(f)))
+    allowed = {spectral.VERDICT_INDETERMINATE}
+    dominance = exact_dominance(f)
+    if dominance is not None:
+        assert report.is_spf in allowed | {dominance}, f
+    pisot = exact_pisot(f) if f[-1] else None
+    if pisot is not None:
+        assert report.is_pisot in allowed | {pisot}, f
+
+
+def _exact(x):
+    """The mpf x as a Fraction."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def test_a_tiny_root_beside_two_huge_ones():
+    # z**3 - 3 z**2 + 10**309 z + 7, beyond the double range.  The real
+    # root r lies near -7e-309 and the pair p, conj(p) near 1.5 +- 3.2e154 i:
+    # r is bracketed exactly, and Vieta's formulas fix p.
+    f = [1, -3, 10 ** 309, 7]
+    rootset = spectral.all_roots(f)
+    eps = mpf(2) ** -128
+    with workprec(2 * rootset.precision_bits):
+        (r,), pair = ([x.real for x in rootset.roots if x.imag == 0],
+                      [x for x in rootset.roots if x.imag != 0])
+        sides = [poly_eval(f, _exact(r * (1 + d))) for d in (-eps, eps)]
+        assert sides[0] * sides[1] < 0
+        p, q = pair
+        assert abs(p.real + q.real + r - 3) <= eps * abs(p)
+        assert abs(p.imag + q.imag) <= eps * abs(p)
+        assert abs(r * p * q + 7) <= 4 * eps * 7
+
+
+def test_analyze_of_a_key_with_a_near_double_root_exits_0(tmp_path, capsys):
+    rec = Recurrence.from_char_poly(poly_mul([1, -10 ** 9], poly_mul([1, -(10 ** 9 + 1)], GOLDEN)))
+    keyfile = tmp_path / "key.json"
+    save_key(symmetric_key(rec.coeffs, (1, 0, 0, 0), 12), keyfile)
+    assert main(["analyze", str(keyfile)]) == 0
+    assert "strong Perron-Frobenius: indeterminate" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("f, bits", [
