@@ -11,8 +11,9 @@ syntax.
   0  success.
   2  validation failure.  A CliError with its default code: an unreadable
      or malformed key or ciphertext, a fingerprint or dimension mismatch,
-     a key that fails validation or whose ciphertext entries could pass
-     4300 digits (coding.writable_matrix; keygen too), a key without a
+     a key that fails validation, a negative index, or a key whose
+     ciphertext entries could pass 4300 digits (coding.writable_matrix;
+     keygen too), a key without a
      simple positive dominant root (DominantRootError) where tau is needed.
      Also any ValueError that reaches main (KeyFormatError, CipherFormatError,
      FingerprintMismatchError, InvalidKeyError, bad option values),
@@ -21,7 +22,7 @@ syntax.
      file that cannot be written).
   3  CliError(code=3): corruption detected but not uniquely corrected
      (CorruptionError in decrypt, GuardError or an ambiguous or failed
-     repair in correct).
+     repair in correct; a negative trusted reference is a GuardError).
   4  correct: the candidate budget ran out.
 
 Ciphertexts are read a chunk of whole blocks at a time, and nothing is
@@ -62,9 +63,9 @@ from itertools import chain
 from pathlib import Path
 from typing import ContextManager, Iterator, Optional, Sequence, TextIO
 
-from . import cipher, exactmat, formats, guard, keygen, spectral
-from .coding import (CodingKey, InvalidKeyError, KeyContext, key_fingerprint, left_companion,
-                     spf_target, validate_key, writable_matrix)
+from . import cipher, formats, guard, keygen, spectral
+from .coding import (CodingKey, InvalidKeyError, KeyContext, KeyReport, key_fingerprint,
+                     left_companion, spf_target, validate_key, writable_matrix)
 from .formats import ErrorModel
 from .keygen import GenConfig, GenStats
 from .recurrence import Recurrence
@@ -88,19 +89,24 @@ def _parse_int_pair(text: str, what: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _load_context(path: str) -> KeyContext:
-    """The key file, validated on one `analyze_matrix` report and compiled
-    for its own index with that report, so a command solves the key's
-    polynomial once.  Validation runs before M_n is built, and a key whose
-    ciphertexts could not be written is refused (coding.writable_matrix)."""
+def _load_validated(path: str) -> tuple[KeyContext, KeyReport]:
+    """The key file, validated once on one `analyze_matrix` report and
+    compiled for its own index with that report, so a command solves the
+    key's polynomial once; and that validation.  Validation runs before M_n
+    is built, and a key whose ciphertexts could not be written is refused
+    (coding.writable_matrix)."""
     try:
         key = formats.load_key(path, validate=False)
         report = spectral.analyze_matrix(spf_target(key))
-        formats.require_valid(key, report)
-        return KeyContext(key, report=report)
+        validation = formats.require_valid(key, report)
+        return KeyContext(key, report=report), validation
     except (formats.KeyFormatError, formats.FingerprintMismatchError, InvalidKeyError, OSError,
             spectral.RootFindingError) as exc:
         raise CliError(f"cannot load key {path}: {exc}") from exc
+
+
+def _load_context(path: str) -> KeyContext:
+    return _load_validated(path)[0]
 
 
 def _check_header(header: formats.CipherHeader, key: CodingKey) -> None:
@@ -254,18 +260,18 @@ def _load_seed_matrix(path: Optional[str], k: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    ctx = _load_context(args.keyfile)
+    ctx, validation = _load_validated(args.keyfile)
     key, report = ctx.key, ctx.report
     if args.text is not None and not 0 <= args.row < key.order:
         raise CliError(f"--row must lie in [0, {key.order}), got {args.row}")
-    validation = validate_key(key, report=report)     # no root solve: the report is held
     out: dict = {
         "kind": key.kind,
         "order": key.order,
         "fingerprint": key_fingerprint(key),
         "spectral": report.to_dict(),
         "validation": validation.to_dict(),
-        "det_transition": str(exactmat.det_exact(spf_target(key))),
+        # det A = (-1)**k * det(-A), the free term of det(zI - A)
+        "det_transition": str((-1) ** key.order * report.char_poly[-1]),
     }
     if args.text is not None:
         plain = args.text.encode()

@@ -45,6 +45,9 @@ class InvalidKeyError(ValueError):
     """The key fails a structural or invertibility requirement."""
 
 
+_SINGULAR_INITIAL = "initial matrix is singular (initial vector not cyclic)"
+
+
 def left_companion(rec: Recurrence) -> IntMatrix:
     """First row (a_{k-1}, ..., a_0), ones on the subdiagonal, zeros elsewhere."""
     k = rec.order
@@ -224,7 +227,7 @@ class MatrixBuilder:
         self.rec = key.recurrence()
         self.m0 = key.initial()
         if exactmat.det_exact(self.m0) == 0:
-            raise InvalidKeyError("initial matrix is singular (initial vector not cyclic)")
+            raise InvalidKeyError(_SINGULAR_INITIAL)
         self.r = right_companion(self.rec)
 
     def matrix(self, n: int, max_bits: Optional[int] = None) -> list[list]:
@@ -262,10 +265,12 @@ MAX_ENTRY_DIGITS = 4300     # of a ciphertext entry: sys.int_info.default_max_st
 
 
 def writable_matrix(key: CodingKey, n: int) -> IntMatrix:
-    """M_n, or InvalidKeyError where 255 * max_j sum_t |M_n[t][j]| reaches
-    10**MAX_ENTRY_DIGITS, so a block of bytes could encrypt to a longer
-    entry.  The key is refused as soon as a power of R has an entry of
-    twice the bound's bits, so a huge index fails after a few products."""
+    """M_n, or InvalidKeyError where n < 0 or 255 * max_j sum_t |M_n[t][j]|
+    reaches 10**MAX_ENTRY_DIGITS, so a block of bytes could encrypt to a
+    longer entry.  The key is refused as soon as a power of R has an entry
+    of twice the bound's bits, so a huge index fails after a few products."""
+    if n < 0:
+        raise InvalidKeyError("index must be non-negative")
     bound = 10 ** MAX_ENTRY_DIGITS
     try:
         m = MatrixBuilder(key).matrix(n, max_bits=2 * bound.bit_length())
@@ -312,7 +317,7 @@ def cross_bound(bound) -> tuple[int, int]:
 
 @dataclass(frozen=True, eq=False)
 class KeyContext:
-    """A key compiled for one index n: the per-key data every block shares.
+    """A key compiled for one index n >= 0: the per-key data every block shares.
 
     M_n and its columns are built on construction, by writable_matrix.
     The byte tables of encryption, the integer-scaled inverse, the
@@ -321,8 +326,9 @@ class KeyContext:
     inverse or a root solve, and only an encryption of at least
     cipher.TABLE_ROWS rows (by entries of at most cipher.TABLE_BITS bits)
     builds byte tables.
-    Given `report`, the `analyze_matrix` report on the key's spf_target
-    that validated the key, tau is read off it with no further root solve.
+    tau has one source, `report`, the `analyze_matrix` report on the key's
+    spf_target: the one given (see check_report), else one made on first
+    use.  Its precision is `precision`, else RMC_PRECISION_BITS.
     Build one per command and pass it wherever a CodingKey is accepted.
     The library allows one thread per process: tau and the spectral checks
     run under mpmath's process-global working precision (mp.prec, set by
@@ -368,10 +374,11 @@ class KeyContext:
 
     @cached_property
     def tau(self):
-        """Transition ratio of the key's recurrence, at the context's precision."""
-        if self.report is not None:
-            return spectral.report_transition_ratio(self.report)
-        return spectral.transition_ratio(self.key.recurrence(), self.precision)
+        """Transition ratio of the key's recurrence, read off `report`."""
+        if self.report is None:
+            object.__setattr__(self, "report",
+                               spectral.analyze_matrix(spf_target(self.key), self.precision))
+        return spectral.report_transition_ratio(self.report)
 
     @cached_property
     def tau_powers(self) -> dict:
@@ -399,17 +406,14 @@ class KeyContext:
 KeyLike = Union[CodingKey, KeyContext]
 
 
-def key_context(key: KeyLike, n: Optional[int] = None,
-                precision: Optional[int] = None) -> KeyContext:
+def key_context(key: KeyLike, n: Optional[int] = None) -> KeyContext:
     """The argument itself when it is already a KeyContext, else the key
     compiled for index n (default: the key's own index)."""
     if isinstance(key, KeyContext):
-        if (n is not None and n != key.n) or (precision is not None
-                                              and precision != key.precision):
-            raise ValueError(f"context compiled for n = {key.n}, precision = "
-                             f"{key.precision}; got n = {n}, precision = {precision}")
+        if n is not None and n != key.n:
+            raise ValueError(f"context compiled for n = {key.n}; got n = {n}")
         return key
-    return KeyContext(key, n, precision)
+    return KeyContext(key, n)
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +469,9 @@ def validate_key(key: CodingKey, precision: Optional[int] = None,
     The spectral verdicts come from `report`, the `analyze_matrix` report
     on the key's strong Perron-Frobenius target (its transition matrix, or
     the right companion matrix of a right_form key) when the caller holds
-    one, else from one such analysis here.  A report on another polynomial,
-    precision or tolerance raises ValueError (see check_report).
+    one, else from one such analysis here at `precision` (default:
+    RMC_PRECISION_BITS).  A report on another polynomial, precision or
+    tolerance raises ValueError (see check_report).
     """
     items: list[CheckItem] = []
 
@@ -507,16 +512,16 @@ def validate_key(key: CodingKey, precision: Optional[int] = None,
     else:
         items.append(CheckItem("tau_within_cap", "indeterminate", "no dominant eigenvalue"))
 
-    items.append(_positivity_check(key))
+    items.append(_positivity_check(m0, det_m0, key.recurrence()))
     return KeyReport(items)
 
 
-def _positivity_check(key: CodingKey, horizon: int = 300) -> CheckItem:
-    try:
-        builder = MatrixBuilder(key)
-    except InvalidKeyError as exc:
-        return CheckItem("entries_eventually_positive", "indeterminate", str(exc))
-    m, prev = builder.m0, None
+def _positivity_check(m0: IntMatrix, det_m0: int, rec: Recurrence,
+                      horizon: int = 300) -> CheckItem:
+    if det_m0 == 0:
+        return CheckItem("entries_eventually_positive", "indeterminate", _SINGULAR_INITIAL)
+    r = right_companion(rec)
+    m, prev = m0, None
     for n in range(horizon + 1):
         signs = {(v > 0) - (v < 0) for row in m for v in row}     # of M_n's entries
         if signs == prev == {1}:
@@ -524,6 +529,6 @@ def _positivity_check(key: CodingKey, horizon: int = 300) -> CheckItem:
         if signs == prev == {-1}:
             return CheckItem("entries_eventually_positive", "fail",
                              "entries stabilize negative; negate the initial data")
-        m, prev = exactmat.mat_mul(m, builder.r), signs
+        m, prev = exactmat.mat_mul(m, r), signs
     return CheckItem("entries_eventually_positive", "indeterminate",
                      f"no stable sign within n <= {horizon}")

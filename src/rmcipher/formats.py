@@ -32,7 +32,7 @@ from typing import Iterator, Optional, Sequence, TextIO, Union
 
 from .cipher import split_blocks
 from .coding import (KEY_FORMAT, KIND_GENERAL, KIND_RIGHT, KIND_SYMMETRIC, CodingKey,
-                     canonical_key_dict, key_fingerprint, validate_key)
+                     KeyReport, canonical_key_dict, key_fingerprint, validate_key)
 from .exactmat import IntMatrix
 from .spectral import SpectralReport
 
@@ -78,8 +78,7 @@ def _int_matrix(rows, what: str) -> list[list[int]]:
     return [_ints(row, what) for row in rows]
 
 
-def key_from_dict(data: dict, verify_fingerprint: bool = True,
-                  validate: bool = True) -> CodingKey:
+def key_from_dict(data: dict, validate: bool = True) -> CodingKey:
     if not isinstance(data, dict):
         raise KeyFormatError("a key file must hold a JSON object")
     if data.get("format") != KEY_FORMAT:
@@ -108,7 +107,7 @@ def key_from_dict(data: dict, verify_fingerprint: bool = True,
         raise KeyFormatError(f"missing key field {exc}") from exc
     except ValueError as exc:
         raise KeyFormatError(str(exc)) from exc
-    if verify_fingerprint and "fingerprint" in data:
+    if "fingerprint" in data:
         actual = key_fingerprint(key)
         if data["fingerprint"] != actual:
             raise FingerprintMismatchError(
@@ -118,12 +117,14 @@ def key_from_dict(data: dict, verify_fingerprint: bool = True,
     return key
 
 
-def require_valid(key: CodingKey, report: Optional[SpectralReport] = None) -> None:
-    """KeyFormatError naming the hard checks of validate_key that fail."""
+def require_valid(key: CodingKey, report: Optional[SpectralReport] = None) -> KeyReport:
+    """validate_key's report on the key, or KeyFormatError naming the hard
+    checks that fail."""
     validation = validate_key(key, report=report)
     if not validation.ok:
         failures = [it.name for it in validation.items if it.hard and it.status == "fail"]
         raise KeyFormatError(f"key fails validation: {', '.join(failures)}")
+    return validation
 
 
 def key_text(key: CodingKey) -> str:

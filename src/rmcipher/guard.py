@@ -196,8 +196,7 @@ class RowDiagnosis:
 
 
 def detect_errors(c: Sequence[Sequence[int]], key: KeyLike, n: Optional[int] = None,
-                  tol: Optional[float] = None,
-                  precision: Optional[int] = None) -> list[RowDiagnosis]:
+                  tol: Optional[float] = None) -> list[RowDiagnosis]:
     """Per-row diagnosis of a received ciphertext.
 
     Column pairs are consistent when their ratio satisfies the exact
@@ -208,7 +207,7 @@ def detect_errors(c: Sequence[Sequence[int]], key: KeyLike, n: Optional[int] = N
     then the leftmost columns.  Rows with no consistent pair come back
     with an empty trusted set.
     """
-    ctx = key_context(key, n, precision)
+    ctx = key_context(key, n)
     k = ctx.order
     pairs = [(j, jp, float(ctx.tau_powers[jp - j]), bound)
              for (j, jp), bound in ctx.cross_bounds.items()]       # j < jp, as combinations
@@ -376,8 +375,7 @@ class CorrectionResult:
 
 def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
             key: KeyLike, n: Optional[int] = None, budget: int = 10 ** 6,
-            validator: Optional[Callable[[int, list[int]], bool]] = None,
-            precision: Optional[int] = None) -> CorrectionResult:
+            validator: Optional[Callable[[int, list[int]], bool]] = None) -> CorrectionResult:
     """Spiral-search correction of the flagged entries.
 
     Candidates for each flagged entry come from its checking range
@@ -389,9 +387,10 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
     index and the decrypted row).  All accepted candidates are returned
     in discovery order; the budget caps the total number of combinations
     tested.  A trusted reference of 0 (a
-    zero padding row) admits only the candidate 0.
+    zero padding row) admits only the candidate 0; a negative one, which no
+    plaintext gives, raises UncorrectableRowError.
     """
-    ctx = key_context(key, n, precision)
+    ctx = key_context(key, n)
     rows_out: list[RowCorrection] = []
     corrected = [list(row) for row in c]
     tested_total = 0
@@ -412,6 +411,10 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
         for j in flagged:
             ref = min(diag.trusted, key=lambda t: (abs(t - j), t))
             refs[j] = ref
+            if c[i][ref] < 0:
+                raise UncorrectableRowError(
+                    f"row {i}: trusted entry {(i, ref)} is negative, so it bounds no "
+                    f"checking range")
             if c[i][ref] == 0:
                 rng = _zero_reference_range(ctx, (i, j), (i, ref))
             else:

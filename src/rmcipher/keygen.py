@@ -51,7 +51,6 @@ class GenConfig:
     budget: int = 1000
     vector_range: tuple[int, int] = (0, 9)
     index_range: tuple[int, int] = (16, 48)
-    precision: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.order < 2:
@@ -133,7 +132,7 @@ def sieve_companion(cfg: GenConfig, stats: Optional[GenStats] = None) -> Iterato
                 continue
             coeffs[0] = rng.choice(nonzero)
         rec = Recurrence(tuple(coeffs))
-        report = spectral.analyze_recurrence(rec, cfg.precision)
+        report = spectral.analyze_recurrence(rec)
         if not _passes_spectrum(report, cfg, stats):
             continue
         companion = left_companion(rec)
@@ -143,7 +142,7 @@ def sieve_companion(cfg: GenConfig, stats: Optional[GenStats] = None) -> Iterato
             stats.reject("no_cyclic_vector")
             continue
         key = symmetric_key(coeffs, x0, _draw_index(cfg, rng))
-        validation = validate_key(key, cfg.precision, cfg.tau_cap, report)
+        validation = validate_key(key, tau_cap=cfg.tau_cap, report=report)
         if not validation.ok:
             stats.reject("validation")
             continue
@@ -173,8 +172,7 @@ def multinacci_poly(r: int) -> IntPolynomial:
 
 
 def abt_family(r: int, m: int, sign: int = -1,
-               variant: str = VARIANT_BINOMIAL,
-               precision: Optional[int] = None) -> AbtFamilyResult:
+               variant: str = VARIANT_BINOMIAL) -> AbtFamilyResult:
     """Pisot-family polynomial z**m * Psi_r(z) +/- q(z), trivial factors removed.
 
     q(z) is z**(r+1) - 1 for the binomial variant and the geometric sum
@@ -204,7 +202,7 @@ def abt_family(r: int, m: int, sign: int = -1,
             else:
                 break
     companion = left_companion(Recurrence.from_char_poly(poly))
-    report = spectral.analyze_matrix(companion, precision)
+    report = spectral.analyze_matrix(companion)
     warning = report.tau is not None and float(report.tau) > 2
     return AbtFamilyResult(poly=poly, report=report, removed_factors=removed,
                            tau_warning=warning)
@@ -251,7 +249,7 @@ def primitive_growth(seed01: IntMatrix, cfg: GenConfig,
         if not spectral.is_primitive(m):
             stats.reject("not_primitive")
             continue
-        report = spectral.analyze_matrix(m, cfg.precision)
+        report = spectral.analyze_matrix(m)
         if not _passes_spectrum(report, cfg, stats):
             continue
         try:
@@ -260,7 +258,7 @@ def primitive_growth(seed01: IntMatrix, cfg: GenConfig,
             stats.reject("no_cyclic_vector")
             continue
         key = general_key(m, x0, _draw_index(cfg, rng))
-        validation = validate_key(key, cfg.precision, cfg.tau_cap, report)
+        validation = validate_key(key, tau_cap=cfg.tau_cap, report=report)
         if not validation.ok:
             stats.reject("validation")
             continue
@@ -278,7 +276,7 @@ def right_form_keygen(rec: Recurrence, cfg: GenConfig,
     random nonnegative invertible initial matrix."""
     if rec.a0 == 0:
         raise ValueError("right companion matrix is singular (a_0 = 0)")
-    report = spectral.analyze_matrix(right_companion(rec), cfg.precision)
+    report = spectral.analyze_matrix(right_companion(rec))
     if report.is_spf != VERDICT_YES:
         raise spectral.DominantRootError(
             "right companion matrix lacks the strong Perron-Frobenius property: "
@@ -293,5 +291,5 @@ def right_form_keygen(rec: Recurrence, cfg: GenConfig,
     else:
         raise RuntimeError(f"no invertible nonnegative initial matrix in {retries} draws")
     key = right_form_key(rec.coeffs, m0, _draw_index(cfg, rng))
-    validation = validate_key(key, cfg.precision, cfg.tau_cap, report)
+    validation = validate_key(key, tau_cap=cfg.tau_cap, report=report)
     return GeneratedKey(key, report, "right_form", validation)

@@ -388,41 +388,24 @@ def second_eigenmodulus(f: Sequence, precision: Optional[int] = None):
         return +sigma
 
 
-_SINGULAR_RECURRENCE = "transition ratio requires an invertible recurrence (a_0 != 0)"
-
-
 def transition_ratio(rec: Recurrence, precision: Optional[int] = None):
     """Dominant eigenvalue tau of the recurrence, rounded to the working
-    precision.
-
-    tau is the simple positive dominant root certified by `_dominance`
-    among the roots that `all_roots` finds at twice that precision; a
-    DominantRootError is raised when no such root exists.
-    """
-    if rec.a0 == 0:
-        raise ValueError(_SINGULAR_RECURRENCE)
-    bits = resolve_precision(precision)
-    dom = _dominance(all_roots(rec.char_poly(), bits), DEFAULT_TOLERANCE)
-    return _rounded_tau(dom.tau, dom.reason, bits)
+    precision: report_transition_ratio of its analyze_recurrence report."""
+    return report_transition_ratio(analyze_recurrence(rec, precision))
 
 
 def report_transition_ratio(report: SpectralReport):
-    """What transition_ratio returns or raises for the report's polynomial
-    at the report's precision, read off an `analyze_matrix` report made at
-    the default tolerance, with no root solve: both take tau from the same
-    `_dominance` verdict on the same roots."""
+    """The report's tau, the simple positive dominant root that `_dominance`
+    certifies among the roots found at twice the report's precision,
+    rounded to that precision, with no root solve.  ValueError for a
+    polynomial with a zero free term (a recurrence with a_0 = 0);
+    DominantRootError where there is no such root."""
     if report.char_poly[-1] == 0:
-        raise ValueError(_SINGULAR_RECURRENCE)
-    return _rounded_tau(report.tau, report.spf_reason, report.precision_bits)
-
-
-def _rounded_tau(tau, reason: str, bits: int):
-    """A certified dominant root rounded to the working precision; None
-    (no simple positive dominant root) raises DominantRootError."""
-    if tau is None:
-        raise DominantRootError(f"no simple positive dominant root: {reason}")
-    with workprec(bits):
-        return +tau
+        raise ValueError("transition ratio requires an invertible recurrence (a_0 != 0)")
+    if report.tau is None:
+        raise DominantRootError(f"no simple positive dominant root: {report.spf_reason}")
+    with workprec(report.precision_bits):
+        return +report.tau
 
 
 # ---------------------------------------------------------------------------

@@ -222,3 +222,30 @@ def test_analyze_row_outside_the_block_exits_2(files, tmp_path, capsys, row):
     assert capsys.readouterr().err == f"error: --row must lie in [0, 3), got {row}\n"
     assert not out.exists()
     assert _run(["analyze", keyfile, "--text", "ab", "--row", 2, "--json", "--out", out]) == 0
+
+
+def test_bench_refuses_a_negative_index(files, tmp_path, capsys):
+    keyfile = files["symmetric"][0]
+    out = tmp_path / "bench.csv"
+    capsys.readouterr()
+    assert _run(["bench", keyfile, "--trials", 2, "--n-grid", -3, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: index must be non-negative\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(KEYS))
+def test_correct_from_a_negative_trusted_reference_exits_3(kind, files, tmp_path, capsys):
+    """Negating a row's first two entries keeps their ratio, so detect trusts
+    both; no plaintext gives a negative entry, so the repair fails."""
+    keyfile, _msg, cfile = files[kind]
+    header, first, rest = cfile.read_text().split("\n", 2)
+    bad, fixed, report = tmp_path / "bad.rmc", tmp_path / "fixed.rmc", tmp_path / "r.json"
+    entries = first.split()
+    bad.write_text("\n".join([header, " ".join(["-" + entries[0], "-" + entries[1],
+                                                 *entries[2:]]), rest]))
+    assert _run(["detect", keyfile, bad, "--out", report]) == 0
+    assert json.loads(report.read_text())["blocks"][0]["rows"][0]["trusted"] == [0, 1]
+    capsys.readouterr()
+    assert _run(["correct", keyfile, bad, "--out", fixed, "--report", report]) == 3
+    assert capsys.readouterr().err.startswith("error: row 0: trusted entry (0, 1) is negative")
+    assert not fixed.exists()

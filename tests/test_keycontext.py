@@ -6,6 +6,7 @@ import pytest
 
 from rmcipher import (CorruptionError, KeyContext, correct, decrypt, detect_errors, digitize,
                       encrypt, general_key, key_context, right_form_key, symmetric_key)
+from rmcipher.coding import InvalidKeyError
 from rmcipher.guard import GuardError
 
 
@@ -98,3 +99,11 @@ def test_context_is_frozen():
     ctx = KeyContext(KEYS["symmetric-3"])
     with pytest.raises(AttributeError):
         ctx.n = 3
+
+
+def test_a_negative_index_is_refused_when_the_context_is_compiled():
+    key = KEYS["symmetric-3"]
+    with pytest.raises(InvalidKeyError, match="^index must be non-negative$"):
+        KeyContext(key, -1)
+    with pytest.raises(InvalidKeyError, match="^index must be non-negative$"):
+        encrypt(digitize(b"ALGORITHM", 3)[0], key, -1)

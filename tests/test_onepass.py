@@ -1,11 +1,14 @@
 """One root solve per characteristic polynomial: every spectral verdict on
 a key (tau, sigma, SPF, Pisot) comes from one `all_roots` call."""
 
+from collections import Counter
+
 import pytest
 
-from rmcipher import (GenConfig, Recurrence, analyze_matrix, general_key, left_companion,
-                      right_companion, right_form_key, right_form_keygen, sieve_companion,
-                      spectral, symmetric_key, validate_key)
+from rmcipher import (GenConfig, KeyContext, Recurrence, analyze_matrix, cli, coding, digitize,
+                      encrypt, formats, general_key, keygen, left_companion, right_companion,
+                      right_form_key, right_form_keygen, sieve_companion, spectral,
+                      symmetric_key, validate_key)
 from rmcipher.cli import main
 from rmcipher.formats import save_key
 from rmcipher.keygen import GenStats
@@ -23,6 +26,27 @@ def solves(monkeypatch):
 
     monkeypatch.setattr(spectral, "all_roots", counting)
     return calls
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts validate_key calls (under every name it is imported by),
+    MatrixBuilder builds and all_roots calls."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    validate = counting("validate_key", coding.validate_key)
+    for module in (coding, formats, keygen, cli):
+        monkeypatch.setattr(module, "validate_key", validate)
+    monkeypatch.setattr(coding.MatrixBuilder, "__init__",
+                        counting("builds", coding.MatrixBuilder.__init__))
+    monkeypatch.setattr(spectral, "all_roots", counting("all_roots", spectral.all_roots))
+    return counts
 
 
 def _target(key):
@@ -102,4 +126,27 @@ def test_rmc_analyze_solves_at_most_twice(fixture, json_flag, request, tmp_path,
     save_key(request.getfixturevalue(fixture), path)
     solves[0] = 0
     assert main(["analyze", str(path), "--out", str(tmp_path / "a.txt")] + json_flag) == 0
-    assert solves[0] <= 2          # loading the key, then the report
+    assert solves[0] == 1          # loading the key; the report reuses it
+
+
+@pytest.mark.parametrize("fixture", KEYS)
+@pytest.mark.parametrize("command", [["analyze"], ["analyze", "--json"], ["encrypt", "msg"]],
+                         ids=["analyze", "analyze-json", "encrypt"])
+def test_a_command_validates_builds_and_solves_once(fixture, command, request, tmp_path,
+                                                    monkeypatch, work):
+    monkeypatch.chdir(tmp_path)
+    save_key(request.getfixturevalue(fixture), "key.json")
+    (tmp_path / "msg").write_bytes(b"ALGORITHM checking relations")
+    assert main([command[0], "key.json", *command[1:], "--out", "out"]) == 0
+    assert work == {"validate_key": 1, "builds": 1, "all_roots": 1}
+
+
+@pytest.mark.parametrize("fixture", KEYS)
+def test_a_library_context_solves_once_for_tau_and_not_to_encrypt(fixture, request, solves):
+    key = request.getfixturevalue(fixture)
+    ctx = KeyContext(key)
+    encrypt(digitize(b"ALGORITHM checking relations", key.order)[0], ctx)
+    assert solves[0] == 0 and ctx.report is None
+    assert ctx.tau == spectral.report_transition_ratio(ctx.report)
+    assert ctx.report.char_poly == key.recurrence().char_poly()
+    assert solves[0] == 1
