@@ -202,12 +202,16 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     elif args.method == "abt":
         fam = keygen.abt_family(args.r, args.m, -1 if args.sign == "minus" else 1,
                                 args.variant)
+        if fam.report.is_spf != spectral.VERDICT_YES:
+            raise spectral.DominantRootError(
+                "family polynomial's companion matrix lacks the strong Perron-Frobenius "
+                f"property: {fam.report.spf_reason}")
         if fam.tau_warning:
             print(f"warning: dominant root {float(fam.report.tau):.5f} exceeds 2",
                   file=sys.stderr)
         rec = Recurrence.from_char_poly(fam.poly)
         rng = random.Random(keygen.derive_seed(args.seed, "abt-x0", 0))
-        x0 = keygen.random_cyclic_vector(left_companion(rec), 0, 9, rng)
+        x0 = keygen.random_cyclic_vector(left_companion(rec), *keygen.VECTOR_RANGE, rng)
         index = rng.randint(*cfg.index_range)
         key = CodingKey("symmetric", rec.order, index, coeffs=rec.coeffs, x0=x0)
         gen = keygen.GeneratedKey(key, fam.report, "abt_family",

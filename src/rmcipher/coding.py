@@ -30,6 +30,8 @@ from functools import cached_property
 from itertools import accumulate, repeat
 from typing import Optional, Sequence, Union
 
+from mpmath import workprec
+
 from . import exactmat, spectral
 from .exactmat import IntMatrix, RatMatrix
 from .recurrence import Recurrence
@@ -382,9 +384,10 @@ class KeyContext:
 
     @cached_property
     def tau_powers(self) -> dict:
-        """tau**d for |d| < k, evaluated in the mpmath context of the first use."""
-        k = self.order
-        return {d: self.tau ** d for d in range(1 - k, k)}
+        """tau**d for |d| < k, at the report's precision."""
+        k, tau = self.order, self.tau
+        with workprec(self.report.precision_bits):
+            return {d: tau ** d for d in range(1 - k, k)}
 
     @cached_property
     def ratio_bounds(self) -> dict:
@@ -452,12 +455,11 @@ class KeyReport:
 def check_report(report: spectral.SpectralReport, key: CodingKey,
                  precision: Optional[int] = None) -> None:
     """ValueError unless the report is on the key's characteristic
-    polynomial, at this precision and the default tolerance."""
+    polynomial, at this precision."""
     if (report.char_poly != key.recurrence().char_poly()
-            or report.precision_bits != spectral.resolve_precision(precision)
-            or report.tolerance != spectral.DEFAULT_TOLERANCE):
+            or report.precision_bits != spectral.resolve_precision(precision)):
         raise ValueError("the spectral report is not on this key's polynomial "
-                         "at this precision and tolerance")
+                         "at this precision")
 
 
 def validate_key(key: CodingKey, precision: Optional[int] = None,
@@ -470,8 +472,8 @@ def validate_key(key: CodingKey, precision: Optional[int] = None,
     on the key's strong Perron-Frobenius target (its transition matrix, or
     the right companion matrix of a right_form key) when the caller holds
     one, else from one such analysis here at `precision` (default:
-    RMC_PRECISION_BITS).  A report on another polynomial, precision or
-    tolerance raises ValueError (see check_report).
+    RMC_PRECISION_BITS).  A report on another polynomial or precision
+    raises ValueError (see check_report).
     """
     items: list[CheckItem] = []
 
@@ -516,13 +518,15 @@ def validate_key(key: CodingKey, precision: Optional[int] = None,
     return KeyReport(items)
 
 
-def _positivity_check(m0: IntMatrix, det_m0: int, rec: Recurrence,
-                      horizon: int = 300) -> CheckItem:
+_POSITIVITY_HORIZON = 300       # the last n whose M_n signs are read
+
+
+def _positivity_check(m0: IntMatrix, det_m0: int, rec: Recurrence) -> CheckItem:
     if det_m0 == 0:
         return CheckItem("entries_eventually_positive", "indeterminate", _SINGULAR_INITIAL)
     r = right_companion(rec)
     m, prev = m0, None
-    for n in range(horizon + 1):
+    for n in range(_POSITIVITY_HORIZON + 1):
         signs = {(v > 0) - (v < 0) for row in m for v in row}     # of M_n's entries
         if signs == prev == {1}:
             return CheckItem("entries_eventually_positive", "pass", f"positive from n = {n - 1}")
@@ -531,4 +535,4 @@ def _positivity_check(m0: IntMatrix, det_m0: int, rec: Recurrence,
                              "entries stabilize negative; negate the initial data")
         m, prev = exactmat.mat_mul(m, r), signs
     return CheckItem("entries_eventually_positive", "indeterminate",
-                     f"no stable sign within n <= {horizon}")
+                     f"no stable sign within n <= {_POSITIVITY_HORIZON}")

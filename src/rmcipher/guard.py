@@ -116,8 +116,11 @@ def checking_range(c_ref: int, bounds, tau_power=None,
         raise EmptyCheckingRangeError(
             f"empty checking range [{float(lower):.3f}, {float(upper):.3f}]: reference is suspect")
     if tau_power is not None:
-        # Enough working precision that the rounded estimate stays exact
-        # even when the reference entry has hundreds of bits.
+        # The product keeps every bit of a reference entry of hundreds of
+        # bits, so the estimate is as close as tau_power is: within about
+        # c_ref * 2**-p of c_ref * tau**d for a power held to p bits (the
+        # context's precision, KeyContext.tau_powers).  The spiral from it
+        # still reaches every integer in [lo, hi].
         with workprec(int(c_ref).bit_length() + 64):
             estimate = int(mpf(c_ref) * tau_power + mpf("0.5"))
     else:

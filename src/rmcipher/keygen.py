@@ -49,7 +49,6 @@ class GenConfig:
     require_pisot: bool = False
     seed: int = 0
     budget: int = 1000
-    vector_range: tuple[int, int] = (0, 9)
     index_range: tuple[int, int] = (16, 48)
 
     def __post_init__(self) -> None:
@@ -82,20 +81,24 @@ class GeneratedKey:
     validation: KeyReport
 
 
+VECTOR_RANGE = (0, 9)     # entries of a drawn initial vector or matrix
+_RETRIES = 256            # draws before a rejection sampler gives up
+
+
 class CyclicVectorError(RuntimeError):
     """Rejection sampling found no cyclic vector; the matrix may be derogatory."""
 
 
-def random_cyclic_vector(left: IntMatrix, lo: int, hi: int, rng: random.Random,
-                         retries: int = 256) -> tuple[int, ...]:
+def random_cyclic_vector(left: IntMatrix, lo: int, hi: int,
+                         rng: random.Random) -> tuple[int, ...]:
     """Rejection-sample an integer vector from [lo, hi] until it is cyclic."""
     k = len(left)
-    for _ in range(retries):
+    for _ in range(_RETRIES):
         vec = tuple(rng.randint(lo, hi) for _ in range(k))
         if any(vec) and is_cyclic(left, vec):
             return vec
     raise CyclicVectorError(
-        f"no cyclic vector found in {retries} draws; the matrix may be derogatory")
+        f"no cyclic vector found in {_RETRIES} draws; the matrix may be derogatory")
 
 
 def _draw_index(cfg: GenConfig, rng: random.Random) -> int:
@@ -137,7 +140,7 @@ def sieve_companion(cfg: GenConfig, stats: Optional[GenStats] = None) -> Iterato
             continue
         companion = left_companion(rec)
         try:
-            x0 = random_cyclic_vector(companion, *cfg.vector_range, rng)
+            x0 = random_cyclic_vector(companion, *VECTOR_RANGE, rng)
         except CyclicVectorError:
             stats.reject("no_cyclic_vector")
             continue
@@ -253,7 +256,7 @@ def primitive_growth(seed01: IntMatrix, cfg: GenConfig,
         if not _passes_spectrum(report, cfg, stats):
             continue
         try:
-            x0 = random_cyclic_vector(m, *cfg.vector_range, rng)
+            x0 = random_cyclic_vector(m, *VECTOR_RANGE, rng)
         except CyclicVectorError:
             stats.reject("no_cyclic_vector")
             continue
@@ -270,8 +273,7 @@ def primitive_growth(seed01: IntMatrix, cfg: GenConfig,
 # right companion form
 # ---------------------------------------------------------------------------
 
-def right_form_keygen(rec: Recurrence, cfg: GenConfig,
-                      retries: int = 256) -> GeneratedKey:
+def right_form_keygen(rec: Recurrence, cfg: GenConfig) -> GeneratedKey:
     """Key from a strong-Perron-Frobenius right companion matrix and a
     random nonnegative invertible initial matrix."""
     if rec.a0 == 0:
@@ -282,14 +284,12 @@ def right_form_keygen(rec: Recurrence, cfg: GenConfig,
             "right companion matrix lacks the strong Perron-Frobenius property: "
             f"{report.spf_reason}")
     rng = random.Random(derive_seed(cfg.seed, "right_form", 0))
-    lo, hi = cfg.vector_range
-    lo = max(0, lo)
-    for _ in range(retries):
-        m0 = [[rng.randint(lo, hi) for _ in range(rec.order)] for _ in range(rec.order)]
+    for _ in range(_RETRIES):
+        m0 = [[rng.randint(*VECTOR_RANGE) for _ in range(rec.order)] for _ in range(rec.order)]
         if exactmat.det_exact(m0) != 0:
             break
     else:
-        raise RuntimeError(f"no invertible nonnegative initial matrix in {retries} draws")
+        raise RuntimeError(f"no invertible nonnegative initial matrix in {_RETRIES} draws")
     key = right_form_key(rec.coeffs, m0, _draw_index(cfg, rng))
     validation = validate_key(key, tau_cap=cfg.tau_cap, report=report)
     return GeneratedKey(key, report, "right_form", validation)

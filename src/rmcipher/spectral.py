@@ -14,9 +14,11 @@ used (a coefficient or iterate beyond its range, a NaN, a zero
 derivative, coincident iterates) or that cap is missed, it starts cold
 from the radii of the Newton polygon.  Each iterate stops on its own
 modulus: a step of at most 2**-(prec-8) * max(1, |z|).  mpmath holds only
-the returned roots and what is computed from them.  Verdicts carry a
-tolerance: anything within the tolerance band is reported as
-"indeterminate" rather than guessed.
+the returned roots and what is computed from them.  The verdicts share
+one tolerance band, fixed at DEFAULT_TOLERANCE (1e-9): anything within
+it is reported as "indeterminate" rather than guessed.  analyze_matrix
+gives every verdict from one root solve and one dominance test, and
+is_strong_perron_frobenius returns its report.
 
 The environment variable RMC_PRECISION_BITS overrides the default
 working precision (bits of mantissa) for every operation here.
@@ -29,7 +31,8 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Optional, Sequence
 
 from mpmath import mp, mpc, mpf, workprec
@@ -338,54 +341,49 @@ class _Dominance:
     reason: str = ""
 
 
-def _dominance(rootset: RootSet, tol: float) -> _Dominance:
+def _dominance(rootset: RootSet) -> _Dominance:
+    """Whether the roots have a simple positive dominant root, within the
+    tolerance band, at twice the solve's precision."""
+    tol = DEFAULT_TOLERANCE
     with workprec(2 * rootset.precision_bits):
-        return _dominance_inner(rootset, tol)
+        pairs = sorted(
+            ((abs(r), i) for i, r in enumerate(rootset.roots)),
+            key=lambda t: t[0],
+            reverse=True,
+        )
+        top_mod, top_i = pairs[0]
+        top = rootset.roots[top_i]
+        # The band of roots whose modulus is within tol of the top.  Which of
+        # them sorts first is rounding noise, so the verdict reads the band as
+        # a whole: a lone root, exactly one conjugate pair, or indeterminate.
+        band = [i for mod, i in pairs[1:]
+                if ((top_mod - mod) / top_mod if top_mod > 0 else mpf(0)) <= tol]
+        if band and not (len(band) == 1 and abs(top.imag) > tol * top_mod
+                         and abs(rootset.roots[band[0]] - mp.conj(top)) <= tol * top_mod):
+            return _Dominance(VERDICT_INDETERMINATE, reason="dominance margin within tolerance")
+        if rootset.multiplicities[top_i] > 1:
+            return _Dominance(VERDICT_NO, reason="dominant root is not simple")
+        if band:
+            # A complex conjugate pair shares its modulus exactly: no single
+            # eigenvalue dominates.
+            return _Dominance(VERDICT_NO, reason="dominant modulus is a conjugate pair")
+        if abs(top.imag) > tol * max(top_mod, mpf(1)):
+            return _Dominance(VERDICT_NO, reason="dominant root is not real")
+        tau = top.real
+        if tau <= tol:
+            if tau < -tol:
+                return _Dominance(VERDICT_NO, reason="dominant root is negative")
+            return _Dominance(VERDICT_INDETERMINATE, reason="dominant root too close to zero")
+        return _Dominance(VERDICT_YES, tau=tau, index=top_i)
 
 
-def _dominance_inner(rootset: RootSet, tol: float) -> _Dominance:
-    pairs = sorted(
-        ((abs(r), i) for i, r in enumerate(rootset.roots)),
-        key=lambda t: t[0],
-        reverse=True,
-    )
-    top_mod, top_i = pairs[0]
-    top = rootset.roots[top_i]
-    # The band of roots whose modulus is within tol of the top.  Which of
-    # them sorts first is rounding noise, so the verdict reads the band as
-    # a whole: a lone root, exactly one conjugate pair, or indeterminate.
-    band = [i for mod, i in pairs[1:]
-            if ((top_mod - mod) / top_mod if top_mod > 0 else mpf(0)) <= tol]
-    if band and not (len(band) == 1 and abs(top.imag) > tol * top_mod
-                     and abs(rootset.roots[band[0]] - mp.conj(top)) <= tol * top_mod):
-        return _Dominance(VERDICT_INDETERMINATE, reason="dominance margin within tolerance")
-    if rootset.multiplicities[top_i] > 1:
-        return _Dominance(VERDICT_NO, reason="dominant root is not simple")
-    if band:
-        # A complex conjugate pair shares its modulus exactly: no single
-        # eigenvalue dominates.
-        return _Dominance(VERDICT_NO, reason="dominant modulus is a conjugate pair")
-    if abs(top.imag) > tol * max(top_mod, mpf(1)):
-        return _Dominance(VERDICT_NO, reason="dominant root is not real")
-    tau = top.real
-    if tau <= tol:
-        if tau < -tol:
-            return _Dominance(VERDICT_NO, reason="dominant root is negative")
-        return _Dominance(VERDICT_INDETERMINATE, reason="dominant root too close to zero")
-    return _Dominance(VERDICT_YES, tau=tau, index=top_i)
-
-
-def second_eigenmodulus(f: Sequence, precision: Optional[int] = None):
-    """Largest modulus among the non-dominant roots of a monic polynomial."""
-    bits = resolve_precision(precision)
-    rootset = all_roots(f, bits)
-    with workprec(2 * bits):
-        moduli = rootset.moduli()
-        if len(moduli) < 2:
-            raise ValueError("polynomial must have degree at least 2")
-        sigma = moduli[1]
-    with workprec(bits):
-        return +sigma
+def second_eigenmodulus(f: Sequence[int], precision: Optional[int] = None):
+    """Largest modulus among the non-dominant roots of a monic integer
+    polynomial: the sigma of its analyze_recurrence report, rounded to
+    the working precision."""
+    report = analyze_recurrence(Recurrence.from_char_poly(poly_trim(list(f))), precision)
+    with workprec(report.precision_bits):
+        return +report.sigma
 
 
 def transition_ratio(rec: Recurrence, precision: Optional[int] = None):
@@ -412,15 +410,6 @@ def report_transition_ratio(report: SpectralReport):
 # strong Perron-Frobenius
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SpfResult:
-    verdict: str
-    tau: Optional[object] = None
-    vector: Optional[list] = None
-    tolerance: float = DEFAULT_TOLERANCE
-    reason: str = ""
-
-
 def _is_left_companion(a: Sequence[Sequence[int]]) -> bool:
     k = len(a)
     if k < 2:
@@ -431,10 +420,6 @@ def _is_left_companion(a: Sequence[Sequence[int]]) -> bool:
             if a[i][j] != expect:
                 return False
     return True
-
-
-def _companion_vector(tau, k: int) -> list:
-    return [tau ** (k - 1 - j) for j in range(k)]
 
 
 def _eigenvector(a: Sequence[Sequence[int]], lam, bits: int) -> list:
@@ -462,60 +447,53 @@ def _eigenvector(a: Sequence[Sequence[int]], lam, bits: int) -> list:
         return [v[i] for i in range(k)]
 
 
-def is_strong_perron_frobenius(
-    a: Sequence[Sequence[int]],
-    precision: Optional[int] = None,
-    tol: float = DEFAULT_TOLERANCE,
-) -> SpfResult:
-    """Verdict on the strong Perron-Frobenius property of a square matrix.
+def is_strong_perron_frobenius(a: Sequence[Sequence[int]],
+                               precision: Optional[int] = None) -> SpectralReport:
+    """Verdict on the strong Perron-Frobenius property of a square matrix:
+    the analyze_matrix report, whose is_spf, tau, dominant_vector and
+    spf_reason give it.
 
     Yes means: simple positive dominant eigenvalue whose eigenvector can
     be oriented strictly positive.  Verdicts inside the tolerance band
     come back indeterminate instead of guessed.  Companion-form matrices
     take the closed-form eigenvector (tau**(k-1), ..., tau, 1).
     """
-    rootset = all_roots(exactmat.char_poly(a), resolve_precision(precision))
-    return _spf(a, rootset, tol)
+    return analyze_matrix(a, precision)
 
 
-def _spf(a: Sequence[Sequence[int]], rootset: RootSet, tol: float) -> SpfResult:
-    """The strong Perron-Frobenius verdict on a, given the roots of its
-    characteristic polynomial."""
-    bits = rootset.precision_bits
-    k = exactmat.dim(a)
-    dom = _dominance(rootset, tol)
+def _spf(a: Sequence[Sequence[int]], dom: _Dominance,
+         bits: int) -> tuple[str, Optional[list], str]:
+    """(verdict, eigenvector, reason) of the strong Perron-Frobenius test
+    on a, given the dominance of its characteristic roots solved at
+    `bits`."""
     if dom.verdict != VERDICT_YES:
-        return SpfResult(dom.verdict, reason=dom.reason, tolerance=tol)
-    tau = dom.tau
+        return dom.verdict, None, dom.reason
+    k = exactmat.dim(a)
     if _is_left_companion(a):
         with workprec(2 * bits):
-            vec = _companion_vector(tau, k)
-        return SpfResult(VERDICT_YES, tau=tau, vector=vec, tolerance=tol)
-    vec = _eigenvector(a, tau, bits)
+            return VERDICT_YES, [dom.tau ** (k - 1 - j) for j in range(k)], ""
+    vec = _eigenvector(a, dom.tau, bits)
+    tol = DEFAULT_TOLERANCE
     with workprec(2 * bits):
         vmax = max(abs(x) for x in vec)
         if vmax == 0:
-            return SpfResult(VERDICT_INDETERMINATE, tau=tau,
-                             reason="eigenvector collapsed", tolerance=tol)
+            return VERDICT_INDETERMINATE, None, "eigenvector collapsed"
         # Orient so the largest component is positive.
         pivot = max(range(k), key=lambda i: abs(vec[i]))
         if vec[pivot] < 0:
             vec = [-x for x in vec]
         if any(x < -tol * vmax for x in vec):
-            return SpfResult(VERDICT_NO, tau=tau, vector=vec,
-                             reason="dominant eigenvector changes sign", tolerance=tol)
+            return VERDICT_NO, vec, "dominant eigenvector changes sign"
         if any(x <= tol * vmax for x in vec):
-            return SpfResult(VERDICT_INDETERMINATE, tau=tau, vector=vec,
-                             reason="eigenvector entry within tolerance of zero", tolerance=tol)
-    return SpfResult(VERDICT_YES, tau=tau, vector=vec, tolerance=tol)
+            return VERDICT_INDETERMINATE, vec, "eigenvector entry within tolerance of zero"
+    return VERDICT_YES, vec, ""
 
 
 # ---------------------------------------------------------------------------
 # Pisot
 # ---------------------------------------------------------------------------
 
-def is_pisot(f: Sequence[int], precision: Optional[int] = None,
-             tol: float = DEFAULT_TOLERANCE) -> str:
+def is_pisot(f: Sequence[int], precision: Optional[int] = None) -> str:
     """Pisot verdict for a monic integer polynomial.
 
     Yes means a simple positive dominant root with every other root
@@ -526,20 +504,21 @@ def is_pisot(f: Sequence[int], precision: Optional[int] = None,
     indeterminate rather than guessed.
     """
     f = poly_trim(list(f))
-    return _pisot(f, all_roots(f, resolve_precision(precision)), tol)
+    rootset = all_roots(f, resolve_precision(precision))
+    return _pisot(f, rootset, _dominance(rootset))
 
 
-def _pisot(f: IntPolynomial, rootset: RootSet, tol: float) -> str:
-    """The Pisot verdict on f, given its roots; ValueError unless f is
-    monic with a nonzero free term."""
+def _pisot(f: IntPolynomial, rootset: RootSet, dom: _Dominance) -> str:
+    """The Pisot verdict on f, given its roots and their dominance;
+    ValueError unless f is monic with a nonzero free term."""
     if f[0] != 1:
         raise ValueError("Pisot test requires a monic polynomial")
     if f[-1] == 0:
         raise ValueError("Pisot test requires a nonzero free term")
-    bits = rootset.precision_bits
-    dom = _dominance(rootset, tol)
     if dom.verdict != VERDICT_YES:
         return dom.verdict if dom.verdict == VERDICT_INDETERMINATE else VERDICT_NO
+    bits = rootset.precision_bits
+    tol = DEFAULT_TOLERANCE
     others = [r for i, r in enumerate(rootset.roots) if i != dom.index
               for _ in range(rootset.multiplicities[i])]
     if not others:
@@ -571,44 +550,23 @@ def _pisot(f: IntPolynomial, rootset: RootSet, tol: float) -> str:
 # ---------------------------------------------------------------------------
 
 def is_primitive(a: Sequence[Sequence[int]]) -> bool:
-    """Primitivity of a nonnegative matrix by the graph test.
+    """Primitivity of a nonnegative matrix by Wielandt's bound.
 
-    True iff the directed graph on nonzero entries is strongly connected
-    and the gcd of its directed cycle lengths is 1 (BFS level-difference
-    gcd from an arbitrary root).
+    A nonnegative k x k matrix is primitive exactly when its
+    ((k-1)**2 + 1)-th power has no zero entry; then so has every higher
+    power, and no power of an imprimitive matrix does.  So the 0/1
+    pattern, each row held as a bitmask, is squared until its exponent
+    2**s reaches the bound.
     """
     k = exactmat.dim(a)
     if any(x < 0 for row in a for x in row):
         raise ValueError("primitivity is defined for nonnegative matrices only")
-    succ = [[j for j in range(k) if a[i][j] != 0] for i in range(k)]
-    pred = [[i for i in range(k) if a[i][j] != 0] for j in range(k)]
-
-    def reaches_all(adj: list[list[int]]) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == k
-
-    if not (reaches_all(succ) and reaches_all(pred)):
-        return False
-    level = {0: 0}
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for v in succ[u]:
-            if v not in level:
-                level[v] = level[u] + 1
-                queue.append(v)
-    g = 0
-    for u in range(k):
-        for v in succ[u]:
-            g = math.gcd(g, abs(level[u] + 1 - level[v]))
-    return g == 1
+    power = [sum(1 << j for j, x in enumerate(row) if x) for row in a]
+    for _ in range(((k - 1) ** 2).bit_length()):
+        # Row i of the square: the union of the rows j for the bits j of row i.
+        power = [reduce(or_, (power[j] for j in range(k) if row >> j & 1), 0)
+                 for row in power]
+    return all(row == (1 << k) - 1 for row in power)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +583,6 @@ class SpectralReport:
     is_spf: str
     is_pisot: str
     is_primitive: Optional[bool]
-    tolerance: float
     precision_bits: int
     char_poly: IntPolynomial = field(default_factory=list)
     spf_reason: str = ""       # why is_spf is not "yes"; not part of to_dict()
@@ -639,45 +596,43 @@ class SpectralReport:
             "spf": self.is_spf,
             "pisot": self.is_pisot,
             "primitive": self.is_primitive,
-            "tolerance": self.tolerance,
+            "tolerance": DEFAULT_TOLERANCE,
             "precision_bits": self.precision_bits,
             "char_poly": [str(c) for c in self.char_poly],
         }
 
 
-def analyze_matrix(a: Sequence[Sequence[int]], precision: Optional[int] = None,
-                   tol: float = DEFAULT_TOLERANCE) -> SpectralReport:
+def analyze_matrix(a: Sequence[Sequence[int]],
+                   precision: Optional[int] = None) -> SpectralReport:
     """Every spectral verdict on a, from one root solve of its
-    characteristic polynomial."""
+    characteristic polynomial and one dominance test of its roots."""
     bits = resolve_precision(precision)
     f = exactmat.char_poly(a)
     rootset = all_roots(f, bits)
     with workprec(2 * bits):
         moduli = rootset.moduli()
-    spf = _spf(a, rootset, tol)
+    dom = _dominance(rootset)
+    spf, vector, reason = _spf(a, dom, bits)
     try:
-        pisot = _pisot(f, rootset, tol)
+        pisot = _pisot(f, rootset, dom)
     except ValueError:
         pisot = VERDICT_NO
     primitive = None
     if all(x >= 0 for row in a for x in row):
         primitive = is_primitive(a)
-    sigma = moduli[1] if len(moduli) > 1 else None
     return SpectralReport(
-        tau=spf.tau,
-        sigma=sigma,
-        dominant_vector=spf.vector,
-        is_spf=spf.verdict,
+        tau=dom.tau,
+        sigma=moduli[1] if len(moduli) > 1 else None,
+        dominant_vector=vector,
+        is_spf=spf,
         is_pisot=pisot,
         is_primitive=primitive,
-        tolerance=tol,
         precision_bits=bits,
         char_poly=f,
-        spf_reason=spf.reason,
+        spf_reason=reason,
     )
 
 
-def analyze_recurrence(rec: Recurrence, precision: Optional[int] = None,
-                       tol: float = DEFAULT_TOLERANCE) -> SpectralReport:
+def analyze_recurrence(rec: Recurrence, precision: Optional[int] = None) -> SpectralReport:
     from .coding import left_companion  # local import avoids a cycle
-    return analyze_matrix(left_companion(rec), precision, tol)
+    return analyze_matrix(left_companion(rec), precision)

@@ -340,6 +340,17 @@ def test_right_form_keygen_without_spf_exits_2(coeffs, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_abt_keygen_without_spf_exits_2(tmp_path, capsys):
+    # r = m = 1, plus, geometric: z**2 - 1, whose roots +1 and -1 tie.
+    out = tmp_path / "abt.json"
+    assert main(["keygen", "--method", "abt", "--r", "1", "--m", "1", "--sign", "plus",
+                 "--variant", "geometric", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: family polynomial's companion matrix lacks the strong Perron-Frobenius "
+        "property: dominance margin within tolerance\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("k", range(2, 9))
 def test_default_primitive_seed_is_primitive(k):
     assert is_primitive(_load_seed_matrix(None, k))

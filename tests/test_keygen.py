@@ -154,7 +154,7 @@ def test_random_cyclic_vector_companion():
 def test_random_cyclic_vector_rejects_degenerate():
     rng = random.Random(0)
     with pytest.raises(CyclicVectorError):
-        random_cyclic_vector([[1, 0], [0, 1]], 0, 3, rng, retries=32)
+        random_cyclic_vector([[1, 0], [0, 1]], 0, 3, rng)
 
 
 def test_irreducible_characteristic_accepts_every_nonzero_vector():
@@ -180,8 +180,8 @@ def test_right_form_worked_example_eigenvector():
     from rmcipher import is_strong_perron_frobenius
     r = right_companion(Recurrence((2, 0, 1)))
     res = is_strong_perron_frobenius(r)
-    assert res.verdict == "yes"
-    vec = [float(x) for x in res.vector]
+    assert res.is_spf == "yes"
+    vec = [float(x) for x in res.dominant_vector]
     assert abs(vec[0] - 0.84781) < 1e-4
     assert abs(vec[1] - 0.58975) < 1e-4
     assert abs(vec[2] - 1.0) < 1e-12

@@ -112,8 +112,7 @@ def _compare_with_cold(f, monkeypatch, bits=None):
     seeded = spectral.all_roots(f, bits)
     cold = _cold(monkeypatch, lambda: spectral.all_roots(f, bits))
     _assert_same_roots(seeded, cold, min(128, seeded.precision_bits))
-    tol = spectral.DEFAULT_TOLERANCE
-    ours, theirs = spectral._dominance(seeded, tol), spectral._dominance(cold, tol)
+    ours, theirs = spectral._dominance(seeded), spectral._dominance(cold)
     assert (ours.verdict, ours.reason) == (theirs.verdict, theirs.reason)
     assert _pisot_outcome(f, seeded) == _pisot_outcome(f, cold)
     return seeded
@@ -122,7 +121,7 @@ def _compare_with_cold(f, monkeypatch, bits=None):
 def _pisot_outcome(f, rootset):
     """The Pisot verdict, or the error for a non-monic f or one with f(0) = 0."""
     try:
-        return spectral._pisot(f, rootset, spectral.DEFAULT_TOLERANCE)
+        return spectral._pisot(f, rootset, spectral._dominance(rootset))
     except ValueError as exc:
         return str(exc)
 

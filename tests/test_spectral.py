@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from rmcipher import (Recurrence, all_roots, is_pisot, is_primitive,
@@ -97,37 +100,48 @@ def test_second_eigenmodulus_values(coeffs, expected, tol):
 
 def test_spf_q_matrix():
     res = is_strong_perron_frobenius([[1, 1], [1, 0]])
-    assert res.verdict == "yes"
+    assert res.is_spf == "yes"
     assert abs(float(res.tau) - GOLDEN) < 1e-12
-    assert all(float(x) > 0 for x in res.vector)
+    assert all(float(x) > 0 for x in res.dominant_vector)
 
 
 @pytest.mark.parametrize("coeffs", [(1, 1, 1), (1, 0, 1), (1, 1, 0)])
 def test_spf_worked_companions(coeffs):
-    assert is_strong_perron_frobenius(left_companion(Recurrence(coeffs))).verdict == "yes"
+    assert is_strong_perron_frobenius(left_companion(Recurrence(coeffs))).is_spf == "yes"
 
 
 def test_spf_grown_matrix():
     res = is_strong_perron_frobenius([[0, 1, 1], [1, 2, 1], [0, 1, 0]])
-    assert res.verdict == "yes"
+    assert res.is_spf == "yes"
     assert abs(float(res.tau) - 2.831) < 1e-3
-    assert all(float(x) > 0 for x in res.vector)
+    assert all(float(x) > 0 for x in res.dominant_vector)
 
 
 def test_spf_no_for_rotation():
     # Eigenvalues are a conjugate pair on the imaginary axis.
-    assert is_strong_perron_frobenius([[0, -1], [1, 0]]).verdict == "no"
+    res = is_strong_perron_frobenius([[0, -1], [1, 0]])
+    assert (res.is_spf, res.spf_reason) == ("no", "dominant modulus is a conjugate pair")
+    assert res.tau is None and res.dominant_vector is None
 
 
 def test_spf_indeterminate_on_modulus_tie():
     # Eigenvalues +1 and -1 share their modulus exactly.
-    assert is_strong_perron_frobenius([[0, 1], [1, 0]]).verdict == "indeterminate"
+    res = is_strong_perron_frobenius([[0, 1], [1, 0]])
+    assert (res.is_spf, res.spf_reason) == ("indeterminate",
+                                            "dominance margin within tolerance")
 
 
 def test_spf_no_for_sign_changing_eigenvector():
     from rmcipher import right_companion
     res = is_strong_perron_frobenius(right_companion(Recurrence((-4, 0, 5))))
-    assert res.verdict == "no"
+    assert (res.is_spf, res.spf_reason) == ("no", "dominant eigenvector changes sign")
+    # The dominant root exists; only its eigenvector fails.
+    assert res.tau is not None and any(x < 0 for x in res.dominant_vector)
+
+
+def test_spf_is_the_report():
+    a = [[0, 1, 1], [1, 2, 1], [0, 1, 0]]
+    assert is_strong_perron_frobenius(a, 64) == analyze_matrix(a, 64)
 
 
 @pytest.mark.parametrize("f,verdict", [
@@ -169,6 +183,73 @@ def test_is_primitive_rejects_negative_entries():
         is_primitive([[1, -1], [1, 1]])
 
 
+def graph_is_primitive(a):
+    """Reference: the directed graph on the nonzero entries is strongly
+    connected and the gcd of its cycle lengths is 1 (the gcd of the BFS
+    level differences level[u] + 1 - level[v] over the edges u -> v)."""
+    k = len(a)
+    succ = [[j for j in range(k) if a[i][j] != 0] for i in range(k)]
+    pred = [[i for i in range(k) if a[i][j] != 0] for j in range(k)]
+
+    def reaches_all(adj):
+        seen = {0}
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return len(seen) == k
+
+    if not (reaches_all(succ) and reaches_all(pred)):
+        return False
+    level = {0: 0}
+    queue = [0]
+    while queue:
+        u = queue.pop(0)
+        for v in succ[u]:
+            if v not in level:
+                level[v] = level[u] + 1
+                queue.append(v)
+    g = 0
+    for u in range(k):
+        for v in succ[u]:
+            g = math.gcd(g, abs(level[u] + 1 - level[v]))
+    return g == 1
+
+
+@st.composite
+def nonnegative_matrices(draw):
+    k = draw(st.integers(1, 7))
+    # Mostly zeros, so that reducible and periodic patterns are common;
+    # a row may be all zero.
+    entry = st.sampled_from([0, 0, 0, 1, 2, 7])
+    return draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+
+
+@given(nonnegative_matrices())
+@example([[0]])
+@example([[3]])
+@example([[0, 1], [1, 0]])                                   # period 2
+@example([[0, 1, 0], [0, 0, 1], [1, 1, 0]])                  # cycles 2 and 3
+@example([[1, 1, 0], [1, 1, 0], [0, 0, 0]])                  # a zero row
+@settings(max_examples=400, deadline=None)
+def test_wielandt_bound_agrees_with_the_graph_test(a):
+    assert is_primitive(a) is graph_is_primitive(a)
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_wielandt_matrices_are_primitive_and_a_lone_cycle_is_not(k):
+    # Cycles of lengths k and k-1: primitive, and its exponent is the
+    # bound (k-1)**2 + 1 itself.  Without the shortcut edge: period k.
+    a = [[int(j == i + 1) for j in range(k)] for i in range(k)]
+    a[k - 1][0] = a[k - 1][1] = 1
+    assert is_primitive(a) and graph_is_primitive(a)
+    a[k - 1][1] = 0
+    assert not is_primitive(a) and not graph_is_primitive(a)
+
+
 def test_primitive_matrices_are_spf():
     rng = random.Random(5)
     checked = 0
@@ -181,7 +262,7 @@ def test_primitive_matrices_are_spf():
             continue
         if not prim:
             continue
-        assert is_strong_perron_frobenius(a).verdict == "yes"
+        assert is_strong_perron_frobenius(a).is_spf == "yes"
         checked += 1
 
 
@@ -189,7 +270,7 @@ def test_pisot_companion_is_spf():
     for coeffs in ((1, 1), (1, 0, 1), (1, 1, 1), (-1, 2, 0, 0, 1, 1)):
         rec = Recurrence(coeffs)
         if is_pisot(rec.char_poly()) == "yes":
-            assert is_strong_perron_frobenius(left_companion(rec)).verdict == "yes"
+            assert is_strong_perron_frobenius(left_companion(rec)).is_spf == "yes"
 
 
 def test_analyze_matrix_report():
