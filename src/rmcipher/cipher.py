@@ -110,12 +110,14 @@ def _table_columns(plain: bytes, byte_tables, k: int) -> Iterator[Iterator[int]]
 
 def encrypt_rows(ctx: KeyContext, plain: Sequence[int]) -> list[int]:
     """Rows times M_n, for rows given as flat row-major bytes; the product
-    comes back flat in the same layout.  Entries outside [0, 255] raise
-    ValueError.  A call of TABLE_ROWS rows or more, by a key whose entries
-    fit in TABLE_BITS bits, sums lookups in ctx.byte_tables, building them
-    on first use; any other call multiplies and builds nothing."""
+    comes back flat in the same layout.  Entries outside [0, 255] and a
+    partial row raise ValueError.  A call of TABLE_ROWS rows or more, by a
+    key whose entries fit in TABLE_BITS bits, sums lookups in
+    ctx.byte_tables, building them on first use; any other multiplies."""
     plain = bytes(plain)
     k = ctx.order
+    if len(plain) % k:
+        raise ValueError(f"{len(plain)} entries do not make whole rows of k = {k}")
     if (len(plain) >= TABLE_ROWS * k
             and max(map(abs, chain.from_iterable(ctx.matrix))).bit_length() <= TABLE_BITS):
         columns = _table_columns(plain, ctx.byte_tables, k)
@@ -129,9 +131,12 @@ def encrypt_rows(ctx: KeyContext, plain: Sequence[int]) -> list[int]:
 
 def decrypt_rows(ctx: KeyContext, values: Sequence[int], first_row: int = 0) -> bytes:
     """Rows times M_n**-1, for rows given as flat row-major entries, as
-    plaintext bytes.  Row r of values is row first_row + r of the whole
-    ciphertext, which labels a CorruptionError with its block and row."""
+    plaintext bytes; a partial row raises ValueError.  Row r of values is row
+    first_row + r of the whole ciphertext, which labels a CorruptionError
+    with its block and row."""
     k = ctx.order
+    if len(values) % k:
+        raise ValueError(f"{len(values)} entries do not make whole rows of k = {k}")
     cols, denom = ctx.scaled_inverse
     out = bytearray(len(values))
     try:

@@ -420,7 +420,7 @@ def _receive(path: str, ctx: KeyContext) -> tuple[KeyContext, formats.CipherHead
     return ctx, header, chunks
 
 
-def _flagged_blocks(ctx: KeyContext, chunks: Iterator, tol: Optional[float],
+def _flagged_blocks(ctx: KeyContext, chunks: Iterator,
                     text: Optional[list[str]] = None) -> Iterator:
     """(b, block, diagnoses) for each block of the ciphertext with a row that
     detect_errors flags, b counted from the first block of the file.  The
@@ -430,10 +430,10 @@ def _flagged_blocks(ctx: KeyContext, chunks: Iterator, tol: Optional[float],
     size = k * k
     first = 0
     for values in chunks:
-        for b in sorted({r // k for r in guard.failing_rows(ctx, values, tol)}):
+        for b in sorted({r // k for r in guard.failing_rows(ctx, values)}):
             span = slice(b * size, (b + 1) * size)
             block = cipher.split_blocks(values[span], k)[0]
-            yield first + b, block, guard.detect_errors(block, ctx, tol=tol)
+            yield first + b, block, guard.detect_errors(block, ctx)
             values[span] = chain.from_iterable(block)
         if text is not None:
             text.append(formats.format_rows(values, k))
@@ -443,7 +443,7 @@ def _flagged_blocks(ctx: KeyContext, chunks: Iterator, tol: Optional[float],
 def cmd_detect(args: argparse.Namespace) -> int:
     ctx, header, chunks = _receive(args.cipherfile, _load_context(args.keyfile))
     found = [{"block": b, "clean": False, "rows": _diagnosis_json(diagnoses)}
-             for b, _block, diagnoses in _flagged_blocks(ctx, chunks, args.tol)]
+             for b, _block, diagnoses in _flagged_blocks(ctx, chunks)]
     report = {"blocks": found, "clean": not found,
               "counts": {"clean": header.count - len(found), "flagged": len(found)}}
     _write_output(json.dumps(report, indent=2) + "\n", args.out)
@@ -484,7 +484,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
     tested = 0
     exit_code = EXIT_OK
     with _draining(chunks):
-        for b, block, diagnoses in _flagged_blocks(ctx, chunks, args.tol, text):
+        for b, block, diagnoses in _flagged_blocks(ctx, chunks, text):
             validator = (partial(_printable_ascii, header.length, b * k * k)
                          if args.printable_ascii else None)
             try:
@@ -683,15 +683,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="diagnose a received ciphertext")
     p.add_argument("keyfile")
     p.add_argument("cipherfile")
-    p.add_argument("--tol", type=float, default=None,
-                   help="relative deviation tolerance (default: exact bounds)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("correct", help="detect and correct a received ciphertext")
     p.add_argument("keyfile")
     p.add_argument("cipherfile")
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--budget", type=int, default=10 ** 6)
     p.add_argument("--printable-ascii", action="store_true",
                    help="additionally require printable ASCII (9..126) before "

@@ -16,8 +16,9 @@ and j' of M.  Those exact two-sided bounds drive everything here:
 All bounds are exact rationals; column indices are 0-based throughout.
 One test decides whether a pair meets its checking relation, for
 verification, detection and the chunk test alike: _within, by integer
-cross-multiplication against the bounds (coding.cross_bound), or, under a
-tolerance, _within_tol against the matching power of the transition ratio.
+cross-multiplication against the bounds (coding.cross_bound).  The
+transition ratio's floats only fill the reported expected ratio and
+deviation and set where the spiral starts.
 """
 
 from __future__ import annotations
@@ -70,8 +71,6 @@ class CheckingRange:
     lo: int
     hi: int
     estimate: int
-    target: Optional[tuple[int, int]] = None
-    reference: Optional[tuple[int, int]] = None
 
     @property
     def count(self) -> int:
@@ -89,13 +88,8 @@ class CheckingRange:
     def tight_count(self) -> int:
         return max(0, self.tight_hi - self.tight_lo + 1)
 
-    def contains(self, value: int) -> bool:
-        return self.lo <= value <= self.hi
 
-
-def checking_range(c_ref: int, bounds, tau_power=None,
-                   target: Optional[tuple[int, int]] = None,
-                   reference: Optional[tuple[int, int]] = None) -> CheckingRange:
+def checking_range(c_ref: int, bounds, tau_power=None) -> CheckingRange:
     """Integer candidate interval for a suspect entry given a trusted reference.
 
     bounds are the column ratio bounds suspect-over-reference, as
@@ -126,8 +120,7 @@ def checking_range(c_ref: int, bounds, tau_power=None,
     else:
         estimate = math.floor((lower + upper) / 2 + Fraction(1, 2))
     estimate = min(max(estimate, lo), hi)
-    return CheckingRange(lower=lower, upper=upper, lo=lo, hi=hi, estimate=estimate,
-                         target=target, reference=reference)
+    return CheckingRange(lower=lower, upper=upper, lo=lo, hi=hi, estimate=estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +174,7 @@ class PairEvidence:
     j: int
     jp: int
     ratio: Optional[Fraction]
-    expected: float          # tau**(jp-j)
+    expected: Optional[float]        # tau**(jp-j); None beyond the float range
     rel_deviation: Optional[float]
     consistent: bool
 
@@ -198,22 +191,23 @@ class RowDiagnosis:
         return not self.flagged
 
 
-def detect_errors(c: Sequence[Sequence[int]], key: KeyLike, n: Optional[int] = None,
-                  tol: Optional[float] = None) -> list[RowDiagnosis]:
+def detect_errors(c: Sequence[Sequence[int]], key: KeyLike,
+                  n: Optional[int] = None) -> list[RowDiagnosis]:
     """Per-row diagnosis of a received ciphertext.
 
     Column pairs are consistent when their ratio satisfies the exact
-    checking bounds of M_n (default), or, when an explicit tolerance is
-    given, when the relative deviation from the matching power of the
-    transition ratio stays within it.  The trusted set of a row is the
-    maximum consistent clique; ties prefer the smaller total deviation,
-    then the leftmost columns.  Rows with no consistent pair come back
-    with an empty trusted set.
+    checking bounds of M_n (_within).  Each pair also reports its
+    deviation from the matching power of the transition ratio; the
+    trusted set of a row is the maximum consistent clique, ties
+    preferring the smaller total deviation, then the leftmost columns.
+    Rows with no consistent pair come back with an empty trusted set.
     """
     ctx = key_context(key, n)
     k = ctx.order
-    pairs = [(j, jp, float(ctx.tau_powers[jp - j]), bound)
-             for (j, jp), bound in ctx.cross_bounds.items()]       # j < jp, as combinations
+    pairs = []
+    for (j, jp), bound in ctx.cross_bounds.items():         # j < jp, as combinations
+        expected = float(ctx.tau_powers[jp - j])
+        pairs.append((j, jp, expected if math.isfinite(expected) else None, bound))
     diagnoses: list[RowDiagnosis] = []
     for i, row in enumerate(c):
         evidence: list[PairEvidence] = []
@@ -222,10 +216,7 @@ def detect_errors(c: Sequence[Sequence[int]], key: KeyLike, n: Optional[int] = N
         for j, jp, expected, bound in pairs:
             num, den = row[j], row[jp]
             rel_dev = _deviation(expected, num, den)
-            if tol is None:
-                consistent = _within(*bound, num, den)
-            else:
-                consistent = _within_tol(expected, tol, num, den)
+            consistent = _within(*bound, num, den)
             ratio = Fraction(num, den) if den else None
             if consistent:
                 adj.add((j, jp))
@@ -238,26 +229,21 @@ def detect_errors(c: Sequence[Sequence[int]], key: KeyLike, n: Optional[int] = N
     return diagnoses
 
 
-def failing_rows(ctx: KeyContext, values: Sequence[int],
-                 tol: Optional[float] = None) -> set[int]:
+def failing_rows(ctx: KeyContext, values: Sequence[int]) -> set[int]:
     """Indices of the rows that detect_errors flags, for rows given as flat
-    row-major entries: the rows with a column pair that fails _within
-    (exact) or, with a tolerance, _within_tol.
+    row-major entries: the rows with a column pair that fails _within.
 
-    The exact test goes a whole column pair at a time (_all_within) and row
-    by row only for a column pair where that fails; no Fraction is built.
+    The test goes a whole column pair at a time (_all_within) and row by
+    row only for a column pair where that fails; no Fraction is built.
     """
     k = ctx.order
     cols = [values[t::k] for t in range(k)]
     failing: set[int] = set()
     for (j, jp), bound in ctx.cross_bounds.items():
         nums, dens = cols[j], cols[jp]
-        if tol is None:
-            if _all_within(nums, dens, *bound):
-                continue
-            pair_ok = partial(_within, *bound)
-        else:
-            pair_ok = partial(_within_tol, float(ctx.tau_powers[jp - j]), tol)
+        if _all_within(nums, dens, *bound):
+            continue
+        pair_ok = partial(_within, *bound)
         failing.update(r for r, ok in enumerate(map(pair_ok, nums, dens)) if not ok)
     return failing
 
@@ -283,20 +269,11 @@ def _within(lo_num: int, lo_den: int, hi_num: int, hi_den: int, num: int, den: i
     return lo_num * den <= num * lo_den and num * hi_den <= hi_num * den
 
 
-def _within_tol(expected: float, tol: float, num: int, den: int) -> bool:
-    """The test of one pair under a tolerance: 0/0 is consistent, x/0 is
-    not, and any other num/den must deviate from expected by at most tol."""
-    if den == 0:
-        return num == 0
-    dev = _deviation(expected, num, den)
-    return dev is not None and dev <= tol
-
-
-def _deviation(expected: float, num: int, den: int) -> Optional[float]:
-    """|num / den / expected - 1|, or None where den is 0 or the ratio is
-    beyond the float range.  int / int rounds as float(Fraction(num, den))
-    does, and overflows where it does."""
-    if den == 0:
+def _deviation(expected: Optional[float], num: int, den: int) -> Optional[float]:
+    """|num / den / expected - 1|, or None where den is 0, expected is None
+    or the ratio is beyond the float range.  int / int rounds as
+    float(Fraction(num, den)) does, and overflows where it does."""
+    if den == 0 or expected is None:
         return None
     try:
         return abs(num / den / expected - 1.0)
@@ -419,11 +396,10 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
                     f"row {i}: trusted entry {(i, ref)} is negative, so it bounds no "
                     f"checking range")
             if c[i][ref] == 0:
-                rng = _zero_reference_range(ctx, (i, j), (i, ref))
+                rng = _zero_reference_range(ctx, i, ref)
             else:
                 rng = checking_range(
-                    c[i][ref], ctx.ratio_bounds[(j, ref)], tau_power=ctx.tau_powers[ref - j],
-                    target=(i, j), reference=(i, ref))
+                    c[i][ref], ctx.ratio_bounds[(j, ref)], tau_power=ctx.tau_powers[ref - j])
             ranges[j] = rng
 
         accepted: list[RowCandidate] = []
@@ -465,22 +441,19 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
                             budget_exhausted=budget_exhausted)
 
 
-def _zero_reference_range(ctx: KeyContext, target: tuple[int, int],
-                          reference: tuple[int, int]) -> CheckingRange:
-    """The single candidate 0 for an entry whose trusted reference is 0.
+def _zero_reference_range(ctx: KeyContext, i: int, ref: int) -> CheckingRange:
+    """The single candidate 0 for an entry of row i whose trusted entry (column ref) is 0.
 
     With a strictly positive reference column of M_n and P >= 0, a zero
     reference entry forces the whole plaintext row to zero, so every
     entry of the row is 0; decryption then confirms the candidate.
     """
-    ref = reference[1]
     if not all(v > 0 for v in ctx.columns[ref]):
         raise UncorrectableRowError(
-            f"row {reference[0]}: trusted entry {reference} is 0 and column {ref} "
+            f"row {i}: trusted entry {(i, ref)} is 0 and column {ref} "
             f"of M_n is not positive, so the row is not determined")
     zero = Fraction(0)
-    return CheckingRange(lower=zero, upper=zero, lo=0, hi=0, estimate=0,
-                         target=target, reference=reference)
+    return CheckingRange(lower=zero, upper=zero, lo=0, hi=0, estimate=0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 from rmcipher import (CorruptionError, Recurrence, decrypt, digitize, encrypt,
                       general_key, right_form_key, symmetric_key, transition_ratio)
-from rmcipher.cipher import assemble, encrypt_bytes
+from rmcipher.cipher import assemble, decrypt_rows, encrypt_bytes, encrypt_rows
+from rmcipher.coding import KeyContext
 from tests.conftest import (ALGORITHM, C_ALGORITHM_15, EXTRATERRESTRIAL, M5_TETRA)
 
 
@@ -105,6 +106,15 @@ def test_large_perturbation_leaves_alphabet(two_fib_key):
 def test_block_dimension_mismatch(two_fib_key):
     with pytest.raises(ValueError):
         encrypt([[[1, 2], [3, 4]]], two_fib_key)
+
+
+def test_a_partial_last_row_is_refused(two_fib_key):
+    ctx = KeyContext(two_fib_key)
+    c = encrypt_rows(ctx, [1, 2, 3, 4, 5, 6])
+    with pytest.raises(ValueError, match="7 entries .* k = 3"):
+        decrypt_rows(ctx, c + [c[0]])
+    with pytest.raises(ValueError, match="4 entries .* k = 3"):
+        encrypt_rows(ctx, [1, 2, 3, 4])
 
 
 def test_ciphertext_entry_bound(two_fib_key):

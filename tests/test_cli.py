@@ -219,6 +219,17 @@ def test_correct_clean_input_is_noop(two_fib_keyfile, tmp_path):
     assert rep["blocks"] == [] and rep["counts"] == {"clean": 1, "corrected": 0, "failed": 0}
 
 
+@pytest.mark.parametrize("command", ["detect", "correct"])
+def test_a_tolerance_option_is_bad_syntax(two_fib_keyfile, tmp_path, command):
+    # Only the exact checking relations decide a receiver verdict.
+    msg = _write(tmp_path, "msg.txt", ALGORITHM)
+    cfile = tmp_path / "c.rmc"
+    assert main(["encrypt", two_fib_keyfile, msg, "--out", str(cfile)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main([command, two_fib_keyfile, str(cfile), "--tol", "0.01"])
+    assert exc.value.code == 2
+
+
 def test_correct_budget_exhaustion_exit_code(two_fib_keyfile, tmp_path):
     msg = _write(tmp_path, "msg.txt", ALGORITHM)
     cfile = tmp_path / "c.rmc"

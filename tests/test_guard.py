@@ -153,17 +153,6 @@ def test_detect_hopeless_row(two_fib_key):
     assert diagnoses[0].flagged == (0, 1, 2)
 
 
-def test_detect_with_explicit_tolerance(two_fib_key):
-    # The injected error shifts its ratios by about 1.3e-3; genuine ratios sit
-    # within ~1e-4 of the transition ratio at n = 15.
-    received = [row[:] for row in C_ALGORITHM_15]
-    received[0][2] = 28373
-    diagnoses = detect_errors(received, two_fib_key, 15, tol=5e-4)
-    assert diagnoses[0].flagged == (2,)
-    loose = detect_errors(received, two_fib_key, 15, tol=5e-3)
-    assert loose[0].flagged == ()
-
-
 def test_spiral_order_and_exhaustiveness():
     tau = transition_ratio(Recurrence((1, 0, 1)))
     rng = checking_range(41528, column_ratio_bounds(M15_2FIB, 2, 1), tau_power=tau ** -1)
