@@ -36,6 +36,8 @@ CASES = [
     ("analyze-k3", ["analyze", "k3.json"], 0, [("-", "analyze-k3.txt")]),
     ("analyze-k5", ["analyze", "k5.json"], 0, [("-", "analyze-k5.txt")]),
     ("analyze-abt", ["analyze", "abt.json"], 0, [("-", "analyze-abt.txt")]),
+    ("analyze-k3-json", ["analyze", "k3.json", "--json"], 0, [("-", "analyze-k3.json")]),
+    ("analyze-abt-json", ["analyze", "abt.json", "--json"], 0, [("-", "analyze-abt.json")]),
     ("analyze-primitive", ["analyze", "primitive.json", "--json"], 0,
      [("-", "analyze-primitive.json")]),
     ("analyze-right-form", ["analyze", "right.json", "--json"], 0,
