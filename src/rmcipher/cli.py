@@ -25,6 +25,10 @@ syntax.
      repair in correct; a negative trusted reference is a GuardError).
   4  correct: the candidate budget ran out.
 
+correct --out writes each uniquely repaired block repaired and every other
+block as received: a block with two accepted repairs is not guessed, so
+decrypting the output fails (exit 3) where correct did.
+
 Ciphertexts are read a chunk of whole blocks at a time, and nothing is
 written until the whole file has been read.  A command raises a fault of
 its own (a corrupted entry, a key that does not fit, a failed repair)
@@ -207,7 +211,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
                 "family polynomial's companion matrix lacks the strong Perron-Frobenius "
                 f"property: {fam.report.spf_reason}")
         if fam.tau_warning:
-            print(f"warning: dominant root {float(fam.report.tau):.5f} exceeds 2",
+            print(f"warning: dominant root {spectral.to_float(fam.report.tau):.5f} exceeds 2",
                   file=sys.stderr)
         rec = Recurrence.from_char_poly(fam.poly)
         rng = random.Random(keygen.derive_seed(args.seed, "abt-x0", 0))
@@ -499,7 +503,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
                 exit_code = EXIT_BUDGET
             elif result.matrix is None or not result.unique:
                 exit_code = max(exit_code, EXIT_UNCORRECTED)
-            if result.matrix is not None:
+            if result.unique:
                 block[:] = result.matrix
     counts["clean"] = header.count - len(found)
     if args.out:

@@ -30,8 +30,6 @@ from functools import cached_property
 from itertools import accumulate, repeat
 from typing import Optional, Sequence, Union
 
-from mpmath import workprec
-
 from . import exactmat, spectral
 from .exactmat import IntMatrix, RatMatrix
 from .recurrence import Recurrence
@@ -332,9 +330,6 @@ class KeyContext:
     spf_target: the one given (see check_report), else one made on first
     use.  Its precision is `precision`, else RMC_PRECISION_BITS.
     Build one per command and pass it wherever a CodingKey is accepted.
-    The library allows one thread per process: tau and the spectral checks
-    run under mpmath's process-global working precision (mp.prec, set by
-    workprec).
     """
 
     key: CodingKey
@@ -375,7 +370,7 @@ class KeyContext:
         return tuple(zip(*mint)), denom
 
     @cached_property
-    def tau(self):
+    def tau(self) -> Fraction:
         """Transition ratio of the key's recurrence, read off `report`."""
         if self.report is None:
             object.__setattr__(self, "report",
@@ -384,10 +379,9 @@ class KeyContext:
 
     @cached_property
     def tau_powers(self) -> dict:
-        """tau**d for |d| < k, at the report's precision."""
+        """tau**d for |d| < k, exact powers of tau."""
         k, tau = self.order, self.tau
-        with workprec(self.report.precision_bits):
-            return {d: tau ** d for d in range(1 - k, k)}
+        return {d: tau ** d for d in range(1 - k, k)}
 
     @cached_property
     def ratio_bounds(self) -> dict:
@@ -508,9 +502,9 @@ def validate_key(key: CodingKey, precision: Optional[int] = None,
     items.append(CheckItem("pisot", status[report.is_pisot]))
 
     if report.tau is not None:
-        within = float(report.tau) <= tau_cap
+        within = report.tau <= tau_cap
         items.append(CheckItem("tau_within_cap", "pass" if within else "warn",
-                               f"tau = {float(report.tau):.6g}, cap = {tau_cap:g}"))
+                               f"tau = {spectral.to_float(report.tau):.6g}, cap = {tau_cap:g}"))
     else:
         items.append(CheckItem("tau_within_cap", "indeterminate", "no dominant eigenvalue"))
 

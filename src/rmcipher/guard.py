@@ -17,8 +17,8 @@ All bounds are exact rationals; column indices are 0-based throughout.
 One test decides whether a pair meets its checking relation, for
 verification, detection and the chunk test alike: _within, by integer
 cross-multiplication against the bounds (coding.cross_bound).  The
-transition ratio's floats only fill the reported expected ratio and
-deviation and set where the spiral starts.
+transition ratio only sets where the spiral starts and, as floats, fills
+the reported expected ratio and deviation.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ from itertools import combinations, repeat
 from operator import le, mul
 from typing import Callable, Optional, Sequence
 
-from mpmath import mpf, workprec
-
 from .cipher import CorruptionError, decrypt_row, digitize
 from .coding import (CodingKey, KeyContext, KeyLike, MatrixBuilder, column_ratio_bounds,
                      cross_bound, key_context)
 from .exactmat import mat_mul
+from .spectral import to_float
 
 
 class GuardError(Exception):
@@ -110,13 +109,11 @@ def checking_range(c_ref: int, bounds, tau_power=None) -> CheckingRange:
         raise EmptyCheckingRangeError(
             f"empty checking range [{float(lower):.3f}, {float(upper):.3f}]: reference is suspect")
     if tau_power is not None:
-        # The product keeps every bit of a reference entry of hundreds of
-        # bits, so the estimate is as close as tau_power is: within about
-        # c_ref * 2**-p of c_ref * tau**d for a power held to p bits (the
+        # The exact product is as close as tau_power is: within about
+        # c_ref * 2**-p of c_ref * tau**d for tau held to p bits (the
         # context's precision, KeyContext.tau_powers).  The spiral from it
         # still reaches every integer in [lo, hi].
-        with workprec(int(c_ref).bit_length() + 64):
-            estimate = int(mpf(c_ref) * tau_power + mpf("0.5"))
+        estimate = math.floor(c_ref * tau_power + Fraction(1, 2))
     else:
         estimate = math.floor((lower + upper) / 2 + Fraction(1, 2))
     estimate = min(max(estimate, lo), hi)
@@ -206,7 +203,7 @@ def detect_errors(c: Sequence[Sequence[int]], key: KeyLike,
     k = ctx.order
     pairs = []
     for (j, jp), bound in ctx.cross_bounds.items():         # j < jp, as combinations
-        expected = float(ctx.tau_powers[jp - j])
+        expected = to_float(ctx.tau_powers[jp - j])
         pairs.append((j, jp, expected if math.isfinite(expected) else None, bound))
     diagnoses: list[RowDiagnosis] = []
     for i, row in enumerate(c):
@@ -424,13 +421,10 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
         rows_out.append(RowCorrection(row=i, references=refs, ranges=ranges,
                                       accepted=accepted, tested=tested))
         if accepted:
-            first = accepted[0]
-            for j, v in first.values.items():
+            for j, v in accepted[0].values.items():
                 corrected[i][j] = v
-            if len(accepted) > 1:
-                unique = False
-        else:
-            all_resolved = False
+        unique = unique and len(accepted) < 2
+        all_resolved = all_resolved and bool(accepted)
         if budget_exhausted:
             break
 

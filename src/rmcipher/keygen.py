@@ -110,7 +110,7 @@ def _passes_spectrum(report: SpectralReport, cfg: GenConfig, stats: GenStats) ->
     if report.is_spf != VERDICT_YES:
         stats.reject("not_spf")
         return False
-    if float(report.tau) > cfg.tau_cap:
+    if report.tau > cfg.tau_cap:
         stats.reject("tau_above_cap")
         return False
     if cfg.require_pisot and report.is_pisot != VERDICT_YES:
@@ -206,7 +206,7 @@ def abt_family(r: int, m: int, sign: int = -1,
                 break
     companion = left_companion(Recurrence.from_char_poly(poly))
     report = spectral.analyze_matrix(companion)
-    warning = report.tau is not None and float(report.tau) > 2
+    warning = report.tau is not None and report.tau > 2
     return AbtFamilyResult(poly=poly, report=report, removed_factors=removed,
                            tau_warning=warning)
 

@@ -13,12 +13,16 @@ about log3(precision / 50) + 3 steps.  Where double precision cannot be
 used (a coefficient or iterate beyond its range, a NaN, a zero
 derivative, coincident iterates) or that cap is missed, it starts cold
 from the radii of the Newton polygon.  Each iterate stops on its own
-modulus: a step of at most 2**-(prec-8) * max(1, |z|).  mpmath holds only
-the returned roots and what is computed from them.  The verdicts share
-one tolerance band, fixed at DEFAULT_TOLERANCE (1e-9): anything within
-it is reported as "indeterminate" rather than guessed.  analyze_matrix
-gives every verdict from one root solve and one dominance test, and
-is_strong_perron_frobenius returns its report.
+modulus: a step of at most 2**-(prec-8) * max(1, |z|).
+
+One number system follows: the roots stay the kernel's exact Gaussian
+integers, every verdict compares them exactly on squared moduli, and
+everything reported is an exact rational (sigma a square root rounded by
+math.isqrt).  The precision is an argument, never process state, so
+threads may run at different precisions.  The verdicts share one
+tolerance band, fixed at DEFAULT_TOLERANCE (1e-9): anything within it is
+reported as "indeterminate" rather than guessed.  analyze_matrix gives
+every verdict from one root solve and one dominance test.
 
 The environment variable RMC_PRECISION_BITS overrides the default
 working precision (bits of mantissa) for every operation here.
@@ -29,13 +33,12 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import or_
 from typing import Optional, Sequence
-
-from mpmath import mp, mpc, mpf, workprec
 
 from . import exactmat
 from .exactmat import IntPolynomial, poly_degree, poly_trim
@@ -75,43 +78,84 @@ def resolve_precision(bits: Optional[int] = None) -> int:
 
 @dataclass
 class RootSet:
-    """All complex roots of a polynomial with multiplicities.  The
-    residuals are evaluated on first use: no verdict reads them."""
+    """All complex roots of a polynomial with multiplicities, exactly as the
+    kernel left them: root j is (X + iY) * 2**-point for gaussian[j] =
+    (X, Y), every root on one binary point.  The residuals are evaluated
+    on first use: no verdict reads them."""
 
-    roots: list
+    gaussian: list[tuple[int, int]]
+    point: int
     multiplicities: list[int]
     degree: int
     precision_bits: int
     polynomial: list = field(repr=False)
 
-    @cached_property
-    def residuals(self) -> list:
-        """|f(r)| for each root r, at the solve's working precision."""
-        with workprec(2 * self.precision_bits):
-            full = _to_mp_coeffs(self.polynomial)
-            return [abs(_horner(full, r)) for r in self.roots]
-
     @property
-    def residual_bound(self):
-        return max(self.residuals) if self.residuals else mpf(0)
+    def roots(self) -> list[tuple[Fraction, Fraction]]:
+        """Each root's real and imaginary parts, as exact rationals."""
+        one = 1 << self.point
+        return [(Fraction(x, one), Fraction(y, one)) for x, y in self.gaussian]
 
-    def moduli(self) -> list:
-        """Root moduli repeated by multiplicity, descending."""
-        out = []
-        for r, m in zip(self.roots, self.multiplicities):
-            out.extend([abs(r)] * m)
-        out.sort(reverse=True)
-        return out
+    def norms(self) -> list[Fraction]:
+        """Squared moduli |r|**2, exact, repeated by multiplicity, descending."""
+        return sorted((Fraction(x * x + y * y, 1 << 2 * self.point) for (x, y), m
+                       in zip(self.gaussian, self.multiplicities) for _ in range(m)), reverse=True)
+
+    @cached_property
+    def residuals(self) -> list[Fraction]:
+        """|f(r)|**2 for each root r, exact."""
+        lcd = math.lcm(*(Fraction(c).denominator for c in self.polynomial))
+        ints = [int(c * lcd) << (self.point * i) for i, c in enumerate(self.polynomial)]
+        scale = (lcd << self.point * self.degree) ** 2
+        return [Fraction(a * a + b * b, scale)
+                for a, b in (_gaussian_horner(ints, x, y) for x, y in self.gaussian)]
 
 
-def _to_mp_coeffs(f: Sequence) -> list:
-    out = []
-    for c in poly_trim(list(f)):
-        if isinstance(c, Fraction):
-            out.append(mpf(c.numerator) / mpf(c.denominator))
-        else:
-            out.append(mpf(c))
-    return out
+def _round_bits(x: Fraction, bits: int, inexact: bool = False) -> Fraction:
+    """The dyadic rational x rounded to `bits` significant bits, ties to
+    even.  `inexact` says the true magnitude lies above |x| by less than
+    x's last bit: a truncated square root."""
+    m, e = x.numerator, 1 - x.denominator.bit_length()
+    drop = abs(m).bit_length() - bits
+    if drop <= 0:
+        return x
+    q, rest = divmod(abs(m), 1 << drop)
+    half = 1 << (drop - 1)
+    q += rest > half or (rest == half and (inexact or q & 1))
+    return Fraction(q if m > 0 else -q) * Fraction(2) ** (e + drop)
+
+
+def _sqrt_bits(x: Fraction, bits: int) -> Fraction:
+    """The square root of the dyadic rational x >= 0, correctly rounded to
+    `bits` significant bits, ties to even."""
+    n, e = x.numerator, 1 - x.denominator.bit_length()
+    shift = 2 * max(0, bits + 2 - n.bit_length() // 2) + e % 2
+    r = math.isqrt(n << shift)
+    return _round_bits(Fraction(r) * Fraction(2) ** ((e - shift) // 2), bits, r * r != n << shift)
+
+
+def _decimal(x: Fraction, digits: int = 17) -> str:
+    """x to `digits` significant decimal digits, rounded half up: fixed
+    point for decimal exponents from -4 to digits - 1, else d.ddd followed
+    by e+N or e-N, with trailing zeros stripped down to one (1.0, 2.5e-7)."""
+    if not x:
+        return "0.0"
+    ex = len(str(abs(x.numerator))) - len(str(x.denominator))   # 10**(ex-1) < |x| < 10**(ex+1)
+    ex -= abs(x) < Fraction(10) ** ex                             # 10**ex <= |x| < 10**(ex+1)
+    q = math.floor(abs(x) * Fraction(10) ** (digits - 1 - ex) + Fraction(1, 2))
+    if q == 10 ** digits:
+        q, ex = q // 10, ex + 1
+    text, split = str(q), 1
+    if -5 < ex < digits:
+        text, split, ex = ("0" * -ex + text, 1, 0) if ex < 0 else (text, ex + 1, 0)
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    text += "0" if text.endswith(".") else ""
+    return ("-" if x < 0 else "") + text + (f"e{ex:+d}" if ex else "")
+
+
+def to_float(x: Fraction) -> float:
+    """x as a float, +/-inf beyond the float range (where float(x) raises)."""
+    return float(x) if abs(x) <= sys.float_info.max else (math.inf if x > 0 else -math.inf)
 
 
 def _horner(coeffs: Sequence, z):
@@ -214,8 +258,8 @@ def _gaussian_horner(coeffs: Sequence[int], x: int, y: int) -> tuple[int, int]:
     return re, im
 
 
-def _gaussian_aberth(ints: list, starts: list, steps: int) -> list:
-    """Aberth steps at the working precision on the polynomial with integer
+def _gaussian_aberth(ints: list, starts: list, steps: int, prec: int) -> list:
+    """Aberth steps at precision `prec` on the polynomial with integer
     coefficients `ints`, in Gaussian integers on one binary point,
     z = (X + iY) * 2**-f, from the start points (complex mantissa c,
     exponent e: z = c * 2**e), at most `steps` of them.  f is
@@ -224,8 +268,8 @@ def _gaussian_aberth(ints: list, starts: list, steps: int) -> list:
     and every sum 1 / (z_j - z_l) keeps its bits.  Each step reads the old
     iterates (a Jacobi update); it stops when every correction c_j has
     |c_j| <= 2**-(prec-8) * max(1, |z_j|), compared exactly on squares.
-    Coincident iterates or a missed cap raise RootFindingError."""
-    prec = mp.prec
+    Returns the roots as (X, Y, f); coincident iterates or a missed cap
+    raise RootFindingError."""
     deg = len(ints) - 1
     scales = [math.frexp(abs(c))[1] + e for c, e in starts]
     f = prec + 16 + max(0, max(scales)) + max(0, -min(scales))
@@ -272,38 +316,42 @@ def _gaussian_aberth(ints: list, starts: list, steps: int) -> list:
                                    <= max(1 << two_f, x * x + y * y))
         zs = new
         if settled:
-            return [mpc(mp.ldexp(x, -f), mp.ldexp(y, -f)) for x, y in zs]
+            return [(x, y, f) for x, y in zs]
     raise RootFindingError("Aberth iteration did not converge")
 
 
-def _aberth(factor: list) -> list:
-    """All roots of a square-free polynomial (exact coefficients) by
-    Aberth-Ehrlich at the working precision in Gaussian integers, from a
-    double-precision pass, or from the Newton polygon where that pass
-    cannot be used or its refinement misses its cap."""
+def _aberth(factor: list, prec: int) -> list:
+    """All roots (X, Y, f), z = (X + iY) * 2**-f, of a square-free
+    polynomial (exact coefficients) by Aberth-Ehrlich at precision `prec`
+    in Gaussian integers, from a double-precision pass, or from the Newton
+    polygon where that pass cannot be used or its refinement misses its
+    cap.  A root at 0 is exact; the root -b/a of a linear factor a z + b
+    is rounded down onto the binary point prec + bits of a."""
     lcd = math.lcm(*(c.denominator for c in factor))
     ints = [int(c * lcd) for c in factor]
     roots = []
     if ints[-1] == 0:                 # a simple root at 0: exact, and deflated
-        roots.append(mpc(0))
+        roots.append((0, 0, 0))
         ints.pop()
     if len(ints) == 2:
-        roots.append(mpc(mpf(-ints[1]) / mpf(ints[0])))
+        f = prec + ints[0].bit_length()
+        roots.append(((-ints[1] << f) // ints[0], 0, f))
     elif len(ints) > 2:
         seeds = _double_seeds(ints)
         if seeds is not None:
             try:
                 return roots + _gaussian_aberth(ints, [(s, 0) for s in seeds],
-                                                _refine_steps(mp.prec))
+                                                _refine_steps(prec), prec)
             except RootFindingError:
                 pass
-        roots += _gaussian_aberth(ints, _newton_polygon_starts(ints), _MAX_STEPS)
+        roots += _gaussian_aberth(ints, _newton_polygon_starts(ints), _MAX_STEPS, prec)
     return roots
 
 
-def _snap_real(roots: list) -> list:
-    thr = mpf(2) ** (-(mp.prec // 2))
-    return [mpc(r.real, 0) if abs(r.imag) <= thr * (1 + abs(r)) else r for r in roots]
+def _snap_real(roots: list, bits: int) -> list:
+    """The roots (X, Y, f) with |Y| <= 2**-bits * (2**f + |X + iY|) made real."""
+    return [(x, 0, f) if (t := (abs(y) << bits) - (1 << f)) <= 0 or t * t <= x * x + y * y
+            else (x, y, f) for x, y, f in roots]
 
 
 def all_roots(f: Sequence, precision: Optional[int] = None) -> RootSet:
@@ -317,15 +365,14 @@ def all_roots(f: Sequence, precision: Optional[int] = None) -> RootSet:
     f = poly_trim(list(f))
     if poly_degree(f) < 1:
         raise ValueError("polynomial must have degree at least 1")
-    factors = exactmat.squarefree_factors(f)
-    roots: list = []
-    mults: list[int] = []
-    with workprec(2 * bits):
-        for factor, mult in factors:
-            found = _snap_real(_aberth(factor))
-            roots += found
-            mults += [mult] * len(found)
-    return RootSet(roots=roots, multiplicities=mults, degree=poly_degree(f),
+    roots, mults = [], []
+    for factor, mult in exactmat.squarefree_factors(f):
+        found = _snap_real(_aberth(factor, 2 * bits), bits)
+        roots += found
+        mults += [mult] * len(found)
+    point = max(e for _, _, e in roots)
+    return RootSet(gaussian=[(x << point - e, y << point - e) for x, y, e in roots],
+                   point=point, multiplicities=mults, degree=poly_degree(f),
                    precision_bits=bits, polynomial=f)
 
 
@@ -336,63 +383,64 @@ def all_roots(f: Sequence, precision: Optional[int] = None) -> RootSet:
 @dataclass
 class _Dominance:
     verdict: str                 # yes / no / indeterminate (about "simple positive dominant")
-    tau: Optional[object] = None
+    tau: Optional[Fraction] = None
     index: Optional[int] = None
     reason: str = ""
 
 
+_TOL = DEFAULT_TOLERANCE.as_integer_ratio()     # (tn, td): the band's tolerance tn / td
+
+
 def _dominance(rootset: RootSet) -> _Dominance:
     """Whether the roots have a simple positive dominant root, within the
-    tolerance band, at twice the solve's precision."""
-    tol = DEFAULT_TOLERANCE
-    with workprec(2 * rootset.precision_bits):
-        pairs = sorted(
-            ((abs(r), i) for i, r in enumerate(rootset.roots)),
-            key=lambda t: t[0],
-            reverse=True,
-        )
-        top_mod, top_i = pairs[0]
-        top = rootset.roots[top_i]
-        # The band of roots whose modulus is within tol of the top.  Which of
-        # them sorts first is rounding noise, so the verdict reads the band as
-        # a whole: a lone root, exactly one conjugate pair, or indeterminate.
-        band = [i for mod, i in pairs[1:]
-                if ((top_mod - mod) / top_mod if top_mod > 0 else mpf(0)) <= tol]
-        if band and not (len(band) == 1 and abs(top.imag) > tol * top_mod
-                         and abs(rootset.roots[band[0]] - mp.conj(top)) <= tol * top_mod):
-            return _Dominance(VERDICT_INDETERMINATE, reason="dominance margin within tolerance")
-        if rootset.multiplicities[top_i] > 1:
-            return _Dominance(VERDICT_NO, reason="dominant root is not simple")
-        if band:
-            # A complex conjugate pair shares its modulus exactly: no single
-            # eigenvalue dominates.
-            return _Dominance(VERDICT_NO, reason="dominant modulus is a conjugate pair")
-        if abs(top.imag) > tol * max(top_mod, mpf(1)):
-            return _Dominance(VERDICT_NO, reason="dominant root is not real")
-        tau = top.real
-        if tau <= tol:
-            if tau < -tol:
-                return _Dominance(VERDICT_NO, reason="dominant root is negative")
-            return _Dominance(VERDICT_INDETERMINATE, reason="dominant root too close to zero")
-        return _Dominance(VERDICT_YES, tau=tau, index=top_i)
+    tolerance band, compared exactly on the squared moduli."""
+    tn, td = _TOL
+    zs, one = rootset.gaussian, 1 << rootset.point
+    norms = [x * x + y * y for x, y in zs]
+    order = sorted(range(len(zs)), key=norms.__getitem__, reverse=True)
+    top_i = order[0]
+    (tx, ty), top = zs[top_i], norms[top_i]
+
+    def small(norm: int) -> bool:          # sqrt(norm) <= tol * |top|
+        return norm * td * td <= tn * tn * top
+
+    # The band of roots whose modulus is within tol of the top.  Which of
+    # them sorts first is rounding noise, so the verdict reads the band as
+    # a whole: a lone root, exactly one conjugate pair, or indeterminate.
+    band = [i for i in order[1:] if norms[i] * td * td >= (td - tn) ** 2 * top]
+    if band and not (len(band) == 1 and not small(ty * ty)
+                     and small((zs[band[0]][0] - tx) ** 2 + (zs[band[0]][1] + ty) ** 2)):
+        return _Dominance(VERDICT_INDETERMINATE, reason="dominance margin within tolerance")
+    if rootset.multiplicities[top_i] > 1:
+        return _Dominance(VERDICT_NO, reason="dominant root is not simple")
+    if band:
+        # A complex conjugate pair shares its modulus exactly: no single
+        # eigenvalue dominates.
+        return _Dominance(VERDICT_NO, reason="dominant modulus is a conjugate pair")
+    if ty * ty * td * td > tn * tn * max(top, one * one):
+        return _Dominance(VERDICT_NO, reason="dominant root is not real")
+    if tx * td <= tn * one:
+        if tx * td < -tn * one:
+            return _Dominance(VERDICT_NO, reason="dominant root is negative")
+        return _Dominance(VERDICT_INDETERMINATE, reason="dominant root too close to zero")
+    return _Dominance(VERDICT_YES, tau=Fraction(tx, one), index=top_i)
 
 
-def second_eigenmodulus(f: Sequence[int], precision: Optional[int] = None):
+def second_eigenmodulus(f: Sequence[int], precision: Optional[int] = None) -> Fraction:
     """Largest modulus among the non-dominant roots of a monic integer
     polynomial: the sigma of its analyze_recurrence report, rounded to
     the working precision."""
     report = analyze_recurrence(Recurrence.from_char_poly(poly_trim(list(f))), precision)
-    with workprec(report.precision_bits):
-        return +report.sigma
+    return _round_bits(report.sigma, report.precision_bits)
 
 
-def transition_ratio(rec: Recurrence, precision: Optional[int] = None):
+def transition_ratio(rec: Recurrence, precision: Optional[int] = None) -> Fraction:
     """Dominant eigenvalue tau of the recurrence, rounded to the working
     precision: report_transition_ratio of its analyze_recurrence report."""
     return report_transition_ratio(analyze_recurrence(rec, precision))
 
 
-def report_transition_ratio(report: SpectralReport):
+def report_transition_ratio(report: SpectralReport) -> Fraction:
     """The report's tau, the simple positive dominant root that `_dominance`
     certifies among the roots found at twice the report's precision,
     rounded to that precision, with no root solve.  ValueError for a
@@ -402,8 +450,7 @@ def report_transition_ratio(report: SpectralReport):
         raise ValueError("transition ratio requires an invertible recurrence (a_0 != 0)")
     if report.tau is None:
         raise DominantRootError(f"no simple positive dominant root: {report.spf_reason}")
-    with workprec(report.precision_bits):
-        return +report.tau
+    return _round_bits(report.tau, report.precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -412,39 +459,20 @@ def report_transition_ratio(report: SpectralReport):
 
 def _is_left_companion(a: Sequence[Sequence[int]]) -> bool:
     k = len(a)
-    if k < 2:
-        return False
-    for i in range(1, k):
-        for j in range(k):
-            expect = 1 if j == i - 1 else 0
-            if a[i][j] != expect:
-                return False
-    return True
+    return k >= 2 and all(a[i][j] == (j == i - 1) for i in range(1, k) for j in range(k))
 
 
-def _eigenvector(a: Sequence[Sequence[int]], lam, bits: int) -> list:
-    """Eigenvector for a simple eigenvalue by shifted inverse iteration."""
+def _eigenvector(a: Sequence[Sequence[int]], lam: Fraction, bits: int) -> list[Fraction]:
+    """Eigenvector for a simple eigenvalue lam, from one exact inverse of
+    shift * I - A with shift just above lam: its largest column, scaled so
+    that its largest entry is 1."""
     k = len(a)
-    with workprec(2 * bits):
-        shift = lam * (1 + mpf(2) ** (-bits)) + mpf(2) ** (-bits)
-        m = mp.matrix(k, k)
-        for i in range(k):
-            for j in range(k):
-                m[i, j] = mpf(a[i][j]) - (shift if i == j else 0)
-        v = mp.matrix([mpf(1)] * k)
-        for _ in range(4):
-            try:
-                v = mp.lu_solve(m, v)
-            except ZeroDivisionError:
-                break
-            norm = max(abs(x) for x in v)
-            if norm == 0:
-                break
-            v = v / norm
-        pivot = max(range(k), key=lambda i: abs(v[i]))
-        if v[pivot] != 0:
-            v = v / v[pivot]
-        return [v[i] for i in range(k)]
+    shift = lam + (lam + 1) / (1 << bits)
+    inv = exactmat.inverse_exact([[int(i == j) * shift - a[i][j] for j in range(k)]
+                                  for i in range(k)])
+    column = max(zip(*inv), key=lambda col: max(map(abs, col)))
+    pivot = max(column, key=abs)
+    return [x / pivot for x in column]
 
 
 def is_strong_perron_frobenius(a: Sequence[Sequence[int]],
@@ -470,22 +498,12 @@ def _spf(a: Sequence[Sequence[int]], dom: _Dominance,
         return dom.verdict, None, dom.reason
     k = exactmat.dim(a)
     if _is_left_companion(a):
-        with workprec(2 * bits):
-            return VERDICT_YES, [dom.tau ** (k - 1 - j) for j in range(k)], ""
-    vec = _eigenvector(a, dom.tau, bits)
-    tol = DEFAULT_TOLERANCE
-    with workprec(2 * bits):
-        vmax = max(abs(x) for x in vec)
-        if vmax == 0:
-            return VERDICT_INDETERMINATE, None, "eigenvector collapsed"
-        # Orient so the largest component is positive.
-        pivot = max(range(k), key=lambda i: abs(vec[i]))
-        if vec[pivot] < 0:
-            vec = [-x for x in vec]
-        if any(x < -tol * vmax for x in vec):
-            return VERDICT_NO, vec, "dominant eigenvector changes sign"
-        if any(x <= tol * vmax for x in vec):
-            return VERDICT_INDETERMINATE, vec, "eigenvector entry within tolerance of zero"
+        return VERDICT_YES, [dom.tau ** (k - 1 - j) for j in range(k)], ""
+    vec = _eigenvector(a, dom.tau, bits)         # its largest entry is 1
+    if any(x < -DEFAULT_TOLERANCE for x in vec):
+        return VERDICT_NO, vec, "dominant eigenvector changes sign"
+    if any(x <= DEFAULT_TOLERANCE for x in vec):
+        return VERDICT_INDETERMINATE, vec, "eigenvector entry within tolerance of zero"
     return VERDICT_YES, vec, ""
 
 
@@ -517,31 +535,31 @@ def _pisot(f: IntPolynomial, rootset: RootSet, dom: _Dominance) -> str:
         raise ValueError("Pisot test requires a nonzero free term")
     if dom.verdict != VERDICT_YES:
         return dom.verdict if dom.verdict == VERDICT_INDETERMINATE else VERDICT_NO
-    bits = rootset.precision_bits
-    tol = DEFAULT_TOLERANCE
-    others = [r for i, r in enumerate(rootset.roots) if i != dom.index
+    (tn, td), p = _TOL, rootset.point
+    others = [z for i, z in enumerate(rootset.gaussian) if i != dom.index
               for _ in range(rootset.multiplicities[i])]
-    if not others:
+    # |z| against 1 - tol and 1 + tol, as td**2 |z|**2 against (td -+ tn)**2.
+    norms = [(x * x + y * y) * td * td for x, y in others]
+    inner, outer = (td - tn) ** 2 << 2 * p, (td + tn) ** 2 << 2 * p
+    if all(n < inner for n in norms):
         return VERDICT_YES
-    with workprec(2 * bits):
-        moduli = [abs(r) for r in others]
-        if all(m < 1 - tol for m in moduli):
-            return VERDICT_YES
-        if any(m > 1 + tol for m in moduli):
-            return VERDICT_NO
-        # Boundary band: decide exactly where possible.
-        band = [r for r, m in zip(others, moduli) if 1 - tol <= m <= 1 + tol]
+    if any(n > outer for n in norms):
+        return VERDICT_NO
+    # Boundary band: decide exactly where possible.
+    band = [z for z, n in zip(others, norms) if inner <= n <= outer]
     if exactmat.poly_eval(f, 1) == 0 or exactmat.poly_eval(f, -1) == 0:
         return VERDICT_NO
     g = exactmat.poly_gcd(f, exactmat.poly_reverse(f))
-    if poly_degree(g) >= 1:
-        with workprec(2 * bits):
-            coeffs = _to_mp_coeffs(g)
-            scale = max(abs(c) for c in coeffs)
-            thr = mpf(2) ** (-bits) * scale
-            for r in band:
-                if abs(_horner(coeffs, r)) <= thr * (1 + abs(r)) ** poly_degree(g):
-                    return VERDICT_NO
+    d = poly_degree(g)
+    if d >= 1:
+        # A band root r is taken for a root of g where |g(r)| <= 2**-bits *
+        # max|g_i| * 2**d (1 + |r| is within tol of 2), compared on squares.
+        lcd = math.lcm(*(Fraction(c).denominator for c in g))
+        ints = [int(c * lcd) for c in g]
+        scaled, top = [c << p * i for i, c in enumerate(ints)], max(map(abs, ints)) ** 2
+        for a, b in (_gaussian_horner(scaled, x, y) for x, y in band):
+            if (a * a + b * b) << 2 * rootset.precision_bits <= top << 2 * (p + 1) * d:
+                return VERDICT_NO
     return VERDICT_INDETERMINATE
 
 
@@ -577,9 +595,9 @@ def is_primitive(a: Sequence[Sequence[int]]) -> bool:
 class SpectralReport:
     """Spectral certificate for a transition matrix or recurrence."""
 
-    tau: Optional[object]
-    sigma: Optional[object]
-    dominant_vector: Optional[list]
+    tau: Optional[Fraction]
+    sigma: Optional[Fraction]
+    dominant_vector: Optional[list[Fraction]]
     is_spf: str
     is_pisot: str
     is_primitive: Optional[bool]
@@ -589,9 +607,9 @@ class SpectralReport:
 
     def to_dict(self) -> dict:
         return {
-            "tau": mp.nstr(self.tau, 17) if self.tau is not None else None,
-            "sigma": mp.nstr(self.sigma, 17) if self.sigma is not None else None,
-            "dominant_vector": [mp.nstr(x, 17) for x in self.dominant_vector]
+            "tau": _decimal(self.tau) if self.tau is not None else None,
+            "sigma": _decimal(self.sigma) if self.sigma is not None else None,
+            "dominant_vector": [_decimal(x) for x in self.dominant_vector]
             if self.dominant_vector is not None else None,
             "spf": self.is_spf,
             "pisot": self.is_pisot,
@@ -609,28 +627,18 @@ def analyze_matrix(a: Sequence[Sequence[int]],
     bits = resolve_precision(precision)
     f = exactmat.char_poly(a)
     rootset = all_roots(f, bits)
-    with workprec(2 * bits):
-        moduli = rootset.moduli()
+    norms = rootset.norms()
     dom = _dominance(rootset)
     spf, vector, reason = _spf(a, dom, bits)
     try:
         pisot = _pisot(f, rootset, dom)
     except ValueError:
         pisot = VERDICT_NO
-    primitive = None
-    if all(x >= 0 for row in a for x in row):
-        primitive = is_primitive(a)
-    return SpectralReport(
-        tau=dom.tau,
-        sigma=moduli[1] if len(moduli) > 1 else None,
-        dominant_vector=vector,
-        is_spf=spf,
-        is_pisot=pisot,
-        is_primitive=primitive,
-        precision_bits=bits,
-        char_poly=f,
-        spf_reason=reason,
-    )
+    primitive = is_primitive(a) if all(x >= 0 for row in a for x in row) else None
+    sigma = _sqrt_bits(norms[1], 2 * bits) if len(norms) > 1 else None
+    return SpectralReport(tau=dom.tau, sigma=sigma, dominant_vector=vector, is_spf=spf,
+                          is_pisot=pisot, is_primitive=primitive, precision_bits=bits,
+                          char_poly=f, spf_reason=reason)
 
 
 def analyze_recurrence(rec: Recurrence, precision: Optional[int] = None) -> SpectralReport:

@@ -204,6 +204,9 @@ def test_correct_ambiguous_at_small_index(two_fib_keyfile, tmp_path):
     assert code == 3
     rep = json.loads(report.read_text())
     assert rep["blocks"][0]["unique"] is False
+    # The block is written as received, not as the first accepted repair.
+    assert fixed.read_text() == corrupted.read_text()
+    assert main(["decrypt", two_fib_keyfile, str(fixed), "--out", str(tmp_path / "d.txt")]) == 3
 
 
 def test_correct_clean_input_is_noop(two_fib_keyfile, tmp_path):

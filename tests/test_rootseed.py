@@ -37,9 +37,9 @@ def paths(monkeypatch):
         log.append("cold" if found is None else "seeded")
         return found
 
-    def recording_refine(factor, start, steps):
+    def recording_refine(*args):
         try:
-            return refine(factor, start, steps)
+            return refine(*args)
         except spectral.RootFindingError:
             log.append("missed")
             raise
@@ -56,15 +56,23 @@ def _cold(monkeypatch, solve):
         return solve()
 
 
+def _norm(z):
+    """|z|**2 of a root given as its exact (real, imaginary) parts."""
+    return z[0] ** 2 + z[1] ** 2
+
+
+def _dist2(z, w):
+    return (z[0] - w[0]) ** 2 + (z[1] - w[1]) ** 2
+
+
 def _assert_same_roots(seeded, cold, bits=128):
     """Each root of one set lies within 2**-bits (relative) of a root of
-    the other, with the same multiplicity."""
+    the other, with the same multiplicity: exactly, on squares."""
     assert len(seeded.roots) == len(cold.roots)
-    with workprec(2 * seeded.precision_bits):
-        for r, m in zip(seeded.roots, seeded.multiplicities):
-            near = min(range(len(cold.roots)), key=lambda i: abs(cold.roots[i] - r))
-            assert abs(cold.roots[near] - r) <= mpf(2) ** -bits * max(1, abs(r)), (r, cold.roots)
-            assert cold.multiplicities[near] == m
+    for r, m in zip(seeded.roots, seeded.multiplicities):
+        near = min(range(len(cold.roots)), key=lambda i: _dist2(cold.roots[i], r))
+        assert _dist2(cold.roots[near], r) <= Fraction(max(1, _norm(r)), 4 ** bits), (r, cold.roots)
+        assert cold.multiplicities[near] == m
 
 
 def _verdicts(report):
@@ -97,8 +105,8 @@ def test_reports_match_the_cold_start_on_the_onepass_keys(key, monkeypatch):
     assert _verdicts(report) == _verdicts(cold)
     assert report.to_dict() == cold.to_dict()
     if report.tau is not None:
-        with workprec(report.precision_bits):
-            assert (+report.tau)._mpf_ == (+cold.tau)._mpf_
+        bits = report.precision_bits
+        assert spectral._round_bits(report.tau, bits) == spectral._round_bits(cold.tau, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +142,17 @@ def _pisot_outcome(f, rootset):
 def test_a_coefficient_beyond_double_range_takes_the_cold_start(f, bits, monkeypatch, paths):
     seeded = _compare_with_cold(f, monkeypatch, bits)
     assert paths == ["cold"]                    # one square-free factor; inf/NaN never seeds
-    with workprec(2 * seeded.precision_bits):
-        assert all(mp.isfinite(r) for r in seeded.roots)
-        assert abs(max(abs(r) for r in seeded.roots) / -f[1] - 1) < mpf(2) ** -40
+    assert all(type(part) is Fraction for r in seeded.roots for part in r)
+    # The largest modulus within 2**-40 (relative) of -f[1], exactly on squares.
+    largest, eps = max(map(_norm, seeded.roots)), Fraction(1, 2 ** 40)
+    assert ((1 - eps) * f[1]) ** 2 < largest < ((1 + eps) * f[1]) ** 2
 
 
 def test_a_near_double_root_is_found_by_the_fallback(monkeypatch, paths):
     f = poly_mul([1, -10 ** 9], [1, -(10 ** 9 + 1)])
     seeded = _compare_with_cold(f, monkeypatch)
     assert paths[:2] == ["seeded", "missed"]    # double precision cannot split them
-    assert sorted(round(float(r.real)) for r in seeded.roots) == [10 ** 9, 10 ** 9 + 1]
+    assert sorted(round(re) for re, _ in seeded.roots) == [10 ** 9, 10 ** 9 + 1]
 
 
 @pytest.mark.parametrize("f, multiplicities, n_factors", [
@@ -179,7 +188,7 @@ def test_precision_from_the_environment(env, monkeypatch, paths):
         assert seeded.precision_bits == int(env)
         rec = Recurrence(tuple(-c for c in reversed(f[1:])))
         tau = transition_ratio(rec)
-        assert tau._mpf_ == _cold(monkeypatch, lambda: transition_ratio(rec))._mpf_
+        assert tau == _cold(monkeypatch, lambda: transition_ratio(rec))
     assert "cold" not in paths and "missed" not in paths
 
 
@@ -380,9 +389,8 @@ def test_known_roots_and_verdicts_across_scales(known, small):
     f = _product(known, small)
     rootset = spectral.all_roots(f)
     assert sum(rootset.multiplicities) == poly_degree(f)
-    with workprec(2 * rootset.precision_bits):
-        for a in known:
-            assert min(abs(r - a) for r in rootset.roots) <= mpf(2) ** -128 * abs(a), (a, f)
+    for a in known:
+        assert min(_dist2(r, (a, 0)) for r in rootset.roots) <= Fraction(a * a, 4 ** 128), (a, f)
     report = analyze_matrix(left_companion(Recurrence.from_char_poly(f)))
     allowed = {spectral.VERDICT_INDETERMINATE}
     dominance = exact_dominance(f)
@@ -393,28 +401,23 @@ def test_known_roots_and_verdicts_across_scales(known, small):
         assert report.is_pisot in allowed | {pisot}, f
 
 
-def _exact(x):
-    """The mpf x as a Fraction."""
-    sign, man, exp, _ = x._mpf_
-    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
-
-
 def test_a_tiny_root_beside_two_huge_ones():
     # z**3 - 3 z**2 + 10**309 z + 7, beyond the double range.  The real
     # root r lies near -7e-309 and the pair p, conj(p) near 1.5 +- 3.2e154 i:
-    # r is bracketed exactly, and Vieta's formulas fix p.
+    # r is bracketed exactly, and Vieta's formulas fix p.  Every bound is
+    # compared exactly, on squares.
     f = [1, -3, 10 ** 309, 7]
     rootset = spectral.all_roots(f)
-    eps = mpf(2) ** -128
-    with workprec(2 * rootset.precision_bits):
-        (r,), pair = ([x.real for x in rootset.roots if x.imag == 0],
-                      [x for x in rootset.roots if x.imag != 0])
-        sides = [poly_eval(f, _exact(r * (1 + d))) for d in (-eps, eps)]
-        assert sides[0] * sides[1] < 0
-        p, q = pair
-        assert abs(p.real + q.real + r - 3) <= eps * abs(p)
-        assert abs(p.imag + q.imag) <= eps * abs(p)
-        assert abs(r * p * q + 7) <= 4 * eps * 7
+    eps = Fraction(1, 2 ** 128)
+    (r,), pair = ([re for re, im in rootset.roots if im == 0],
+                  [z for z in rootset.roots if z[1] != 0])
+    sides = [poly_eval(f, r * (1 + d)) for d in (-eps, eps)]
+    assert sides[0] * sides[1] < 0
+    (px, py), (qx, qy) = pair
+    assert (px + qx + r - 3) ** 2 <= eps ** 2 * _norm((px, py))
+    assert (py + qy) ** 2 <= eps ** 2 * _norm((px, py))
+    # r * p * q + 7, with p * q = (px qx - py qy) + i (px qy + py qx)
+    assert _norm((r * (px * qx - py * qy) + 7, r * (px * qy + py * qx))) <= (4 * eps * 7) ** 2
 
 
 def test_analyze_of_a_key_with_a_near_double_root_exits_0(tmp_path, capsys):

@@ -1,39 +1,42 @@
 import math
 import random
+import sys
+import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
 
 from rmcipher import (Recurrence, all_roots, is_pisot, is_primitive,
                       is_strong_perron_frobenius, left_companion,
                       second_eigenmodulus, transition_ratio)
-from rmcipher.spectral import (DominantRootError, analyze_matrix, resolve_precision)
+from rmcipher.spectral import (DominantRootError, analyze_matrix, analyze_recurrence,
+                               resolve_precision)
 
 GOLDEN = 1.618033988749894848
 
 
 def test_all_roots_golden():
     roots = all_roots([1, -1, -1])
-    vals = sorted(float(r.real) for r in roots.roots)
+    vals = sorted(float(re) for re, _ in roots.roots)
     assert abs(vals[1] - GOLDEN) < 1e-12
     assert abs(vals[0] + 1 / GOLDEN) < 1e-12
-    assert float(roots.residual_bound) < 1e-20
+    assert max(roots.residuals) < Fraction(1, 10 ** 40)     # every |f(r)| < 1e-20
 
 
 def test_all_roots_tribonacci_dominant():
     roots = all_roots([1, -1, -1, -1])
-    dom = max(roots.roots, key=abs)
-    assert abs(float(dom.real) - 1.839286755) < 1e-8
-    assert abs(float(dom.imag)) < 1e-20
+    dom = max(roots.roots, key=lambda r: r[0] ** 2 + r[1] ** 2)
+    assert abs(float(dom[0]) - 1.839286755) < 1e-8
+    assert dom[1] == 0                  # snapped: a real root comes back exactly real
 
 
 def test_all_roots_quartic():
     roots = all_roots([1, -1, -1, -2, -1])
-    mods = roots.moduli()
-    assert abs(float(mods[0]) - 2.065994892) < 1e-6
-    assert abs(float(mods[1]) - 0.9582737) < 1e-6
+    norms = roots.norms()
+    assert abs(math.sqrt(norms[0]) - 2.065994892) < 1e-6
+    assert abs(math.sqrt(norms[1]) - 0.9582737) < 1e-6
 
 
 def test_all_roots_multiplicities():
@@ -48,10 +51,11 @@ def test_root_modulus_product_equals_free_term():
     for f in ([1, -1, -1], [1, -1, -1, -1], [1, 0, -1, -1], [1, -1, -1, -2, -1],
               [1, -1, -1, -2, 0, 0, 1]):
         roots = all_roots(f)
-        prod = mpf(1)
-        for r, m in zip(roots.roots, roots.multiplicities):
-            prod *= abs(r) ** m
-        assert abs(float(prod) - abs(f[-1])) < 1e-9 * max(1, abs(f[-1]))
+        # The product of the moduli within 1e-9 * max(1, |f(0)|) of |f(0)|,
+        # compared exactly on its square.
+        prod2 = math.prod(norm for norm in roots.norms())
+        tol = Fraction(1, 10 ** 9) * max(1, abs(f[-1]))
+        assert (abs(f[-1]) - tol) ** 2 < prod2 < (abs(f[-1]) + tol) ** 2
 
 
 def test_all_roots_rejects_constants():
@@ -69,6 +73,36 @@ def test_all_roots_rejects_constants():
 ])
 def test_transition_ratio_values(coeffs, expected, tol):
     assert abs(float(transition_ratio(Recurrence(coeffs))) - expected) < tol
+
+
+THREADED = [(1, 1), (1, 0, 1), (1, 1, 1), (1, 1, 1, 1), (1, 2, 1, 1), (2, 0, 1)]
+
+
+def test_threads_at_different_precisions_get_their_own_results():
+    # The precision is an argument, not process state: two threads at 32
+    # and 300 bits, switching often, each get the sequential results.
+    def results(bits):
+        return [(analyze_recurrence(Recurrence(c), bits).to_dict(),
+                 transition_ratio(Recurrence(c), bits)) for c in THREADED]
+
+    expected = {bits: results(bits) for bits in (32, 300)}
+    start, got = threading.Barrier(2), {}
+
+    def run(bits):
+        start.wait()
+        got[bits] = [results(bits) for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(bits,)) for bits in expected]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == {bits: [want] * 5 for bits, want in expected.items()}
 
 
 def test_transition_ratio_needs_invertibility():
