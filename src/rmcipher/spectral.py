@@ -90,7 +90,7 @@ class RootSet:
     precision_bits: int
     polynomial: list = field(repr=False)
 
-    @property
+    @cached_property
     def roots(self) -> list[tuple[Fraction, Fraction]]:
         """Each root's real and imaginary parts, as exact rationals."""
         one = 1 << self.point
@@ -134,19 +134,19 @@ def _sqrt_bits(x: Fraction, bits: int) -> Fraction:
     return _round_bits(Fraction(r) * Fraction(2) ** ((e - shift) // 2), bits, r * r != n << shift)
 
 
-def _decimal(x: Fraction, digits: int = 17) -> str:
-    """x to `digits` significant decimal digits, rounded half up: fixed
-    point for decimal exponents from -4 to digits - 1, else d.ddd followed
-    by e+N or e-N, with trailing zeros stripped down to one (1.0, 2.5e-7)."""
+def _decimal(x: Fraction) -> str:
+    """x to 17 significant decimal digits, rounded half up: fixed point for
+    decimal exponents from -4 to 16, else d.ddd followed by e+N or e-N,
+    with trailing zeros stripped down to one (1.0, 2.5e-7)."""
     if not x:
         return "0.0"
     ex = len(str(abs(x.numerator))) - len(str(x.denominator))   # 10**(ex-1) < |x| < 10**(ex+1)
     ex -= abs(x) < Fraction(10) ** ex                             # 10**ex <= |x| < 10**(ex+1)
-    q = math.floor(abs(x) * Fraction(10) ** (digits - 1 - ex) + Fraction(1, 2))
-    if q == 10 ** digits:
+    q = math.floor(abs(x) * Fraction(10) ** (16 - ex) + Fraction(1, 2))
+    if q == 10 ** 17:
         q, ex = q // 10, ex + 1
     text, split = str(q), 1
-    if -5 < ex < digits:
+    if -5 < ex < 17:
         text, split, ex = ("0" * -ex + text, 1, 0) if ex < 0 else (text, ex + 1, 0)
     text = (text[:split] + "." + text[split:]).rstrip("0")
     text += "0" if text.endswith(".") else ""
