@@ -53,7 +53,7 @@ def test_root_modulus_product_equals_free_term():
         roots = all_roots(f)
         # The product of the moduli within 1e-9 * max(1, |f(0)|) of |f(0)|,
         # compared exactly on its square.
-        prod2 = math.prod(norm for norm in roots.norms())
+        prod2 = math.prod(roots.norms())
         tol = Fraction(1, 10 ** 9) * max(1, abs(f[-1]))
         assert (abs(f[-1]) - tol) ** 2 < prod2 < (abs(f[-1]) + tol) ** 2
 
@@ -86,7 +86,7 @@ def test_threads_at_different_precisions_get_their_own_results():
                  transition_ratio(Recurrence(c), bits)) for c in THREADED]
 
     expected = {bits: results(bits) for bits in (32, 300)}
-    start, got = threading.Barrier(2), {}
+    start, got = threading.Barrier(2, timeout=60), {}
 
     def run(bits):
         start.wait()
@@ -99,9 +99,10 @@ def test_threads_at_different_precisions_get_their_own_results():
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert got == {bits: [want] * 5 for bits, want in expected.items()}
 
 
