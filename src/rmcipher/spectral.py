@@ -79,9 +79,8 @@ def resolve_precision(bits: Optional[int] = None) -> int:
 @dataclass
 class RootSet:
     """All complex roots of a polynomial with multiplicities, exactly as the
-    kernel left them: root j is (X + iY) * 2**-point for gaussian[j] =
-    (X, Y), every root on one binary point.  The residuals are evaluated
-    on first use: no verdict reads them."""
+    kernel left them: root j is (X + iY) * 2**-point for gaussian[j] = (X, Y).
+    The residuals are evaluated on first use: no verdict reads them."""
 
     gaussian: list[tuple[int, int]]
     point: int
@@ -135,21 +134,21 @@ def _sqrt_bits(x: Fraction, bits: int) -> Fraction:
 
 
 def _decimal(x: Fraction) -> str:
-    """x to 17 significant decimal digits, rounded half up: fixed point for
-    decimal exponents from -4 to 16, else d.ddd followed by e+N or e-N,
-    with trailing zeros stripped down to one (1.0, 2.5e-7)."""
+    """x to 17 significant digits, rounded half up: fixed point for decimal
+    exponents -4 to 16, else d.ddde+N; trailing zeros cut to one (1.0, 2.5e-7)."""
     if not x:
         return "0.0"
-    ex = len(str(abs(x.numerator))) - len(str(x.denominator))   # 10**(ex-1) < |x| < 10**(ex+1)
-    ex -= abs(x) < Fraction(10) ** ex                             # 10**ex <= |x| < 10**(ex+1)
-    q = math.floor(abs(x) * Fraction(10) ** (16 - ex) + Fraction(1, 2))
+    # From the bit lengths, one step to 10**ex <= |x| < 10**(ex+1): no long int becomes text.
+    ax = abs(x)
+    ex = math.floor((ax.numerator.bit_length() - ax.denominator.bit_length()) * math.log10(2))
+    ex += (ax >= Fraction(10) ** (ex + 1)) - (ax < Fraction(10) ** ex)
+    q = math.floor(ax * Fraction(10) ** (16 - ex) + Fraction(1, 2))
     if q == 10 ** 17:
         q, ex = q // 10, ex + 1
     text, split = str(q), 1
     if -5 < ex < 17:
         text, split, ex = ("0" * -ex + text, 1, 0) if ex < 0 else (text, ex + 1, 0)
-    text = (text[:split] + "." + text[split:]).rstrip("0")
-    text += "0" if text.endswith(".") else ""
+    text = text[:split] + "." + (text[split:].rstrip("0") or "0")
     return ("-" if x < 0 else "") + text + (f"e{ex:+d}" if ex else "")
 
 
@@ -464,12 +463,12 @@ def _is_left_companion(a: Sequence[Sequence[int]]) -> bool:
 
 def _eigenvector(a: Sequence[Sequence[int]], lam: Fraction, bits: int) -> list[Fraction]:
     """Eigenvector for a simple eigenvalue lam, from one exact inverse of
-    shift * I - A with shift just above lam: its largest column, scaled so
-    that its largest entry is 1."""
-    k = len(a)
-    shift = lam + (lam + 1) / (1 << bits)
-    inv = exactmat.inverse_exact([[int(i == j) * shift - a[i][j] for j in range(k)]
-                                  for i in range(k)])
+    shift * I - A with shift = lam + (lam + 1) * 2**-(2 bits), as close to
+    lam as the roots are found: its largest column, scaled so that its
+    largest entry is 1."""
+    shift = lam + (lam + 1) / (1 << 2 * bits)
+    inv = exactmat.inverse_exact([[int(i == j) * shift - x for j, x in enumerate(row)]
+                                  for i, row in enumerate(a)])
     column = max(zip(*inv), key=lambda col: max(map(abs, col)))
     pivot = max(column, key=abs)
     return [x / pivot for x in column]
