@@ -363,11 +363,13 @@ class KeyContext:
     @cached_property
     def scaled_inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(columns of mint, denom): M_n**-1 == mint / denom exactly, with
-        denom the least common denominator of the inverse's entries."""
-        minv = exactmat.inverse_exact(self.matrix)
-        denom = math.lcm(*(f.denominator for row in minv for f in row))
-        mint = [[f.numerator * (denom // f.denominator) for f in row] for row in minv]
-        return tuple(zip(*mint)), denom
+        denom the least common denominator of the inverse's entries: the
+        adjugate and |det| over their common factor."""
+        adj, det = exactmat.adjugate(self.matrix)
+        g = math.gcd(det, *(x for row in adj for x in row))
+        if det < 0:
+            g = -g
+        return tuple(zip(*([x // g for x in row] for row in adj))), det // g
 
     @cached_property
     def tau(self) -> Fraction:

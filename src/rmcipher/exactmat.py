@@ -3,13 +3,14 @@
 Matrices are row-major lists of lists holding Python ints or
 ``fractions.Fraction``; polynomials are coefficient lists in descending
 degree order.  Everything in this module is exact: no floats enter or
-leave.  Determinants use fraction-free Bareiss elimination and inverses
-Gauss-Jordan over rationals, because coding-matrix entries grow
-exponentially with the index and rounding would break decryption.
+leave.  Determinants and inverses use fraction-free Bareiss elimination
+on integers, because coding-matrix entries grow exponentially with the
+index and rounding would break decryption.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -105,27 +106,39 @@ def det_exact(a: Sequence[Sequence[int]]) -> int:
     return sign * m[k - 1][k - 1]
 
 
-def inverse_exact(a: Sequence[Sequence[Scalar]]) -> RatMatrix:
-    """Exact rational inverse via Gauss-Jordan elimination over Fraction."""
+def adjugate(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
+    """(det(a) * a**-1, det(a)) of an invertible integer matrix, by
+    fraction-free (Bareiss) Gauss-Jordan elimination on [a | I]: every
+    division is exact, so the adjugate comes out in integers.  Raises
+    SingularMatrixError when det(a) == 0."""
     k = dim(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    inv = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if m[r][col] != 0), None)
+    m = [[int(x) for x in row] + [int(i == j) for j in range(k)] for i, row in enumerate(a)]
+    sign = 1
+    prev = 1
+    for p in range(k):
+        pivot = next((r for r in range(p, k) if m[r][p] != 0), None)
         if pivot is None:
             raise SingularMatrixError("matrix is not invertible")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = m[col][col]
-        m[col] = [x / scale for x in m[col]]
-        inv[col] = [x / scale for x in inv[col]]
+        if pivot != p:
+            m[p], m[pivot] = m[pivot], m[p]
+            sign = -sign
+        row = m[p]
+        d = row[p]
+        # Columns before p are never read again: only the rest is updated.
         for r in range(k):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
+            if r != p:
+                f = m[r][p]
+                m[r][p:] = [(d * x - f * y) // prev for x, y in zip(m[r][p:], row[p:])]
+        prev = d
+    return [[sign * x for x in row[k:]] for row in m], sign * prev
+
+
+def inverse_exact(a: Sequence[Sequence[Scalar]]) -> RatMatrix:
+    """Exact rational inverse: the adjugate over the determinant of the
+    matrix scaled to integers by the common denominator of its entries."""
+    lcd = math.lcm(*(x.denominator for row in a for x in row))
+    adj, det = adjugate([[int(x * lcd) for x in row] for row in a])
+    return [[Fraction(x * lcd, det) for x in row] for row in adj]
 
 
 def char_poly(a: Sequence[Sequence[int]]) -> IntPolynomial:
@@ -262,15 +275,37 @@ def poly_reverse(f: Sequence[Scalar]) -> list[Scalar]:
     return poly_trim(list(reversed(poly_trim(f))))
 
 
-def squarefree_factors(f: Sequence[Scalar]) -> list[tuple[list[Scalar], int]]:
-    """Yun's square-free decomposition: f = prod a_i**i (monic parts).
+def resultant(f: Sequence[int], g: Sequence[int]) -> int:
+    """Res(f, g) of two integer polynomials with nonzero leading
+    coefficients, deg f >= 1: the determinant of their Sylvester matrix."""
+    m, n = len(f) - 1, len(g) - 1
+    size = m + n
+    rows = [[0] * i + list(f) + [0] * (size - m - 1 - i) for i in range(n)]
+    rows += [[0] * i + list(g) + [0] * (size - n - 1 - i) for i in range(m)]
+    return det_exact(rows)
 
-    Returns the non-constant factors with their multiplicities.  Exact
-    over the rationals, so repeated roots are separated with certainty.
+
+def squarefree_factors(f: Sequence[Scalar]) -> list[tuple[list[Scalar], int]]:
+    """Square-free decomposition f = prod a_i**i (monic parts): the
+    non-constant factors with their multiplicities, exact over the
+    rationals, so repeated roots are separated with certainty.
+
+    A nonzero resultant of f (scaled to integers) and f', the discriminant
+    up to a factor, certifies f square-free with no gcd; otherwise Yun's
+    algorithm splits it.
     """
     f = poly_monic(f)
     if len(f) == 1:
         return []
+    lcd = math.lcm(*(c.denominator for c in f))
+    ints = [int(c * lcd) for c in f]
+    if resultant(ints, poly_derivative(ints)) != 0:
+        return [(_maybe_int(f), 1)]
+    return _yun(f)
+
+
+def _yun(f: list[Fraction]) -> list[tuple[list[Scalar], int]]:
+    """Yun's square-free decomposition of a monic polynomial of degree >= 1."""
     df = poly_derivative(f)
     a = poly_gcd(f, df)
     if poly_degree(a) == 0:
@@ -289,3 +324,31 @@ def squarefree_factors(f: Sequence[Scalar]) -> list[tuple[list[Scalar], int]]:
         d = poly_sub(c, poly_derivative(b))
         i += 1
     return out
+
+
+def roots_in_unit_disk(f: Sequence[int]) -> Optional[int]:
+    """The number of roots of the integer polynomial f in |z| < 1, with
+    multiplicity, by the Schur-Cohn recursion (Schur 1917; Cohn 1922) in
+    integers; None when its table is degenerate (|a_0| = |a_n| at some
+    step, which any root on the unit circle forces).
+
+    Each step forms T p = a_0 p - a_n p*, p*(z) = z**n p(1/z), which has
+    degree below n.  On |z| = 1 the larger of the two terms decides
+    (Rouche): T p has the roots of p inside when |a_0| > |a_n|, else those
+    of p*, the n - N(p) reflections of the roots of p outside."""
+    p = poly_trim(list(f))
+    if p == [0]:
+        return None
+    steps = []
+    while len(p) > 1:
+        lead, const = p[0], p[-1]
+        if abs(lead) == abs(const):
+            return None
+        steps.append((len(p) - 1, abs(const) < abs(lead)))
+        t = poly_trim([const * x - lead * y for x, y in zip(p, reversed(p))])
+        content = math.gcd(*t)
+        p = [c // content for c in t]
+    count = 0
+    for n, reflected in reversed(steps):
+        count = n - count if reflected else count
+    return count

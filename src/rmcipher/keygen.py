@@ -119,9 +119,19 @@ def _passes_spectrum(report: SpectralReport, cfg: GenConfig, stats: GenStats) ->
     return True
 
 
+def _two_roots_outside(rec: Recurrence) -> bool:
+    """Exactly: at least two roots of the characteristic polynomial lie
+    strictly outside the unit circle, so no root solve can call it Pisot.
+    One integer Schur-Cohn pass; a degenerate table proves nothing."""
+    inside = exactmat.roots_in_unit_disk(rec.char_poly())
+    return inside is not None and inside < rec.order - 1
+
+
 def sieve_companion(cfg: GenConfig, stats: Optional[GenStats] = None) -> Iterator[GeneratedKey]:
     """Draw coefficient vectors uniformly (a_0 forced nonzero) and keep
-    the spectrally feasible ones, paired with a random cyclic vector."""
+    the spectrally feasible ones, paired with a random cyclic vector.
+    Under require_pisot a candidate with two roots outside the unit
+    circle is rejected as not_pisot before its root solve."""
     stats = stats if stats is not None else GenStats()
     lo, hi = cfg.coeff_range
     for i in range(cfg.budget):
@@ -135,6 +145,9 @@ def sieve_companion(cfg: GenConfig, stats: Optional[GenStats] = None) -> Iterato
                 continue
             coeffs[0] = rng.choice(nonzero)
         rec = Recurrence(tuple(coeffs))
+        if cfg.require_pisot and _two_roots_outside(rec):
+            stats.reject("not_pisot")
+            continue
         report = spectral.analyze_recurrence(rec)
         if not _passes_spectrum(report, cfg, stats):
             continue

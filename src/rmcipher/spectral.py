@@ -461,17 +461,27 @@ def _is_left_companion(a: Sequence[Sequence[int]]) -> bool:
     return k >= 2 and all(a[i][j] == (j == i - 1) for i in range(1, k) for j in range(k))
 
 
+def _char_poly(a: Sequence[Sequence[int]]) -> IntPolynomial:
+    """The characteristic polynomial of the square matrix a, read off the
+    first row where a is a left companion matrix."""
+    exactmat.dim(a)
+    return [1] + [-x for x in a[0]] if _is_left_companion(a) else exactmat.char_poly(a)
+
+
 def _eigenvector(a: Sequence[Sequence[int]], lam: Fraction, bits: int) -> list[Fraction]:
     """Eigenvector for a simple eigenvalue lam, from one exact inverse of
     shift * I - A with shift = lam + (lam + 1) * 2**-(2 bits), as close to
     lam as the roots are found: its largest column, scaled so that its
-    largest entry is 1."""
+    largest entry is 1.  The inverse is taken as the integer adjugate of
+    q * (shift * I - A), q the shift's denominator; the common factor
+    q / det cancels in the scaling."""
     shift = lam + (lam + 1) / (1 << 2 * bits)
-    inv = exactmat.inverse_exact([[int(i == j) * shift - x for j, x in enumerate(row)]
-                                  for i, row in enumerate(a)])
-    column = max(zip(*inv), key=lambda col: max(map(abs, col)))
+    p, q = shift.numerator, shift.denominator
+    adj, _ = exactmat.adjugate([[int(i == j) * p - q * x for j, x in enumerate(row)]
+                                for i, row in enumerate(a)])
+    column = max(zip(*adj), key=lambda col: max(map(abs, col)))
     pivot = max(column, key=abs)
-    return [x / pivot for x in column]
+    return [Fraction(x, pivot) for x in column]
 
 
 def is_strong_perron_frobenius(a: Sequence[Sequence[int]],
@@ -624,7 +634,7 @@ def analyze_matrix(a: Sequence[Sequence[int]],
     """Every spectral verdict on a, from one root solve of its
     characteristic polynomial and one dominance test of its roots."""
     bits = resolve_precision(precision)
-    f = exactmat.char_poly(a)
+    f = _char_poly(a)
     rootset = all_roots(f, bits)
     norms = rootset.norms()
     dom = _dominance(rootset)

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rmcipher.exactmat import (SingularMatrixError, char_poly, det_exact, identity,
+from rmcipher import exactmat
+from rmcipher.exactmat import (SingularMatrixError, adjugate, char_poly, det_exact, identity,
                                inverse_exact, mat_mul, mat_pow, mat_vec, poly_degree,
-                               poly_divide, poly_eval, poly_gcd,
-                               poly_mul, poly_reverse, squarefree_factors)
+                               poly_derivative, poly_divide, poly_eval, poly_gcd, poly_monic,
+                               poly_mul, poly_reverse, resultant, squarefree_factors)
 from tests.conftest import C_ALGORITHM_15, M15_2FIB
 
 M0_2FIB = [[1, 1, 1], [1, 1, 0], [1, 0, 0]]
@@ -142,6 +145,32 @@ def test_inverse_times_matrix_is_identity():
 def test_inverse_singular_raises():
     with pytest.raises(SingularMatrixError):
         inverse_exact([[1, 2], [2, 4]])
+    with pytest.raises(SingularMatrixError):
+        adjugate([[0, 0], [0, 0]])
+
+
+def test_adjugate_is_det_times_inverse():
+    rng = random.Random(37)
+    done = 0
+    while done < 100:
+        k = rng.randint(1, 6)
+        a = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+        det = det_exact(a)
+        if det == 0:
+            continue
+        adj, d = adjugate(a)
+        assert d == det
+        assert mat_mul(a, adj) == [[det * (i == j) for j in range(k)] for i in range(k)]
+        assert all(isinstance(x, int) for row in adj for x in row)
+        done += 1
+
+
+def test_inverse_of_a_rational_matrix():
+    a = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(-2, 5), 7]]
+    inv = inverse_exact(a)
+    assert mat_mul(a, inv) == identity(2)
+    # det = 109/30, so the inverse is 30/109 [[7, -1/3], [2/5, 1/2]].
+    assert inv == [[Fraction(210, 109), Fraction(-10, 109)], [Fraction(12, 109), Fraction(15, 109)]]
 
 
 def test_char_poly_2x2():
@@ -224,6 +253,32 @@ def test_squarefree_factors():
     factors = squarefree_factors(f)
     assert ([1, 2], 1) in factors
     assert ([1, -1], 2) in factors
+
+
+def test_resultant_worked_examples():
+    assert resultant([1, 0, -2], [2, 0]) == -8      # z**2 - 2 and its derivative
+    assert resultant([1, -1], [1, -1]) == 0
+    assert resultant([1, 2], [3]) == 3               # Res(f, c) = c**deg f
+    assert resultant([1, 0, 1], [1, 0, 0]) == 1
+
+
+def _polys(degree):
+    return st.lists(st.integers(-5, 5), min_size=degree + 1, max_size=degree + 1).filter(
+        lambda c: c[0] != 0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(_polys), st.integers(1, 3).flatmap(_polys),
+       st.booleans(), st.integers(1, 6))
+def test_squarefree_factors_equal_yuns(a, b, squared, denominator):
+    """The discriminant certificate changes no result: a*b and a**2*b, with
+    integer and with rational coefficients, split as Yun splits them."""
+    f = poly_mul(poly_mul(a, a) if squared else a, b)
+    for g in (f, [Fraction(c, denominator) for c in f]):
+        assert squarefree_factors(g) == exactmat._yun(poly_monic(g))
+    if squared:
+        assert resultant(f, poly_derivative(f)) == 0
+        assert any(m >= 2 for _, m in squarefree_factors(f))
 
 
 def test_poly_eval():

@@ -1,10 +1,14 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rmcipher import (GenConfig, Recurrence, abt_family, is_cyclic, key_fingerprint,
-                      left_companion, primitive_growth, right_companion,
-                      right_form_keygen, sieve_companion, validate_key)
+from rmcipher import (GenConfig, Recurrence, abt_family, analyze_matrix, is_cyclic,
+                      key_fingerprint, keygen, left_companion, primitive_growth,
+                      right_companion, right_form_keygen, sieve_companion, validate_key)
+from rmcipher.cli import main
 from rmcipher.keygen import (CyclicVectorError, GenStats, derive_seed,
                              multinacci_poly, random_cyclic_vector)
 from rmcipher.spectral import DominantRootError, analyze_recurrence
@@ -37,6 +41,29 @@ def test_sieve_pisot_filter():
     assert keys
     for gen in keys:
         assert gen.report.is_pisot == "yes"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-4, 4), min_size=2, max_size=7))
+def test_the_prefilter_rejects_only_what_the_solver_rejects(coeffs):
+    rec = Recurrence(tuple(coeffs))
+    if keygen._two_roots_outside(rec):
+        assert analyze_matrix(left_companion(rec)).is_pisot != "yes", rec.char_poly()
+
+
+def test_pisot_stats_count_a_prefiltered_candidate_as_not_pisot(tmp_path, capsys, monkeypatch):
+    # The first candidate is z**3 - 2: its three roots share the modulus
+    # 2**(1/3), so the solver calls it SPF-indeterminate ("not_spf"), and
+    # Schur-Cohn proves all three outside the unit circle ("not_pisot").
+    argv = ["keygen", "--pisot", "--range", "0,2", "--k", "3", "--seed", "4", "--stats"]
+    assert main(argv + ["--out", str(tmp_path / "key.json")]) == 0
+    assert json.loads(capsys.readouterr().err) == {
+        "tried": 2, "emitted": 1, "rejected": {"not_pisot": 1}}
+    monkeypatch.setattr(keygen, "_two_roots_outside", lambda rec: False)
+    assert main(argv + ["--out", str(tmp_path / "unfiltered.json")]) == 0
+    assert json.loads(capsys.readouterr().err) == {
+        "tried": 2, "emitted": 1, "rejected": {"not_spf": 1}}
+    assert (tmp_path / "key.json").read_bytes() == (tmp_path / "unfiltered.json").read_bytes()
 
 
 def test_fibonacci_coefficients_always_feasible():

@@ -99,12 +99,25 @@ def test_a_report_on_another_polynomial_or_precision_is_refused(two_fib_key):
 
 
 @pytest.mark.parametrize("order,seed", [(3, 0), (3, 1), (5, 2)])
-def test_sieve_solves_once_per_candidate(order, seed, solves):
+def test_sieve_solves_once_per_candidate(order, seed, solves, monkeypatch):
+    """Every candidate the Schur-Cohn prefilter passes is solved exactly
+    once, the ones it rejects never, and the keys are those of a sieve
+    without the prefilter."""
     cfg = GenConfig(order=order, coeff_range=(0, 2), require_pisot=True, seed=seed, budget=12)
+    verdicts = []
+    prefilter = keygen._two_roots_outside
+
+    def recording(rec):
+        verdicts.append(prefilter(rec))
+        return verdicts[-1]
+
+    monkeypatch.setattr(keygen, "_two_roots_outside", recording)
     stats = GenStats()
     keys = list(sieve_companion(cfg, stats))
-    assert stats.tried == 12 and keys
-    assert solves[0] == stats.tried
+    assert stats.tried == len(verdicts) == 12 and keys and any(verdicts)
+    assert solves[0] == stats.tried - sum(verdicts)
+    monkeypatch.setattr(keygen, "_two_roots_outside", lambda rec: False)
+    assert [g.key for g in keys] == [g.key for g in sieve_companion(cfg)]
 
 
 def test_right_form_keygen_solves_once_and_keeps_its_message(solves):

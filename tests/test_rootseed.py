@@ -344,6 +344,15 @@ def test_oracle_counts_agree_with_numerical_roots():
     assert checked > 40
 
 
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=9))
+@example([1, 0, 0, -2])                  # every root outside
+@example([1, -1, -1, -1, 1])             # Salem: roots on the circle, degenerate
+@example([0, 0, 3, 1])                   # leading zeros
+def test_package_schur_cohn_count_equals_the_oracle(f):
+    assert exactmat.roots_in_unit_disk(f) == _schur_cohn(f)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(st.integers(-4, 4), min_size=2, max_size=6).filter(lambda c: c[0] != 0))

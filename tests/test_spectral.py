@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rmcipher import (Recurrence, all_roots, is_pisot, is_primitive,
+from rmcipher import (Recurrence, all_roots, exactmat, is_pisot, is_primitive,
                       is_strong_perron_frobenius, left_companion,
-                      second_eigenmodulus, transition_ratio)
+                      second_eigenmodulus, spectral, transition_ratio)
+from rmcipher.exactmat import char_poly
 from rmcipher.spectral import (DominantRootError, analyze_matrix, analyze_recurrence,
                                resolve_precision)
 
@@ -306,6 +307,26 @@ def test_pisot_companion_is_spf():
         rec = Recurrence(coeffs)
         if is_pisot(rec.char_poly()) == "yes":
             assert is_strong_perron_frobenius(left_companion(rec)).is_spf == "yes"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=8), st.data())
+def test_a_companion_polynomial_read_off_its_first_row_equals_char_poly(coeffs, data):
+    a = left_companion(Recurrence(tuple(coeffs)))
+    assert spectral._char_poly(a) == char_poly(a)
+    # One changed entry below the first row: no longer a companion matrix.
+    k = len(a)
+    i, j = data.draw(st.integers(1, k - 1)), data.draw(st.integers(0, k - 1))
+    a[i][j] += data.draw(st.sampled_from([-1, 1]))
+    assert spectral._char_poly(a) == char_poly(a)
+
+
+def test_the_report_reads_a_companion_polynomial_off_its_first_row(monkeypatch):
+    a = left_companion(Recurrence((1, 0, 1)))
+    monkeypatch.setattr(exactmat, "char_poly", None)        # never called for a companion
+    assert analyze_matrix(a).char_poly == [1, -1, 0, -1]
+    with pytest.raises(ValueError):
+        analyze_matrix([[1, 0, 1, 5], [1, 0, 0], [0, 1, 0]])     # first row too long
 
 
 def test_analyze_matrix_report():
