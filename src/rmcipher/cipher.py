@@ -19,10 +19,9 @@ from itertools import chain, repeat
 from operator import add, floordiv, mod, mul
 from typing import Iterator, Optional, Sequence
 
-from .coding import KeyContext, KeyLike, key_context
+from .coding import ALPHABET_MAX, KeyContext, KeyLike, key_context
 from .exactmat import IntMatrix
 
-ALPHABET_MAX = 255
 # encrypt_rows sums byte-table lookups for a call of TABLE_ROWS rows or
 # more while M_n's entries fit in TABLE_BITS bits; otherwise it multiplies.
 # The k * k * 256 table entries pay back their building within about 600

@@ -22,7 +22,8 @@ syntax.
      file that cannot be written).
   3  CliError(code=3): corruption detected but not uniquely corrected
      (CorruptionError in decrypt, GuardError or an ambiguous or failed
-     repair in correct; a negative trusted reference is a GuardError).
+     repair in correct; a flagged entry with no trusted entry whose ratio
+     bounds to it are finite, or an empty checking range, is a GuardError).
   4  correct: the candidate budget ran out.
 
 correct --out writes each uniquely repaired block repaired and every other
@@ -69,7 +70,8 @@ from typing import ContextManager, Iterator, Optional, Sequence, TextIO
 
 from . import cipher, formats, guard, keygen, spectral
 from .coding import (CodingKey, InvalidKeyError, KeyContext, KeyReport, key_fingerprint,
-                     left_companion, spf_target, validate_key, writable_matrix)
+                     left_companion, spf_target, writable_matrix)
+from .coding import validate_key  # noqa: F401 - bound for perfbench's tracer (test_perfbench)
 from .formats import ErrorModel
 from .keygen import GenConfig, GenStats
 from .recurrence import Recurrence
@@ -218,8 +220,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
         x0 = keygen.random_cyclic_vector(left_companion(rec), *keygen.VECTOR_RANGE, rng)
         index = rng.randint(*cfg.index_range)
         key = CodingKey("symmetric", rec.order, index, coeffs=rec.coeffs, x0=x0)
-        gen = keygen.GeneratedKey(key, fam.report, "abt_family",
-                                  validate_key(key, report=fam.report))
+        gen = keygen.GeneratedKey(key, fam.report, "abt_family")
     elif args.method == "primitive":
         seed01 = _load_seed_matrix(args.seed_matrix, cfg.order)
         gen = next(keygen.primitive_growth(seed01, cfg, stats), None)

@@ -39,6 +39,7 @@ KIND_GENERAL = "general"
 KIND_RIGHT = "right_form"
 KINDS = (KIND_SYMMETRIC, KIND_GENERAL, KIND_RIGHT)
 KEY_FORMAT = "rmc-key-v1"
+ALPHABET_MAX = 255        # plaintext entries are bytes
 
 
 class InvalidKeyError(ValueError):
@@ -357,7 +358,7 @@ class KeyContext:
         """byte_tables[j][t][b] == b * M_n[t][j] for every byte b, built by
         running sums: k * k * 256 entries as wide as M_n's, so a long
         encryption's product is a sum of lookups."""
-        return tuple(tuple(list(accumulate(repeat(c, 255), initial=0)) for c in col)
+        return tuple(tuple(list(accumulate(repeat(c, ALPHABET_MAX), initial=0)) for c in col)
                      for col in self.columns)
 
     @cached_property
@@ -391,6 +392,23 @@ class KeyContext:
         k = self.order
         return {(j, jp): column_ratio_bounds(self.matrix, j, jp)
                 for j in range(k) for jp in range(k) if j != jp}
+
+    @cached_property
+    def reference_columns(self) -> dict:
+        """For each column j, the columns t with both ratio_bounds[(j, t)]
+        finite, nearest first, ties to the lower: the references for j."""
+        k = self.order
+        return {j: tuple(sorted((t for t in range(k) if t != j
+                                 and math.inf not in map(abs, self.ratio_bounds[(j, t)])),
+                                key=lambda t: (abs(t - j), t)))
+                for j in range(k)}
+
+    @cached_property
+    def entry_ranges(self) -> tuple[tuple[int, int], ...]:
+        """(lo, hi) for each column: entries of P * M_n with P in [0, ALPHABET_MAX]
+        lie between ALPHABET_MAX times its negative and its positive sum."""
+        return tuple((ALPHABET_MAX * sum(v for v in col if v < 0),
+                      ALPHABET_MAX * sum(v for v in col if v > 0)) for col in self.columns)
 
     @cached_property
     def cross_bounds(self) -> dict:
@@ -459,7 +477,6 @@ def check_report(report: spectral.SpectralReport, key: CodingKey,
 
 
 def validate_key(key: CodingKey, precision: Optional[int] = None,
-                 tau_cap: float = 3.0,
                  report: Optional[spectral.SpectralReport] = None) -> KeyReport:
     """Structured feasibility report: invertibility, cyclicity, spectral
     verdicts, a transition-ratio cap, and eventual positivity of M_n.
@@ -504,9 +521,8 @@ def validate_key(key: CodingKey, precision: Optional[int] = None,
     items.append(CheckItem("pisot", status[report.is_pisot]))
 
     if report.tau is not None:
-        within = report.tau <= tau_cap
-        items.append(CheckItem("tau_within_cap", "pass" if within else "warn",
-                               f"tau = {spectral.to_float(report.tau):.6g}, cap = {tau_cap:g}"))
+        items.append(CheckItem("tau_within_cap", "pass" if report.tau <= 3 else "warn",
+                               f"tau = {spectral.to_float(report.tau):.6g}, cap = 3"))
     else:
         items.append(CheckItem("tau_within_cap", "indeterminate", "no dominant eigenvalue"))
 

@@ -6,7 +6,8 @@ and j' of M.  Those exact two-sided bounds drive everything here:
 
 * verification tests consecutive-column ratios against the bounds,
 * detection builds a per-row consistency graph over all column pairs
-  and trusts the maximum consistent clique; a receiver first tests whole
+  and trusts the maximum consistent clique of entries inside their
+  column's range (KeyContext.entry_ranges); a receiver first tests whole
   chunks of rows (failing_rows) and builds the graph only where a row
   fails,
 * correction enumerates integer candidates for each flagged entry in a
@@ -92,12 +93,13 @@ def checking_range(c_ref: int, bounds, tau_power=None) -> CheckingRange:
     """Integer candidate interval for a suspect entry given a trusted reference.
 
     bounds are the column ratio bounds suspect-over-reference, as
-    column_ratio_bounds(m, suspect, reference) gives them.  tau_power is
-    the transition-ratio power tau**(j'-j) used for the spiral estimate;
+    column_ratio_bounds(m, suspect, reference) gives them, both finite
+    (a row of M_n with 0 at the reference then has 0 at the suspect, so a
+    reference of 0 gives [0, 0]; a negative one turns them over, leaving
+    at most one candidate, for decryption to decide).  tau_power is the
+    transition-ratio power tau**(j'-j) used for the spiral estimate;
     without it the estimate falls back to the interval midpoint.
     """
-    if c_ref <= 0:
-        raise ValueError("reference entry must be positive")
     blo, bhi = bounds
     if blo in _INFINITE or bhi in _INFINITE:
         raise ValueError("reference column admits an unbounded ratio; pick another reference")
@@ -195,9 +197,10 @@ def detect_errors(c: Sequence[Sequence[int]], key: KeyLike,
     Column pairs are consistent when their ratio satisfies the exact
     checking bounds of M_n (_within).  Each pair also reports its
     deviation from the matching power of the transition ratio; the
-    trusted set of a row is the maximum consistent clique, ties
-    preferring the smaller total deviation, then the leftmost columns.
-    Rows with no consistent pair come back with an empty trusted set.
+    trusted set of a row is the maximum consistent clique of the entries
+    inside their column's absolute range, ties preferring the smaller
+    total deviation, then the leftmost columns.  Rows with no consistent
+    pair of such entries come back with an empty trusted set.
     """
     ctx = key_context(key, n)
     k = ctx.order
@@ -210,12 +213,13 @@ def detect_errors(c: Sequence[Sequence[int]], key: KeyLike,
         evidence: list[PairEvidence] = []
         adj: set[tuple[int, int]] = set()
         dev_of: dict[tuple[int, int], float] = {}
+        inside = [lo <= v <= hi for v, (lo, hi) in zip(row, ctx.entry_ranges)]
         for j, jp, expected, bound in pairs:
             num, den = row[j], row[jp]
             rel_dev = _deviation(expected, num, den)
             consistent = _within(*bound, num, den)
             ratio = Fraction(num, den) if den else None
-            if consistent:
+            if consistent and inside[j] and inside[jp]:
                 adj.add((j, jp))
                 dev_of[(j, jp)] = rel_dev if rel_dev is not None else 0.0
             evidence.append(PairEvidence(j, jp, ratio, expected, rel_dev, consistent))
@@ -228,14 +232,18 @@ def detect_errors(c: Sequence[Sequence[int]], key: KeyLike,
 
 def failing_rows(ctx: KeyContext, values: Sequence[int]) -> set[int]:
     """Indices of the rows that detect_errors flags, for rows given as flat
-    row-major entries: the rows with a column pair that fails _within.
+    row-major entries: the rows with an entry outside its column's
+    absolute range or a column pair that fails _within.
 
-    The test goes a whole column pair at a time (_all_within) and row by
-    row only for a column pair where that fails; no Fraction is built.
+    The test goes a whole column (pair) at a time (_all_within) and row by
+    row only for a column (pair) where that fails; no Fraction is built.
     """
     k = ctx.order
     cols = [values[t::k] for t in range(k)]
     failing: set[int] = set()
+    for col, (lo, hi) in zip(cols, ctx.entry_ranges):
+        if col and not lo <= min(col) <= max(col) <= hi:
+            failing.update(r for r, v in enumerate(col) if not lo <= v <= hi)
     for (j, jp), bound in ctx.cross_bounds.items():
         nums, dens = cols[j], cols[jp]
         if _all_within(nums, dens, *bound):
@@ -363,9 +371,9 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
     alphabet (plus the optional extra validator, called with the row
     index and the decrypted row).  All accepted candidates are returned
     in discovery order; the budget caps the total number of combinations
-    tested.  A trusted reference of 0 (a
-    zero padding row) admits only the candidate 0; a negative one, which no
-    plaintext gives, raises UncorrectableRowError.
+    tested.  A flagged entry's reference is its nearest trusted column
+    with finite bounds (KeyContext.reference_columns), or none: then
+    UncorrectableRowError.
     """
     ctx = key_context(key, n)
     rows_out: list[RowCorrection] = []
@@ -378,26 +386,19 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
     for diag in diagnoses:
         if not diag.flagged:
             continue
-        if not diag.trusted:
-            raise UncorrectableRowError(
-                f"row {diag.row} has no trusted entry; correction needs external data")
         i = diag.row
         refs: dict[int, int] = {}
         ranges: dict[int, CheckingRange] = {}
         flagged = list(diag.flagged)
         for j in flagged:
-            ref = min(diag.trusted, key=lambda t: (abs(t - j), t))
-            refs[j] = ref
-            if c[i][ref] < 0:
+            ref = next((t for t in ctx.reference_columns[j] if t in diag.trusted), None)
+            if ref is None:
                 raise UncorrectableRowError(
-                    f"row {i}: trusted entry {(i, ref)} is negative, so it bounds no "
-                    f"checking range")
-            if c[i][ref] == 0:
-                rng = _zero_reference_range(ctx, i, ref)
-            else:
-                rng = checking_range(
-                    c[i][ref], ctx.ratio_bounds[(j, ref)], tau_power=ctx.tau_powers[ref - j])
-            ranges[j] = rng
+                    f"row {i} has no trusted entry that bounds entry {(i, j)}; "
+                    f"correction needs external data")
+            refs[j] = ref
+            ranges[j] = checking_range(
+                c[i][ref], ctx.ratio_bounds[(j, ref)], tau_power=ctx.tau_powers[ref - j])
 
         accepted: list[RowCandidate] = []
         tested = 0
@@ -433,21 +434,6 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
                             unique=unique and matrix is not None,
                             tested_total=tested_total,
                             budget_exhausted=budget_exhausted)
-
-
-def _zero_reference_range(ctx: KeyContext, i: int, ref: int) -> CheckingRange:
-    """The single candidate 0 for an entry of row i whose trusted entry (column ref) is 0.
-
-    With a strictly positive reference column of M_n and P >= 0, a zero
-    reference entry forces the whole plaintext row to zero, so every
-    entry of the row is 0; decryption then confirms the candidate.
-    """
-    if not all(v > 0 for v in ctx.columns[ref]):
-        raise UncorrectableRowError(
-            f"row {i}: trusted entry {(i, ref)} is 0 and column {ref} "
-            f"of M_n is not positive, so the row is not determined")
-    zero = Fraction(0)
-    return CheckingRange(lower=zero, upper=zero, lo=0, hi=0, estimate=0)
 
 
 # ---------------------------------------------------------------------------

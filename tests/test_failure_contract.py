@@ -234,9 +234,10 @@ def test_bench_refuses_a_negative_index(files, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind", sorted(KEYS))
-def test_correct_from_a_negative_trusted_reference_exits_3(kind, files, tmp_path, capsys):
-    """Negating a row's first two entries keeps their ratio, so detect trusts
-    both; no plaintext gives a negative entry, so the repair fails."""
+def test_correct_of_negated_entries_exits_3(kind, files, tmp_path, capsys):
+    """Negating a row's first two entries keeps their ratio, but both leave
+    their columns' absolute ranges, so detect trusts neither; the third
+    entry alone is no clique, so the row has nothing to repair from."""
     keyfile, _msg, cfile = files[kind]
     header, first, rest = cfile.read_text().split("\n", 2)
     bad, fixed, report = tmp_path / "bad.rmc", tmp_path / "fixed.rmc", tmp_path / "r.json"
@@ -244,8 +245,11 @@ def test_correct_from_a_negative_trusted_reference_exits_3(kind, files, tmp_path
     bad.write_text("\n".join([header, " ".join(["-" + entries[0], "-" + entries[1],
                                                  *entries[2:]]), rest]))
     assert _run(["detect", keyfile, bad, "--out", report]) == 0
-    assert json.loads(report.read_text())["blocks"][0]["rows"][0]["trusted"] == [0, 1]
+    row = json.loads(report.read_text())["blocks"][0]["rows"][0]
+    assert (row["trusted"], row["flagged"]) == ([], [0, 1, 2])
+    assert next(p for p in row["pairs"] if (p["j"], p["jp"]) == (0, 1))["consistent"]
     capsys.readouterr()
     assert _run(["correct", keyfile, bad, "--out", fixed, "--report", report]) == 3
-    assert capsys.readouterr().err.startswith("error: row 0: trusted entry (0, 1) is negative")
+    assert capsys.readouterr().err.startswith("error: row 0 has no trusted entry that bounds "
+                                              "entry (0, 0)")
     assert not fixed.exists()

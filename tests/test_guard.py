@@ -64,9 +64,23 @@ def test_checking_range_empty():
         checking_range(7, (Fraction(1, 10), Fraction(1, 9)))
 
 
-def test_checking_range_requires_positive_reference():
-    with pytest.raises(ValueError):
-        checking_range(0, (Fraction(1), Fraction(2)))
+def test_checking_range_of_a_zero_reference_is_zero():
+    rng = checking_range(0, (Fraction(1), Fraction(2)), tau_power=Fraction(3, 2))
+    assert (rng.lower, rng.upper, rng.lo, rng.hi, rng.estimate) == (0, 0, 0, 0, 0)
+
+
+def test_checking_range_refuses_an_unbounded_ratio():
+    for bounds in ((Fraction(1), math.inf), (-math.inf, Fraction(1))):
+        with pytest.raises(ValueError):
+            checking_range(5, bounds)
+
+
+def test_checking_range_of_a_negative_reference_is_empty():
+    with pytest.raises(EmptyCheckingRangeError):
+        checking_range(-7, (Fraction(1), Fraction(2)))
+    # Proportional columns: the one candidate is left to decryption.
+    rng = checking_range(-7, (Fraction(2), Fraction(2)))
+    assert (rng.lo, rng.hi) == (-14, -14)
 
 
 def test_verify_genuine_ciphertext(two_fib_key):

@@ -27,7 +27,7 @@ def test_sieve_reproducible_and_valid():
     assert [key_fingerprint(g.key) for g in first] == [key_fingerprint(g.key) for g in second]
     assert first, "sieve found no keys in 200 draws"
     for gen in first:
-        assert gen.validation.ok
+        assert validate_key(gen.key, report=gen.report).ok
         assert gen.report.is_spf == "yes"
         assert float(gen.report.tau) <= cfg.tau_cap
         assert validate_key(gen.key).ok
@@ -153,7 +153,7 @@ def test_primitive_growth_emits_valid_keys():
         assert is_primitive(left)
         assert gen.report.is_spf == "yes"
         assert float(gen.report.tau) <= cfg.tau_cap
-        assert gen.validation.ok
+        assert validate_key(gen.key, report=gen.report).ok
 
 
 def test_grown_showcase_matrix_certifies():
@@ -198,8 +198,9 @@ def test_right_form_keygen_feasible():
     cfg = GenConfig(order=3, coeff_range=(0, 2), seed=3)
     gen = right_form_keygen(Recurrence((2, 0, 1)), cfg)
     assert gen.key.kind == "right_form"
-    assert gen.validation.ok
-    assert gen.validation.item("strong_perron_frobenius").status == "pass"
+    validation = validate_key(gen.key, report=gen.report)
+    assert validation.ok
+    assert validation.item("strong_perron_frobenius").status == "pass"
     assert abs(float(gen.report.tau) - 1.6956) < 1e-4
 
 

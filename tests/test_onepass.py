@@ -122,7 +122,8 @@ def test_sieve_solves_once_per_candidate(order, seed, solves, monkeypatch):
 
 def test_right_form_keygen_solves_once_and_keeps_its_message(solves):
     cfg = GenConfig(order=3, coeff_range=(0, 2), seed=3)
-    assert right_form_keygen(Recurrence((2, 0, 1)), cfg).validation.ok
+    gen = right_form_keygen(Recurrence((2, 0, 1)), cfg)
+    assert validate_key(gen.key, report=gen.report).ok
     assert solves[0] == 1
     with pytest.raises(spectral.DominantRootError,
                        match="^right companion matrix lacks the strong Perron-Frobenius "

@@ -18,8 +18,8 @@ from rmcipher import (KeyContext, column_ratio_bounds, detect_errors, general_ke
                       symmetric_key, verify_ciphertext)
 from rmcipher.cipher import encrypt_rows
 from rmcipher.cli import main
-from rmcipher.formats import (ErrorModel, cipher_from_text, cipher_to_text, corrupt_blocks,
-                              records_to_json, save_key)
+from rmcipher.formats import (MODELS, ErrorModel, cipher_from_text, cipher_to_text,
+                              corrupt_blocks, records_to_json, save_key)
 from rmcipher.coding import cross_bound
 from rmcipher.guard import _within, failing_rows
 
@@ -181,6 +181,15 @@ def test_a_ratio_beyond_the_float_range_is_reported_not_raised():
     assert failing_rows(ctx, row) == {0}
 
 
+def test_absolute_ranges_hold_every_genuine_entry():
+    ctx = CONTEXTS["general-3-zeros"]
+    assert ctx.matrix == ((2, 1, 1), (3, 1, 0), (3, 2, 1))
+    assert ctx.entry_ranges == ((0, 2040), (0, 1020), (0, 510))
+    assert encrypt_rows(ctx, [255] * 3) == [2040, 1020, 510]
+    assert CONTEXTS["general-3"].entry_ranges == tuple(
+        (0, 255 * sum(col)) for col in CONTEXTS["general-3"].columns)
+
+
 def test_a_transition_ratio_power_beyond_the_float_range_is_reported_as_null(tmp_path):
     # tau = 10**100 passes validation; tau**4 is beyond the float range, so
     # the pairs four columns apart have no expected ratio and no deviation,
@@ -307,3 +316,47 @@ def test_corrupt_threads_one_generator_across_chunks(keyfiles, tmp_path):
     assert out.read_text() == cipher_to_text(expect, header.length, header.order,
                                              header.fingerprint)
     assert json.loads(sidecar.read_text())["corruptions"] == records_to_json(records)
+
+
+def test_an_entry_outside_its_absolute_range_is_flagged_not_trusted(keyfiles, tmp_path):
+    # An entry of 10**400 in column 0 meets its +inf ratio bound against the
+    # zero of M_1's column 2, so by the ratio tests alone it was trusted and
+    # the genuine entry 1 flagged, with ~10**399 candidates to search.
+    key = str(keyfiles["general-3-zeros"])
+    msg, cfile, bad, report, fixed = (tmp_path / name for name in
+                                      ("m.txt", "c.rmc", "bad.rmc", "r.json", "f.rmc"))
+    msg.write_bytes(b"ABCDEFGHI")
+    assert main(["encrypt", key, str(msg), "--out", str(cfile)]) == 0
+    header, first, rest = cfile.read_text().split("\n", 2)
+    bad.write_text("\n".join([header, " ".join([str(10 ** 400), *first.split()[1:]]), rest]))
+    assert main(["detect", key, str(bad), "--out", str(report)]) == 0
+    row = json.loads(report.read_text())["blocks"][0]["rows"][0]
+    assert (row["trusted"], row["flagged"]) == ([1, 2], [0])
+    assert next(p for p in row["pairs"] if (p["j"], p["jp"]) == (0, 2))["consistent"]
+    assert main(["correct", key, str(bad), "--out", str(fixed), "--report", str(report)]) == 3
+    (block,) = json.loads(report.read_text())["blocks"]
+    assert (block["tested"], block["unique"], block["budget_exhausted"]) == (398, False, False)
+
+
+def test_every_single_entry_corruption_ends_in_a_repair_exit_code(keyfiles, tmp_path, capsys):
+    """Under the keys with zeros in M_n, every corruption of one entry per
+    block ends in exit 0, 3 or 4, never 2 and never a traceback: a flagged
+    entry reads its range only from a trusted entry with finite bounds.
+    Exit codes only: at these small indices an exit 0 may leave an error
+    in place (ROADMAP item 4)."""
+    msg, cfile, bad = tmp_path / "m.bin", tmp_path / "c.rmc", tmp_path / "bad.rmc"
+    outs = ["--out", str(tmp_path / "f.rmc"), "--report", str(tmp_path / "r.json")]
+    codes = {}
+    for name in ("general-3-zeros", "right_form-5-zeros"):
+        key = str(keyfiles[name])
+        for m in range(4):
+            msg.write_bytes(random.Random(m).randbytes(50))
+            assert main(["encrypt", key, str(msg), "--out", str(cfile)]) == 0
+            for model in MODELS:
+                for seed in range(8):
+                    assert main(["corrupt", str(cfile), "--model", model, "--seed", str(seed),
+                                 "--out", str(bad)]) == 0
+                    code = main(["correct", key, str(bad), *outs])
+                    codes[code] = codes.get(code, 0) + 1
+    capsys.readouterr()
+    assert set(codes) <= {0, 3, 4}, codes
