@@ -9,8 +9,8 @@ command-line surface and formats for the file grammars.
 from .cipher import CorruptionError, decrypt, digitize, encrypt
 from .coding import (CodingKey, CodingMatrix, KeyContext, MatrixBuilder, coding_matrix,
                      coding_matrix_inverse, general_key, initial_matrix, is_cyclic,
-                     key_context, key_fingerprint, left_companion, right_companion,
-                     right_form_key, symmetric_key, validate_key)
+                     key_fingerprint, left_companion, right_companion, right_form_key,
+                     symmetric_key, validate_key)
 from .guard import (CheckingRange, checking_range, column_ratio_bounds, correct,
                     detect_errors, range_length, smallest_unambiguous_n,
                     verify_ciphertext)
@@ -29,7 +29,7 @@ __all__ = [
     "coding_matrix_inverse", "column_ratio_bounds", "correct", "decrypt",
     "detect_errors", "digitize", "encrypt", "extend_backward", "extend_forward",
     "general_key", "initial_matrix", "is_cyclic", "is_pisot", "is_primitive",
-    "is_strong_perron_frobenius", "key_context", "key_fingerprint", "left_companion",
+    "is_strong_perron_frobenius", "key_fingerprint", "left_companion",
     "primitive_growth", "range_length", "right_companion", "right_form_key",
     "right_form_keygen", "second_eigenmodulus", "sieve_companion",
     "smallest_unambiguous_n", "standard_sequence", "symmetric_key",

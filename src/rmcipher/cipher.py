@@ -5,8 +5,9 @@ zero bytes; the original length is kept alongside so binary payloads
 invert exactly.  Encryption is C = P * M_n; decryption multiplies by the
 exact rational inverse and demands an integral, in-alphabet result,
 raising a corruption error that names the offending block and entry
-otherwise.  Every block shares M_n, so both products run on any number
-of rows at once (encrypt_rows, decrypt_rows), a column at a time.
+otherwise.  Every function takes the key as a KeyContext.  Every block
+shares M_n, so both products run on any number of rows at once
+(encrypt_rows, decrypt_rows), a column at a time.
 Plaintext entries are bytes, so encryption of TABLE_ROWS rows or more
 looks each product b * M_n[t][j] up in the key's byte tables
 (KeyContext.byte_tables) and only adds, unless M_n's entries are wider
@@ -19,7 +20,7 @@ from itertools import chain, repeat
 from operator import add, floordiv, mod, mul
 from typing import Iterator, Optional, Sequence
 
-from .coding import ALPHABET_MAX, KeyContext, KeyLike, key_context
+from .coding import ALPHABET_MAX, KeyContext
 from .exactmat import IntMatrix
 
 # encrypt_rows sums byte-table lookups for a call of TABLE_ROWS rows or
@@ -153,10 +154,9 @@ def decrypt_rows(ctx: KeyContext, values: Sequence[int], first_row: int = 0) -> 
     return bytes(out)
 
 
-def encrypt(blocks: Sequence[IntMatrix], key: KeyLike, n: Optional[int] = None) -> list[IntMatrix]:
+def encrypt(blocks: Sequence[IntMatrix], ctx: KeyContext) -> list[IntMatrix]:
     """C_b = P_b * M_n, the same M_n for every block; an entry outside
     [0, 255] raises ValueError."""
-    ctx = key_context(key, n)
     return split_blocks(encrypt_rows(ctx, _entries(blocks, ctx.order)), ctx.order)
 
 
@@ -176,18 +176,15 @@ def decrypt_row(ctx: KeyContext, row: Sequence[int], block: int = 0, i: int = 0)
     return out
 
 
-def decrypt(blocks: Sequence[IntMatrix], key: KeyLike, length: Optional[int] = None,
-            n: Optional[int] = None) -> bytes:
+def decrypt(blocks: Sequence[IntMatrix], ctx: KeyContext, length: Optional[int] = None) -> bytes:
     """Exact decryption; every entry must be an integer in [0, 255].
 
     When length is None the full padded payload is returned.
     """
-    ctx = key_context(key, n)
     plain = decrypt_rows(ctx, _entries(blocks, ctx.order))
     return _trim(plain, len(plain) if length is None else length)
 
 
-def encrypt_bytes(data: bytes, key: KeyLike, n: Optional[int] = None) -> tuple[list[IntMatrix], int]:
-    ctx = key_context(key, n)
+def encrypt_bytes(data: bytes, ctx: KeyContext) -> tuple[list[IntMatrix], int]:
     blocks, length = digitize(data, ctx.order)
     return encrypt(blocks, ctx), length

@@ -70,7 +70,7 @@ from typing import ContextManager, Iterator, Optional, Sequence, TextIO
 
 from . import cipher, formats, guard, keygen, spectral
 from .coding import (CodingKey, InvalidKeyError, KeyContext, KeyReport, key_fingerprint,
-                     left_companion, spf_target, writable_matrix)
+                     left_companion, spf_target, symmetric_key, writable_matrix)
 from .coding import validate_key  # noqa: F401 - bound for perfbench's tracer (test_perfbench)
 from .formats import ErrorModel
 from .keygen import GenConfig, GenStats
@@ -102,7 +102,7 @@ def _load_validated(path: str) -> tuple[KeyContext, KeyReport]:
     is built, and a key whose ciphertexts could not be written is refused
     (coding.writable_matrix)."""
     try:
-        key = formats.load_key(path, validate=False)
+        key = formats.load_key(path)
         report = spectral.analyze_matrix(spf_target(key))
         validation = formats.require_valid(key, report)
         return KeyContext(key, report=report), validation
@@ -219,7 +219,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
         rng = random.Random(keygen.derive_seed(args.seed, "abt-x0", 0))
         x0 = keygen.random_cyclic_vector(left_companion(rec), *keygen.VECTOR_RANGE, rng)
         index = rng.randint(*cfg.index_range)
-        key = CodingKey("symmetric", rec.order, index, coeffs=rec.coeffs, x0=x0)
+        key = symmetric_key(rec.coeffs, x0, index)
         gen = keygen.GeneratedKey(key, fam.report, "abt_family")
     elif args.method == "primitive":
         seed01 = _load_seed_matrix(args.seed_matrix, cfg.order)
@@ -259,7 +259,7 @@ def _load_seed_matrix(path: Optional[str], k: int) -> list[list[int]]:
             m[i][i - 1] = 1
         return m
     try:
-        return formats._int_matrix(json.loads(Path(path).read_text()), "the seed matrix")
+        return formats._int_array(json.loads(Path(path).read_text()), 2, "the seed matrix")
     except (ValueError, OSError) as exc:
         raise CliError(f"cannot load seed matrix {path}: {exc}") from exc
 

@@ -15,8 +15,11 @@ Every kind satisfies M_(n+1) = M_n R, R the right companion matrix of
 the key's recurrence, so M_n = M_0 R**n is built by repeated matrix
 products: binary powering, or one step by R where n is walked upward.
 MatrixBuilder.inverse gives M_n**-1 by the paper's identity
-M_n**-1 = M_0**-1 * M_(-n) * M_0**-1, powering the rational R**-1; a
-KeyContext inverts its integer M_n directly by exact elimination.
+M_n**-1 = M_0**-1 * M_(-n) * M_0**-1, powering the rational R**-1.
+
+KEY_FIELDS lists each kind's fields and their key-file names.  A
+KeyContext, a key compiled for one index, is the only form of a key the
+cipher and guard arithmetic take.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import exactmat, spectral
 from .exactmat import IntMatrix, RatMatrix
@@ -37,7 +40,14 @@ from .recurrence import Recurrence
 KIND_SYMMETRIC = "symmetric"
 KIND_GENERAL = "general"
 KIND_RIGHT = "right_form"
-KINDS = (KIND_SYMMETRIC, KIND_GENERAL, KIND_RIGHT)
+# The initial data of each kind: (CodingKey attribute, key-file name, rank),
+# rank 1 a k-vector and rank 2 a k x k matrix of integers.
+KEY_FIELDS = {
+    KIND_SYMMETRIC: (("coeffs", "coefficients", 1), ("x0", "initial_vector", 1)),
+    KIND_GENERAL: (("left", "left_matrix", 2), ("x0", "initial_vector", 1)),
+    KIND_RIGHT: (("coeffs", "coefficients", 1), ("m0", "initial_matrix", 2)),
+}
+KINDS = tuple(KEY_FIELDS)
 KEY_FORMAT = "rmc-key-v1"
 ALPHABET_MAX = 255        # plaintext entries are bytes
 
@@ -81,9 +91,21 @@ def is_cyclic(left: Sequence[Sequence[int]], x0: Sequence[int]) -> bool:
     return exactmat.det_exact(initial_matrix(left, x0)) != 0
 
 
+def _shaped(val, k: int, rank: int):
+    """val as rank levels of k-tuples of ints, or None if not that shape."""
+    if rank == 0:
+        return int(val) if isinstance(val, int) else None
+    if not isinstance(val, (tuple, list)) or len(val) != k:
+        return None
+    out = tuple(_shaped(v, k, rank - 1) for v in val)
+    return None if None in out else out
+
+
 @dataclass(frozen=True)
 class CodingKey:
-    """Full encryption key in one of the three supported representations."""
+    """Full encryption key in one of the three supported representations:
+    the fields KEY_FIELDS names for its kind, held as tuples of ints, and
+    no other."""
 
     kind: str
     order: int
@@ -100,27 +122,17 @@ class CodingKey:
             raise InvalidKeyError("order must be at least 2")
         if self.index < 0:
             raise InvalidKeyError("index must be non-negative")
-        if self.kind == KIND_SYMMETRIC:
-            self._need("coeffs", self.order)
-            self._need("x0", self.order)
-        elif self.kind == KIND_GENERAL:
-            self._need_matrix("left")
-            self._need("x0", self.order)
-        else:
-            self._need("coeffs", self.order)
-            self._need_matrix("m0")
-
-    def _need(self, name: str, length: int) -> None:
-        val = getattr(self, name)
-        if val is None or len(val) != length or not all(isinstance(v, int) for v in val):
-            raise InvalidKeyError(f"{self.kind} key needs integer field {name!r} of length {length}")
-
-    def _need_matrix(self, name: str) -> None:
-        val = getattr(self, name)
-        if val is None or len(val) != self.order or any(
-            len(row) != self.order or not all(isinstance(v, int) for v in row) for row in val
-        ):
-            raise InvalidKeyError(f"{self.kind} key needs a {self.order}x{self.order} integer field {name!r}")
+        ranks = {attr: rank for attr, _, rank in KEY_FIELDS[self.kind]}
+        for attr in ("coeffs", "left", "x0", "m0"):
+            val = getattr(self, attr)
+            if attr not in ranks and val is not None:
+                raise InvalidKeyError(f"{self.kind} key takes no field {attr!r}")
+            if attr in ranks:
+                shaped = _shaped(val, self.order, ranks[attr])
+                if shaped is None:
+                    raise InvalidKeyError(f"{self.kind} key of order {self.order} needs an "
+                                          f"integer {('vector', 'matrix')[ranks[attr] - 1]} {attr!r}")
+                object.__setattr__(self, attr, shaped)
 
     def recurrence(self) -> Recurrence:
         if self.kind == KIND_GENERAL:
@@ -143,24 +155,15 @@ class CodingKey:
 
 
 def symmetric_key(coeffs: Sequence[int], x0: Sequence[int], index: int) -> CodingKey:
-    return CodingKey(KIND_SYMMETRIC, len(coeffs), index,
-                     coeffs=tuple(int(c) for c in coeffs), x0=tuple(int(v) for v in x0))
+    return CodingKey(KIND_SYMMETRIC, len(coeffs), index, coeffs=coeffs, x0=x0)
 
 
 def general_key(left: Sequence[Sequence[int]], x0: Sequence[int], index: int) -> CodingKey:
-    k = exactmat.dim(left)
-    return CodingKey(KIND_GENERAL, k, index,
-                     left=tuple(tuple(int(v) for v in row) for row in left),
-                     x0=tuple(int(v) for v in x0))
+    return CodingKey(KIND_GENERAL, len(left), index, left=left, x0=x0)
 
 
 def right_form_key(coeffs: Sequence[int], m0: Sequence[Sequence[int]], index: int) -> CodingKey:
-    k = exactmat.dim(m0)
-    if len(coeffs) != k:
-        raise InvalidKeyError("coefficient count must match the initial matrix dimension")
-    return CodingKey(KIND_RIGHT, k, index,
-                     coeffs=tuple(int(c) for c in coeffs),
-                     m0=tuple(tuple(int(v) for v in row) for row in m0))
+    return CodingKey(KIND_RIGHT, len(m0), index, coeffs=coeffs, m0=m0)
 
 
 def spf_target(key: CodingKey) -> IntMatrix:
@@ -185,19 +188,15 @@ def induced_left_matrix(key: CodingKey) -> RatMatrix:
 # fingerprints
 # ---------------------------------------------------------------------------
 
+def _decimal(val):
+    return str(val) if isinstance(val, int) else [_decimal(v) for v in val]
+
+
 def canonical_key_dict(key: CodingKey) -> dict:
     """Canonical serialization; every integer leaf is a decimal string."""
-    out: dict = {"format": KEY_FORMAT, "kind": key.kind, "order": key.order,
-                 "index": str(key.index)}
-    if key.coeffs is not None:
-        out["coefficients"] = [str(c) for c in key.coeffs]
-    if key.left is not None:
-        out["left_matrix"] = [[str(v) for v in row] for row in key.left]
-    if key.x0 is not None:
-        out["initial_vector"] = [str(v) for v in key.x0]
-    if key.m0 is not None:
-        out["initial_matrix"] = [[str(v) for v in row] for row in key.m0]
-    return out
+    return {"format": KEY_FORMAT, "kind": key.kind, "order": key.order,
+            "index": str(key.index),
+            **{name: _decimal(getattr(key, attr)) for attr, name, _ in KEY_FIELDS[key.kind]}}
 
 
 def key_fingerprint(key: CodingKey) -> str:
@@ -330,7 +329,7 @@ class KeyContext:
     tau has one source, `report`, the `analyze_matrix` report on the key's
     spf_target: the one given (see check_report), else one made on first
     use.  Its precision is `precision`, else RMC_PRECISION_BITS.
-    Build one per command and pass it wherever a CodingKey is accepted.
+    Build one per key and index, and pass it to every cipher and guard call.
     """
 
     key: CodingKey
@@ -418,19 +417,6 @@ class KeyContext:
         lo_num * den <= num * lo_den and num * hi_den <= hi_num * den."""
         return {(j, jp): cross_bound(lo) + cross_bound(hi)
                 for (j, jp), (lo, hi) in self.ratio_bounds.items() if j < jp}
-
-
-KeyLike = Union[CodingKey, KeyContext]
-
-
-def key_context(key: KeyLike, n: Optional[int] = None) -> KeyContext:
-    """The argument itself when it is already a KeyContext, else the key
-    compiled for index n (default: the key's own index)."""
-    if isinstance(key, KeyContext):
-        if n is not None and n != key.n:
-            raise ValueError(f"context compiled for n = {key.n}; got n = {n}")
-        return key
-    return KeyContext(key, n)
 
 
 # ---------------------------------------------------------------------------

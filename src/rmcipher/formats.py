@@ -31,8 +31,8 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO, Union
 
 from .cipher import split_blocks
-from .coding import (KEY_FORMAT, KIND_GENERAL, KIND_RIGHT, KIND_SYMMETRIC, CodingKey,
-                     KeyReport, canonical_key_dict, key_fingerprint, validate_key)
+from .coding import (KEY_FIELDS, KEY_FORMAT, KINDS, CodingKey, KeyReport, canonical_key_dict,
+                     key_fingerprint, validate_key)
 from .exactmat import IntMatrix
 from .spectral import SpectralReport
 
@@ -60,11 +60,15 @@ def key_to_dict(key: CodingKey) -> dict:
     return {**canonical_key_dict(key), "fingerprint": key_fingerprint(key)}
 
 
-def _ints(values, what: str) -> list[int]:
-    """A JSON list of integers, each a JSON integer or a decimal string;
-    floats, booleans, null and a bare string are refused, not coerced."""
-    if not isinstance(values, list) or not all(
-            type(v) is int or isinstance(v, str) for v in values):
+def _int_array(values, rank: int, what: str) -> list:
+    """A JSON list of integers (rank 1), or of such lists (rank 2); each
+    integer a JSON integer or a decimal string.  Floats, booleans, null and
+    a bare string are refused, not coerced."""
+    if not isinstance(values, list):
+        raise KeyFormatError(f"bad integer list in {what}")
+    if rank > 1:
+        return [_int_array(v, rank - 1, what) for v in values]
+    if not all(type(v) is int or isinstance(v, str) for v in values):
         raise KeyFormatError(f"bad integer list in {what}")
     try:
         return [int(v) for v in values]
@@ -72,37 +76,22 @@ def _ints(values, what: str) -> list[int]:
         raise KeyFormatError(f"bad integer list in {what}") from exc
 
 
-def _int_matrix(rows, what: str) -> list[list[int]]:
-    if not isinstance(rows, list):
-        raise KeyFormatError(f"{what} must be a list of rows")
-    return [_ints(row, what) for row in rows]
-
-
-def key_from_dict(data: dict, validate: bool = True) -> CodingKey:
+def key_from_dict(data: dict) -> CodingKey:
+    """The key a key file's content describes; it parses, require_valid validates."""
     if not isinstance(data, dict):
         raise KeyFormatError("a key file must hold a JSON object")
     if data.get("format") != KEY_FORMAT:
         raise KeyFormatError(f"unsupported key format {data.get('format')!r}")
     kind = data.get("kind")
     try:
-        order, index = _ints([data["order"], data["index"]], "order/index")
+        order, index = _int_array([data["order"], data["index"]], 1, "order/index")
     except (KeyError, KeyFormatError) as exc:
         raise KeyFormatError("missing or malformed order/index") from exc
+    if kind not in KINDS:          # a tuple test: kind may be unhashable
+        raise KeyFormatError(f"unknown key kind {kind!r}")
     try:
-        if kind == KIND_SYMMETRIC:
-            key = CodingKey(kind, order, index,
-                            coeffs=tuple(_ints(data["coefficients"], "coefficients")),
-                            x0=tuple(_ints(data["initial_vector"], "initial_vector")))
-        elif kind == KIND_GENERAL:
-            key = CodingKey(kind, order, index,
-                            left=tuple(tuple(r) for r in _int_matrix(data["left_matrix"], "left_matrix")),
-                            x0=tuple(_ints(data["initial_vector"], "initial_vector")))
-        elif kind == KIND_RIGHT:
-            key = CodingKey(kind, order, index,
-                            coeffs=tuple(_ints(data["coefficients"], "coefficients")),
-                            m0=tuple(tuple(r) for r in _int_matrix(data["initial_matrix"], "initial_matrix")))
-        else:
-            raise KeyFormatError(f"unknown key kind {kind!r}")
+        key = CodingKey(kind, order, index, **{attr: _int_array(data[name], rank, name)
+                                               for attr, name, rank in KEY_FIELDS[kind]})
     except KeyError as exc:
         raise KeyFormatError(f"missing key field {exc}") from exc
     except ValueError as exc:
@@ -112,8 +101,6 @@ def key_from_dict(data: dict, validate: bool = True) -> CodingKey:
         if data["fingerprint"] != actual:
             raise FingerprintMismatchError(
                 f"key fingerprint {data['fingerprint']} does not match content ({actual})")
-    if validate:
-        require_valid(key)
     return key
 
 
@@ -135,12 +122,13 @@ def save_key(key: CodingKey, path: Union[str, Path]) -> None:
     Path(path).write_text(key_text(key))
 
 
-def load_key(path: Union[str, Path], validate: bool = True) -> CodingKey:
+def load_key(path: Union[str, Path]) -> CodingKey:
+    """The key in a key file, parsed as key_from_dict parses; not validated."""
     try:
         data = json.loads(Path(path).read_text())
     except ValueError as exc:     # bad JSON, bad UTF-8, an integer past int()'s digit limit
         raise KeyFormatError(f"not a JSON key file: {exc}") from exc
-    return key_from_dict(data, validate=validate)
+    return key_from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +175,26 @@ def read_cipher(fh: TextIO) -> tuple[CipherHeader, Iterator[list[int]]]:
     The iterator checks the whole body before it reports a fault, so the
     fault raised is the one a whole-file parse reports first: the line
     count, then the capacity, then the first malformed row.  Chunks before
-    a fault may already have been yielded.
+    a fault may already have been yielded.  A header fault is raised after
+    the rest of the file is read, so a decoding error (bad UTF-8) anywhere
+    in the file outranks it, as it does in a whole-file read.
     """
     batches = iter(partial(fh.readlines, READ_HINT), [])
     batch = next(batches, [])
     if not batch:
         raise CipherFormatError("empty ciphertext file")
     first, *rest = batch[0].splitlines() or [""]
-    head = first.split()
+    try:
+        header = _parse_header(first)
+    except CipherFormatError:
+        for _ in batches:       # a fault of the file's text (bad UTF-8) ranks first
+            pass
+        raise
+    return header, _read_rows(header, chain([rest + batch[1:]], batches))
+
+
+def _parse_header(line: str) -> CipherHeader:
+    head = line.split()
     if not head or head[0] != CIPHER_MAGIC:
         raise CipherFormatError("missing RMCv1 header")
     fields = dict(part.split("=", 1) for part in head[1:] if "=" in part)
@@ -204,8 +204,8 @@ def read_cipher(fh: TextIO) -> tuple[CipherHeader, Iterator[list[int]]]:
         if header.order < 1 or header.count < 0 or header.length < 0:
             raise ValueError("header field out of range")
     except (KeyError, ValueError) as exc:
-        raise CipherFormatError(f"malformed header: {first!r}") from exc
-    return header, _read_rows(header, chain([rest + batch[1:]], batches))
+        raise CipherFormatError(f"malformed header: {line!r}") from exc
+    return header
 
 
 _OTHER_WHITESPACE = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f"   # ASCII whitespace but ' ' and '\n'

@@ -11,8 +11,9 @@ and j' of M.  Those exact two-sided bounds drive everything here:
   chunks of rows (failing_rows) and builds the graph only where a row
   fails,
 * correction enumerates integer candidates for each flagged entry in a
-  spiral around the transition-ratio estimate, validating candidate
-  combinations by exact decryption.
+  spiral around the transition-ratio estimate, within its checking range
+  cut to its column's absolute range, validating candidate combinations
+  by exact decryption.
 
 All bounds are exact rationals; column indices are 0-based throughout.
 One test decides whether a pair meets its checking relation, for
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, repeat
@@ -34,8 +35,7 @@ from operator import le, mul
 from typing import Callable, Optional, Sequence
 
 from .cipher import CorruptionError, decrypt_row, digitize
-from .coding import (CodingKey, KeyContext, KeyLike, MatrixBuilder, column_ratio_bounds,
-                     cross_bound, key_context)
+from .coding import CodingKey, KeyContext, MatrixBuilder, column_ratio_bounds, cross_bound
 from .exactmat import mat_mul
 from .spectral import to_float
 
@@ -122,6 +122,17 @@ def checking_range(c_ref: int, bounds, tau_power=None) -> CheckingRange:
     return CheckingRange(lower=lower, upper=upper, lo=lo, hi=hi, estimate=estimate)
 
 
+def _within_column(rng: CheckingRange, lo: int, hi: int) -> CheckingRange:
+    """rng with its search interval and estimate cut to [lo, hi], the
+    absolute range of the suspect's column; EmptyCheckingRangeError if empty."""
+    lo, hi = max(rng.lo, lo), min(rng.hi, hi)
+    if lo > hi:
+        raise EmptyCheckingRangeError(
+            f"checking range [{rng.lo}, {rng.hi}] misses the column's absolute range: "
+            f"reference is suspect")
+    return replace(rng, lo=lo, hi=hi, estimate=min(max(rng.estimate, lo), hi))
+
+
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -190,8 +201,7 @@ class RowDiagnosis:
         return not self.flagged
 
 
-def detect_errors(c: Sequence[Sequence[int]], key: KeyLike,
-                  n: Optional[int] = None) -> list[RowDiagnosis]:
+def detect_errors(c: Sequence[Sequence[int]], ctx: KeyContext) -> list[RowDiagnosis]:
     """Per-row diagnosis of a received ciphertext.
 
     Column pairs are consistent when their ratio satisfies the exact
@@ -202,7 +212,6 @@ def detect_errors(c: Sequence[Sequence[int]], key: KeyLike,
     total deviation, then the leftmost columns.  Rows with no consistent
     pair of such entries come back with an empty trusted set.
     """
-    ctx = key_context(key, n)
     k = ctx.order
     pairs = []
     for (j, jp), bound in ctx.cross_bounds.items():         # j < jp, as combinations
@@ -359,7 +368,7 @@ class CorrectionResult:
 
 
 def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
-            key: KeyLike, n: Optional[int] = None, budget: int = 10 ** 6,
+            ctx: KeyContext, *, budget: int = 10 ** 6,
             validator: Optional[Callable[[int, list[int]], bool]] = None) -> CorrectionResult:
     """Spiral-search correction of the flagged entries.
 
@@ -373,9 +382,9 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
     in discovery order; the budget caps the total number of combinations
     tested.  A flagged entry's reference is its nearest trusted column
     with finite bounds (KeyContext.reference_columns), or none: then
-    UncorrectableRowError.
+    UncorrectableRowError.  Its checking range is cut to its column's
+    absolute range (KeyContext.entry_ranges), else EmptyCheckingRangeError.
     """
-    ctx = key_context(key, n)
     rows_out: list[RowCorrection] = []
     corrected = [list(row) for row in c]
     tested_total = 0
@@ -397,8 +406,10 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
                     f"row {i} has no trusted entry that bounds entry {(i, j)}; "
                     f"correction needs external data")
             refs[j] = ref
-            ranges[j] = checking_range(
-                c[i][ref], ctx.ratio_bounds[(j, ref)], tau_power=ctx.tau_powers[ref - j])
+            ranges[j] = _within_column(
+                checking_range(c[i][ref], ctx.ratio_bounds[(j, ref)],
+                               tau_power=ctx.tau_powers[ref - j]),
+                *ctx.entry_ranges[j])
 
         accepted: list[RowCandidate] = []
         tested = 0

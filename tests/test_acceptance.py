@@ -8,9 +8,9 @@ checklist.  Randomized suites use fixed seeds and at least 200 trials.
 import random
 from fractions import Fraction
 
-from rmcipher import (Recurrence, checking_range, coding_matrix, coding_matrix_inverse,
-                      column_ratio_bounds, correct, decrypt, detect_errors, digitize,
-                      encrypt, general_key, is_pisot, range_length, right_form_key,
+from rmcipher import (KeyContext, Recurrence, checking_range, coding_matrix,
+                      coding_matrix_inverse, column_ratio_bounds, correct, decrypt,
+                      detect_errors, digitize, encrypt, general_key, is_pisot, range_length, right_form_key,
                       second_eigenmodulus, smallest_unambiguous_n, symmetric_key,
                       transition_ratio, verify_ciphertext)
 from rmcipher.cipher import encrypt_bytes
@@ -25,9 +25,10 @@ TETRANACCI = symmetric_key((1, 1, 1, 1), (1, 0, 0, 0), 5)
 
 def test_criterion_1_worked_encryption_roundtrip():
     blocks, length = digitize(ALGORITHM, 3)
-    ciphertext = encrypt(blocks, TWO_FIB, 15)
+    ctx = KeyContext(TWO_FIB, 15)
+    ciphertext = encrypt(blocks, ctx)
     assert ciphertext == [C_ALGORITHM_15]
-    assert decrypt(ciphertext, TWO_FIB, length, 15) == ALGORITHM
+    assert decrypt(ciphertext, ctx, length) == ALGORITHM
 
     m15 = coding_matrix(TWO_FIB, 15).rows()
     assert m15 == M15_2FIB
@@ -94,9 +95,10 @@ def test_criterion_5a_single_error_spiral():
     tau = transition_ratio(Recurrence((1, 0, 1)))
     received = [row[:] for row in C_ALGORITHM_15]
     received[0][2] = 28373
-    diagnoses = detect_errors(received, TWO_FIB, 15)
+    ctx = KeyContext(TWO_FIB, 15)
+    diagnoses = detect_errors(received, ctx)
     assert diagnoses[0].flagged == (2,)
-    result = correct(received, diagnoses, TWO_FIB, 15)
+    result = correct(received, diagnoses, ctx)
     rng = result.rows[0].ranges[2]
     assert (rng.lo, rng.hi) == (28329, 28344)
     assert rng.count == 16
@@ -107,7 +109,7 @@ def test_criterion_5a_single_error_spiral():
 
 def test_criterion_5b_unique_correction_at_29():
     blocks, _ = digitize(ALGORITHM, 3)
-    c29 = encrypt(blocks, TWO_FIB, 29)[0]
+    c29 = encrypt(blocks, KeyContext(TWO_FIB, 29))[0]
     # The worked continuation value appears in the ciphertext at n = 29.
     assert c29[2][2] == 6736252
     assert c29[0][2] == 5976261
@@ -121,11 +123,12 @@ def test_criterion_5b_unique_correction_at_29():
 
 def test_criterion_5c_double_error_detection():
     blocks, _ = digitize(EXTRATERRESTRIAL, 4)
-    genuine = encrypt(blocks, TETRANACCI, 5)[0]
+    ctx = KeyContext(TETRANACCI, 5)
+    genuine = encrypt(blocks, ctx)[0]
     received = [row[:] for row in genuine]
     received[0][0] = 16460
     received[0][2] = 4123
-    diagnoses = detect_errors(received, TETRANACCI, 5)
+    diagnoses = detect_errors(received, ctx)
     assert diagnoses[0].flagged == (0, 2)
     assert diagnoses[0].trusted == (1, 3)
     assert all(d.clean for d in diagnoses[1:])
@@ -133,7 +136,7 @@ def test_criterion_5c_double_error_detection():
 
 def test_criterion_5d_triple_error_ranges():
     blocks, _ = digitize(EXTRATERRESTRIAL, 4)
-    genuine = encrypt(blocks, TETRANACCI, 5)[0]
+    genuine = encrypt(blocks, KeyContext(TETRANACCI, 5))[0]
     c11 = genuine[0][0]
     assert c11 == 16046
     m5 = MatrixBuilder(TETRANACCI).matrix(5)
@@ -200,11 +203,12 @@ def test_criterion_8_property_suites():
 
     # Round trip: decrypt(encrypt(x)) == x.
     rng = random.Random(801)
+    contexts = [KeyContext(key) for key in keys]
     for _ in range(200):
-        key = rng.choice(keys)
+        ctx = rng.choice(contexts)
         data = bytes(rng.randrange(256) for _ in range(rng.randint(0, 50)))
-        blocks, length = encrypt_bytes(data, key)
-        assert decrypt(blocks, key, length) == data
+        blocks, length = encrypt_bytes(data, ctx)
+        assert decrypt(blocks, ctx, length) == data
 
     # Checking inequalities hold on every genuine ciphertext.
     rng = random.Random(802)
@@ -213,7 +217,7 @@ def test_criterion_8_property_suites():
         n = rng.randint(1, 40)
         data = bytes(rng.randrange(256) for _ in range(key.order ** 2))
         blocks, _ = digitize(data, key.order)
-        c = encrypt(blocks, key, n)[0]
+        c = encrypt(blocks, KeyContext(key, n))[0]
         m = MatrixBuilder(key).matrix(n)
         assert all(chk.ok for chk in verify_ciphertext(c, m))
 
@@ -252,7 +256,7 @@ def test_criterion_8_property_suites():
         n = rng.randint(5, 35)
         data = bytes(rng.randrange(1, 256) for _ in range(k * k))
         blocks, _ = digitize(data, k)
-        c = encrypt(blocks, key, n)[0]
+        c = encrypt(blocks, KeyContext(key, n))[0]
         m = MatrixBuilder(key).matrix(n)
         i, j = rng.randrange(k), rng.randrange(k)
         jp = rng.choice([x for x in range(k) if x != j])
@@ -268,18 +272,19 @@ def test_criterion_9_bench_shrinkage():
     rng = random.Random(900)
     mean_candidates = {}
     for n in (15, 20, 25, 29):
-        genuine = encrypt(blocks, TWO_FIB, n)[0]
+        ctx = KeyContext(TWO_FIB, n)
+        genuine = encrypt(blocks, ctx)[0]
         tested = []
         for _ in range(50):
             received = [row[:] for row in genuine]
             i = rng.randrange(3)
             delta = rng.choice((-1, 1)) * rng.randint(1, 200)
             received[i][2] += delta
-            diagnoses = detect_errors(received, TWO_FIB, n)
+            diagnoses = detect_errors(received, ctx)
             if all(d.clean for d in diagnoses):
                 assert n < 29, "errors at n = 29 must always be detected"
                 continue
-            result = correct(received, diagnoses, TWO_FIB, n)
+            result = correct(received, diagnoses, ctx)
             tested.append(result.tested_total)
             if n == 29:
                 assert result.unique

@@ -36,17 +36,17 @@ def test_digitize_pads_with_zero():
 
 def test_encrypt_worked_example(two_fib_key):
     blocks, _ = digitize(ALGORITHM, 3)
-    assert encrypt(blocks, two_fib_key) == [C_ALGORITHM_15]
+    assert encrypt(blocks, KeyContext(two_fib_key)) == [C_ALGORITHM_15]
 
 
 def test_encrypt_zero_plaintext(two_fib_key):
     zero = [[[0] * 3 for _ in range(3)]]
-    assert encrypt(zero, two_fib_key) == zero
+    assert encrypt(zero, KeyContext(two_fib_key)) == zero
 
 
 def test_encrypt_extraterrestrial_row(tetranacci_key):
     blocks, _ = digitize(EXTRATERRESTRIAL, 4)
-    c = encrypt(blocks, tetranacci_key)[0]
+    c = encrypt(blocks, KeyContext(tetranacci_key))[0]
     # Independent oracle: direct product against the printed coding matrix.
     expected_row = [sum(blocks[0][0][t] * M5_TETRA[t][j] for t in range(4)) for j in range(4)]
     assert c[0] == expected_row
@@ -54,7 +54,7 @@ def test_encrypt_extraterrestrial_row(tetranacci_key):
 
 
 def test_decrypt_worked_example(two_fib_key):
-    assert decrypt([C_ALGORITHM_15], two_fib_key, 9) == ALGORITHM
+    assert decrypt([C_ALGORITHM_15], KeyContext(two_fib_key), 9) == ALGORITHM
 
 
 def _key_pool():
@@ -69,27 +69,27 @@ def _key_pool():
 
 def test_roundtrip_random_messages():
     rng = random.Random(1729)
-    keys = _key_pool()
+    contexts = [KeyContext(key) for key in _key_pool()]
     for _ in range(200):
-        key = rng.choice(keys)
+        ctx = rng.choice(contexts)
         data = bytes(rng.randrange(256) for _ in range(rng.randint(0, 60)))
-        blocks, length = encrypt_bytes(data, key)
-        assert decrypt(blocks, key, length) == data
+        blocks, length = encrypt_bytes(data, ctx)
+        assert decrypt(blocks, ctx, length) == data
 
 
 def test_perturbation_detected_by_nonintegrality():
     # det(M_n) has magnitude > 1 here, so a unit change almost surely breaks
     # integrality of the decrypted block.
-    key = right_form_key((-4, 0, 5), [[8, 2, 1], [4, 0, 0], [8, 2, 0]], 7)
+    ctx = KeyContext(right_form_key((-4, 0, 5), [[8, 2, 1], [4, 0, 0], [8, 2, 0]], 7))
     rng = random.Random(55)
     hits = 0
     for _ in range(50):
         data = bytes(rng.randrange(256) for _ in range(9))
-        blocks, length = encrypt_bytes(data, key)
+        blocks, length = encrypt_bytes(data, ctx)
         i, j = rng.randrange(3), rng.randrange(3)
         blocks[0][i][j] += rng.choice([-3, -2, -1, 1, 2, 3])
         try:
-            decrypt(blocks, key, length)
+            decrypt(blocks, ctx, length)
         except CorruptionError as exc:
             hits += 1
             assert exc.block == 0
@@ -97,15 +97,16 @@ def test_perturbation_detected_by_nonintegrality():
 
 
 def test_large_perturbation_leaves_alphabet(two_fib_key):
-    blocks, length = encrypt_bytes(ALGORITHM, two_fib_key)
+    ctx = KeyContext(two_fib_key)
+    blocks, length = encrypt_bytes(ALGORITHM, ctx)
     blocks[0][0][0] += 10 ** 6
     with pytest.raises(CorruptionError):
-        decrypt(blocks, two_fib_key, length)
+        decrypt(blocks, ctx, length)
 
 
 def test_block_dimension_mismatch(two_fib_key):
     with pytest.raises(ValueError):
-        encrypt([[[1, 2], [3, 4]]], two_fib_key)
+        encrypt([[[1, 2], [3, 4]]], KeyContext(two_fib_key))
 
 
 def test_a_partial_last_row_is_refused(two_fib_key):
@@ -121,7 +122,7 @@ def test_ciphertext_entry_bound(two_fib_key):
     from rmcipher import coding_matrix
     blocks, _ = digitize(ALGORITHM, 3)
     for n in (5, 15, 25):
-        c = encrypt(blocks, two_fib_key, n)[0]
+        c = encrypt(blocks, KeyContext(two_fib_key, n))[0]
         m = coding_matrix(two_fib_key, n).rows()
         bound = 3 * 255 * max(max(row) for row in m)
         assert max(max(row) for row in c) <= bound
@@ -131,8 +132,8 @@ def test_ciphertext_growth_matches_transition_ratio(two_fib_key):
     tau = float(transition_ratio(Recurrence((1, 0, 1))))
     blocks, _ = digitize(ALGORITHM, 3)
     lo, hi = 10, 40
-    c_lo = encrypt(blocks, two_fib_key, lo)[0]
-    c_hi = encrypt(blocks, two_fib_key, hi)[0]
+    c_lo = encrypt(blocks, KeyContext(two_fib_key, lo))[0]
+    c_hi = encrypt(blocks, KeyContext(two_fib_key, hi))[0]
     slope = (math.log(max(max(r) for r in c_hi)) - math.log(max(max(r) for r in c_lo))) / (hi - lo)
     assert abs(slope - math.log(tau)) / math.log(tau) < 0.05
 

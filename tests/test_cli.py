@@ -1,6 +1,7 @@
 import csv
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,24 @@ def test_non_utf8_ciphertext_is_a_format_fault(two_fib_keyfile, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot load ciphertext {cfile}: ") and "codec" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("at", [40000, 45000, 50000])
+def test_a_decode_error_anywhere_outranks_a_malformed_header(two_fib_keyfile, tmp_path, capsys,
+                                                             at):
+    # The header and the byte lie in different read batches beyond the first.
+    msg = _write(tmp_path, "msg.bin", random.Random(5).randbytes(24000))
+    cfile = tmp_path / "c.rmc"
+    assert main(["encrypt", two_fib_keyfile, msg, "--out", str(cfile)]) == 0
+    head, body = cfile.read_bytes().split(b"\n", 1)
+    data = bytearray(re.sub(rb"blocks=\d+", b"blocks=zz", head) + b"\n" + body)
+    assert len(data) > 2 * at
+    data[at] = 0xff
+    cfile.write_bytes(data)
+    capsys.readouterr()
+    assert main(["decrypt", two_fib_keyfile, str(cfile), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "codec can't decode byte 0xff" in err and "malformed header" not in err
 
 
 def test_malformed_key_exits_2(tmp_path):

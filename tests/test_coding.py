@@ -6,7 +6,7 @@ import pytest
 from rmcipher import (Recurrence, coding_matrix, coding_matrix_inverse, general_key,
                       initial_matrix, is_cyclic, key_fingerprint, left_companion,
                       right_companion, right_form_key, symmetric_key, validate_key)
-from rmcipher.coding import InvalidKeyError, MatrixBuilder, induced_left_matrix
+from rmcipher.coding import CodingKey, InvalidKeyError, MatrixBuilder, induced_left_matrix
 from rmcipher.exactmat import det_exact, identity, mat_mul, transpose
 from tests.conftest import M15_2FIB, M15_2FIB_INV, M5_TETRA
 
@@ -268,6 +268,30 @@ def test_structural_validation():
         general_key([[1, 2], [3, 4]], (1, 0, 0), 2)
     with pytest.raises(InvalidKeyError):
         right_form_key((1, 1), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2)
+
+
+@pytest.mark.parametrize("kind, fields, message", [
+    ("symmetric", {"coeffs": (1, 0, 1), "x0": (1, 0, 0), "m0": ((1, 0, 0),) * 3},
+     "takes no field 'm0'"),
+    ("general", {"left": ((1, 1), (1, 0)), "x0": (1, 0), "coeffs": (1, 1)},
+     "takes no field 'coeffs'"),
+    ("right_form", {"coeffs": (1, 1), "m0": ((1, 0), (0, 1)), "x0": (1, 0)},
+     "takes no field 'x0'"),
+    ("right_form", {"coeffs": (1, 1), "m0": ((1, 0), (0,))}, "order 2 needs an integer matrix 'm0'"),
+    ("general", {"left": ((1, 1), (1, 0)), "x0": (1, "0")}, "order 2 needs an integer vector 'x0'"),
+    ("symmetric", {"coeffs": (1, 1)}, "order 2 needs an integer vector 'x0'"),
+])
+def test_each_kind_takes_its_own_fields(kind, fields, message):
+    k = len(next(iter(fields.values())))
+    with pytest.raises(InvalidKeyError, match=message):
+        CodingKey(kind, k, 3, **fields)
+
+
+def test_key_fields_are_held_as_tuples_of_ints():
+    key = CodingKey("right_form", 2, 3, coeffs=[1, True], m0=[[2, 1], (1, 1)])
+    assert key.coeffs == (1, 1) and type(key.coeffs[1]) is int
+    assert key.m0 == ((2, 1), (1, 1))
+    assert key == right_form_key((1, 1), ((2, 1), (1, 1)), 3) and hash(key)
 
 
 def test_fingerprint_stability(two_fib_key):

@@ -4,10 +4,12 @@ import pytest
 
 from rmcipher import general_key, key_fingerprint, right_form_key, symmetric_key
 from rmcipher.cipher import split_blocks
+from rmcipher.coding import KEY_FIELDS
 from rmcipher.formats import (CipherFormatError, ErrorModel, FingerprintMismatchError,
                               KeyFormatError, cipher_from_text, cipher_to_text,
                               corrupt_blocks, key_from_dict, key_to_dict, load_key,
-                              read_cipher, records_from_json, records_to_json, save_key)
+                              read_cipher, records_from_json, records_to_json, require_valid,
+                              save_key)
 
 
 @pytest.mark.parametrize("key_builder", [
@@ -31,7 +33,7 @@ def test_key_file_uses_decimal_strings(tmp_path):
     save_key(key, path)
     raw = json.loads(path.read_text())
     assert isinstance(raw["initial_vector"][0], str)
-    assert load_key(path, validate=False) == key
+    assert load_key(path) == key
 
 
 def test_key_fingerprint_mismatch_rejected():
@@ -45,8 +47,10 @@ def test_key_fingerprint_mismatch_rejected():
 def test_key_validation_on_parse():
     bad = symmetric_key((0, 1), (1, 0), 5)  # a_0 = 0: not invertible
     d = key_to_dict(bad)
-    with pytest.raises(KeyFormatError):
-        key_from_dict(d)
+    parsed = key_from_dict(d)                # parsing only parses
+    assert parsed == bad
+    with pytest.raises(KeyFormatError, match="invertible_transition"):
+        require_valid(parsed)
 
 
 def test_key_format_errors():
@@ -56,6 +60,21 @@ def test_key_format_errors():
         key_from_dict({"format": "rmc-key-v1", "kind": "symmetric", "order": 3})
     with pytest.raises(KeyFormatError):
         key_from_dict({"format": "rmc-key-v1", "kind": "weird", "order": 3, "index": 1})
+    d = key_to_dict(right_form_key((-4, 0, 5), [[8, 2, 1], [4, 0, 0], [8, 2, 0]], 5))
+    for kind in (["right_form"], {"a": 1}, 3, None):      # unhashable kinds too
+        with pytest.raises(KeyFormatError, match="unknown key kind"):
+            key_from_dict({**d, "kind": kind})
+
+
+def test_key_fields_follow_the_field_table():
+    for key in (symmetric_key((1, 0, 1), (1, 0, 0), 15), general_key([[1, 2], [3, 4]], (1, 0), 9),
+                right_form_key((-4, 0, 5), [[8, 2, 1], [4, 0, 0], [8, 2, 0]], 5)):
+        d = key_to_dict(key)
+        names = {name for _, name, _ in KEY_FIELDS[key.kind]}
+        assert set(d) == {"format", "kind", "order", "index", "fingerprint"} | names
+        for name in names:                    # each field is required
+            with pytest.raises(KeyFormatError, match=f"missing key field '{name}'"):
+                key_from_dict({f: v for f, v in d.items() if f != name})
 
 
 def test_cipher_text_roundtrip(tmp_path):

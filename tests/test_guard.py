@@ -100,13 +100,13 @@ def test_verify_flags_corrupted_pair(two_fib_key):
 def test_verify_scaled_row_still_passes(two_fib_key):
     blocks, _ = digitize(ALGORITHM, 3)
     blocks[0][1] = [2 * v for v in blocks[0][1]]
-    c = encrypt(blocks, two_fib_key)[0]
+    c = encrypt(blocks, KeyContext(two_fib_key))[0]
     assert all(chk.ok for chk in verify_ciphertext(c, M15_2FIB))
 
 
 def test_verify_zero_row_passes(two_fib_key):
     blocks = [[[0, 0, 0], [1, 2, 3], [0, 1, 0]]]
-    c = encrypt(blocks, two_fib_key)[0]
+    c = encrypt(blocks, KeyContext(two_fib_key))[0]
     assert all(chk.ok for chk in verify_ciphertext(c, M15_2FIB))
 
 
@@ -120,7 +120,7 @@ def test_verify_randomized_trials():
         n = rng.randint(1, 40)
         data = bytes(rng.randrange(256) for _ in range(key.order ** 2))
         blocks, _ = digitize(data, key.order)
-        c = encrypt(blocks, key, n)[0]
+        c = encrypt(blocks, KeyContext(key, n))[0]
         m = MatrixBuilder(key).matrix(n)
         assert all(chk.ok for chk in verify_ciphertext(c, m))
 
@@ -128,19 +128,20 @@ def test_verify_randomized_trials():
 def test_detect_single_error(two_fib_key):
     received = [row[:] for row in C_ALGORITHM_15]
     received[0][2] = 28373
-    diagnoses = detect_errors(received, two_fib_key, 15)
+    diagnoses = detect_errors(received, KeyContext(two_fib_key, 15))
     assert diagnoses[0].trusted == (0, 1)
     assert diagnoses[0].flagged == (2,)
     assert diagnoses[1].clean and diagnoses[2].clean
 
 
 def test_detect_double_error(tetranacci_key):
+    ctx = KeyContext(tetranacci_key, 5)
     blocks, _ = digitize(EXTRATERRESTRIAL, 4)
-    c = encrypt(blocks, tetranacci_key)[0]
+    c = encrypt(blocks, ctx)[0]
     received = [row[:] for row in c]
     received[0][0] = 16460
     received[0][2] = 4123
-    diagnoses = detect_errors(received, tetranacci_key, 5)
+    diagnoses = detect_errors(received, ctx)
     assert diagnoses[0].trusted == (1, 3)
     assert diagnoses[0].flagged == (0, 2)
 
@@ -154,15 +155,16 @@ def test_detect_clean_random_trials():
         n = rng.randint(10, 40)
         data = bytes(rng.randrange(1, 256) for _ in range(key.order ** 2))
         blocks, _ = digitize(data, key.order)
-        c = encrypt(blocks, key, n)[0]
-        for diag in detect_errors(c, key, n):
+        ctx = KeyContext(key, n)
+        c = encrypt(blocks, ctx)[0]
+        for diag in detect_errors(c, ctx):
             assert diag.clean
 
 
 def test_detect_hopeless_row(two_fib_key):
     received = [row[:] for row in C_ALGORITHM_15]
     received[0] = [1, 99999, 3]
-    diagnoses = detect_errors(received, two_fib_key, 15)
+    diagnoses = detect_errors(received, KeyContext(two_fib_key, 15))
     assert diagnoses[0].trusted == ()
     assert diagnoses[0].flagged == (0, 1, 2)
 
@@ -217,8 +219,9 @@ def test_correct_on_a_wide_range_spends_only_its_budget():
 def test_correct_worked_single_error(two_fib_key):
     received = [row[:] for row in C_ALGORITHM_15]
     received[0][2] = 28373
-    diagnoses = detect_errors(received, two_fib_key, 15)
-    result = correct(received, diagnoses, two_fib_key, 15)
+    ctx = KeyContext(two_fib_key, 15)
+    diagnoses = detect_errors(received, ctx)
+    result = correct(received, diagnoses, ctx)
     row = result.rows[0]
     assert row.references == {2: 1}
     assert row.ranges[2].count == 16
@@ -230,11 +233,12 @@ def test_correct_worked_single_error(two_fib_key):
 
 def test_correct_unique_at_large_index(two_fib_key):
     blocks, _ = digitize(ALGORITHM, 3)
-    c29 = encrypt(blocks, two_fib_key, 29)[0]
+    ctx = KeyContext(two_fib_key, 29)
+    c29 = encrypt(blocks, ctx)[0]
     received = [row[:] for row in c29]
     received[0][2] += 37
-    diagnoses = detect_errors(received, two_fib_key, 29)
-    result = correct(received, diagnoses, two_fib_key, 29)
+    diagnoses = detect_errors(received, ctx)
+    result = correct(received, diagnoses, ctx)
     assert result.unique
     assert result.matrix == c29
     assert result.tested_total == 1
@@ -242,8 +246,9 @@ def test_correct_unique_at_large_index(two_fib_key):
 
 
 def test_correct_noop_on_clean(two_fib_key):
-    diagnoses = detect_errors(C_ALGORITHM_15, two_fib_key, 15)
-    result = correct(C_ALGORITHM_15, diagnoses, two_fib_key, 15)
+    ctx = KeyContext(two_fib_key, 15)
+    diagnoses = detect_errors(C_ALGORITHM_15, ctx)
+    result = correct(C_ALGORITHM_15, diagnoses, ctx)
     assert result.matrix == C_ALGORITHM_15
     assert result.unique
     assert result.tested_total == 0
@@ -252,8 +257,9 @@ def test_correct_noop_on_clean(two_fib_key):
 def test_correct_budget_exhaustion(two_fib_key):
     received = [row[:] for row in C_ALGORITHM_15]
     received[0][2] = 28373
-    diagnoses = detect_errors(received, two_fib_key, 15)
-    result = correct(received, diagnoses, two_fib_key, 15, budget=3)
+    ctx = KeyContext(two_fib_key, 15)
+    diagnoses = detect_errors(received, ctx)
+    result = correct(received, diagnoses, ctx, budget=3)
     assert result.budget_exhausted
     assert result.matrix is None
     assert result.tested_total == 3
@@ -262,17 +268,18 @@ def test_correct_budget_exhaustion(two_fib_key):
 def test_correct_uncorrectable_row(two_fib_key):
     received = [row[:] for row in C_ALGORITHM_15]
     received[0] = [1, 99999, 3]
-    diagnoses = detect_errors(received, two_fib_key, 15)
+    ctx = KeyContext(two_fib_key, 15)
+    diagnoses = detect_errors(received, ctx)
     with pytest.raises(UncorrectableRowError):
-        correct(received, diagnoses, two_fib_key, 15)
+        correct(received, diagnoses, ctx)
 
 
 def test_correct_extra_validator(two_fib_key):
     received = [row[:] for row in C_ALGORITHM_15]
     received[0][2] = 28373
-    diagnoses = detect_errors(received, two_fib_key, 15)
-    result = correct(received, diagnoses, two_fib_key, 15,
-                     validator=lambda i, row: bytes(row) == b"ALG")
+    ctx = KeyContext(two_fib_key, 15)
+    diagnoses = detect_errors(received, ctx)
+    result = correct(received, diagnoses, ctx, validator=lambda i, row: bytes(row) == b"ALG")
     accepted = result.rows[0].accepted
     assert len(accepted) == 1 and accepted[0].values[2] == 28337
     assert result.unique and result.matrix == C_ALGORITHM_15
@@ -289,7 +296,7 @@ def test_checking_range_contains_truth_under_single_errors():
         n = rng.randint(5, 35)
         data = bytes(rng.randrange(1, 256) for _ in range(k * k))
         blocks, _ = digitize(data, k)
-        c = encrypt(blocks, key, n)[0]
+        c = encrypt(blocks, KeyContext(key, n))[0]
         m = MatrixBuilder(key).matrix(n)
         i = rng.randrange(k)
         j = rng.randrange(k)
@@ -362,14 +369,14 @@ def test_smallest_unambiguous_none_within_cap(wielandt4_key):
 
 @pytest.mark.parametrize("delta", [37, -37])
 def test_single_error_in_zero_padding_row_is_repaired(delta):
-    key = symmetric_key((1, 0, 1), (1, 0, 0), 29)
+    ctx = KeyContext(symmetric_key((1, 0, 1), (1, 0, 0), 29))
     blocks, _ = digitize(b"ABCDEF", 3)          # row 2 is all padding
-    original = encrypt(blocks, key)[0]
+    original = encrypt(blocks, ctx)[0]
     received = [row[:] for row in original]
     received[2][1] += delta
-    diagnoses = detect_errors(received, key)
+    diagnoses = detect_errors(received, ctx)
     assert diagnoses[2].flagged == (1,)
-    result = correct(received, diagnoses, key)
+    result = correct(received, diagnoses, ctx)
     assert result.unique and result.matrix == original
     rng = result.rows[0].ranges[1]
     assert (rng.lo, rng.hi, rng.estimate) == (0, 0, 0)
@@ -378,8 +385,37 @@ def test_single_error_in_zero_padding_row_is_repaired(delta):
 
 def test_zero_reference_needs_a_positive_reference_column():
     # M_0 = I: column 0 has zeros, so a zero entry there pins nothing.
-    key = right_form_key((1, 0, 1), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 0)
+    ctx = KeyContext(right_form_key((1, 0, 1), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 0))
     received = [[1, 2, 3], [4, 5, 6], [0, 37, 0]]
     diagnoses = [RowDiagnosis(row=2, trusted=(0, 2), flagged=(1,), pairs=())]
     with pytest.raises(UncorrectableRowError):
-        correct(received, diagnoses, key)
+        correct(received, diagnoses, ctx)
+
+
+def test_a_checking_range_is_cut_to_its_column_absolute_range():
+    # Row 255 255 255: column 0's range against either reference is
+    # [2040, 3060], 1021 candidates, but no entry of column 0 passes 2295.
+    ctx = KeyContext(symmetric_key((1, 0, 1), (1, 0, 0), 3))
+    assert ctx.entry_ranges[0] == (0, 2295)
+    original = encrypt([[[255, 255, 255], [0, 0, 0], [0, 0, 0]]], ctx)[0]
+    assert original[0][0] == 2295
+    uncut = checking_range(original[0][1], ctx.ratio_bounds[(0, 1)], ctx.tau_powers[1])
+    assert (uncut.lo, uncut.hi, uncut.count) == (2040, 3060, 1021)
+    received = [row[:] for row in original]
+    received[0][0] = 5000
+    diagnoses = detect_errors(received, ctx)
+    assert diagnoses[0].flagged == (0,)
+    result = correct(received, diagnoses, ctx)
+    cut = result.rows[0].ranges[0]
+    assert cut.count < uncut.count and cut.lo <= 2295 <= cut.hi
+    assert (cut.lo, cut.hi) == (2040, 2295)
+    assert result.unique and result.matrix == original
+
+
+def test_a_checking_range_outside_the_absolute_range_is_empty():
+    # A reference far too large puts the whole range above column 0's bound.
+    ctx = KeyContext(symmetric_key((1, 0, 1), (1, 0, 0), 3))
+    received = [[5000, 10 ** 6, 1020], [0, 0, 0], [0, 0, 0]]
+    diagnoses = [RowDiagnosis(row=0, trusted=(1,), flagged=(0,), pairs=())]
+    with pytest.raises(EmptyCheckingRangeError, match="absolute range"):
+        correct(received, diagnoses, ctx)

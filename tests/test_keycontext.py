@@ -1,11 +1,11 @@
-"""KeyContext: a key compiled once gives the same results as the key itself."""
+"""KeyContext: a key compiled once gives the same results as a key compiled for each call."""
 
 import random
 
 import pytest
 
 from rmcipher import (CorruptionError, KeyContext, correct, decrypt, detect_errors, digitize,
-                      encrypt, general_key, key_context, right_form_key, symmetric_key)
+                      encrypt, general_key, right_form_key, symmetric_key)
 from rmcipher.coding import InvalidKeyError
 from rmcipher.guard import GuardError
 
@@ -42,6 +42,8 @@ def _outcome(fn, *args, **kwargs):
 
 @pytest.mark.parametrize("name", sorted(KEYS))
 def test_context_and_key_give_equal_outputs(name):
+    """One context used for every call gives what a context compiled anew
+    from the key for each call gives: nothing a call caches changes a result."""
     key = KEYS[name]
     ctx = KeyContext(key)
     k = key.order
@@ -50,9 +52,9 @@ def test_context_and_key_give_equal_outputs(name):
     data = bytes([255]) + bytes(rng.randrange(256) for _ in range(3 * k * k - k - 1))
     blocks, length = digitize(data, k)
 
-    cipher = encrypt(blocks, key)
+    cipher = encrypt(blocks, KeyContext(key))
     assert encrypt(blocks, ctx) == cipher
-    assert decrypt(cipher, ctx, length) == decrypt(cipher, key, length) == data
+    assert decrypt(cipher, ctx, length) == decrypt(cipher, KeyContext(key), length) == data
 
     # Non-integral and out-of-alphabet plaintexts raise the same message.
     off_by_one = [[row[:] for row in block] for block in cipher]
@@ -61,7 +63,7 @@ def test_context_and_key_give_equal_outputs(name):
     too_big[0][0] = [c + m for c, m in zip(too_big[0][0], ctx.matrix[0])]
     for bad in (off_by_one, too_big):
         with pytest.raises(CorruptionError) as by_key:
-            decrypt(bad, key, length)
+            decrypt(bad, KeyContext(key), length)
         with pytest.raises(CorruptionError) as by_ctx:
             decrypt(bad, ctx, length)
         assert str(by_ctx.value) == str(by_key.value)
@@ -69,22 +71,17 @@ def test_context_and_key_give_equal_outputs(name):
     for b, i, j, delta in [(0, 0, k - 1, 37), (1, k - 1, 0, -5), (2, k - 1, 1, 40)]:
         received = [row[:] for row in cipher[b]]
         received[i][j] += delta
-        diagnoses = detect_errors(received, key)
+        diagnoses = detect_errors(received, KeyContext(key))
         assert detect_errors(received, ctx) == diagnoses
         assert _outcome(correct, received, diagnoses, ctx) == \
-            _outcome(correct, received, diagnoses, key)
+            _outcome(correct, received, diagnoses, KeyContext(key))
 
 
-def test_key_context_passes_a_context_through():
-    key = KEYS["symmetric-3"]
-    ctx = key_context(key)
-    assert isinstance(ctx, KeyContext) and ctx.n == key.index
-    assert key_context(ctx) is ctx
-    assert key_context(ctx, key.index) is ctx
-    with pytest.raises(ValueError):
-        key_context(ctx, key.index + 1)
-    with pytest.raises(ValueError):
-        encrypt([[[1, 2, 3]] * 3], ctx, n=5)
+def test_correct_takes_budget_and_validator_by_keyword_only():
+    ctx = KeyContext(KEYS["symmetric-3"])
+    c = encrypt(digitize(b"ALGORITHM", 3)[0], ctx)[0]
+    with pytest.raises(TypeError):
+        correct(c, detect_errors(c, ctx), ctx, 5)
 
 
 def test_encryption_computes_neither_inverse_nor_tau():
@@ -105,8 +102,6 @@ def test_a_negative_index_is_refused_when_the_context_is_compiled():
     key = KEYS["symmetric-3"]
     with pytest.raises(InvalidKeyError, match="^index must be non-negative$"):
         KeyContext(key, -1)
-    with pytest.raises(InvalidKeyError, match="^index must be non-negative$"):
-        encrypt(digitize(b"ALGORITHM", 3)[0], key, -1)
 
 
 @pytest.mark.parametrize("name", ["symmetric-3", "symmetric-5", "right_form-3"])

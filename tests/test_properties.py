@@ -1,0 +1,75 @@
+"""Property tests of the receiver's invariants, for each of the three key kinds:
+decryption inverts encryption, a clean ciphertext passes the chunk test, and
+a corrupted entry's true value lies in the checking range that correction
+searches and in its column's absolute range."""
+
+from functools import cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rmcipher import KeyContext, correct, decrypt, general_key, right_form_key, symmetric_key
+from rmcipher.cipher import encrypt_bytes
+from rmcipher.guard import RowDiagnosis, failing_rows
+
+# Per kind, builders of keys whose M_n is positive for every n >= 3.
+KEYS = {
+    "symmetric": (lambda n: symmetric_key((1, 0, 1), (1, 0, 0), n),
+                  lambda n: symmetric_key((1, 1, 1, 1), (1, 0, 0, 0), n)),
+    "general": (lambda n: general_key([[1, 2], [3, 4]], (1, 0), n),
+                lambda n: general_key([[1, 1, 0], [0, 1, 1], [1, 0, 1]], (1, 0, 0), n)),
+    "right_form": (lambda n: right_form_key((1, 0, 1), [[1, 1, 0], [0, 1, 1], [1, 0, 1]], n),
+                   lambda n: right_form_key((1, 1), [[2, 1], [1, 1]], n)),
+}
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
+
+
+@cache
+def _context(kind: str, which: int, n: int) -> KeyContext:
+    return KeyContext(KEYS[kind][which](n))
+
+
+def _contexts(kind):
+    return st.builds(_context, st.just(kind), st.integers(0, 1), st.integers(3, 40))
+
+
+@pytest.mark.parametrize("kind", sorted(KEYS))
+@PROPERTY
+@given(data=st.data())
+def test_decryption_inverts_encryption(kind, data):
+    ctx = data.draw(_contexts(kind))
+    plain = data.draw(st.binary(max_size=60))
+    blocks, length = encrypt_bytes(plain, ctx)
+    assert decrypt(blocks, ctx, length) == plain
+
+
+@pytest.mark.parametrize("kind", sorted(KEYS))
+@PROPERTY
+@given(data=st.data())
+def test_a_clean_ciphertext_passes_the_chunk_test(kind, data):
+    ctx = data.draw(_contexts(kind))
+    blocks, _ = encrypt_bytes(data.draw(st.binary(max_size=60)), ctx)
+    assert failing_rows(ctx, [v for block in blocks for row in block for v in row]) == set()
+
+
+@pytest.mark.parametrize("kind", sorted(KEYS))
+@PROPERTY
+@given(data=st.data())
+def test_the_true_value_lies_in_its_checking_and_absolute_ranges(kind, data):
+    ctx = data.draw(_contexts(kind))
+    k = ctx.order
+    block = encrypt_bytes(data.draw(st.binary(min_size=k * k, max_size=k * k)), ctx)[0][0]
+    i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+    truth = block[i][j]
+    received = [row[:] for row in block]
+    received[i][j] = data.draw(st.one_of(st.just(0), st.just(-truth),
+                                         st.integers(-10 ** 9, 10 ** 9)).filter(
+        lambda v: v != truth))
+    # Every other entry of the row is trusted, as detection trusts it at best.
+    diagnosis = RowDiagnosis(row=i, trusted=tuple(t for t in range(k) if t != j),
+                             flagged=(j,), pairs=())
+    rng = correct(received, [diagnosis], ctx, budget=1).rows[0].ranges[j]
+    lo, hi = ctx.entry_ranges[j]
+    assert rng.lo <= truth <= rng.hi
+    assert lo <= truth <= hi

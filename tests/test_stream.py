@@ -90,7 +90,7 @@ def test_library_round_trip(name):
         blocks, stored = encrypt_bytes(data, ctx)
         assert stored == length
         assert decrypt(blocks, ctx, stored) == data
-        assert decrypt(blocks, key) == data + bytes(len(blocks) * key.order ** 2 - length)
+        assert decrypt(blocks, ctx) == data + bytes(len(blocks) * key.order ** 2 - length)
 
 
 def test_library_encrypt_matches_naive_product():
@@ -99,7 +99,7 @@ def test_library_encrypt_matches_naive_product():
     blocks, _ = digitize(random.Random(7).randbytes(200), 3)
     naive = [[[sum(p[i][t] * m[t][j] for t in range(3)) for j in range(3)] for i in range(3)]
              for p in blocks]
-    assert encrypt(blocks, key) == naive
+    assert encrypt(blocks, KeyContext(key)) == naive
 
 
 def test_reader_chunks_and_whole_text_parse_agree(tmp_path):
