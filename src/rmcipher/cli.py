@@ -220,7 +220,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
         x0 = keygen.random_cyclic_vector(left_companion(rec), *keygen.VECTOR_RANGE, rng)
         index = rng.randint(*cfg.index_range)
         key = symmetric_key(rec.coeffs, x0, index)
-        gen = keygen.GeneratedKey(key, fam.report, "abt_family")
+        gen = keygen.GeneratedKey(key, fam.report)
     elif args.method == "primitive":
         seed01 = _load_seed_matrix(args.seed_matrix, cfg.order)
         gen = next(keygen.primitive_growth(seed01, cfg, stats), None)

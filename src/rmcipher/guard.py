@@ -10,10 +10,11 @@ and j' of M.  Those exact two-sided bounds drive everything here:
   column's range (KeyContext.entry_ranges); a receiver first tests whole
   chunks of rows (failing_rows) and builds the graph only where a row
   fails,
-* correction enumerates integer candidates for each flagged entry in a
-  spiral around the transition-ratio estimate, within its checking range
-  cut to its column's absolute range, validating candidate combinations
-  by exact decryption.
+* correction searches one interval for each flagged entry, built from the
+  KeyContext by checking_range: exactly the integers between its exact
+  bounds against a trusted reference, cut to its column's absolute range.
+  It takes them in a spiral around the transition-ratio estimate and
+  validates candidate combinations by exact decryption.
 
 All bounds are exact rationals; column indices are 0-based throughout.
 One test decides whether a pair meets its checking relation, for
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, repeat
@@ -35,7 +36,7 @@ from operator import le, mul
 from typing import Callable, Optional, Sequence
 
 from .cipher import CorruptionError, decrypt_row, digitize
-from .coding import CodingKey, KeyContext, MatrixBuilder, column_ratio_bounds, cross_bound
+from .coding import CodingKey, KeyContext, MatrixBuilder, column_ratio_bounds
 from .exactmat import mat_mul
 from .spectral import to_float
 
@@ -59,11 +60,10 @@ _INFINITE = (math.inf, -math.inf)
 class CheckingRange:
     """Admissible values for a suspect entry relative to a trusted reference.
 
-    lower/upper are the exact rational bounds.  The search interval
-    [lo, hi] rounds the lower bound to the nearest integer (the worked
-    error-correction scenarios count the boundary candidate in), while
-    tight_lo/tight_hi apply exact ceiling/floor; once a range shrinks
-    below unit length the tight interval pins a unique value.
+    lower/upper are the exact rational bounds of the checking relation,
+    cut to the suspect column's absolute range; [lo, hi] holds exactly the
+    integers between them, so a range shorter than 1 holds at most one.
+    estimate, inside [lo, hi], is where the spiral search starts.
     """
 
     lower: Fraction
@@ -74,63 +74,45 @@ class CheckingRange:
 
     @property
     def count(self) -> int:
-        return max(0, self.hi - self.lo + 1)
-
-    @property
-    def tight_lo(self) -> int:
-        return math.ceil(self.lower)
-
-    @property
-    def tight_hi(self) -> int:
-        return math.floor(self.upper)
-
-    @property
-    def tight_count(self) -> int:
-        return max(0, self.tight_hi - self.tight_lo + 1)
+        return self.hi - self.lo + 1
 
 
-def checking_range(c_ref: int, bounds, tau_power=None) -> CheckingRange:
-    """Integer candidate interval for a suspect entry given a trusted reference.
+def _finite_bounds(ctx: KeyContext, j: int, ref: int):
+    """ctx.ratio_bounds[(j, ref)], which must both be finite."""
+    if ref not in ctx.reference_columns[j]:
+        raise ValueError(f"column {ref} is no reference for column {j}: their ratio "
+                         f"bounds are not both finite; pick another reference")
+    return ctx.ratio_bounds[(j, ref)]
 
-    bounds are the column ratio bounds suspect-over-reference, as
-    column_ratio_bounds(m, suspect, reference) gives them, both finite
-    (a row of M_n with 0 at the reference then has 0 at the suspect, so a
-    reference of 0 gives [0, 0]; a negative one turns them over, leaving
-    at most one candidate, for decryption to decide).  tau_power is the
-    transition-ratio power tau**(j'-j) used for the spiral estimate;
-    without it the estimate falls back to the interval midpoint.
+
+def checking_range(ctx: KeyContext, j: int, ref: int, c_ref: int) -> CheckingRange:
+    """The integers that entry j of a row may hold, given c_ref trusted in
+    column ref of the same row.
+
+    The bounds are c_ref times the extreme ratios of columns j and ref of
+    M_n (ctx.ratio_bounds, both finite: ref must be one of
+    ctx.reference_columns[j], else ValueError), cut to column j's absolute
+    range (ctx.entry_ranges).  A reference of 0 gives [0, 0]; a negative
+    one turns the bounds over, and an interval with no integer raises
+    EmptyCheckingRangeError.  The spiral estimate is c_ref * tau**(ref - j),
+    rounded and moved into [lo, hi].
     """
-    blo, bhi = bounds
-    if blo in _INFINITE or bhi in _INFINITE:
-        raise ValueError("reference column admits an unbounded ratio; pick another reference")
-    lower = c_ref * blo
-    upper = c_ref * bhi
-    lo = math.floor(lower + Fraction(1, 2))
-    hi = math.floor(upper)
+    blo, bhi = _finite_bounds(ctx, j, ref)
+    col_lo, col_hi = ctx.entry_ranges[j]
+    lower = max(c_ref * blo, Fraction(col_lo))
+    upper = min(c_ref * bhi, Fraction(col_hi))
+    lo, hi = math.ceil(lower), math.floor(upper)
     if lo > hi:
         raise EmptyCheckingRangeError(
-            f"empty checking range [{float(lower):.3f}, {float(upper):.3f}]: reference is suspect")
-    if tau_power is not None:
-        # The exact product is as close as tau_power is: within about
-        # c_ref * 2**-p of c_ref * tau**d for tau held to p bits (the
-        # context's precision, KeyContext.tau_powers).  The spiral from it
-        # still reaches every integer in [lo, hi].
-        estimate = math.floor(c_ref * tau_power + Fraction(1, 2))
-    else:
-        estimate = math.floor((lower + upper) / 2 + Fraction(1, 2))
-    estimate = min(max(estimate, lo), hi)
-    return CheckingRange(lower=lower, upper=upper, lo=lo, hi=hi, estimate=estimate)
-
-
-def _within_column(rng: CheckingRange, lo: int, hi: int) -> CheckingRange:
-    """rng with its search interval and estimate cut to [lo, hi], the
-    absolute range of the suspect's column; EmptyCheckingRangeError if empty."""
-    lo, hi = max(rng.lo, lo), min(rng.hi, hi)
-    if lo > hi:
-        raise EmptyCheckingRangeError(
-            f"checking range [{rng.lo}, {rng.hi}] misses the column's absolute range: "
-            f"reference is suspect")
-    return replace(rng, lo=lo, hi=hi, estimate=min(max(rng.estimate, lo), hi))
+            f"no integer of column {j}'s absolute range lies in its checking range "
+            f"against column {ref}: reference is suspect")
+    # The exact product is as close as the power of tau is: within about
+    # c_ref * 2**-p of c_ref * tau**d for tau held to p bits (the context's
+    # precision, KeyContext.tau_powers).  The spiral from it still reaches
+    # every integer in [lo, hi].
+    estimate = math.floor(c_ref * ctx.tau_powers[ref - j] + Fraction(1, 2))
+    return CheckingRange(lower=lower, upper=upper, lo=lo, hi=hi,
+                         estimate=min(max(estimate, lo), hi))
 
 
 # ---------------------------------------------------------------------------
@@ -153,20 +135,20 @@ class RowCheck:
     violations: tuple[PairViolation, ...] = ()
 
 
-def verify_ciphertext(c: Sequence[Sequence[int]], m: Sequence[Sequence[int]]) -> list[RowCheck]:
-    """Per-row test of the consecutive-column checking inequalities.
+def verify_ciphertext(c: Sequence[Sequence[int]], ctx: KeyContext) -> list[RowCheck]:
+    """Per-row test of the consecutive-column checking inequalities of ctx's M_n.
 
     Genuine ciphertexts of nonnegative plaintexts always pass.
     """
-    k = len(m)
+    k = ctx.order
     if any(len(row) != k for row in c):
         raise ValueError("ciphertext and coding matrix dimensions differ")
-    bounds = [column_ratio_bounds(m, j, j + 1) for j in range(k - 1)]
-    tests = [partial(_within, *cross_bound(lo), *cross_bound(hi)) for lo, hi in bounds]
+    pairs = [(j, ctx.ratio_bounds[(j, j + 1)], partial(_within, *ctx.cross_bounds[(j, j + 1)]))
+             for j in range(k - 1)]
     out: list[RowCheck] = []
     for i, row in enumerate(c):
         violations = []
-        for j, (lo, hi), within in zip(range(k), bounds, tests):
+        for j, (lo, hi), within in pairs:
             num, den = row[j], row[j + 1]
             if not within(num, den):
                 ratio = Fraction(num, den) if den else (math.inf if num > 0 else -math.inf)
@@ -382,8 +364,7 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
     in discovery order; the budget caps the total number of combinations
     tested.  A flagged entry's reference is its nearest trusted column
     with finite bounds (KeyContext.reference_columns), or none: then
-    UncorrectableRowError.  Its checking range is cut to its column's
-    absolute range (KeyContext.entry_ranges), else EmptyCheckingRangeError.
+    UncorrectableRowError; its candidates are those of checking_range.
     """
     rows_out: list[RowCorrection] = []
     corrected = [list(row) for row in c]
@@ -406,10 +387,7 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
                     f"row {i} has no trusted entry that bounds entry {(i, j)}; "
                     f"correction needs external data")
             refs[j] = ref
-            ranges[j] = _within_column(
-                checking_range(c[i][ref], ctx.ratio_bounds[(j, ref)],
-                               tau_power=ctx.tau_powers[ref - j]),
-                *ctx.entry_ranges[j])
+            ranges[j] = checking_range(ctx, j, ref, c[i][ref])
 
         accepted: list[RowCandidate] = []
         tested = 0
@@ -451,13 +429,10 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
 # range shrinkage
 # ---------------------------------------------------------------------------
 
-def range_length(key: CodingKey, n: int, j: int, jp: int, c_ref: int) -> Fraction:
-    """Exact length (max - min) * c_ref of the checking range for column j
-    relative to a reference value in column jp."""
-    m = MatrixBuilder(key).matrix(n)
-    lo, hi = column_ratio_bounds(m, j, jp)
-    if lo in _INFINITE or hi in _INFINITE:
-        raise ValueError("unbounded ratio in the requested columns")
+def range_length(ctx: KeyContext, j: int, jp: int, c_ref: int) -> Fraction:
+    """Exact length (max - min) * c_ref of the checking relation for column j
+    relative to a reference value in column jp, before the absolute cut."""
+    lo, hi = _finite_bounds(ctx, j, jp)
     return (hi - lo) * c_ref
 
 

@@ -78,7 +78,6 @@ class GenStats:
 class GeneratedKey:
     key: CodingKey
     report: SpectralReport
-    provenance: str
 
 
 VECTOR_RANGE = (0, 9)     # entries of a drawn initial vector or matrix
@@ -159,7 +158,7 @@ def sieve_companion(cfg: GenConfig, stats: Optional[GenStats] = None) -> Iterato
             continue
         key = symmetric_key(coeffs, x0, _draw_index(cfg, rng))
         stats.emitted += 1
-        yield GeneratedKey(key, report, "sieve")
+        yield GeneratedKey(key, report)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +270,7 @@ def primitive_growth(seed01: IntMatrix, cfg: GenConfig,
             continue
         key = general_key(m, x0, _draw_index(cfg, rng))
         stats.emitted += 1
-        yield GeneratedKey(key, report, "primitive_growth")
+        yield GeneratedKey(key, report)
 
 
 # ---------------------------------------------------------------------------
@@ -296,4 +295,4 @@ def right_form_keygen(rec: Recurrence, cfg: GenConfig) -> GeneratedKey:
     else:
         raise RuntimeError(f"no invertible nonnegative initial matrix in {_RETRIES} draws")
     key = right_form_key(rec.coeffs, m0, _draw_index(cfg, rng))
-    return GeneratedKey(key, report, "right_form")
+    return GeneratedKey(key, report)

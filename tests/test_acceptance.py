@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from rmcipher import (KeyContext, Recurrence, checking_range, coding_matrix,
-                      coding_matrix_inverse, column_ratio_bounds, correct, decrypt,
+                      coding_matrix_inverse, correct, decrypt,
                       detect_errors, digitize, encrypt, general_key, is_pisot, range_length, right_form_key,
                       second_eigenmodulus, smallest_unambiguous_n, symmetric_key,
                       transition_ratio, verify_ciphertext)
@@ -77,12 +77,11 @@ def test_criterion_3_second_eigenmoduli():
 def test_criterion_4_checking_range_table():
     blocks, _ = digitize(ALGORITHM, 3)
     p_row = blocks[0][2]
-    builder = MatrixBuilder(TRIBONACCI)
     lengths = {}
     for n in (12, 16, 17, 19):
-        m = builder.matrix(n)
-        c_ref = sum(p_row[t] * m[t][1] for t in range(3))
-        lengths[n] = float(range_length(TRIBONACCI, n, 2, 1, c_ref))
+        ctx = KeyContext(TRIBONACCI, n)
+        c_ref = sum(p_row[t] * ctx.matrix[t][1] for t in range(3))
+        lengths[n] = float(range_length(ctx, 2, 1, c_ref))
     assert abs(lengths[12] - 11.00) < 0.01
     assert abs(lengths[16] - 1.42) < 0.01
     assert abs(lengths[17] - 2.61) < 0.01
@@ -92,7 +91,6 @@ def test_criterion_4_checking_range_table():
 
 
 def test_criterion_5a_single_error_spiral():
-    tau = transition_ratio(Recurrence((1, 0, 1)))
     received = [row[:] for row in C_ALGORITHM_15]
     received[0][2] = 28373
     ctx = KeyContext(TWO_FIB, 15)
@@ -100,8 +98,10 @@ def test_criterion_5a_single_error_spiral():
     assert diagnoses[0].flagged == (2,)
     result = correct(received, diagnoses, ctx)
     rng = result.rows[0].ranges[2]
-    assert (rng.lo, rng.hi) == (28329, 28344)
-    assert rng.count == 16
+    # The worked example lists 16 candidates, 28329-28344; 28329 lies below
+    # the exact lower bound 41528 * 88 / 129 = 28329.18..., so 15 remain.
+    assert (rng.lo, rng.hi) == (28330, 28344)
+    assert rng.count == 15
     assert rng.estimate == 28336
     hits = [c for c in result.rows[0].accepted if c.values[2] == 28337]
     assert hits and hits[0].order_index <= 3
@@ -109,14 +109,13 @@ def test_criterion_5a_single_error_spiral():
 
 def test_criterion_5b_unique_correction_at_29():
     blocks, _ = digitize(ALGORITHM, 3)
-    c29 = encrypt(blocks, KeyContext(TWO_FIB, 29))[0]
+    ctx = KeyContext(TWO_FIB, 29)
+    c29 = encrypt(blocks, ctx)[0]
     # The worked continuation value appears in the ciphertext at n = 29.
     assert c29[2][2] == 6736252
     assert c29[0][2] == 5976261
-    m29 = MatrixBuilder(TWO_FIB).matrix(29)
-    tau = transition_ratio(Recurrence((1, 0, 1)))
-    rng = checking_range(c29[0][1], column_ratio_bounds(m29, 2, 1), tau_power=tau ** -1)
-    assert rng.count == 1 and rng.tight_count == 1
+    rng = checking_range(ctx, 2, 1, c29[0][1])
+    assert rng.count == 1
     assert rng.lo == 5976261
     assert smallest_unambiguous_n(TWO_FIB, ALGORITHM, 2, 1, cap=60) == 29
 
@@ -136,25 +135,25 @@ def test_criterion_5c_double_error_detection():
 
 def test_criterion_5d_triple_error_ranges():
     blocks, _ = digitize(EXTRATERRESTRIAL, 4)
-    genuine = encrypt(blocks, KeyContext(TETRANACCI, 5))[0]
+    ctx = KeyContext(TETRANACCI, 5)
+    genuine = encrypt(blocks, ctx)[0]
     c11 = genuine[0][0]
     assert c11 == 16046
-    m5 = MatrixBuilder(TETRANACCI).matrix(5)
     printed = {1: (8299.66, 8557.87), 2: (4278.93, 4426.48), 3: (2139.47, 2292.29)}
     for j, (lo_val, hi_val) in printed.items():
-        rng = checking_range(c11, column_ratio_bounds(m5, j, 0))
+        rng = checking_range(ctx, j, 0, c11)
         assert abs(float(rng.lower) - lo_val) < 0.01
         assert abs(float(rng.upper) - hi_val) < 0.01
     # For n >= 34 every one of the three ranges pins a single integer.
-    builder = MatrixBuilder(TETRANACCI)
     for n in range(34, 43):
-        m = builder.matrix(n)
+        ctx = KeyContext(TETRANACCI, n, report=ctx.report)
+        m = ctx.matrix
         ref = sum(blocks[0][0][t] * m[t][0] for t in range(4))
         for j in (1, 2, 3):
-            rng = checking_range(ref, column_ratio_bounds(m, j, 0))
+            rng = checking_range(ctx, j, 0, ref)
             true_value = sum(blocks[0][0][t] * m[t][j] for t in range(4))
-            assert rng.tight_count == 1
-            assert rng.tight_lo == true_value
+            assert rng.count == 1
+            assert rng.lo == true_value
 
 
 def test_criterion_6_worked_matrices():
@@ -217,9 +216,9 @@ def test_criterion_8_property_suites():
         n = rng.randint(1, 40)
         data = bytes(rng.randrange(256) for _ in range(key.order ** 2))
         blocks, _ = digitize(data, key.order)
-        c = encrypt(blocks, KeyContext(key, n))[0]
-        m = MatrixBuilder(key).matrix(n)
-        assert all(chk.ok for chk in verify_ciphertext(c, m))
+        ctx = KeyContext(key, n)
+        c = encrypt(blocks, ctx)[0]
+        assert all(chk.ok for chk in verify_ciphertext(c, ctx))
 
     # Transition identities L * M_n = M_{n+1} = M_n * R, exactly.
     from rmcipher.coding import induced_left_matrix
@@ -249,21 +248,20 @@ def test_criterion_8_property_suites():
     # A checking range built from a correct reference always contains the
     # true value of the suspected entry.
     rng = random.Random(805)
-    taus = {}
+    contexts = {}
     for _ in range(200):
         key = rng.choice(keys[:3])
         k = key.order
         n = rng.randint(5, 35)
         data = bytes(rng.randrange(1, 256) for _ in range(k * k))
         blocks, _ = digitize(data, k)
-        c = encrypt(blocks, KeyContext(key, n))[0]
-        m = MatrixBuilder(key).matrix(n)
+        if (key, n) not in contexts:
+            contexts[key, n] = KeyContext(key, n)
+        ctx = contexts[key, n]
+        c = encrypt(blocks, ctx)[0]
         i, j = rng.randrange(k), rng.randrange(k)
         jp = rng.choice([x for x in range(k) if x != j])
-        if key.coeffs not in taus:
-            taus[key.coeffs] = transition_ratio(Recurrence(key.coeffs))
-        rng_obj = checking_range(c[i][jp], column_ratio_bounds(m, j, jp),
-                                 tau_power=taus[key.coeffs] ** (jp - j))
+        rng_obj = checking_range(ctx, j, jp, c[i][jp])
         assert rng_obj.lo <= c[i][j] <= rng_obj.hi
 
 

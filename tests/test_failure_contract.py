@@ -6,6 +6,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -253,3 +254,34 @@ def test_correct_of_negated_entries_exits_3(kind, files, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: row 0 has no trusted entry that bounds "
                                               "entry (0, 0)")
     assert not fixed.exists()
+
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_correct_exits_0_3_or_4_wherever_one_entry_changes(tmp_path, capsys):
+    """Each entry of a 19-byte message in turn, padding rows included, changed
+    to zero, a negative, a neighbour or an out-of-range magnitude: correct
+    ends in 0, 3 or 4 under every golden key, never in a traceback."""
+    msg, cfile, bad = tmp_path / "msg.txt", tmp_path / "c.rmc", tmp_path / "bad.rmc"
+    msg.write_bytes(b"checking relations!")
+    codes = Counter()
+    for name in ["k3", "k5", "abt", "primitive", "right"]:
+        keyfile = GOLDEN / f"{name}.json"
+        assert _run(["encrypt", keyfile, msg, "--out", cfile]) == 0
+        header, *lines = cfile.read_text().splitlines()
+        for r, line in enumerate(lines):
+            for j, entry in enumerate(line.split()):
+                c = int(entry)
+                for value in [0, -1, -c, c - 1, c + 1, 10 ** 400, -10 ** 400, 10 ** 4299]:
+                    entries = line.split()
+                    entries[j] = str(value)
+                    bad.write_text("\n".join([header, *lines[:r], " ".join(entries),
+                                              *lines[r + 1:]]) + "\n")
+                    code = _run(["correct", keyfile, bad, "--budget", "200", "--out",
+                                 tmp_path / "fixed.rmc", "--report", tmp_path / "r.json"])
+                    assert code in (0, 3, 4), (name, r, j, value)
+                    codes[code] += 1
+    capsys.readouterr()
+    assert set(codes) == {0, 3, 4}

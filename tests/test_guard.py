@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from rmcipher import (Recurrence, checking_range, column_ratio_bounds, correct,
-                      detect_errors, digitize, encrypt, general_key, range_length,
-                      right_form_key, smallest_unambiguous_n, symmetric_key,
-                      transition_ratio, verify_ciphertext)
-from rmcipher.coding import KeyContext, MatrixBuilder
+from rmcipher import (checking_range, column_ratio_bounds, correct, detect_errors, digitize,
+                      encrypt, general_key, range_length, right_form_key,
+                      smallest_unambiguous_n, symmetric_key, verify_ciphertext)
+from rmcipher.cli import run_bench_trial
+from rmcipher.coding import KeyContext
+from rmcipher.formats import MODEL_REPLACE, ErrorModel, corrupt_blocks
 from rmcipher.guard import (EmptyCheckingRangeError, RowDiagnosis, UncorrectableRowError,
                             spiral_candidate)
 from tests.conftest import ALGORITHM, C_ALGORITHM_15, EXTRATERRESTRIAL, M15_2FIB
@@ -42,56 +43,52 @@ def test_column_ratio_bounds_all_zero():
         column_ratio_bounds([[0, 0], [0, 0]], 0, 1)
 
 
-def test_checking_range_worked_single_error():
-    tau = transition_ratio(Recurrence((1, 0, 1)))
-    rng = checking_range(41528, column_ratio_bounds(M15_2FIB, 2, 1), tau_power=tau ** -1)
+def test_checking_range_worked_single_error(two_fib_key):
+    # The worked example counts 16 candidates from 28329, but 28329 lies
+    # below the exact lower bound 41528 * 88 / 129 = 28329.18...
+    rng = checking_range(KeyContext(two_fib_key, 15), 2, 1, 41528)
     assert rng.lower == Fraction(41528 * 88, 129)
     assert rng.upper == Fraction(41528 * 129, 189)
-    assert (rng.lo, rng.hi) == (28329, 28344)
-    assert rng.count == 16
+    assert (rng.lo, rng.hi) == (28330, 28344)
+    assert rng.count == 15
     assert rng.estimate == 28336
-    assert (rng.tight_lo, rng.tight_hi) == (28330, 28344)
 
 
-def test_checking_range_unit_bounds():
-    rng = checking_range(500, (Fraction(1), Fraction(1)))
-    assert (rng.lo, rng.hi) == (500, 500)
-    assert rng.count == 1
-
-
-def test_checking_range_empty():
+def test_checking_range_empty(two_fib_key):
+    # [88/129, 129/189] holds no integer.
     with pytest.raises(EmptyCheckingRangeError):
-        checking_range(7, (Fraction(1, 10), Fraction(1, 9)))
+        checking_range(KeyContext(two_fib_key, 15), 2, 1, 1)
 
 
-def test_checking_range_of_a_zero_reference_is_zero():
-    rng = checking_range(0, (Fraction(1), Fraction(2)), tau_power=Fraction(3, 2))
+def test_checking_range_of_a_zero_reference_is_zero(two_fib_key):
+    rng = checking_range(KeyContext(two_fib_key, 15), 2, 1, 0)
     assert (rng.lower, rng.upper, rng.lo, rng.hi, rng.estimate) == (0, 0, 0, 0, 0)
 
 
 def test_checking_range_refuses_an_unbounded_ratio():
-    for bounds in ((Fraction(1), math.inf), (-math.inf, Fraction(1))):
+    # M_0 = I: every ratio of two columns reaches +inf, so no column is a
+    # reference for another; nor is a column its own.
+    ctx = KeyContext(right_form_key((1, 0, 1), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 0))
+    for j, ref in ((1, 0), (0, 2), (1, 1)):
+        assert ref not in ctx.reference_columns[j]
         with pytest.raises(ValueError):
-            checking_range(5, bounds)
+            checking_range(ctx, j, ref, 5)
 
 
-def test_checking_range_of_a_negative_reference_is_empty():
+def test_checking_range_of_a_negative_reference_is_empty(two_fib_key):
     with pytest.raises(EmptyCheckingRangeError):
-        checking_range(-7, (Fraction(1), Fraction(2)))
-    # Proportional columns: the one candidate is left to decryption.
-    rng = checking_range(-7, (Fraction(2), Fraction(2)))
-    assert (rng.lo, rng.hi) == (-14, -14)
+        checking_range(KeyContext(two_fib_key, 15), 2, 1, -7)
 
 
 def test_verify_genuine_ciphertext(two_fib_key):
-    checks = verify_ciphertext(C_ALGORITHM_15, M15_2FIB)
+    checks = verify_ciphertext(C_ALGORITHM_15, KeyContext(two_fib_key, 15))
     assert all(c.ok for c in checks)
 
 
 def test_verify_flags_corrupted_pair(two_fib_key):
     received = [row[:] for row in C_ALGORITHM_15]
     received[0][2] = 28373
-    checks = verify_ciphertext(received, M15_2FIB)
+    checks = verify_ciphertext(received, KeyContext(two_fib_key, 15))
     assert not checks[0].ok
     assert (checks[0].violations[0].j, checks[0].violations[0].jp) == (1, 2)
     assert checks[1].ok and checks[2].ok
@@ -100,14 +97,16 @@ def test_verify_flags_corrupted_pair(two_fib_key):
 def test_verify_scaled_row_still_passes(two_fib_key):
     blocks, _ = digitize(ALGORITHM, 3)
     blocks[0][1] = [2 * v for v in blocks[0][1]]
-    c = encrypt(blocks, KeyContext(two_fib_key))[0]
-    assert all(chk.ok for chk in verify_ciphertext(c, M15_2FIB))
+    ctx = KeyContext(two_fib_key)
+    c = encrypt(blocks, ctx)[0]
+    assert all(chk.ok for chk in verify_ciphertext(c, ctx))
 
 
 def test_verify_zero_row_passes(two_fib_key):
     blocks = [[[0, 0, 0], [1, 2, 3], [0, 1, 0]]]
-    c = encrypt(blocks, KeyContext(two_fib_key))[0]
-    assert all(chk.ok for chk in verify_ciphertext(c, M15_2FIB))
+    ctx = KeyContext(two_fib_key)
+    c = encrypt(blocks, ctx)[0]
+    assert all(chk.ok for chk in verify_ciphertext(c, ctx))
 
 
 def test_verify_randomized_trials():
@@ -120,9 +119,9 @@ def test_verify_randomized_trials():
         n = rng.randint(1, 40)
         data = bytes(rng.randrange(256) for _ in range(key.order ** 2))
         blocks, _ = digitize(data, key.order)
-        c = encrypt(blocks, KeyContext(key, n))[0]
-        m = MatrixBuilder(key).matrix(n)
-        assert all(chk.ok for chk in verify_ciphertext(c, m))
+        ctx = KeyContext(key, n)
+        c = encrypt(blocks, ctx)[0]
+        assert all(chk.ok for chk in verify_ciphertext(c, ctx))
 
 
 def test_detect_single_error(two_fib_key):
@@ -169,12 +168,11 @@ def test_detect_hopeless_row(two_fib_key):
     assert diagnoses[0].flagged == (0, 1, 2)
 
 
-def test_spiral_order_and_exhaustiveness():
-    tau = transition_ratio(Recurrence((1, 0, 1)))
-    rng = checking_range(41528, column_ratio_bounds(M15_2FIB, 2, 1), tau_power=tau ** -1)
+def test_spiral_order_and_exhaustiveness(two_fib_key):
+    rng = checking_range(KeyContext(two_fib_key, 15), 2, 1, 41528)
     spiral = [spiral_candidate(rng, i) for i in range(rng.count)]
     assert spiral[:3] == [28336, 28337, 28335]
-    assert sorted(spiral) == list(range(28329, 28345))
+    assert sorted(spiral) == list(range(28330, 28345))
     assert len(set(spiral)) == len(spiral) == rng.count
 
 
@@ -224,11 +222,11 @@ def test_correct_worked_single_error(two_fib_key):
     result = correct(received, diagnoses, ctx)
     row = result.rows[0]
     assert row.references == {2: 1}
-    assert row.ranges[2].count == 16
+    assert row.ranges[2].count == 15
     # The genuine value is reached as the second spiral candidate.
     hits = [c for c in row.accepted if c.values[2] == 28337]
     assert hits and hits[0].order_index == 2
-    assert row.tested == 16
+    assert row.tested == 15
 
 
 def test_correct_unique_at_large_index(two_fib_key):
@@ -289,60 +287,54 @@ def test_checking_range_contains_truth_under_single_errors():
     rng = random.Random(2025)
     keys = [symmetric_key((1, 0, 1), (1, 0, 0), 1),
             symmetric_key((1, 1, 1, 1), (1, 0, 0, 0), 1)]
-    tau_cache = {}
+    contexts = {}
     for _ in range(500):
         key = rng.choice(keys)
         k = key.order
         n = rng.randint(5, 35)
         data = bytes(rng.randrange(1, 256) for _ in range(k * k))
         blocks, _ = digitize(data, k)
-        c = encrypt(blocks, KeyContext(key, n))[0]
-        m = MatrixBuilder(key).matrix(n)
+        if (key, n) not in contexts:
+            contexts[key, n] = KeyContext(key, n)
+        ctx = contexts[key, n]
+        c = encrypt(blocks, ctx)[0]
         i = rng.randrange(k)
         j = rng.randrange(k)
         jp = rng.choice([x for x in range(k) if x != j])
-        if key.coeffs not in tau_cache:
-            tau_cache[key.coeffs] = transition_ratio(Recurrence(key.coeffs))
-        tau = tau_cache[key.coeffs]
-        cr = checking_range(c[i][jp], column_ratio_bounds(m, j, jp),
-                            tau_power=tau ** (jp - j))
+        cr = checking_range(ctx, j, jp, c[i][jp])
         assert cr.lo <= c[i][j] <= cr.hi
-        assert cr.tight_lo <= c[i][j] <= cr.tight_hi
 
 
 def test_range_length_tribonacci_table(tribonacci_key):
     blocks, _ = digitize(ALGORITHM, 3)
     p_row = blocks[0][2]  # third row of the worked plaintext
-    builder = MatrixBuilder(tribonacci_key)
     expected = {12: 11.00, 16: 1.42, 17: 2.61, 19: 0.87}
     for n, value in expected.items():
-        m = builder.matrix(n)
-        c_ref = sum(p_row[t] * m[t][1] for t in range(3))
-        length = range_length(tribonacci_key, n, 2, 1, c_ref)
+        ctx = KeyContext(tribonacci_key, n)
+        c_ref = sum(p_row[t] * ctx.matrix[t][1] for t in range(3))
+        length = range_length(ctx, 2, 1, c_ref)
         assert abs(float(length) - value) < 0.01
 
 
 def test_range_length_pisot_trend(two_fib_key):
     blocks, _ = digitize(ALGORITHM, 3)
     p_row = blocks[0][0]
-    builder = MatrixBuilder(two_fib_key)
     lengths = {}
     for n in range(5, 61):
-        m = builder.matrix(n)
-        c_ref = sum(p_row[t] * m[t][1] for t in range(3))
-        lengths[n] = float(range_length(two_fib_key, n, 2, 1, c_ref))
+        ctx = KeyContext(two_fib_key, n)
+        c_ref = sum(p_row[t] * ctx.matrix[t][1] for t in range(3))
+        lengths[n] = float(range_length(ctx, 2, 1, c_ref))
     assert all(lengths[n + 10] < lengths[n] for n in range(30, 51))
 
 
 def test_range_length_grows_without_pisot(wielandt4_key):
     blocks, _ = digitize(EXTRATERRESTRIAL, 4)
     p_row = blocks[0][0]
-    builder = MatrixBuilder(wielandt4_key)
     lengths = []
     for n in (10, 20, 30, 40):
-        m = builder.matrix(n)
-        c_ref = sum(p_row[t] * m[t][1] for t in range(4))
-        lengths.append(float(range_length(wielandt4_key, n, 2, 1, c_ref)))
+        ctx = KeyContext(wielandt4_key, n)
+        c_ref = sum(p_row[t] * ctx.matrix[t][1] for t in range(4))
+        lengths.append(float(range_length(ctx, 2, 1, c_ref)))
     assert lengths[0] < lengths[1] < lengths[2] < lengths[3]
 
 
@@ -393,23 +385,36 @@ def test_zero_reference_needs_a_positive_reference_column():
 
 
 def test_a_checking_range_is_cut_to_its_column_absolute_range():
-    # Row 255 255 255: column 0's range against either reference is
-    # [2040, 3060], 1021 candidates, but no entry of column 0 passes 2295.
+    # Row 255 255 255: column 0's checking relation against either reference
+    # allows up to 3060, but no entry of column 0 passes 2295.
     ctx = KeyContext(symmetric_key((1, 0, 1), (1, 0, 0), 3))
     assert ctx.entry_ranges[0] == (0, 2295)
     original = encrypt([[[255, 255, 255], [0, 0, 0], [0, 0, 0]]], ctx)[0]
     assert original[0][0] == 2295
-    uncut = checking_range(original[0][1], ctx.ratio_bounds[(0, 1)], ctx.tau_powers[1])
-    assert (uncut.lo, uncut.hi, uncut.count) == (2040, 3060, 1021)
+    assert original[0][1] * ctx.ratio_bounds[(0, 1)][1] == 3060
     received = [row[:] for row in original]
     received[0][0] = 5000
     diagnoses = detect_errors(received, ctx)
     assert diagnoses[0].flagged == (0,)
     result = correct(received, diagnoses, ctx)
     cut = result.rows[0].ranges[0]
-    assert cut.count < uncut.count and cut.lo <= 2295 <= cut.hi
-    assert (cut.lo, cut.hi) == (2040, 2295)
+    assert (cut.lo, cut.hi, cut.upper, cut.count) == (2040, 2295, 2295, 256)
+    assert cut.lower <= 2295 <= cut.upper
     assert result.unique and result.matrix == original
+
+
+def test_the_bench_range_length_is_the_cut_width():
+    ctx = KeyContext(symmetric_key((1, 0, 1), (1, 0, 0), 3))
+    plain = bytes([255, 255, 255])
+    original = encrypt(digitize(plain, 3)[0], ctx)[0]
+    model = ErrorModel(MODEL_REPLACE, magnitude=5000)
+    # The first seed whose corruption lands on entry (0, 0), above its column's range.
+    seed = next(s for s in range(200)
+                if corrupt_blocks([original], model, seed=s)[0][0][0][0] > 2295)
+    received = corrupt_blocks([original], model, seed=seed)[0][0]
+    cut = correct(received, detect_errors(received, ctx), ctx).rows[0].ranges[0]
+    assert cut.upper == 2295
+    assert run_bench_trial(ctx, model, seed, plain).range_length == float(cut.upper - cut.lower)
 
 
 def test_a_checking_range_outside_the_absolute_range_is_empty():

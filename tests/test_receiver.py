@@ -124,7 +124,7 @@ def test_pair_verdicts_match_a_fraction_reference(case):
             assert p.rel_deviation == dev
             bounds = column_ratio_bounds(ctx.matrix, p.j, p.jp)
             assert p.consistent == _reference_within(num, den, *bounds)
-    for row, check in zip(rows, verify_ciphertext(rows, ctx.matrix)):
+    for row, check in zip(rows, verify_ciphertext(rows, ctx)):
         expected = []
         for j in range(k - 1):
             lo, hi = column_ratio_bounds(ctx.matrix, j, j + 1)
@@ -150,14 +150,13 @@ def test_within_matches_the_fraction_reference(bounds, num, den):
 
 
 def test_verify_ciphertext_reads_x_over_0_by_its_sign_beside_a_zero_column():
-    # An upper bound of -inf needs an all-zero column: a singular matrix,
-    # never an M_n, but verify_ciphertext takes any matrix.
-    m = [[2, -1, 0], [1, 0, 0], [1, -3, 0]]
-    assert column_ratio_bounds(m, 1, 2) == (-math.inf, -math.inf)
-    checks = verify_ciphertext([[1, 1, 0], [1, -1, 0], [0, 0, 0], [3, 2, 1]], m)
-    assert [check.ok for check in checks] == [False, True, True, False]
+    # M_1 = [[2, 1, 1], [3, 1, 0], [3, 2, 1]]: columns 1 over 2 reach +inf.
+    ctx = CONTEXTS["general-3-zeros"]
+    assert ctx.ratio_bounds[(1, 2)] == (1, math.inf)
+    checks = verify_ciphertext([[2, 1, 0], [-2, -1, 0], [0, 0, 0], [2, 1, -1]], ctx)
+    assert [check.ok for check in checks] == [True, False, True, False]
     assert [(v.j, v.jp, v.ratio) for check in checks for v in check.violations] == \
-        [(1, 2, math.inf), (1, 2, 2)]
+        [(1, 2, -math.inf), (1, 2, -1)]
 
 
 @DERANDOMIZED
