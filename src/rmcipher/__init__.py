@@ -12,8 +12,7 @@ from .coding import (CodingKey, CodingMatrix, KeyContext, MatrixBuilder, coding_
                      key_fingerprint, left_companion, right_companion, right_form_key,
                      symmetric_key, validate_key)
 from .guard import (CheckingRange, checking_range, column_ratio_bounds, correct,
-                    detect_errors, range_length, smallest_unambiguous_n,
-                    verify_ciphertext)
+                    detect_errors, range_length, smallest_unambiguous_n)
 from .keygen import GenConfig, abt_family, primitive_growth, right_form_keygen, sieve_companion
 from .recurrence import Recurrence, extend_backward, extend_forward, standard_sequence
 from .spectral import (SpectralReport, all_roots, analyze_matrix, analyze_recurrence,
@@ -33,5 +32,5 @@ __all__ = [
     "primitive_growth", "range_length", "right_companion", "right_form_key",
     "right_form_keygen", "second_eigenmodulus", "sieve_companion",
     "smallest_unambiguous_n", "standard_sequence", "symmetric_key",
-    "transition_ratio", "validate_key", "verify_ciphertext",
+    "transition_ratio", "validate_key",
 ]

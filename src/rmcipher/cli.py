@@ -24,7 +24,8 @@ syntax.
      (CorruptionError in decrypt, GuardError or an ambiguous or failed
      repair in correct; a flagged entry with no trusted entry whose ratio
      bounds to it are finite, or an empty checking range, is a GuardError).
-  4  correct: the candidate budget ran out.
+  4  correct: the candidate budget of a flagged block ran out (--budget
+     caps the candidates tested in each flagged block, not in the file).
 
 correct --out writes each uniquely repaired block repaired and every other
 block as received: a block with two accepted repairs is not guessed, so
@@ -56,6 +57,7 @@ A clean block is only counted: its evidence is the ciphertext itself.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import json
 import random
@@ -160,8 +162,33 @@ def _cipher_chunks(path: str, key: Optional[CodingKey] = None) -> Iterator:
                 if whole:
                     yield pending[:whole]
                     del pending[:whole]
-    except (formats.CipherFormatError, UnicodeDecodeError, OSError) as exc:
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot load ciphertext {path}: {_decode_fault(path, exc)}") from exc
+    except (formats.CipherFormatError, OSError) as exc:
         raise CliError(f"cannot load ciphertext {path}: {exc}") from exc
+
+
+def _decode_fault(path: str, exc: UnicodeDecodeError) -> str:
+    """The message of exc, met reading path as text, at the fault's offset
+    in the file: a text read gives its offset in one decode chunk.  The
+    file is decoded again as bytes, on this error path only."""
+    decoder = codecs.getincrementaldecoder(exc.encoding)()
+    fed = 0
+    try:
+        with open(path, "rb") as fh:
+            while block := fh.read(1 << 16):
+                fed += len(block)
+                decoder.decode(block)
+            decoder.decode(b"", final=True)
+    except UnicodeDecodeError as found:
+        at = fed - len(found.object)       # found.object: the bytes held back, then the block
+        start, end = at + found.start, at + found.end
+        where = (f"byte 0x{found.object[found.start]:02x} in position {start}"
+                 if end - start == 1 else f"bytes in position {start}-{end - 1}")
+        return f"'{found.encoding}' codec can't decode {where}: {found.reason}"
+    except OSError:
+        pass
+    return str(exc)
 
 
 def _receiver_context(ctx: KeyContext, n: Optional[int] = None) -> KeyContext:
@@ -694,7 +721,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correct", help="detect and correct a received ciphertext")
     p.add_argument("keyfile")
     p.add_argument("cipherfile")
-    p.add_argument("--budget", type=int, default=10 ** 6)
+    p.add_argument("--budget", type=int, default=10 ** 6,
+                   help="candidates to test in each flagged block (exit 4 when "
+                        "a block's budget runs out)")
     p.add_argument("--printable-ascii", action="store_true",
                    help="additionally require printable ASCII (9..126) before "
                         "the stored length and zero padding after it")

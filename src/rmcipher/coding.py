@@ -321,11 +321,12 @@ class KeyContext:
 
     M_n and its columns are built on construction, by writable_matrix.
     The byte tables of encryption, the integer-scaled inverse, the
-    transition ratio tau with its powers, and the table of column-ratio
-    bounds are computed on first use, so encryption never pays for an
-    inverse or a root solve, and only an encryption of at least
-    cipher.TABLE_ROWS rows (by entries of at most cipher.TABLE_BITS bits)
-    builds byte tables.
+    transition ratio tau with its powers, and ratio_bounds, the one table
+    of every column pair's exact ratio bounds, in integers for tests by
+    cross-multiplication, are computed on first use.  So encryption never
+    pays for an inverse or a root solve, and only an encryption of at
+    least cipher.TABLE_ROWS rows (by entries of at most cipher.TABLE_BITS
+    bits) builds byte tables.
     tau has one source, `report`, the `analyze_matrix` report on the key's
     spf_target: the one given (see check_report), else one made on first
     use.  Its precision is `precision`, else RMC_PRECISION_BITS.
@@ -387,18 +388,23 @@ class KeyContext:
 
     @cached_property
     def ratio_bounds(self) -> dict:
-        """column_ratio_bounds(M_n, j, jp) for every ordered pair j != jp."""
+        """For every ordered pair j != jp, the extreme ratios of columns j
+        and jp of M_n (column_ratio_bounds) as integers (lo_num, lo_den,
+        hi_num, hi_den) (cross_bound): each denominator >= 0, +/-inf as
+        (+/-1, 0).  A ratio num / den with den > 0 lies within them exactly
+        when lo_num * den <= num * lo_den and num * hi_den <= hi_num * den."""
         k = self.order
-        return {(j, jp): column_ratio_bounds(self.matrix, j, jp)
+        return {(j, jp): sum(map(cross_bound, column_ratio_bounds(self.matrix, j, jp)), ())
                 for j in range(k) for jp in range(k) if j != jp}
 
     @cached_property
     def reference_columns(self) -> dict:
-        """For each column j, the columns t with both ratio_bounds[(j, t)]
-        finite, nearest first, ties to the lower: the references for j."""
+        """For each column j, the columns t whose ratio_bounds[(j, t)] are
+        both finite (both denominators nonzero), nearest first, ties to the
+        lower: the references for j."""
         k = self.order
         return {j: tuple(sorted((t for t in range(k) if t != j
-                                 and math.inf not in map(abs, self.ratio_bounds[(j, t)])),
+                                 and 0 not in self.ratio_bounds[(j, t)][1::2]),
                                 key=lambda t: (abs(t - j), t)))
                 for j in range(k)}
 
@@ -408,15 +414,6 @@ class KeyContext:
         lie between ALPHABET_MAX times its negative and its positive sum."""
         return tuple((ALPHABET_MAX * sum(v for v in col if v < 0),
                       ALPHABET_MAX * sum(v for v in col if v > 0)) for col in self.columns)
-
-    @cached_property
-    def cross_bounds(self) -> dict:
-        """ratio_bounds[(j, jp)] for j < jp as integers (lo_num, lo_den,
-        hi_num, hi_den), each denominator >= 0 and +/-inf as (+/-1, 0).  A
-        ratio num / den with den > 0 lies within the bounds exactly when
-        lo_num * den <= num * lo_den and num * hi_den <= hi_num * den."""
-        return {(j, jp): cross_bound(lo) + cross_bound(hi)
-                for (j, jp), (lo, hi) in self.ratio_bounds.items() if j < jp}
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ For a ciphertext C = P * M with nonnegative P and M, every same-row
 ratio c[i][j] / c[i][j'] lies between the extreme ratios of columns j
 and j' of M.  Those exact two-sided bounds drive everything here:
 
-* verification tests consecutive-column ratios against the bounds,
 * detection builds a per-row consistency graph over all column pairs
   and trusts the maximum consistent clique of entries inside their
   column's range (KeyContext.entry_ranges); a receiver first tests whole
@@ -16,12 +15,12 @@ and j' of M.  Those exact two-sided bounds drive everything here:
   It takes them in a spiral around the transition-ratio estimate and
   validates candidate combinations by exact decryption.
 
-All bounds are exact rationals; column indices are 0-based throughout.
-One test decides whether a pair meets its checking relation, for
-verification, detection and the chunk test alike: _within, by integer
-cross-multiplication against the bounds (coding.cross_bound).  The
-transition ratio only sets where the spiral starts and, as floats, fills
-the reported expected ratio and deviation.
+All bounds are exact rationals, held once per key as integers
+(KeyContext.ratio_bounds); column indices are 0-based throughout.  One
+test decides whether a pair meets its checking relation, for detection
+and the chunk test alike: _within, by integer cross-multiplication
+against those bounds.  The transition ratio only sets where the spiral
+starts and, as floats, fills the reported expected ratio and deviation.
 """
 
 from __future__ import annotations
@@ -77,12 +76,13 @@ class CheckingRange:
         return self.hi - self.lo + 1
 
 
-def _finite_bounds(ctx: KeyContext, j: int, ref: int):
-    """ctx.ratio_bounds[(j, ref)], which must both be finite."""
+def _scaled_bounds(ctx: KeyContext, j: int, ref: int, c_ref: int) -> tuple[Fraction, Fraction]:
+    """c_ref times ctx.ratio_bounds[(j, ref)], which must both be finite."""
     if ref not in ctx.reference_columns[j]:
         raise ValueError(f"column {ref} is no reference for column {j}: their ratio "
                          f"bounds are not both finite; pick another reference")
-    return ctx.ratio_bounds[(j, ref)]
+    lo_num, lo_den, hi_num, hi_den = ctx.ratio_bounds[(j, ref)]
+    return Fraction(c_ref * lo_num, lo_den), Fraction(c_ref * hi_num, hi_den)
 
 
 def checking_range(ctx: KeyContext, j: int, ref: int, c_ref: int) -> CheckingRange:
@@ -97,10 +97,10 @@ def checking_range(ctx: KeyContext, j: int, ref: int, c_ref: int) -> CheckingRan
     EmptyCheckingRangeError.  The spiral estimate is c_ref * tau**(ref - j),
     rounded and moved into [lo, hi].
     """
-    blo, bhi = _finite_bounds(ctx, j, ref)
+    lower, upper = _scaled_bounds(ctx, j, ref, c_ref)
     col_lo, col_hi = ctx.entry_ranges[j]
-    lower = max(c_ref * blo, Fraction(col_lo))
-    upper = min(c_ref * bhi, Fraction(col_hi))
+    lower = max(lower, Fraction(col_lo))
+    upper = min(upper, Fraction(col_hi))
     lo, hi = math.ceil(lower), math.floor(upper)
     if lo > hi:
         raise EmptyCheckingRangeError(
@@ -113,48 +113,6 @@ def checking_range(ctx: KeyContext, j: int, ref: int, c_ref: int) -> CheckingRan
     estimate = math.floor(c_ref * ctx.tau_powers[ref - j] + Fraction(1, 2))
     return CheckingRange(lower=lower, upper=upper, lo=lo, hi=hi,
                          estimate=min(max(estimate, lo), hi))
-
-
-# ---------------------------------------------------------------------------
-# verification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PairViolation:
-    j: int
-    jp: int
-    ratio: object          # Fraction or +/- inf
-    lower: object
-    upper: object
-
-
-@dataclass(frozen=True)
-class RowCheck:
-    row: int
-    ok: bool
-    violations: tuple[PairViolation, ...] = ()
-
-
-def verify_ciphertext(c: Sequence[Sequence[int]], ctx: KeyContext) -> list[RowCheck]:
-    """Per-row test of the consecutive-column checking inequalities of ctx's M_n.
-
-    Genuine ciphertexts of nonnegative plaintexts always pass.
-    """
-    k = ctx.order
-    if any(len(row) != k for row in c):
-        raise ValueError("ciphertext and coding matrix dimensions differ")
-    pairs = [(j, ctx.ratio_bounds[(j, j + 1)], partial(_within, *ctx.cross_bounds[(j, j + 1)]))
-             for j in range(k - 1)]
-    out: list[RowCheck] = []
-    for i, row in enumerate(c):
-        violations = []
-        for j, (lo, hi), within in pairs:
-            num, den = row[j], row[j + 1]
-            if not within(num, den):
-                ratio = Fraction(num, den) if den else (math.inf if num > 0 else -math.inf)
-                violations.append(PairViolation(j, j + 1, ratio, lo, hi))
-        out.append(RowCheck(row=i, ok=not violations, violations=tuple(violations)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +154,10 @@ def detect_errors(c: Sequence[Sequence[int]], ctx: KeyContext) -> list[RowDiagno
     """
     k = ctx.order
     pairs = []
-    for (j, jp), bound in ctx.cross_bounds.items():         # j < jp, as combinations
+    for j, jp in combinations(range(k), 2):
         expected = to_float(ctx.tau_powers[jp - j])
-        pairs.append((j, jp, expected if math.isfinite(expected) else None, bound))
+        pairs.append((j, jp, expected if math.isfinite(expected) else None,
+                      ctx.ratio_bounds[(j, jp)]))
     diagnoses: list[RowDiagnosis] = []
     for i, row in enumerate(c):
         evidence: list[PairEvidence] = []
@@ -235,8 +194,9 @@ def failing_rows(ctx: KeyContext, values: Sequence[int]) -> set[int]:
     for col, (lo, hi) in zip(cols, ctx.entry_ranges):
         if col and not lo <= min(col) <= max(col) <= hi:
             failing.update(r for r, v in enumerate(col) if not lo <= v <= hi)
-    for (j, jp), bound in ctx.cross_bounds.items():
+    for j, jp in combinations(range(k), 2):
         nums, dens = cols[j], cols[jp]
+        bound = ctx.ratio_bounds[(j, jp)]
         if _all_within(nums, dens, *bound):
             continue
         pair_ok = partial(_within, *bound)
@@ -253,7 +213,7 @@ def _all_within(nums, dens, lo_num: int, lo_den: int, hi_num: int, hi_den: int) 
 
 
 def _within(lo_num: int, lo_den: int, hi_num: int, hi_den: int, num: int, den: int) -> bool:
-    """The exact test of one pair against its cross_bound bounds: 0/0 is
+    """The exact test of one pair against its ratio_bounds entry: 0/0 is
     consistent, x/0 is +inf or -inf by the sign of x and must lie within
     the bounds, as must any other num/den."""
     if den == 0:
@@ -432,8 +392,8 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
 def range_length(ctx: KeyContext, j: int, jp: int, c_ref: int) -> Fraction:
     """Exact length (max - min) * c_ref of the checking relation for column j
     relative to a reference value in column jp, before the absolute cut."""
-    lo, hi = _finite_bounds(ctx, j, jp)
-    return (hi - lo) * c_ref
+    lower, upper = _scaled_bounds(ctx, j, jp, c_ref)
+    return upper - lower
 
 
 def smallest_unambiguous_n(key: CodingKey, plaintext: bytes, j: int, jp: int,

@@ -163,7 +163,25 @@ def test_a_decode_error_anywhere_outranks_a_malformed_header(two_fib_keyfile, tm
     capsys.readouterr()
     assert main(["decrypt", two_fib_keyfile, str(cfile), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "codec can't decode byte 0xff" in err and "malformed header" not in err
+    assert f"codec can't decode byte 0xff in position {at}:" in err
+    assert "malformed header" not in err
+
+
+@pytest.mark.parametrize("command", ["decrypt", "detect", "correct", "corrupt"])
+def test_a_decode_error_names_its_offset_in_the_file(two_fib_keyfile, tmp_path, capsys, command):
+    # Text reads decode the file a chunk at a time; the byte lies past the first.
+    msg = _write(tmp_path, "msg.bin", random.Random(5).randbytes(24000))
+    cfile = tmp_path / "c.rmc"
+    assert main(["encrypt", two_fib_keyfile, msg, "--out", str(cfile)]) == 0
+    data = bytearray(cfile.read_bytes())
+    data[70001] = 0xff
+    cfile.write_bytes(data)
+    capsys.readouterr()
+    argv = [command, str(cfile)] if command == "corrupt" else [command, two_fib_keyfile, str(cfile)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "codec can't decode byte 0xff in position 70001: invalid start byte" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_key_exits_2(tmp_path):

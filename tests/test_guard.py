@@ -6,12 +6,12 @@ import pytest
 
 from rmcipher import (checking_range, column_ratio_bounds, correct, detect_errors, digitize,
                       encrypt, general_key, range_length, right_form_key,
-                      smallest_unambiguous_n, symmetric_key, verify_ciphertext)
+                      smallest_unambiguous_n, symmetric_key)
 from rmcipher.cli import run_bench_trial
 from rmcipher.coding import KeyContext
 from rmcipher.formats import MODEL_REPLACE, ErrorModel, corrupt_blocks
 from rmcipher.guard import (EmptyCheckingRangeError, RowDiagnosis, UncorrectableRowError,
-                            spiral_candidate)
+                            failing_rows, spiral_candidate)
 from tests.conftest import ALGORITHM, C_ALGORITHM_15, EXTRATERRESTRIAL, M15_2FIB
 
 
@@ -80,18 +80,21 @@ def test_checking_range_of_a_negative_reference_is_empty(two_fib_key):
         checking_range(KeyContext(two_fib_key, 15), 2, 1, -7)
 
 
+def _flat(c):
+    return [v for row in c for v in row]
+
+
 def test_verify_genuine_ciphertext(two_fib_key):
-    checks = verify_ciphertext(C_ALGORITHM_15, KeyContext(two_fib_key, 15))
-    assert all(c.ok for c in checks)
+    assert failing_rows(KeyContext(two_fib_key, 15), _flat(C_ALGORITHM_15)) == set()
 
 
 def test_verify_flags_corrupted_pair(two_fib_key):
     received = [row[:] for row in C_ALGORITHM_15]
     received[0][2] = 28373
-    checks = verify_ciphertext(received, KeyContext(two_fib_key, 15))
-    assert not checks[0].ok
-    assert (checks[0].violations[0].j, checks[0].violations[0].jp) == (1, 2)
-    assert checks[1].ok and checks[2].ok
+    diagnoses = detect_errors(received, KeyContext(two_fib_key, 15))
+    assert [(p.j, p.jp) for p in diagnoses[0].pairs
+            if p.jp == p.j + 1 and not p.consistent] == [(1, 2)]
+    assert diagnoses[1].clean and diagnoses[2].clean
 
 
 def test_verify_scaled_row_still_passes(two_fib_key):
@@ -99,14 +102,14 @@ def test_verify_scaled_row_still_passes(two_fib_key):
     blocks[0][1] = [2 * v for v in blocks[0][1]]
     ctx = KeyContext(two_fib_key)
     c = encrypt(blocks, ctx)[0]
-    assert all(chk.ok for chk in verify_ciphertext(c, ctx))
+    assert failing_rows(ctx, _flat(c)) == set()
 
 
 def test_verify_zero_row_passes(two_fib_key):
     blocks = [[[0, 0, 0], [1, 2, 3], [0, 1, 0]]]
     ctx = KeyContext(two_fib_key)
     c = encrypt(blocks, ctx)[0]
-    assert all(chk.ok for chk in verify_ciphertext(c, ctx))
+    assert failing_rows(ctx, _flat(c)) == set()
 
 
 def test_verify_randomized_trials():
@@ -121,7 +124,7 @@ def test_verify_randomized_trials():
         blocks, _ = digitize(data, key.order)
         ctx = KeyContext(key, n)
         c = encrypt(blocks, ctx)[0]
-        assert all(chk.ok for chk in verify_ciphertext(c, ctx))
+        assert failing_rows(ctx, _flat(c)) == set()
 
 
 def test_detect_single_error(two_fib_key):
@@ -391,7 +394,8 @@ def test_a_checking_range_is_cut_to_its_column_absolute_range():
     assert ctx.entry_ranges[0] == (0, 2295)
     original = encrypt([[[255, 255, 255], [0, 0, 0], [0, 0, 0]]], ctx)[0]
     assert original[0][0] == 2295
-    assert original[0][1] * ctx.ratio_bounds[(0, 1)][1] == 3060
+    _, _, hi_num, hi_den = ctx.ratio_bounds[(0, 1)]
+    assert Fraction(original[0][1] * hi_num, hi_den) == 3060
     received = [row[:] for row in original]
     received[0][0] = 5000
     diagnoses = detect_errors(received, ctx)

@@ -7,7 +7,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rmcipher import (KeyContext, column_ratio_bounds, detect_errors, general_key, right_form_key,
-                      symmetric_key, verify_ciphertext)
+                      symmetric_key)
 from rmcipher.cipher import encrypt_rows
 from rmcipher.cli import main
 from rmcipher.formats import (MODELS, ErrorModel, cipher_from_text, cipher_to_text,
@@ -48,8 +48,21 @@ DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150,
 
 
 def test_some_bounds_are_infinite():
+    """Each context's one bound table against cross_bound of the Fraction
+    bounds, and its references against the finite Fraction bounds: the
+    contexts with +/-inf bounds included."""
     for name in ("general-3-zeros", "right_form-5-zeros"):
-        assert any(0 in (b[1], b[3]) for b in CONTEXTS[name].cross_bounds.values()), name
+        assert any(0 in (b[1], b[3]) for b in CONTEXTS[name].ratio_bounds.values()), name
+    for name, ctx in CONTEXTS.items():
+        k = ctx.order
+        for j, jp in permutations(range(k), 2):
+            lo, hi = column_ratio_bounds(ctx.matrix, j, jp)
+            assert ctx.ratio_bounds[(j, jp)] == cross_bound(lo) + cross_bound(hi), (name, j, jp)
+        for j in range(k):
+            finite = {t for t in range(k) if t != j
+                      and math.inf not in map(abs, column_ratio_bounds(ctx.matrix, j, t))}
+            nonzero = {t for t in range(k) if t != j and 0 not in ctx.ratio_bounds[(j, t)][1::2]}
+            assert set(ctx.reference_columns[j]) == finite == nonzero, (name, j)
 
 
 @st.composite
@@ -111,8 +124,8 @@ def _reference_deviation(num, den, expected):
 @DERANDOMIZED
 @given(received_rows())
 def test_pair_verdicts_match_a_fraction_reference(case):
-    """Every pair verdict of detect_errors and verify_ciphertext against a
-    Fraction comparison with column_ratio_bounds, written out here."""
+    """Every pair verdict of detect_errors against a Fraction comparison
+    with column_ratio_bounds, written out here."""
     name, rows = case
     ctx = CONTEXTS[name]
     k = ctx.order
@@ -124,14 +137,6 @@ def test_pair_verdicts_match_a_fraction_reference(case):
             assert p.rel_deviation == dev
             bounds = column_ratio_bounds(ctx.matrix, p.j, p.jp)
             assert p.consistent == _reference_within(num, den, *bounds)
-    for row, check in zip(rows, verify_ciphertext(rows, ctx)):
-        expected = []
-        for j in range(k - 1):
-            lo, hi = column_ratio_bounds(ctx.matrix, j, j + 1)
-            if not _reference_within(row[j], row[j + 1], lo, hi):
-                expected.append((j, j + 1, _reference_ratio(row[j], row[j + 1]), lo, hi))
-        assert [(v.j, v.jp, v.ratio, v.lower, v.upper) for v in check.violations] == expected
-        assert check.ok == (not expected)
 
 
 BOUNDS = st.one_of(st.sampled_from([-math.inf, math.inf]),
@@ -149,14 +154,13 @@ def test_within_matches_the_fraction_reference(bounds, num, den):
         _reference_within(num, den, lo, hi)
 
 
-def test_verify_ciphertext_reads_x_over_0_by_its_sign_beside_a_zero_column():
+def test_pair_verdicts_read_x_over_0_by_its_sign_beside_a_zero_column():
     # M_1 = [[2, 1, 1], [3, 1, 0], [3, 2, 1]]: columns 1 over 2 reach +inf.
     ctx = CONTEXTS["general-3-zeros"]
-    assert ctx.ratio_bounds[(1, 2)] == (1, math.inf)
-    checks = verify_ciphertext([[2, 1, 0], [-2, -1, 0], [0, 0, 0], [2, 1, -1]], ctx)
-    assert [check.ok for check in checks] == [True, False, True, False]
-    assert [(v.j, v.jp, v.ratio) for check in checks for v in check.violations] == \
-        [(1, 2, -math.inf), (1, 2, -1)]
+    assert ctx.ratio_bounds[(1, 2)] == (1, 1, 1, 0)
+    diagnoses = detect_errors([[2, 1, 0], [-2, -1, 0], [0, 0, 0], [2, 1, -1]], ctx)
+    assert [p.consistent for diag in diagnoses for p in diag.pairs if (p.j, p.jp) == (1, 2)] == \
+        [True, False, True, False]
 
 
 @DERANDOMIZED
