@@ -58,25 +58,25 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import csv
 import json
 import random
 import sys
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import chain
 from pathlib import Path
-from typing import ContextManager, Iterator, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, ContextManager, Iterator, NamedTuple, Optional, Sequence, TextIO
 
-from . import cipher, formats, guard, keygen, spectral
+from . import cipher, formats, spectral
 from .coding import (CodingKey, InvalidKeyError, KeyContext, KeyReport, key_fingerprint,
                      left_companion, spf_target, symmetric_key, writable_matrix)
 from .coding import validate_key  # noqa: F401 - bound for perfbench's tracer (test_perfbench)
 from .formats import ErrorModel
-from .keygen import GenConfig, GenStats
 from .recurrence import Recurrence
+
+if TYPE_CHECKING:
+    from . import guard
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -218,7 +218,8 @@ def _write_output(text: str, out: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_keygen(args: argparse.Namespace) -> int:
-    cfg = GenConfig(
+    from . import keygen
+    cfg = keygen.GenConfig(
         order=3 if args.k is None else args.k,
         coeff_range=_parse_int_pair(args.range, "--range"),
         tau_cap=args.tau_max,
@@ -227,7 +228,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
         budget=args.budget,
         index_range=_parse_int_pair(args.index_range, "--index-range"),
     )
-    stats = GenStats()
+    stats = keygen.GenStats()
     if args.method == "sieve":
         gen = next(keygen.sieve_companion(cfg, stats), None)
         if gen is None:
@@ -262,10 +263,9 @@ def cmd_keygen(args: argparse.Namespace) -> int:
         raise CliError(f"unknown method {args.method!r}")
     if args.k is not None and gen.key.order != args.k:
         raise CliError(f"--k {args.k} differs from the generated key's order {gen.key.order}")
-    if args.index is not None:
-        gen.key = replace(gen.key, index=args.index)
-    writable_matrix(gen.key, gen.key.index)      # refuse a key no ciphertext fits
-    _write_output(formats.key_text(gen.key), args.out)
+    key = gen.key if args.index is None else gen.key._replace(index=args.index)
+    writable_matrix(key, key.index)      # refuse a key no ciphertext fits
+    _write_output(formats.key_text(key), args.out)
     if args.stats:
         print(json.dumps(stats.to_dict()), file=sys.stderr)
     return EXIT_OK
@@ -310,6 +310,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "det_transition": str((-1) ** key.order * report.char_poly[-1]),
     }
     if args.text is not None:
+        from . import guard
         plain = args.text.encode()
         table = {}
         for j in range(1, key.order):
@@ -458,6 +459,7 @@ def _flagged_blocks(ctx: KeyContext, chunks: Iterator,
     detect_errors flags, b counted from the first block of the file.  The
     caller may repair the block in place; given `text`, the matrix lines of
     each chunk, repairs included, are appended to it."""
+    from . import guard
     k = ctx.order
     size = k * k
     first = 0
@@ -508,6 +510,7 @@ def _correction_json(b: int, result: guard.CorrectionResult) -> dict:
 
 
 def cmd_correct(args: argparse.Namespace) -> int:
+    from . import guard
     ctx, header, chunks = _receive(args.cipherfile, _load_context(args.keyfile))
     k = ctx.order
     text = [formats.cipher_header(header.count, header.length, k, header.fingerprint)]
@@ -554,8 +557,7 @@ def _printable_ascii(length: int, block_offset: int, row: int, plain: Sequence[i
 # bench
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TrialOutcome:
+class TrialOutcome(NamedTuple):
     detected: bool
     success: bool
     candidates: int
@@ -564,6 +566,7 @@ class TrialOutcome:
 
 def run_bench_trial(ctx: KeyContext, model: ErrorModel, trial_seed: int,
                     plaintext: Optional[bytes] = None) -> TrialOutcome:
+    from . import guard
     rng = random.Random(trial_seed)
     k = ctx.order
     if plaintext is None:
@@ -596,6 +599,7 @@ BENCH_COLUMNS = ["key_fp", "n", "model", "count", "magnitude", "trials", "detect
 
 def run_bench(loaded: KeyContext, n_grid: Sequence[int], model: ErrorModel, trials: int,
               seed: int, plaintext: Optional[bytes] = None) -> list[dict]:
+    from . import keygen
     if trials <= 0:
         return []
     rows = []
@@ -628,6 +632,7 @@ def run_bench(loaded: KeyContext, n_grid: Sequence[int], model: ErrorModel, tria
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    import csv
     contexts = [_load_context(path) for path in args.keyfiles]
     model = ErrorModel(kind=args.model, count=args.count,
                        magnitude=args.magnitude, seed=args.seed)
@@ -673,8 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=2, help="abt family parameter r")
     p.add_argument("--m", type=int, default=3, help="abt family parameter m")
     p.add_argument("--sign", choices=["plus", "minus"], default="minus")
-    p.add_argument("--variant", choices=[keygen.VARIANT_BINOMIAL, keygen.VARIANT_GEOMETRIC],
-                   default=keygen.VARIANT_BINOMIAL)
+    p.add_argument("--variant", choices=spectral.ABT_VARIANTS, default=spectral.VARIANT_BINOMIAL)
     p.add_argument("--seed-matrix", default=None, help="JSON 0/1 seed matrix (primitive method)")
     p.add_argument("--coeffs", default=None, help="recurrence coefficients a_0,a_1,... (right-form)")
     p.add_argument("--stats", action="store_true", help="print generation statistics to stderr")

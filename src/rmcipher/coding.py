@@ -27,14 +27,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import exactmat, spectral
 from .exactmat import IntMatrix, RatMatrix
+from .records import FrozenRecord
 from .recurrence import Recurrence
 
 KIND_SYMMETRIC = "symmetric"
@@ -101,21 +101,20 @@ def _shaped(val, k: int, rank: int):
     return None if None in out else out
 
 
-@dataclass(frozen=True)
-class CodingKey:
+class CodingKey(FrozenRecord):
     """Full encryption key in one of the three supported representations:
     the fields KEY_FIELDS names for its kind, held as tuples of ints, and
     no other."""
 
-    kind: str
-    order: int
-    index: int
-    coeffs: Optional[tuple[int, ...]] = None
-    left: Optional[tuple[tuple[int, ...], ...]] = None
-    x0: Optional[tuple[int, ...]] = None
-    m0: Optional[tuple[tuple[int, ...], ...]] = None
+    _fields = ("kind", "order", "index", "coeffs", "left", "x0", "m0")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, order: int, index: int,
+                 coeffs: Optional[tuple[int, ...]] = None,
+                 left: Optional[tuple[tuple[int, ...], ...]] = None,
+                 x0: Optional[tuple[int, ...]] = None,
+                 m0: Optional[tuple[tuple[int, ...], ...]] = None) -> None:
+        vars(self).update(kind=kind, order=order, index=index, coeffs=coeffs, left=left,
+                          x0=x0, m0=m0)
         if self.kind not in KINDS:
             raise InvalidKeyError(f"unknown key kind {self.kind!r}")
         if self.order < 2:
@@ -132,7 +131,11 @@ class CodingKey:
                 if shaped is None:
                     raise InvalidKeyError(f"{self.kind} key of order {self.order} needs an "
                                           f"integer {('vector', 'matrix')[ranks[attr] - 1]} {attr!r}")
-                object.__setattr__(self, attr, shaped)
+                vars(self)[attr] = shaped
+
+    def _replace(self, **changes) -> CodingKey:
+        """A new key, checked again, with the given fields changed."""
+        return CodingKey(**{**dict(zip(self._fields, self._values())), **changes})
 
     def recurrence(self) -> Recurrence:
         if self.kind == KIND_GENERAL:
@@ -208,8 +211,7 @@ def key_fingerprint(key: CodingKey) -> str:
 # matrix construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CodingMatrix:
+class CodingMatrix(NamedTuple):
     n: int
     entries: tuple[tuple[int, ...], ...]
     fingerprint: str
@@ -315,8 +317,7 @@ def cross_bound(bound) -> tuple[int, int]:
     return bound.numerator, bound.denominator
 
 
-@dataclass(frozen=True, eq=False)
-class KeyContext:
+class KeyContext(FrozenRecord):
     """A key compiled for one index n >= 0: the per-key data every block shares.
 
     M_n and its columns are built on construction, by writable_matrix.
@@ -331,23 +332,22 @@ class KeyContext:
     spf_target: the one given (see check_report), else one made on first
     use.  Its precision is `precision`, else RMC_PRECISION_BITS.
     Build one per key and index, and pass it to every cipher and guard call.
+    Contexts are equal only when they are one object.
     """
 
-    key: CodingKey
-    n: Optional[int] = None        # None: the key's own index
-    precision: Optional[int] = None
-    report: Optional[spectral.SpectralReport] = field(default=None, repr=False)
-    matrix: tuple[tuple[int, ...], ...] = field(init=False)
-    columns: tuple[tuple[int, ...], ...] = field(init=False)
+    _fields = ("key", "n", "precision", "report", "matrix", "columns")
+    _hidden = ("report",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        if self.n is None:
-            object.__setattr__(self, "n", self.key.index)
-        if self.report is not None:
-            check_report(self.report, self.key, self.precision)
-        matrix = tuple(map(tuple, writable_matrix(self.key, self.n)))
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "columns", tuple(zip(*matrix)))
+    def __init__(self, key: CodingKey, n: Optional[int] = None, precision: Optional[int] = None,
+                 report: Optional[spectral.SpectralReport] = None) -> None:
+        n = key.index if n is None else n          # None: the key's own index
+        if report is not None:
+            check_report(report, key, precision)
+        matrix = tuple(map(tuple, writable_matrix(key, n)))
+        vars(self).update(key=key, n=n, precision=precision, report=report, matrix=matrix,
+                          columns=tuple(zip(*matrix)))
 
     @property
     def order(self) -> int:
@@ -376,8 +376,7 @@ class KeyContext:
     def tau(self) -> Fraction:
         """Transition ratio of the key's recurrence, read off `report`."""
         if self.report is None:
-            object.__setattr__(self, "report",
-                               spectral.analyze_matrix(spf_target(self.key), self.precision))
+            vars(self)["report"] = spectral.analyze_matrix(spf_target(self.key), self.precision)
         return spectral.report_transition_ratio(self.report)
 
     @cached_property
@@ -420,16 +419,14 @@ class KeyContext:
 # validation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckItem:
+class CheckItem(NamedTuple):
     name: str
     status: str          # pass / fail / warn / indeterminate
     detail: str = ""
     hard: bool = False   # hard failures make the key unusable for decryption
 
 
-@dataclass
-class KeyReport:
+class KeyReport(NamedTuple):
     items: list[CheckItem]
 
     @property

@@ -24,16 +24,16 @@ from __future__ import annotations
 import io
 import json
 import random
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, TextIO, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, TextIO, Union
 
 from .cipher import split_blocks
 from .coding import (KEY_FIELDS, KEY_FORMAT, KINDS, CodingKey, KeyReport, canonical_key_dict,
                      key_fingerprint, validate_key)
 from .exactmat import IntMatrix
+from .records import FrozenRecord
 from .spectral import SpectralReport
 
 CIPHER_MAGIC = "RMCv1"
@@ -139,8 +139,7 @@ CHUNK_ROWS = 1024              # matrix rows per chunk of a ciphertext written i
 READ_HINT = 1 << 15            # characters of whole lines per batch read from a file
 
 
-@dataclass(frozen=True)
-class CipherHeader:
+class CipherHeader(NamedTuple):
     order: int
     count: int                 # blocks
     length: int
@@ -290,26 +289,23 @@ MODEL_ADDITIVE = "additive_noise"
 MODELS = (MODEL_REPLACE, MODEL_TRANSPOSE, MODEL_ADDITIVE)
 
 
-@dataclass(frozen=True)
-class ErrorModel:
+class ErrorModel(FrozenRecord):
     """Channel corruption model: positions are distinct within a block."""
 
-    kind: str = MODEL_REPLACE
-    count: int = 1
-    magnitude: int = 100
-    seed: int = 0
+    _fields = ("kind", "count", "magnitude", "seed")
 
-    def __post_init__(self) -> None:
-        if self.kind not in MODELS:
-            raise ValueError(f"unknown error model {self.kind!r}")
-        if self.count < 0:
+    def __init__(self, kind: str = MODEL_REPLACE, count: int = 1, magnitude: int = 100,
+                 seed: int = 0) -> None:
+        if kind not in MODELS:
+            raise ValueError(f"unknown error model {kind!r}")
+        if count < 0:
             raise ValueError("count must be non-negative")
-        if self.magnitude < 1:
+        if magnitude < 1:
             raise ValueError("magnitude must be positive")
+        vars(self).update(kind=kind, count=count, magnitude=magnitude, seed=seed)
 
 
-@dataclass(frozen=True)
-class CorruptionRecord:
+class CorruptionRecord(NamedTuple):
     block: int
     row: int
     col: int

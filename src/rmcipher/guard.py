@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, repeat
 from operator import le, mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .cipher import CorruptionError, decrypt_row, digitize
 from .coding import CodingKey, KeyContext, MatrixBuilder, column_ratio_bounds
@@ -55,8 +54,7 @@ class UncorrectableRowError(GuardError):
 _INFINITE = (math.inf, -math.inf)
 
 
-@dataclass(frozen=True)
-class CheckingRange:
+class CheckingRange(NamedTuple):
     """Admissible values for a suspect entry relative to a trusted reference.
 
     lower/upper are the exact rational bounds of the checking relation,
@@ -119,8 +117,7 @@ def checking_range(ctx: KeyContext, j: int, ref: int, c_ref: int) -> CheckingRan
 # detection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairEvidence:
+class PairEvidence(NamedTuple):
     j: int
     jp: int
     ratio: Optional[Fraction]
@@ -129,8 +126,7 @@ class PairEvidence:
     consistent: bool
 
 
-@dataclass(frozen=True)
-class RowDiagnosis:
+class RowDiagnosis(NamedTuple):
     row: int
     trusted: tuple[int, ...]
     flagged: tuple[int, ...]
@@ -284,15 +280,13 @@ def _ranked_product(ranges: Sequence[CheckingRange]):
                     heapq.heappush(heap, (rank + 1, t))
 
 
-@dataclass
-class RowCandidate:
+class RowCandidate(NamedTuple):
     values: dict[int, int]
     plaintext_row: list[int]
     order_index: int
 
 
-@dataclass
-class RowCorrection:
+class RowCorrection(NamedTuple):
     row: int
     references: dict[int, int]
     ranges: dict[int, CheckingRange]
@@ -300,8 +294,7 @@ class RowCorrection:
     tested: int
 
 
-@dataclass
-class CorrectionResult:
+class CorrectionResult(NamedTuple):
     rows: list[RowCorrection]
     matrix: Optional[list[list[int]]]
     unique: bool

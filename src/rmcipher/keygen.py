@@ -23,16 +23,16 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import exactmat, spectral
 from .coding import (CodingKey, general_key, is_cyclic, left_companion, right_companion,
                      right_form_key, symmetric_key)
 from .coding import validate_key  # noqa: F401 - bound for perfbench's tracer (test_perfbench)
 from .exactmat import IntMatrix, IntPolynomial
+from .records import FrozenRecord, Record
 from .recurrence import Recurrence
-from .spectral import SpectralReport, VERDICT_YES
+from .spectral import VARIANT_BINOMIAL, VARIANT_GEOMETRIC, VERDICT_YES, SpectralReport
 
 
 def derive_seed(master: int, label: str, index: int) -> int:
@@ -42,30 +42,31 @@ def derive_seed(master: int, label: str, index: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    order: int
-    coeff_range: tuple[int, int] = (-2, 2)
-    tau_cap: float = 3.0
-    require_pisot: bool = False
-    seed: int = 0
-    budget: int = 1000
-    index_range: tuple[int, int] = (16, 48)
+class GenConfig(FrozenRecord):
+    _fields = ("order", "coeff_range", "tau_cap", "require_pisot", "seed", "budget",
+               "index_range")
 
-    def __post_init__(self) -> None:
-        if self.order < 2:
+    def __init__(self, order: int, coeff_range: tuple[int, int] = (-2, 2), tau_cap: float = 3.0,
+                 require_pisot: bool = False, seed: int = 0, budget: int = 1000,
+                 index_range: tuple[int, int] = (16, 48)) -> None:
+        if order < 2:
             raise ValueError("order must be at least 2")
-        if self.coeff_range[0] > self.coeff_range[1]:
+        if coeff_range[0] > coeff_range[1]:
             raise ValueError("coefficient range is empty")
-        if self.budget < 1:
+        if budget < 1:
             raise ValueError("budget must be at least 1")
+        vars(self).update(order=order, coeff_range=coeff_range, tau_cap=tau_cap,
+                          require_pisot=require_pisot, seed=seed, budget=budget,
+                          index_range=index_range)
 
 
-@dataclass
-class GenStats:
-    tried: int = 0
-    emitted: int = 0
-    rejected: dict[str, int] = field(default_factory=dict)
+class GenStats(Record):
+    _fields = ("tried", "emitted", "rejected")
+
+    def __init__(self, tried: int = 0, emitted: int = 0,
+                 rejected: Optional[dict[str, int]] = None) -> None:
+        self.tried, self.emitted = tried, emitted
+        self.rejected = {} if rejected is None else rejected
 
     def reject(self, reason: str) -> None:
         self.rejected[reason] = self.rejected.get(reason, 0) + 1
@@ -74,8 +75,7 @@ class GenStats:
         return {"tried": self.tried, "emitted": self.emitted, "rejected": dict(self.rejected)}
 
 
-@dataclass
-class GeneratedKey:
+class GeneratedKey(NamedTuple):
     key: CodingKey
     report: SpectralReport
 
@@ -165,12 +165,7 @@ def sieve_companion(cfg: GenConfig, stats: Optional[GenStats] = None) -> Iterato
 # multinacci-limit Pisot families
 # ---------------------------------------------------------------------------
 
-VARIANT_BINOMIAL = "binomial"     # perturbation z**(r+1) - 1
-VARIANT_GEOMETRIC = "geometric"   # perturbation 1 + z + ... + z**(r-1)
-
-
-@dataclass
-class AbtFamilyResult:
+class AbtFamilyResult(NamedTuple):
     poly: IntPolynomial
     report: SpectralReport
     removed_factors: list[str]

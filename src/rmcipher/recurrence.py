@@ -13,25 +13,24 @@ integrality is checked by callers, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exactmat import IntPolynomial
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(FrozenRecord):
     """An order-k linear recurrence with integer coefficients (ascending)."""
 
-    coeffs: tuple[int, ...]
+    _fields = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) < 2:
+    def __init__(self, coeffs: Sequence[int]) -> None:
+        if len(coeffs) < 2:
             raise ValueError("recurrence order must be at least 2")
-        if not all(isinstance(c, int) for c in self.coeffs):
+        if not all(isinstance(c, int) for c in coeffs):
             raise TypeError("recurrence coefficients must be integers")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        vars(self)["coeffs"] = tuple(int(c) for c in coeffs)
 
     @property
     def order(self) -> int:

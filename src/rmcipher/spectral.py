@@ -34,14 +34,14 @@ import cmath
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import or_
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import exactmat
 from .exactmat import IntPolynomial, poly_degree, poly_trim
+from .records import Record
 from .recurrence import Recurrence
 
 DEFAULT_PRECISION_BITS = 128
@@ -51,6 +51,12 @@ DEFAULT_TOLERANCE = 1e-9
 VERDICT_YES = "yes"
 VERDICT_NO = "no"
 VERDICT_INDETERMINATE = "indeterminate"
+
+# Perturbations q(z) of the multinacci-limit Pisot families (keygen.abt_family),
+# defined here so that the command-line parser lists them without importing keygen.
+VARIANT_BINOMIAL = "binomial"     # perturbation z**(r+1) - 1
+VARIANT_GEOMETRIC = "geometric"   # perturbation 1 + z + ... + z**(r-1)
+ABT_VARIANTS = (VARIANT_BINOMIAL, VARIANT_GEOMETRIC)
 
 
 class RootFindingError(ArithmeticError):
@@ -76,18 +82,18 @@ def resolve_precision(bits: Optional[int] = None) -> int:
 # root finding
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RootSet:
+class RootSet(Record):
     """All complex roots of a polynomial with multiplicities, exactly as the
     kernel left them: root j is (X + iY) * 2**-point for gaussian[j] = (X, Y).
     The residuals are evaluated on first use: no verdict reads them."""
 
-    gaussian: list[tuple[int, int]]
-    point: int
-    multiplicities: list[int]
-    degree: int
-    precision_bits: int
-    polynomial: list = field(repr=False)
+    _fields = ("gaussian", "point", "multiplicities", "degree", "precision_bits", "polynomial")
+    _hidden = ("polynomial",)
+
+    def __init__(self, gaussian: list[tuple[int, int]], point: int, multiplicities: list[int],
+                 degree: int, precision_bits: int, polynomial: list) -> None:
+        self.gaussian, self.point, self.multiplicities = gaussian, point, multiplicities
+        self.degree, self.precision_bits, self.polynomial = degree, precision_bits, polynomial
 
     @cached_property
     def roots(self) -> list[tuple[Fraction, Fraction]]:
@@ -379,8 +385,7 @@ def all_roots(f: Sequence, precision: Optional[int] = None) -> RootSet:
 # dominant root analysis
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Dominance:
+class _Dominance(NamedTuple):
     verdict: str                 # yes / no / indeterminate (about "simple positive dominant")
     tau: Optional[Fraction] = None
     index: Optional[int] = None
@@ -600,8 +605,7 @@ def is_primitive(a: Sequence[Sequence[int]]) -> bool:
 # aggregate report
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SpectralReport:
+class SpectralReport(NamedTuple):
     """Spectral certificate for a transition matrix or recurrence."""
 
     tau: Optional[Fraction]
@@ -611,7 +615,7 @@ class SpectralReport:
     is_pisot: str
     is_primitive: Optional[bool]
     precision_bits: int
-    char_poly: IntPolynomial = field(default_factory=list)
+    char_poly: IntPolynomial = ()
     spf_reason: str = ""       # why is_spf is not "yes"; not part of to_dict()
 
     def to_dict(self) -> dict:

@@ -1,13 +1,16 @@
 """KeyContext: a key compiled once gives the same results as a key compiled for each call."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from rmcipher import (CorruptionError, KeyContext, correct, decrypt, detect_errors, digitize,
-                      encrypt, general_key, right_form_key, symmetric_key)
+from rmcipher import (CheckingRange, CorruptionError, GenConfig, KeyContext, Recurrence,
+                      coding_matrix, correct, decrypt, detect_errors, digitize, encrypt,
+                      general_key, right_form_key, symmetric_key)
 from rmcipher.coding import InvalidKeyError
-from rmcipher.guard import GuardError
+from rmcipher.formats import CipherHeader, CorruptionRecord, ErrorModel
+from rmcipher.guard import GuardError, PairEvidence, RowDiagnosis
 
 
 def _shift_plus_identity(k):
@@ -92,10 +95,43 @@ def test_encryption_computes_neither_inverse_nor_tau():
     assert "ratio_bounds" not in vars(ctx)
 
 
-def test_context_is_frozen():
-    ctx = KeyContext(KEYS["symmetric-3"])
+_EVIDENCE = (1, 0, Fraction(3, 2), 1.5, 0.0, True)
+
+# Each record class that refuses assignment: one of its fields, and a way
+# to make one; two calls give records with equal fields.
+FROZEN = {
+    "CodingKey": ("index", lambda: symmetric_key((1, 0, 1), (1, 0, 0), 29)),
+    "CodingMatrix": ("n", lambda: coding_matrix(KEYS["symmetric-3"], 29)),
+    "KeyContext": ("n", lambda: KeyContext(KEYS["symmetric-3"])),
+    "Recurrence": ("coeffs", lambda: Recurrence((1, 0, 1))),
+    "CipherHeader": ("length", lambda: CipherHeader(order=3, count=2, length=17,
+                                                    fingerprint="ab12")),
+    "ErrorModel": ("seed", lambda: ErrorModel(count=2, seed=7)),
+    "CorruptionRecord": ("corrupted", lambda: CorruptionRecord(0, 1, 2, 300, 301)),
+    "GenConfig": ("budget", lambda: GenConfig(order=3, coeff_range=(0, 2), seed=5)),
+    "CheckingRange": ("lo", lambda: CheckingRange(Fraction(1, 2), Fraction(7, 2), 1, 3, 2)),
+    "PairEvidence": ("ratio", lambda: PairEvidence(*_EVIDENCE)),
+    "RowDiagnosis": ("flagged", lambda: RowDiagnosis(0, (0, 1), (2,),
+                                                     (PairEvidence(*_EVIDENCE),))),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN))
+def test_context_is_frozen(name):
+    """Every frozen record refuses assignment; records with equal fields are
+    equal and hash alike, but a KeyContext equals only itself."""
+    field, make = FROZEN[name]
+    record, twin = make(), make()
+    assert type(record).__name__ == name
     with pytest.raises(AttributeError):
-        ctx.n = 3
+        setattr(record, field, getattr(twin, field))
+    with pytest.raises(AttributeError):
+        record.unknown = 1
+    assert getattr(record, field) == getattr(twin, field)
+    if name == "KeyContext":
+        assert record == record and record != twin
+    else:
+        assert record == twin and hash(record) == hash(twin)
 
 
 def test_a_negative_index_is_refused_when_the_context_is_compiled():

@@ -2,6 +2,7 @@
 inverse identity, the memory a compiled key takes, the bound on
 ciphertext entry size, and two processes sharing one key file."""
 
+import json
 import os
 import subprocess
 import sys
@@ -14,11 +15,11 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import rmcipher
-from rmcipher import KeyContext, general_key, right_form_key, symmetric_key
+from rmcipher import KeyContext, general_key, key_fingerprint, right_form_key, symmetric_key
 from rmcipher.cli import main
 from rmcipher.coding import MAX_ENTRY_DIGITS, MatrixBuilder, right_companion
 from rmcipher.exactmat import det_exact, identity, mat_mul
-from rmcipher.formats import save_key
+from rmcipher.formats import load_key, save_key
 
 TWO_FIB = ((1, 0, 1), (1, 0, 0))          # the bulk-k3 key's recurrence and seed
 LAST_WRITABLE = 25885                     # its last index within MAX_ENTRY_DIGITS
@@ -106,6 +107,21 @@ def test_keygen_refuses_an_index_no_ciphertext_fits(tmp_path, capsys, index):
                  "--index", str(index), "--out", str(out)]) == 2
     assert "4300 decimal digits" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["sieve", "right-form --coeffs 1,0,1"])
+def test_keygen_writes_the_index_it_is_given(tmp_path, method):
+    keyfile, msg, cfile, back = (tmp_path / name for name in ("key.json", "msg.txt", "c.rmc",
+                                                                "back.txt"))
+    assert main(["keygen", "--method", *method.split(), "--seed", "3", "--index", "77",
+                 "--out", str(keyfile)]) == 0
+    key = load_key(keyfile)                       # checks the fingerprint it carries
+    assert key.index == 77
+    assert json.loads(keyfile.read_text())["fingerprint"] == key_fingerprint(key)
+    msg.write_bytes(b"ALGORITHM checking relations")
+    assert main(["encrypt", str(keyfile), str(msg), "--out", str(cfile)]) == 0
+    assert main(["decrypt", str(keyfile), str(cfile), "--out", str(back)]) == 0
+    assert back.read_bytes() == msg.read_bytes()
 
 
 def test_two_processes_share_one_key_file(tmp_path):
