@@ -7,15 +7,26 @@ exact rational inverse and demands an integral, in-alphabet result,
 raising a corruption error that names the offending block and entry
 otherwise.  Every function takes the key as a KeyContext.  Every block
 shares M_n, so both products run on any number of rows at once
-(encrypt_rows, decrypt_rows), a column at a time.
-Plaintext entries are bytes, so encryption of TABLE_ROWS rows or more
-looks each product b * M_n[t][j] up in the key's byte tables
-(KeyContext.byte_tables) and only adds, unless M_n's entries are wider
-than TABLE_BITS; shorter plaintexts, and decryption, multiply.
+(encrypt_rows, decrypt_rows), a column at a time, by one of three kernels
+chosen per key:
+
+* packed 64-bit slots, for a key whose products fit them
+  (KeyContext.product_bits, KeyContext.cipher_slot_bits): a chunk's input
+  column is one int, a row per 8-byte slot, and each output column is k
+  scalar multiplies of those ints, done in C.  No carry crosses a slot,
+  so the product is exact, and decryption checks integrality and the
+  alphabet on the packed ints (_packed_plaintext); a chunk that fails
+  them is multiplied again as below, which raises the CorruptionError of
+  its first bad entry;
+* byte tables, for a wider key encrypting TABLE_ROWS rows or more while
+  its products fit in TABLE_BITS bits: each product b * M_n[t][j] is
+  looked up in the key's tables (KeyContext.byte_tables) and only added;
+* otherwise, multiplies of the strided slices, entry by entry.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import chain, repeat
 from operator import add, floordiv, mod, mul
 from typing import Iterator, Optional, Sequence
@@ -23,15 +34,21 @@ from typing import Iterator, Optional, Sequence
 from .coding import ALPHABET_MAX, KeyContext
 from .exactmat import IntMatrix
 
-# encrypt_rows sums byte-table lookups for a call of TABLE_ROWS rows or
-# more while M_n's entries fit in TABLE_BITS bits; otherwise it multiplies.
-# The k * k * 256 table entries pay back their building within about 600
-# rows at k = 3, n = 29, and fewer for wider entries; `rmc encrypt` passes
-# 1024-row chunks.  At 1024 bits the tables hold about 1 MB at k = 5, and
-# the decimal text of a chunk already costs over twice its product, so
-# wider tables would hold more memory for less time saved.
+# A key whose products fit 64-bit slots encrypts by the packed kernel,
+# which beats both others at every length.  A wider key sums byte-table
+# lookups for a call of TABLE_ROWS rows or more while its products fit in
+# TABLE_BITS bits; otherwise it multiplies.  The k * k * 256 table entries
+# pay back their building within about 600 rows, and fewer for wider
+# entries; `rmc encrypt` passes 1024-row chunks.  At 1024 bits the tables
+# hold about 1 MB at k = 5, and the decimal text of a chunk already costs
+# over twice its product, so wider tables would hold more memory for less
+# time saved.
 TABLE_ROWS = 1024
 TABLE_BITS = 1024
+# array('q') holds its slots in the host's byte order; the packed kernels
+# read and write them as little-endian, so other hosts multiply.
+SLOTS = sys.byteorder == "little"
+_SLOT_ONE = b"\1" + bytes(7)
 
 
 class CorruptionError(ValueError):
@@ -108,18 +125,89 @@ def _table_columns(plain: bytes, byte_tables, k: int) -> Iterator[Iterator[int]]
         yield acc
 
 
+def _slot_ones(rows: int) -> int:
+    """1 in each of rows 8-byte slots: times v, v in every slot."""
+    return int.from_bytes(_SLOT_ONE * rows, "little")
+
+
+def _packed_product(plain: bytes, cols, k: int) -> list[int]:
+    """The flat product of _product_columns(plain, cols, k), for columns
+    whose every product lies in [-2**63, 2**63): each plaintext column a
+    row per slot, each output column k scalar multiplies, read back as
+    signed slots (adding 2**63 to each makes every slot a plain digit)."""
+    from array import array
+    rows = len(plain) // k
+    size = 8 * rows
+    half = _slot_ones(rows) << 63
+    xs = []
+    for t in range(k):
+        buf = bytearray(size)
+        buf[::8] = plain[t::k]
+        xs.append(int.from_bytes(buf, "little"))
+    out = array("q", bytes(8 * len(plain)))
+    for j, col in enumerate(cols):
+        column = array("q")
+        column.frombytes(((sum(map(mul, col, xs)) + half) ^ half).to_bytes(size, "little"))
+        out[j::k] = column
+    return out.tolist()
+
+
+def _packed_plaintext(values: Sequence[int], cols, denom: int, m: int, k: int) -> Optional[bytes]:
+    """The plaintext bytes of values times cols / denom, or None unless
+    every entry of values lies in [-2**m, 2**m) and every plaintext entry
+    is an integer in [0, ALPHABET_MAX].  m must keep every slot of
+    sum_t cols[j][t] * X_t inside (-2**63, 2**63) (KeyContext.cipher_slot_bits).
+    Then that sum holds one row's entry per slot with no carry, and a
+    quotient q by denom with no remainder whose slots are each in
+    [0, ALPHABET_MAX] is the plaintext: base-2**64 digits in [-2**63, 2**63)
+    are unique, and denom * ALPHABET_MAX < 2**63."""
+    from array import array
+    try:
+        entries = array("q", values)
+    except (OverflowError, TypeError):      # an entry outside int64, or no int
+        return None
+    rows = len(values) // k
+    size = 8 * rows
+    ones = _slot_ones(rows)
+    half, shift = ones << 63, ones << m
+    # Bits m + 1 to 63 of each slot, clear in X + 2**m * ones exactly when
+    # every entry of X lies in [-2**m, 2**m) (m < 63).
+    outside = ones * ((1 << 64) - (2 << m))
+    xs = []
+    for t in range(k):
+        x = (int.from_bytes(entries[t::k].tobytes(), "little") ^ half) - half
+        if (x + shift) & outside:
+            return None
+        xs.append(x)
+    high = ones * ((1 << 64) - (ALPHABET_MAX + 1))
+    out = bytearray(len(values))
+    for j, col in enumerate(cols):
+        q = sum(map(mul, col, xs))
+        if denom != 1:
+            q, r = divmod(q, denom)
+            if r:
+                return None
+        if q < 0 or q & high:
+            return None
+        out[j::k] = q.to_bytes(size, "little")[::8]
+    return bytes(out)
+
+
 def encrypt_rows(ctx: KeyContext, plain: Sequence[int]) -> list[int]:
     """Rows times M_n, for rows given as flat row-major bytes; the product
     comes back flat in the same layout.  Entries outside [0, 255] and a
-    partial row raise ValueError.  A call of TABLE_ROWS rows or more, by a
-    key whose entries fit in TABLE_BITS bits, sums lookups in
+    partial row raise ValueError.  A key whose products fit 64-bit slots
+    takes the packed kernel.  A call of TABLE_ROWS rows or more, by a wider
+    key whose products fit in TABLE_BITS bits, sums lookups in
     ctx.byte_tables, building them on first use; any other multiplies."""
     plain = bytes(plain)
     k = ctx.order
     if len(plain) % k:
         raise ValueError(f"{len(plain)} entries do not make whole rows of k = {k}")
-    if (len(plain) >= TABLE_ROWS * k
-            and max(map(abs, chain.from_iterable(ctx.matrix))).bit_length() <= TABLE_BITS):
+    bits = ctx.product_bits
+    if bits < 64 and SLOTS:
+        return _packed_product(plain, ctx.columns, k)
+    if len(plain) >= TABLE_ROWS * k and bits <= TABLE_BITS:
         columns = _table_columns(plain, ctx.byte_tables, k)
     else:
         columns = _product_columns(plain, ctx.columns, k)
@@ -133,11 +221,18 @@ def decrypt_rows(ctx: KeyContext, values: Sequence[int], first_row: int = 0) -> 
     """Rows times M_n**-1, for rows given as flat row-major entries, as
     plaintext bytes; a partial row raises ValueError.  Row r of values is row
     first_row + r of the whole ciphertext, which labels a CorruptionError
-    with its block and row."""
+    with its block and row.  A key with ctx.cipher_slot_bits tries the
+    packed kernel first; a chunk it refuses, and any chunk of another key,
+    is multiplied."""
     k = ctx.order
     if len(values) % k:
         raise ValueError(f"{len(values)} entries do not make whole rows of k = {k}")
     cols, denom = ctx.scaled_inverse
+    m = ctx.cipher_slot_bits
+    if m is not None and SLOTS:
+        plain = _packed_plaintext(values, cols, denom, m, k)
+        if plain is not None:
+            return plain
     out = bytearray(len(values))
     try:
         for j, column in enumerate(_product_columns(values, cols, k)):

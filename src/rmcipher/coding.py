@@ -321,13 +321,14 @@ class KeyContext(FrozenRecord):
     """A key compiled for one index n >= 0: the per-key data every block shares.
 
     M_n and its columns are built on construction, by writable_matrix.
-    The byte tables of encryption, the integer-scaled inverse, the
-    transition ratio tau with its powers, and ratio_bounds, the one table
-    of every column pair's exact ratio bounds, in integers for tests by
+    The cipher's kernel facts (product_bits, cipher_slot_bits), the byte
+    tables of encryption, the integer-scaled inverse, the transition ratio
+    tau with its powers, and ratio_bounds, the one table of every column
+    pair's exact ratio bounds, in integers for tests by
     cross-multiplication, are computed on first use.  So encryption never
     pays for an inverse or a root solve, and only an encryption of at
-    least cipher.TABLE_ROWS rows (by entries of at most cipher.TABLE_BITS
-    bits) builds byte tables.
+    least cipher.TABLE_ROWS rows, by a key whose products are too wide for
+    64-bit slots but fit in cipher.TABLE_BITS bits, builds byte tables.
     tau has one source, `report`, the `analyze_matrix` report on the key's
     spf_target: the one given (see check_report), else one made on first
     use.  Its precision is `precision`, else RMC_PRECISION_BITS.
@@ -373,6 +374,17 @@ class KeyContext(FrozenRecord):
         return tuple(zip(*([x // g for x in row] for row in adj))), det // g
 
     @cached_property
+    def cipher_slot_bits(self) -> Optional[int]:
+        """m for the cipher's packed decryption, or None: the largest m for
+        which ciphertext entries in [-2**m, 2**m) keep every entry of
+        C * mint (scaled_inverse) inside (-2**63, 2**63), where every
+        genuine ciphertext entry (entry_ranges) lies in [-2**m, 2**m) too;
+        None for a key whose genuine entries do not fit."""
+        cols, _ = self.scaled_inverse
+        m = 63 - max(sum(map(abs, col)) for col in cols).bit_length()
+        return m if self.product_bits <= m else None
+
+    @cached_property
     def tau(self) -> Fraction:
         """Transition ratio of the key's recurrence, read off `report`."""
         if self.report is None:
@@ -413,6 +425,12 @@ class KeyContext(FrozenRecord):
         lie between ALPHABET_MAX times its negative and its positive sum."""
         return tuple((ALPHABET_MAX * sum(v for v in col if v < 0),
                       ALPHABET_MAX * sum(v for v in col if v > 0)) for col in self.columns)
+
+    @cached_property
+    def product_bits(self) -> int:
+        """The least b with every entry of P * M_n, P in [0, ALPHABET_MAX],
+        in [-2**b, 2**b) (entry_ranges): b < 64 fits a signed 64-bit slot."""
+        return max(max(hi, -1 - lo) for lo, hi in self.entry_ranges).bit_length()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""The bulk kernels against references kept here: both encrypt kernels
-(byte tables and multiplies) against a multiply product, and the
+"""The bulk kernels against references kept here: the three encrypt
+kernels (packed slots, byte tables and multiplies) against a multiply
+product, the packed decrypt kernel against the multiply kernel, and the
 canonical-batch ciphertext parse against a per-line parse of the whole
 text."""
 
@@ -14,20 +15,35 @@ from hypothesis import strategies as st
 
 from rmcipher import KeyContext, encrypt, general_key, right_form_key, symmetric_key
 from rmcipher import cipher, cli, formats
-from rmcipher.cipher import TABLE_BITS, TABLE_ROWS, encrypt_rows
+from rmcipher.cipher import TABLE_BITS, TABLE_ROWS, CorruptionError, decrypt_rows, encrypt_rows
 from rmcipher.formats import CipherFormatError, read_cipher, save_key
 
 KEYS = {
     "symmetric-3": symmetric_key((1, 0, 1), (1, 0, 0), 29),
-    "general-3": general_key([[1, 1, 0], [0, 1, 1], [1, 0, 1]], (1, 0, 0), 20),
+    "general-3": general_key([[1, 1, 0], [0, 1, 1], [1, 0, 1]], (1, 0, 0), 20),  # denom 2**20
     "right_form-2": right_form_key((1, 1), [[2, 1], [1, 1]], 12),
-    "negative-3": symmetric_key((1, 1, -1), (1, 1, -1), 3),                # M_n < 0
+    "negative-3": symmetric_key((1, 1, -1), (1, 1, -1), 3),                # M_n < 0, denom 4
     "bigint-5": symmetric_key((1, 1, 1, 1, 1), (1, 0, 0, 0, 0), 200),     # multi-limb
+    # Products of 63 bits, the widest a signed 64-bit slot holds, then 64.
+    "slot-edge-2": right_form_key((1, 1), [[2 ** 54, 2 ** 54], [2 ** 54, 2 ** 54 - 1]], 0),
+    "past-slot-2": right_form_key((1, 1), [[2 ** 55, 2 ** 55], [2 ** 55, 2 ** 55 - 1]], 0),
 }
 CONTEXTS = {name: KeyContext(key) for name, key in KEYS.items()}
+# The keys whose chunks the packed kernels take: encrypt, then decrypt.
+PACKED_ENCRYPT = {"symmetric-3", "general-3", "right_form-2", "negative-3", "slot-edge-2"}
+PACKED_DECRYPT = {"symmetric-3", "general-3", "right_form-2", "negative-3"}
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=200,
                     suppress_health_check=[HealthCheck.too_slow])
+
+
+def test_each_key_takes_the_kernels_its_slot_facts_choose():
+    assert {name for name, ctx in CONTEXTS.items() if ctx.product_bits < 64} == PACKED_ENCRYPT
+    assert CONTEXTS["slot-edge-2"].product_bits == 63
+    assert {name for name, ctx in CONTEXTS.items()
+            if ctx.cipher_slot_bits is not None} == PACKED_DECRYPT
+    assert [CONTEXTS[name].scaled_inverse[1] for name in ("symmetric-3", "general-3",
+                                                          "negative-3")] == [1, 2 ** 20, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -40,16 +56,50 @@ def _multiply_product(ctx: KeyContext, plain: bytes) -> list[int]:
             for r in range(0, len(plain), k) for j in range(k)]
 
 
+def _extreme_rows(ctx: KeyContext) -> bytes:
+    """For each column j, the rows whose column-j product is the least and
+    the greatest (the ends of ctx.entry_ranges[j])."""
+    return bytes(255 if (c < 0) == low else 0
+                 for col in ctx.columns for low in (True, False) for c in col)
+
+
+def _encrypt_kernels(ctx: KeyContext, plain) -> list[list[int]]:
+    """encrypt_rows by the key's own kernel, then by the packed kernel where
+    the key's products fit, by multiplies and by byte tables."""
+    results = [encrypt_rows(ctx, plain)]
+    if ctx.product_bits < 64:
+        results.append(cipher._packed_product(bytes(plain), ctx.columns, ctx.order))
+    with mock.patch.object(cipher, "SLOTS", False):
+        results.append(encrypt_rows(ctx, plain))
+        with mock.patch.object(cipher, "TABLE_ROWS", 1):
+            results.append(encrypt_rows(ctx, plain))
+    return results
+
+
 @SETTINGS
 @given(st.sampled_from(sorted(KEYS)), st.data())
 def test_encrypt_rows_equals_the_multiply_product(name, data):
     ctx = CONTEXTS[name]
     rows = data.draw(st.integers(0, 40))
     plain = data.draw(st.binary(min_size=rows * ctx.order, max_size=rows * ctx.order))
-    assert encrypt_rows(ctx, plain) == _multiply_product(ctx, plain)       # multiplies
-    with mock.patch.object(cipher, "TABLE_ROWS", 1):                        # byte tables
-        assert encrypt_rows(ctx, plain) == _multiply_product(ctx, plain)
-        assert encrypt_rows(ctx, list(plain)) == _multiply_product(ctx, plain)
+    expected = _multiply_product(ctx, plain)
+    results = _encrypt_kernels(ctx, plain)
+    assert results == [expected] * len(results)
+    assert encrypt_rows(ctx, list(plain)) == expected
+
+
+@pytest.mark.parametrize("name", sorted(KEYS))
+def test_every_kernel_on_a_whole_chunk_with_the_extreme_rows(name):
+    ctx = CONTEXTS[name]
+    extremes = _extreme_rows(ctx)
+    rows = formats.CHUNK_ROWS - 2 * ctx.order
+    plain = extremes + random.Random(name).randbytes(rows * ctx.order)
+    for chunk in (plain, extremes):
+        results = _encrypt_kernels(ctx, chunk)
+        assert results == [_multiply_product(ctx, chunk)] * len(results)
+    ranges = ctx.entry_ranges
+    assert [encrypt_rows(ctx, extremes)[r * ctx.order + r // 2] for r in range(2 * ctx.order)] \
+        == [bound for pair in ranges for bound in pair]
 
 
 def test_every_byte_of_every_table():
@@ -71,18 +121,20 @@ def test_library_encrypt_refuses_entries_outside_the_alphabet(entry):
 
 
 def test_empty_encrypt_builds_no_tables(tmp_path, monkeypatch):
+    # Only a key too wide for 64-bit slots builds tables: bigint-5's.
     keyfile, plain = tmp_path / "key.json", tmp_path / "plain.bin"
-    save_key(KEYS["symmetric-3"], keyfile)
+    save_key(KEYS["bigint-5"], keyfile)
     contexts = []
     load = cli._load_context
     monkeypatch.setattr(cli, "_load_context", lambda path: contexts.append(load(path)) or contexts[-1])
-    # Empty, one row short of a chunk, then one whole chunk of rows.
-    for size, built in ((0, False), (3 * TABLE_ROWS - 3, False), (3 * TABLE_ROWS, True)):
+    # Empty, the most whole blocks short of a chunk, then one whole chunk of rows.
+    for size, built in ((0, False), (5 * (TABLE_ROWS - 4), False), (5 * TABLE_ROWS, True)):
         plain.write_bytes(random.Random(size).randbytes(size))
         assert cli.main(["encrypt", str(keyfile), str(plain), "--out", str(tmp_path / "c.rmc")]) == 0
         assert ("byte_tables" in vars(contexts[-1])) == built
     ctx = KeyContext(KEYS["general-3"])
     assert encrypt([], ctx) == [] and encrypt_rows(ctx, b"") == []
+    assert encrypt_rows(ctx, bytes(3 * TABLE_ROWS)) == [0] * 3 * TABLE_ROWS
     assert "byte_tables" not in vars(ctx)
 
 
@@ -92,6 +144,75 @@ def test_keys_wider_than_the_table_bound_multiply():
     plain = random.Random(4).randbytes(3 * TABLE_ROWS)
     assert encrypt_rows(ctx, plain) == _multiply_product(ctx, plain)
     assert "byte_tables" not in vars(ctx)
+
+
+# ---------------------------------------------------------------------------
+# decrypt product
+# ---------------------------------------------------------------------------
+
+def _decrypted(ctx: KeyContext, values: list, first_row: int):
+    """decrypt_rows's bytes, or the text of its CorruptionError."""
+    try:
+        return decrypt_rows(ctx, values, first_row)
+    except CorruptionError as exc:
+        return str(exc)
+
+
+def _entry_values(ctx: KeyContext, c: int) -> list[int]:
+    """Values to put in place of a genuine entry c: near it, around the
+    packed kernel's input bound 2**m and the int64 range, and far out."""
+    m = ctx.cipher_slot_bits or 62
+    return [0, -1, c + 1, c - 1, -c, 2 * c, 2 ** m - 1, -(2 ** m - 1), 2 ** m, -2 ** m,
+            2 ** 63 - 1, -2 ** 63, 2 ** 63, 10 ** 400]
+
+
+def _check_decrypt_kernels(ctx: KeyContext, values: list, first_row: int) -> None:
+    """The packed kernel gives the multiply kernel's bytes, or refuses the
+    chunk when the multiply kernel raises; decrypt_rows then raises the
+    same CorruptionError."""
+    result = _decrypted(ctx, values, first_row)
+    with mock.patch.object(cipher, "SLOTS", False):
+        expected = _decrypted(ctx, values, first_row)
+    assert result == expected
+    m = ctx.cipher_slot_bits
+    if m is not None:
+        packed = cipher._packed_plaintext(values, *ctx.scaled_inverse, m, ctx.order)
+        assert packed == (expected if isinstance(expected, bytes) else None)
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(KEYS)), st.data())
+def test_packed_decrypt_agrees_with_the_multiply_kernel(name, data):
+    ctx = CONTEXTS[name]
+    rows = data.draw(st.integers(1, 40))
+    plain = data.draw(st.binary(min_size=rows * ctx.order, max_size=rows * ctx.order))
+    values = encrypt_rows(ctx, plain)
+    first_row = data.draw(st.integers(0, 100))
+    assert decrypt_rows(ctx, values, first_row) == plain
+    at = data.draw(st.integers(0, len(values) - 1))
+    values[at] = data.draw(st.sampled_from(_entry_values(ctx, values[at])))
+    _check_decrypt_kernels(ctx, values, first_row)
+
+
+@pytest.mark.parametrize("name", sorted(KEYS))
+def test_packed_decrypt_of_a_whole_chunk_with_one_entry_changed(name):
+    ctx = CONTEXTS[name]
+    rng = random.Random(name)
+    plain = _extreme_rows(ctx) + rng.randbytes((formats.CHUNK_ROWS - 2 * ctx.order) * ctx.order)
+    values = encrypt_rows(ctx, plain)
+    _check_decrypt_kernels(ctx, values, 7)
+    for at in (0, len(values) - 1, rng.randrange(len(values))):
+        for value in _entry_values(ctx, values[at]):
+            _check_decrypt_kernels(ctx, values[:at] + [value] + values[at + 1:], 7)
+
+
+@pytest.mark.parametrize("name", sorted(KEYS))
+@pytest.mark.parametrize("entry", [-1, 256, 511, 2 ** 16])
+def test_packed_decrypt_refuses_a_plaintext_entry_outside_the_alphabet(name, entry):
+    ctx = CONTEXTS[name]
+    plain = list(random.Random(name).randbytes(40 * ctx.order))
+    plain[37] = entry
+    _check_decrypt_kernels(ctx, _multiply_product(ctx, plain), 0)
 
 
 # ---------------------------------------------------------------------------

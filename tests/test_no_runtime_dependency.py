@@ -71,6 +71,16 @@ def test_the_cipher_commands_import_only_what_they_run(tmp_path):
     assert [name for name in UNUSED_BY_THE_CIPHER if name in modules] == []
 
 
+def test_an_empty_encrypt_loads_no_kernel_module(tmp_path):
+    # The set-up of every command ends before its first chunk: the packed
+    # kernels import `array` only when they run.
+    save_key(symmetric_key((1, 0, 1), (1, 0, 0), 29), tmp_path / "k.json")
+    (tmp_path / "empty.txt").write_bytes(b"")
+    codes, modules = _run([["encrypt", "k.json", "empty.txt", "--out", "c.rmc"]], tmp_path)
+    assert codes == [0]
+    assert "array" not in modules
+
+
 def test_each_public_name_is_the_object_its_module_defines():
     for name in rmcipher.__all__:
         value = getattr(rmcipher, name)
