@@ -31,12 +31,13 @@ correct --out writes each uniquely repaired block repaired and every other
 block as received: a block with two accepted repairs is not guessed, so
 decrypting the output fails (exit 3) where correct did.
 
-Ciphertexts are read a chunk of whole blocks at a time, and nothing is
-written until the whole file has been read.  A command raises a fault of
-its own (a corrupted entry, a key that does not fit, a failed repair)
-under _draining, which reads and checks the rest of the file first: so a
-fault anywhere in the file outranks one met in the rows and leaves no
-output file.
+Ciphertexts are opened once, as bytes, and read a chunk of whole blocks
+at a time (formats.read_cipher: UTF-8 whatever the locale, a bad byte
+named by its offset in the file); nothing is written until the whole
+file has been read.  A command raises a fault of its own (a corrupted
+entry, a key that does not fit, a failed repair) under _draining, which
+reads and checks the rest of the file first: so a fault anywhere in the
+file outranks one met in the rows and leaves no output file.
 
 detect and correct test each chunk's rows against the checking relations
 (guard.failing_rows), and diagnose in full only the blocks with a
@@ -57,7 +58,6 @@ A clean block is only counted: its evidence is the ciphertext itself.
 from __future__ import annotations
 
 import argparse
-import codecs
 import json
 import random
 import sys
@@ -141,54 +141,23 @@ def _draining(chunks: Iterator):
 
 def _cipher_chunks(path: str, key: Optional[CodingKey] = None) -> Iterator:
     """The header of a ciphertext file, then its matrix rows a chunk of
-    whole blocks at a time, each chunk a flat row-major list.
+    whole blocks at a time, each chunk a flat row-major list.  The file is
+    opened once, as bytes (formats.read_cipher).
 
     Faults rank as for a whole-file parse: the file format (anywhere in the
     file), then, given a key, the fingerprint and the dimension, then a
     caller's own (raised under _draining).
     """
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             header, chunks = formats.read_cipher(fh)
             yield header
             if key is not None:
                 with _draining(chunks):
                     _check_header(header, key)
-            size = header.order ** 2
-            pending: list[int] = []
-            for values in chunks:
-                pending += values
-                whole = len(pending) - len(pending) % size
-                if whole:
-                    yield pending[:whole]
-                    del pending[:whole]
-    except UnicodeDecodeError as exc:
-        raise CliError(f"cannot load ciphertext {path}: {_decode_fault(path, exc)}") from exc
+            yield from chunks
     except (formats.CipherFormatError, OSError) as exc:
         raise CliError(f"cannot load ciphertext {path}: {exc}") from exc
-
-
-def _decode_fault(path: str, exc: UnicodeDecodeError) -> str:
-    """The message of exc, met reading path as text, at the fault's offset
-    in the file: a text read gives its offset in one decode chunk.  The
-    file is decoded again as bytes, on this error path only."""
-    decoder = codecs.getincrementaldecoder(exc.encoding)()
-    fed = 0
-    try:
-        with open(path, "rb") as fh:
-            while block := fh.read(1 << 16):
-                fed += len(block)
-                decoder.decode(block)
-            decoder.decode(b"", final=True)
-    except UnicodeDecodeError as found:
-        at = fed - len(found.object)       # found.object: the bytes held back, then the block
-        start, end = at + found.start, at + found.end
-        where = (f"byte 0x{found.object[found.start]:02x} in position {start}"
-                 if end - start == 1 else f"bytes in position {start}-{end - 1}")
-        return f"'{found.encoding}' codec can't decode {where}: {found.reason}"
-    except OSError:
-        pass
-    return str(exc)
 
 
 def _receiver_context(ctx: KeyContext, n: Optional[int] = None) -> KeyContext:
@@ -254,13 +223,11 @@ def cmd_keygen(args: argparse.Namespace) -> int:
         gen = next(keygen.primitive_growth(seed01, cfg, stats), None)
         if gen is None:
             raise CliError(f"primitive growth emitted no key: {stats.to_dict()}")
-    elif args.method == "right-form":
+    else:                                # right-form: argparse admits no other method
         if not args.coeffs:
             raise CliError("--method right-form requires --coeffs a_0,a_1,...")
         coeffs = tuple(int(c) for c in args.coeffs.split(","))
         gen = keygen.right_form_keygen(Recurrence(coeffs), cfg)
-    else:
-        raise CliError(f"unknown method {args.method!r}")
     if args.k is not None and gen.key.order != args.k:
         raise CliError(f"--k {args.k} differs from the generated key's order {gen.key.order}")
     key = gen.key if args.index is None else gen.key._replace(index=args.index)
@@ -286,7 +253,8 @@ def _load_seed_matrix(path: Optional[str], k: int) -> list[list[int]]:
             m[i][i - 1] = 1
         return m
     try:
-        return formats._int_array(json.loads(Path(path).read_text()), 2, "the seed matrix")
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return formats._int_array(data, 2, "the seed matrix")
     except (ValueError, OSError) as exc:
         raise CliError(f"cannot load seed matrix {path}: {exc}") from exc
 
@@ -513,7 +481,8 @@ def cmd_correct(args: argparse.Namespace) -> int:
     from . import guard
     ctx, header, chunks = _receive(args.cipherfile, _load_context(args.keyfile))
     k = ctx.order
-    text = [formats.cipher_header(header.count, header.length, k, header.fingerprint)]
+    text = ([formats.cipher_header(header.count, header.length, k, header.fingerprint)]
+            if args.out else None)
     found = []
     counts = {"clean": 0, "corrected": 0, "failed": 0}
     tested = 0
@@ -537,7 +506,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
             if result.unique:
                 block[:] = result.matrix
     counts["clean"] = header.count - len(found)
-    if args.out:
+    if text is not None:
         Path(args.out).write_text("".join(text))
     report = json.dumps({"blocks": found, "candidates_tested": tested, "counts": counts},
                         indent=2) + "\n"
@@ -745,7 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--plaintext", default=None,
-                   help="fixed plaintext (default: random bytes per trial)")
+                   help="fixed plaintext; a trial encrypts only its first k*k bytes "
+                        "(default: k*k random bytes per trial)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
 

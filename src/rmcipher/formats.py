@@ -11,12 +11,13 @@ line endings.  The key index n never appears in a ciphertext file: it is
 secret key material.  Fingerprints tie the two formats together and are
 checked before any arithmetic is attempted.
 
-A reader takes a text file a batch of whole lines at a time; a whole
-text is read as a file too (io.StringIO).  A batch as the writer leaves
-it (ASCII, single spaces and line ends, k - 1 spaces and k entries on
-every line) is parsed with one split of its whole text; any other batch
-goes through the per-line parse, which alone names a malformed row, so
-both give the same values and the same faults.
+A reader takes a binary file a batch of whole lines at a time; a whole
+text is read as its UTF-8 bytes (io.BytesIO).  A batch as the writer
+leaves it (ASCII, single spaces and line ends, k - 1 spaces and k entries
+on every line) is parsed with one split of its bytes; any other batch is
+decoded as UTF-8, whatever the locale, and goes through the per-line
+parse, which alone names a malformed row, so both give the same values
+and the same faults.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import random
 from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Sequence, TextIO, Union
+from typing import BinaryIO, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .cipher import split_blocks
 from .coding import (KEY_FIELDS, KEY_FORMAT, KINDS, CodingKey, KeyReport, canonical_key_dict,
@@ -125,7 +126,7 @@ def save_key(key: CodingKey, path: Union[str, Path]) -> None:
 def load_key(path: Union[str, Path]) -> CodingKey:
     """The key in a key file, parsed as key_from_dict parses; not validated."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:     # bad JSON, bad UTF-8, an integer past int()'s digit limit
         raise KeyFormatError(f"not a JSON key file: {exc}") from exc
     return key_from_dict(data)
@@ -136,7 +137,7 @@ def load_key(path: Union[str, Path]) -> CodingKey:
 # ---------------------------------------------------------------------------
 
 CHUNK_ROWS = 1024              # matrix rows per chunk of a ciphertext written in chunks
-READ_HINT = 1 << 15            # characters of whole lines per batch read from a file
+READ_HINT = 1 << 15            # bytes of whole lines per batch read from a file
 
 
 class CipherHeader(NamedTuple):
@@ -165,31 +166,53 @@ def cipher_to_text(blocks: Sequence[IntMatrix], length: int, order: int,
     return cipher_header(len(blocks), length, order, fingerprint) + format_rows(values, order)
 
 
-def read_cipher(fh: TextIO) -> tuple[CipherHeader, Iterator[list[int]]]:
+def read_cipher(fh: BinaryIO) -> tuple[CipherHeader, Iterator[list[int]]]:
     """The header of a ciphertext and an iterator over its matrix rows, a
-    batch of lines at a time, each chunk a flat row-major list.  The text
-    file fh is read READ_HINT characters of whole lines at a time; the
-    lines are those str.splitlines() finds in its text.
+    chunk of whole blocks at a time, each chunk a flat row-major list.  The
+    binary file fh is read READ_HINT bytes of whole lines at a time and
+    decoded as UTF-8, whatever the locale, only where a batch is not ASCII;
+    the lines are those str.splitlines() finds in its text.
 
     The iterator checks the whole body before it reports a fault, so the
-    fault raised is the one a whole-file parse reports first: the line
-    count, then the capacity, then the first malformed row.  Chunks before
-    a fault may already have been yielded.  A header fault is raised after
-    the rest of the file is read, so a decoding error (bad UTF-8) anywhere
-    in the file outranks it, as it does in a whole-file read.
+    fault raised is the one a whole-file parse reports first: bytes that are
+    not UTF-8 (named by their offset in the file), then the line count, then
+    the capacity, then the first malformed row.  Chunks before a fault may
+    already have been yielded.  A header fault is raised after the rest of
+    the file is read, so undecodable bytes anywhere in the file outrank it.
     """
-    batches = iter(partial(fh.readlines, READ_HINT), [])
+    batches = _batches(fh)
     batch = next(batches, [])
     if not batch:
         raise CipherFormatError("empty ciphertext file")
-    first, *rest = batch[0].splitlines() or [""]
+    first, *rest = batch[0].decode().splitlines() or [""]
     try:
         header = _parse_header(first)
     except CipherFormatError:
-        for _ in batches:       # a fault of the file's text (bad UTF-8) ranks first
+        for _ in batches:       # undecodable bytes anywhere rank first
             pass
         raise
+    rest = [line.encode() + b"\n" for line in rest]
     return header, _read_rows(header, chain([rest + batch[1:]], batches))
+
+
+def _batches(fh: BinaryIO) -> Iterator[list[bytes]]:
+    """The lines of fh, READ_HINT bytes of whole lines at a time; a
+    CipherFormatError at the first batch that is not UTF-8, with the
+    message of its decoding error at the offset of the fault in the file."""
+    at = 0
+    for batch in iter(partial(fh.readlines, READ_HINT), []):
+        data = b"".join(batch)
+        if not data.isascii():
+            try:
+                data.decode()
+            except UnicodeDecodeError as exc:
+                start, end = at + exc.start, at + exc.end
+                where = (f"byte 0x{data[exc.start]:02x} in position {start}"
+                         if end - start == 1 else f"bytes in position {start}-{end - 1}")
+                raise CipherFormatError(
+                    f"'{exc.encoding}' codec can't decode {where}: {exc.reason}") from exc
+        at += len(data)
+        yield batch
 
 
 def _parse_header(line: str) -> CipherHeader:
@@ -207,21 +230,19 @@ def _parse_header(line: str) -> CipherHeader:
     return header
 
 
-_OTHER_WHITESPACE = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f"   # ASCII whitespace but ' ' and '\n'
+_OTHER_WHITESPACE = b"\t\x0b\x0c\r\x1c\x1d\x1e\x1f"   # ASCII whitespace but ' ' and '\n'
 
 
-def _canonical_values(batch: list[str], k: int) -> Optional[list[int]]:
+def _canonical_values(batch: list[bytes], k: int) -> Optional[list[int]]:
     """The entries of a batch of lines parsed as one text, or None unless
     the batch is ASCII, its only whitespace is ' ' and line ends, every
     line holds k - 1 spaces and the text splits into k entries a line:
     then every line holds exactly k entries, as the per-line parse needs."""
-    text = "\n".join(batch)
-    # ASCII first: encode() raises on a lone surrogate, which a str may hold
-    # (a file read with errors="surrogateescape", or a text for cipher_from_text).
-    if (not text.isascii() or any(c in text for c in _OTHER_WHITESPACE)
-            or {k - 1} != set(map(str.count, batch, repeat(" ")))):
+    data = b"".join(batch)
+    if (not data.isascii() or any(c in data for c in _OTHER_WHITESPACE)
+            or {k - 1} != set(map(bytes.count, batch, repeat(b" ")))):
         return None
-    entries = text.encode().split()      # int() reads ASCII bytes faster than str
+    entries = data.split()
     if len(entries) != k * len(batch):
         return None
     try:
@@ -230,28 +251,33 @@ def _canonical_values(batch: list[str], k: int) -> Optional[list[int]]:
         return None
 
 
-def _read_rows(header: CipherHeader, batches: Iterator[list[str]]) -> Iterator[list[int]]:
+def _read_rows(header: CipherHeader, batches: Iterator[list[bytes]]) -> Iterator[list[int]]:
     k = header.order
     rows = 0
     bad: Optional[tuple[list[list[str]], int]] = None     # chunk and first row of a fault
+    carry: list[int] = []                                  # entries of a block not yet whole
     for batch in batches:
         values = _canonical_values(batch, k) if bad is None else None
         if values is not None:
             rows += len(batch)
-            yield values
-            continue
-        chunk = list(filter(None, map(str.split, "\n".join(batch).splitlines())))  # blank lines dropped
-        if bad is None:
-            try:
-                if not {k}.issuperset(map(len, chunk)):
-                    raise ValueError
-                values = list(map(int, chain.from_iterable(chunk)))
-            except ValueError:
-                bad = chunk, rows
-            else:
-                if values:
-                    yield values
-        rows += len(chunk)
+        else:
+            text = b"".join(batch).decode()
+            chunk = list(filter(None, map(str.split, text.splitlines())))  # blank lines dropped
+            if bad is None:
+                try:
+                    if not {k}.issuperset(map(len, chunk)):
+                        raise ValueError
+                    values = list(map(int, chain.from_iterable(chunk)))
+                except ValueError:
+                    bad = chunk, rows
+            rows += len(chunk)
+        if values:
+            values[:0] = carry
+            cut = len(values) - len(values) % (k * k)
+            carry = values[cut:]
+            del values[cut:]
+            if values:
+                yield values
     if rows != header.count * k:
         raise CipherFormatError(f"expected {header.count * k} matrix lines, found {rows}")
     if header.count * k * k < header.length:
@@ -274,8 +300,9 @@ def _row_error(chunk: list[list[str]], first_row: int, k: int) -> CipherFormatEr
 
 
 def cipher_from_text(text: str) -> tuple[CipherHeader, list[IntMatrix]]:
-    """The header and the blocks of a whole ciphertext text."""
-    header, chunks = read_cipher(io.StringIO(text))
+    """The header and the blocks of a whole ciphertext text, read as its
+    UTF-8 bytes: a lone surrogate, which no file holds, is undecodable."""
+    header, chunks = read_cipher(io.BytesIO(text.encode(errors="surrogatepass")))
     return header, split_blocks(list(chain.from_iterable(chunks)), header.order)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rmcipher import is_primitive, symmetric_key
+from rmcipher import formats, is_primitive, symmetric_key
 from rmcipher.cli import _load_seed_matrix, main
 from rmcipher.formats import cipher_from_text, cipher_to_text, save_key
 from tests.conftest import ALGORITHM, C_ALGORITHM_15
@@ -63,6 +63,35 @@ def test_keygen_primitive(tmp_path):
     assert json.loads(out.read_text())["kind"] == "general"
 
 
+def _refused(argv, capsys, message):
+    """main(argv) exits 2 with one error line that starts with message."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
+
+def test_keygen_sieve_that_exhausts_its_budget_exits_2(tmp_path, capsys):
+    out = tmp_path / "k.json"
+    _refused(["keygen", "--range", "0,0", "--budget", "7", "--out", str(out)], capsys,
+             "sieve exhausted its budget with no feasible key: {'tried': 7")
+    assert not out.exists()
+
+
+def test_keygen_primitive_growth_without_a_key_exits_2(tmp_path, capsys):
+    out = tmp_path / "k.json"
+    _refused(["keygen", "--method", "primitive", "--tau-max", "0.1", "--budget", "5",
+              "--out", str(out)], capsys, "primitive growth emitted no key: {'tried': 5")
+    assert not out.exists()
+
+
+def test_keygen_right_form_without_coeffs_exits_2(tmp_path, capsys):
+    out = tmp_path / "k.json"
+    _refused(["keygen", "--method", "right-form", "--out", str(out)], capsys,
+             "--method right-form requires --coeffs a_0,a_1,...")
+    assert not out.exists()
+
+
 def test_analyze_reports_smallest_n(two_fib_keyfile, tmp_path):
     out = tmp_path / "a.json"
     assert main(["analyze", two_fib_keyfile, "--text", "ALGORITHM", "--json",
@@ -72,6 +101,16 @@ def test_analyze_reports_smallest_n(two_fib_keyfile, tmp_path):
     assert data["spectral"]["pisot"] == "yes"
     assert data["smallest_unambiguous_n"]["2,1"] == 29
     assert data["validation"]["ok"] is True
+
+
+def test_analyze_text_view_lists_the_smallest_n_table(two_fib_keyfile, tmp_path):
+    out = tmp_path / "a.txt"
+    assert main(["analyze", two_fib_keyfile, "--text", "ALGORITHM", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("kind: symmetric  order: 3  fingerprint: ")
+    assert "validation: ok" in lines
+    assert lines[-3:] == ["smallest n with a sub-unit checking range (suspect,reference):",
+                          "  columns (1,0): 28", "  columns (2,1): 29"]
 
 
 def test_analyze_tetranacci_tau(tmp_path):
@@ -123,6 +162,16 @@ def test_fingerprint_mismatch_detected(two_fib_keyfile, tmp_path):
     other = tmp_path / "other.json"
     save_key(symmetric_key((1, 0, 1), (1, 0, 0), 16), other)
     assert main(["decrypt", str(other), str(cfile), "--out", str(tmp_path / "x")]) == 2
+
+
+def test_a_header_with_the_keys_fingerprint_and_another_k_exits_2(two_fib_keyfile, tmp_path,
+                                                                   capsys):
+    fp = json.loads(Path(two_fib_keyfile).read_text())["fingerprint"]
+    cfile = _write(tmp_path, "c.rmc", f"RMCv1 k=2 blocks=1 len=4 fp={fp}\n1 2\n3 4\n".encode())
+    out = tmp_path / "out"
+    _refused(["decrypt", two_fib_keyfile, cfile, "--out", str(out)], capsys,
+             "dimension mismatch: ciphertext k=2, key k=3")
+    assert not out.exists()
 
 
 def test_negative_length_header_is_refused(two_fib_keyfile, tmp_path, capsys):
@@ -257,6 +306,21 @@ def test_correct_clean_input_is_noop(two_fib_keyfile, tmp_path):
     assert fixed.read_text() == cfile.read_text()
     rep = json.loads(report.read_text())
     assert rep["blocks"] == [] and rep["counts"] == {"clean": 1, "corrected": 0, "failed": 0}
+
+
+def test_correct_formats_no_rows_without_out(two_fib_29_keyfile, tmp_path, monkeypatch):
+    msg = _write(tmp_path, "msg.txt", ALGORITHM * 40)
+    cfile, bad = tmp_path / "c.rmc", tmp_path / "bad.rmc"
+    assert main(["encrypt", two_fib_29_keyfile, msg, "--out", str(cfile)]) == 0
+    assert main(["corrupt", str(cfile), "--seed", "1", "--out", str(bad)]) == 0
+    with_out, without = tmp_path / "r1.json", tmp_path / "r2.json"
+    code = main(["correct", two_fib_29_keyfile, str(bad), "--out", str(tmp_path / "fixed.rmc"),
+                 "--report", str(with_out)])
+    calls = []
+    monkeypatch.setattr(formats, "format_rows", lambda *args: calls.append(args))
+    assert main(["correct", two_fib_29_keyfile, str(bad), "--report", str(without)]) == code
+    assert calls == [] and without.read_bytes() == with_out.read_bytes()
+    assert json.loads(without.read_text())["counts"]["corrected"] > 0
 
 
 @pytest.mark.parametrize("command", ["detect", "correct"])

@@ -86,7 +86,7 @@ def test_cipher_text_roundtrip(tmp_path):
     assert cipher_to_text(parsed, header.length, header.order, header.fingerprint) == text
     path = tmp_path / "c.rmc"
     path.write_text(cipher_to_text(blocks, 9, 3, "ab" * 8))
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         header, chunks = read_cipher(fh)
         assert split_blocks([v for chunk in chunks for v in chunk], header.order) == blocks
 

@@ -244,6 +244,9 @@ def _reference_parse(text: str):
 
 
 def _parse(source):
+    """The values or the fault of a ciphertext; a str is read as its UTF-8 bytes."""
+    if isinstance(source, str):
+        source = io.BytesIO(source.encode())
     try:
         header, chunks = read_cipher(source)
         return [v for chunk in chunks for v in chunk]
@@ -252,9 +255,9 @@ def _parse(source):
 
 
 def _parse_file(text: str, path: Path):
-    """As `rmc` reads a file: text mode, universal newlines."""
+    """As `rmc` reads a file: binary mode, whatever the locale."""
     path.write_bytes(text.encode())
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return _parse(fh)
 
 
@@ -340,7 +343,7 @@ def test_read_cipher_matches_a_per_line_parse(cipher_path, k, blocks, variants, 
     expected = _reference_parse(text)
     # Batches of 64 characters, so faults fall in every batch.
     with mock.patch.object(formats, "READ_HINT", 64):
-        assert _parse(io.StringIO(text)) == expected
+        assert _parse(text) == expected
         assert _parse_file(text, cipher_path) == expected
 
 
@@ -349,7 +352,7 @@ def test_other_whitespace_keeping_the_space_and_entry_counts(whitespace, cipher_
     lines = [_split_first_entry("10 20 30", whitespace), _drop_last_entry("40 50 60"), "1 2 3"]
     text = "\n".join(["RMCv1 k=3 blocks=1 len=9 fp=ab"] + lines) + "\n"
     expected = _reference_parse(text)
-    assert _parse(io.StringIO(text)) == expected
+    assert _parse(text) == expected
     assert _parse_file(text, cipher_path) == expected
 
 
@@ -362,18 +365,32 @@ def test_canonical_batches_and_fallback_agree_across_batches():
     expected = _reference_parse(text)
     assert isinstance(expected, list) and len(expected) == 30 * k
     with mock.patch.object(formats, "READ_HINT", 40):      # about five lines a batch
-        assert _parse(io.StringIO(text)) == expected
-    assert _parse(io.StringIO(text)) == expected
+        assert _parse(text) == expected
+    assert _parse(text) == expected
 
 
 def test_form_feed_in_the_header_line_starts_the_body():
     text = "RMCv1 k=2 blocks=1 len=4 fp=ab\x0c1 2\n3 4\n"
     assert _reference_parse(text) == [1, 2, 3, 4]
-    assert _parse(io.StringIO(text)) == [1, 2, 3, 4]
+    assert _parse(text) == [1, 2, 3, 4]
 
 
-def test_a_lone_surrogate_takes_the_per_line_parse():
-    # A str can hold what no UTF-8 file does; it faults as a bad entry.
+def test_an_undecodable_byte_is_named_by_its_offset_in_the_file():
+    lines = [f"{r} {r + 1}" for r in range(40)]
+    text = "\n".join(["RMCv1 k=2 blocks=20 len=80 fp=ab"] + lines).encode() + b"\n"
+    codec = "'utf-8' codec can't decode"
+    with mock.patch.object(formats, "READ_HINT", 40):      # the fault lies batches in
+        assert (_parse(io.BytesIO(text[:200] + b"\xff" + text[201:]))
+                == f"{codec} byte 0xff in position 200: invalid start byte")
+        assert (_parse(io.BytesIO(text + b"\xe2\x82"))
+                == f"{codec} bytes in position {len(text)}-{len(text) + 1}: unexpected end of data")
+
+
+def test_a_lone_surrogate_is_undecodable_bytes():
+    # A str can hold what no file does: cipher_from_text reads a text as its
+    # UTF-8 bytes, so a lone surrogate faults as undecodable bytes.
     text = "RMCv1 k=2 blocks=1 len=4 fp=ab\n1 2\n3 \ud800\n"
-    assert _reference_parse(text) == "non-integer entry in block 0 row 1"
-    assert _parse(io.StringIO(text)) == _reference_parse(text)
+    at = len(text.encode(errors="surrogatepass")) - 4
+    with pytest.raises(CipherFormatError,
+                       match=f"^'utf-8' codec can't decode byte 0xed in position {at}: "):
+        formats.cipher_from_text(text)

@@ -107,10 +107,10 @@ def test_reader_chunks_and_whole_text_parse_agree(tmp_path):
     text = _naive_text(key, random.Random(3).randbytes(3 * CHUNK_ROWS * 3))
     path = tmp_path / "c.rmc"
     path.write_text(text)
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         header, chunks = read_cipher(fh)
         chunks = list(chunks)
-    assert len(chunks) > 1 and all(len(c) % 3 == 0 for c in chunks)     # whole rows
+    assert len(chunks) > 1 and all(len(c) % 9 == 0 for c in chunks)     # whole blocks
     whole, blocks = cipher_from_text(text)
     assert header.count == len(blocks) and header.order == whole.order == 3
     assert [v for c in chunks for v in c] == [v for b in blocks for row in b for v in row]
