@@ -31,13 +31,15 @@ correct --out writes each uniquely repaired block repaired and every other
 block as received: a block with two accepted repairs is not guessed, so
 decrypting the output fails (exit 3) where correct did.
 
-Ciphertexts are opened once, as bytes, and read a chunk of whole blocks
-at a time (formats.read_cipher: UTF-8 whatever the locale, a bad byte
-named by its offset in the file); nothing is written until the whole
-file has been read.  A command raises a fault of its own (a corrupted
-entry, a key that does not fit, a failed repair) under _draining, which
-reads and checks the rest of the file first: so a fault anywhere in the
-file outranks one met in the rows and leaves no output file.
+Ciphertexts are read and written as bytes, LF line ends on any platform
+(formats.read_cipher, format_rows; --out or standard output's buffer).  A
+ciphertext is opened once and read a chunk of whole blocks at a time
+(UTF-8 whatever the locale, a bad byte named by its offset in the file);
+nothing is written until the whole file has been read.  A command raises
+a fault of its own (a corrupted entry, a key that does not fit, a failed
+repair) under _draining, which reads and checks the rest of the file
+first: so a fault anywhere in the file outranks one met in the rows and
+leaves no output file.
 
 detect and correct test each chunk's rows against the checking relations
 (guard.failing_rows), and diagnose in full only the blocks with a
@@ -66,7 +68,7 @@ from contextlib import contextmanager, nullcontext
 from functools import cache, partial
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, ContextManager, Iterator, NamedTuple, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, ContextManager, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import cipher, formats, spectral
 from .coding import (CodingKey, InvalidKeyError, KeyContext, KeyReport, key_fingerprint,
@@ -173,13 +175,16 @@ def _receiver_context(ctx: KeyContext, n: Optional[int] = None) -> KeyContext:
     return ctx
 
 
-def _open_output(out: Optional[str], newline: Optional[str] = None) -> ContextManager[TextIO]:
-    return open(out, "w", newline=newline) if out else nullcontext(sys.stdout)
+def _open_output(out: Optional[str], mode: str = "w", newline: Optional[str] = None) -> ContextManager:
+    """The file out, opened in mode, or else standard output (its bytes in "wb")."""
+    if out:
+        return open(out, mode, newline=newline)
+    return nullcontext(sys.stdout.buffer if mode == "wb" else sys.stdout)
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
-    with _open_output(out) as fh:
-        fh.write(text)
+def _write_output(data: Union[str, bytes], out: Optional[str]) -> None:
+    with _open_output(out, "wb" if isinstance(data, bytes) else "w") as fh:
+        fh.write(data)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +329,8 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
         raise CliError(f"cannot read {args.infile}: {exc}") from exc
     plain = cipher.padded(data, k)
     step = formats.CHUNK_ROWS * k
-    with _open_output(args.out) as out:
-        out.write(formats.cipher_header(len(plain) // (k * k), len(data), k,
+    with _open_output(args.out, "wb") as out:
+        out.write(formats.cipher_header(k, len(plain) // (k * k), len(data),
                                         key_fingerprint(key)))
         for start in range(0, len(plain), step):
             out.write(formats.format_rows(cipher.encrypt_rows(ctx, plain[start:start + step]), k))
@@ -349,11 +354,7 @@ def _decrypt_file(path: str, ctx: KeyContext) -> bytes:
 
 
 def cmd_decrypt(args: argparse.Namespace) -> int:
-    data = _decrypt_file(args.cipherfile, _load_context(args.keyfile))
-    if args.out:
-        Path(args.out).write_bytes(data)
-    else:
-        sys.stdout.buffer.write(data)
+    _write_output(_decrypt_file(args.cipherfile, _load_context(args.keyfile)), args.out)
     return EXIT_OK
 
 
@@ -369,7 +370,7 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
                            magnitude=args.magnitude, seed=args.seed)
     rng = random.Random(model.seed)
     k = header.order
-    text = [formats.cipher_header(header.count, header.length, k, header.fingerprint)]
+    text = [formats.cipher_header(*header)]
     records: list[formats.CorruptionRecord] = []
     done = 0
     for values in chunks:
@@ -378,7 +379,7 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
             records += formats.corrupt_block(block, b, model, rng)
         done += len(blocks)
         text.append(formats.format_rows(list(chain.from_iterable(chain.from_iterable(blocks))), k))
-    _write_output("".join(text), args.out)
+    _write_output(b"".join(text), args.out)
     if args.sidecar:
         Path(args.sidecar).write_text(json.dumps({
             "model": {"kind": model.kind, "count": model.count,
@@ -422,7 +423,7 @@ def _receive(path: str, ctx: KeyContext) -> tuple[KeyContext, formats.CipherHead
 
 
 def _flagged_blocks(ctx: KeyContext, chunks: Iterator,
-                    text: Optional[list[str]] = None) -> Iterator:
+                    text: Optional[list[bytes]] = None) -> Iterator:
     """(b, block, diagnoses) for each block of the ciphertext with a row that
     detect_errors flags, b counted from the first block of the file.  The
     caller may repair the block in place; given `text`, the matrix lines of
@@ -481,8 +482,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
     from . import guard
     ctx, header, chunks = _receive(args.cipherfile, _load_context(args.keyfile))
     k = ctx.order
-    text = ([formats.cipher_header(header.count, header.length, k, header.fingerprint)]
-            if args.out else None)
+    text = [formats.cipher_header(*header)] if args.out else None
     found = []
     counts = {"clean": 0, "corrected": 0, "failed": 0}
     tested = 0
@@ -507,7 +507,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
                 block[:] = result.matrix
     counts["clean"] = header.count - len(found)
     if text is not None:
-        Path(args.out).write_text("".join(text))
+        Path(args.out).write_bytes(b"".join(text))
     report = json.dumps({"blocks": found, "candidates_tested": tested, "counts": counts},
                         indent=2) + "\n"
     _write_output(report, args.report)

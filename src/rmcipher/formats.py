@@ -11,13 +11,13 @@ line endings.  The key index n never appears in a ciphertext file: it is
 secret key material.  Fingerprints tie the two formats together and are
 checked before any arithmetic is attempted.
 
-A reader takes a binary file a batch of whole lines at a time; a whole
-text is read as its UTF-8 bytes (io.BytesIO).  A batch as the writer
-leaves it (ASCII, single spaces and line ends, k - 1 spaces and k entries
-on every line) is parsed with one split of its bytes; any other batch is
-decoded as UTF-8, whatever the locale, and goes through the per-line
-parse, which alone names a malformed row, so both give the same values
-and the same faults.
+Rows are written as bytes.  A reader takes a binary file one bytes batch
+of whole lines at a time; a whole text is read as its UTF-8 bytes.  A
+batch as the writer leaves it (ASCII, k - 1 single spaces and a line end
+on every line, k entries a line) is checked and parsed in whole-buffer
+byte operations, with no step per line; any other batch is decoded as
+UTF-8, whatever the locale, and goes through the per-line parse, which
+alone names a malformed row, so both give the same values and faults.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from __future__ import annotations
 import io
 import json
 import random
-from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -137,7 +136,7 @@ def load_key(path: Union[str, Path]) -> CodingKey:
 # ---------------------------------------------------------------------------
 
 CHUNK_ROWS = 1024              # matrix rows per chunk of a ciphertext written in chunks
-READ_HINT = 1 << 15            # bytes of whole lines per batch read from a file
+READ_HINT = 1 << 15            # bytes a batch reads before it finishes its last line
 
 
 class CipherHeader(NamedTuple):
@@ -147,15 +146,15 @@ class CipherHeader(NamedTuple):
     fingerprint: str
 
 
-def cipher_header(count: int, length: int, order: int, fingerprint: str) -> str:
-    return f"{CIPHER_MAGIC} k={order} blocks={count} len={length} fp={fingerprint}\n"
+def cipher_header(order: int, count: int, length: int, fingerprint: str) -> bytes:
+    return f"{CIPHER_MAGIC} k={order} blocks={count} len={length} fp={fingerprint}\n".encode()
 
 
-def format_rows(values: Sequence[int], order: int) -> str:
-    """Matrix lines for flat row-major entries, order entries a line."""
+def format_rows(values: Sequence[int], order: int) -> bytes:
+    """Matrix lines for flat row-major entries, order entries a line, as bytes."""
     if not values:
-        return ""
-    return ((" ".join(["%d"] * order) + "\n") * (len(values) // order)) % tuple(values)
+        return b""
+    return ((b" ".join([b"%d"] * order) + b"\n") * (len(values) // order)) % tuple(values)
 
 
 def cipher_to_text(blocks: Sequence[IntMatrix], length: int, order: int,
@@ -163,13 +162,14 @@ def cipher_to_text(blocks: Sequence[IntMatrix], length: int, order: int,
     values = list(chain.from_iterable(chain.from_iterable(blocks)))
     if len(values) != len(blocks) * order * order:
         raise ValueError(f"blocks must be {order} x {order}")
-    return cipher_header(len(blocks), length, order, fingerprint) + format_rows(values, order)
+    return (cipher_header(order, len(blocks), length, fingerprint)
+            + format_rows(values, order)).decode()
 
 
 def read_cipher(fh: BinaryIO) -> tuple[CipherHeader, Iterator[list[int]]]:
     """The header of a ciphertext and an iterator over its matrix rows, a
     chunk of whole blocks at a time, each chunk a flat row-major list.  The
-    binary file fh is read READ_HINT bytes of whole lines at a time and
+    binary file fh is read a batch of whole lines at a time (_batches) and
     decoded as UTF-8, whatever the locale, only where a batch is not ASCII;
     the lines are those str.splitlines() finds in its text.
 
@@ -181,27 +181,28 @@ def read_cipher(fh: BinaryIO) -> tuple[CipherHeader, Iterator[list[int]]]:
     the file is read, so undecodable bytes anywhere in the file outrank it.
     """
     batches = _batches(fh)
-    batch = next(batches, [])
-    if not batch:
+    data = next(batches, b"")
+    if not data:
         raise CipherFormatError("empty ciphertext file")
-    first, *rest = batch[0].decode().splitlines() or [""]
+    line, _, body = data.partition(b"\n")
+    first, *rest = line.decode().splitlines() or [""]
     try:
         header = _parse_header(first)
     except CipherFormatError:
         for _ in batches:       # undecodable bytes anywhere rank first
             pass
         raise
-    rest = [line.encode() + b"\n" for line in rest]
-    return header, _read_rows(header, chain([rest + batch[1:]], batches))
+    body = "".join(part + "\n" for part in rest).encode() + body
+    return header, _read_rows(header, chain([body], batches))
 
 
-def _batches(fh: BinaryIO) -> Iterator[list[bytes]]:
-    """The lines of fh, READ_HINT bytes of whole lines at a time; a
-    CipherFormatError at the first batch that is not UTF-8, with the
-    message of its decoding error at the offset of the fault in the file."""
+def _batches(fh: BinaryIO) -> Iterator[bytes]:
+    """The bytes of fh a batch at a time: READ_HINT bytes, then a readline to
+    the end of their line, however long; a CipherFormatError at the first
+    batch not UTF-8, with its decoding error's message at its offset in the file."""
     at = 0
-    for batch in iter(partial(fh.readlines, READ_HINT), []):
-        data = b"".join(batch)
+    while data := fh.read(READ_HINT):
+        data += fh.readline()
         if not data.isascii():
             try:
                 data.decode()
@@ -212,7 +213,7 @@ def _batches(fh: BinaryIO) -> Iterator[list[bytes]]:
                 raise CipherFormatError(
                     f"'{exc.encoding}' codec can't decode {where}: {exc.reason}") from exc
         at += len(data)
-        yield batch
+        yield data
 
 
 def _parse_header(line: str) -> CipherHeader:
@@ -231,19 +232,22 @@ def _parse_header(line: str) -> CipherHeader:
 
 
 _OTHER_WHITESPACE = b"\t\x0b\x0c\r\x1c\x1d\x1e\x1f"   # ASCII whitespace but ' ' and '\n'
+_NOT_SEPARATORS = bytes(c for c in range(256) if c not in b" \n")
 
 
-def _canonical_values(batch: list[bytes], k: int) -> Optional[list[int]]:
-    """The entries of a batch of lines parsed as one text, or None unless
-    the batch is ASCII, its only whitespace is ' ' and line ends, every
-    line holds k - 1 spaces and the text splits into k entries a line:
-    then every line holds exactly k entries, as the per-line parse needs."""
-    data = b"".join(batch)
+def _canonical_values(data: bytes, k: int) -> Optional[list[int]]:
+    """The entries of a batch, or None unless it is ASCII, holds no other
+    whitespace than ' ' and line ends (checked first: the next check deletes
+    it), its separators read k - 1 spaces and a line end for each of its L
+    line ends, and it splits into kL entries.  Then each line holds exactly
+    k entries, as the per-line parse needs: an entry ends at a separator of
+    its own line, so a line holds at most k, and kL in all leaves none short."""
+    lines = data.count(b"\n")
     if (not data.isascii() or any(c in data for c in _OTHER_WHITESPACE)
-            or {k - 1} != set(map(bytes.count, batch, repeat(b" ")))):
+            or data.translate(None, _NOT_SEPARATORS) != (b" " * (k - 1) + b"\n") * lines):
         return None
     entries = data.split()
-    if len(entries) != k * len(batch):
+    if len(entries) != k * lines:
         return None
     try:
         return list(map(int, entries))
@@ -251,18 +255,17 @@ def _canonical_values(batch: list[bytes], k: int) -> Optional[list[int]]:
         return None
 
 
-def _read_rows(header: CipherHeader, batches: Iterator[list[bytes]]) -> Iterator[list[int]]:
+def _read_rows(header: CipherHeader, batches: Iterator[bytes]) -> Iterator[list[int]]:
     k = header.order
     rows = 0
     bad: Optional[tuple[list[list[str]], int]] = None     # chunk and first row of a fault
     carry: list[int] = []                                  # entries of a block not yet whole
-    for batch in batches:
-        values = _canonical_values(batch, k) if bad is None else None
+    for data in batches:
+        values = _canonical_values(data, k) if bad is None else None
         if values is not None:
-            rows += len(batch)
+            rows += len(values) // k
         else:
-            text = b"".join(batch).decode()
-            chunk = list(filter(None, map(str.split, text.splitlines())))  # blank lines dropped
+            chunk = list(filter(None, map(str.split, data.decode().splitlines())))  # no blank lines
             if bad is None:
                 try:
                     if not {k}.issuperset(map(len, chunk)):

@@ -53,6 +53,8 @@ class GenConfig(FrozenRecord):
             raise ValueError("order must be at least 2")
         if coeff_range[0] > coeff_range[1]:
             raise ValueError("coefficient range is empty")
+        if not 0 <= index_range[0] <= index_range[1]:
+            raise ValueError(f"index range {index_range} is empty or negative")
         if budget < 1:
             raise ValueError("budget must be at least 1")
         vars(self).update(order=order, coeff_range=coeff_range, tau_cap=tau_cap,
@@ -98,11 +100,6 @@ def random_cyclic_vector(left: IntMatrix, lo: int, hi: int,
             return vec
     raise CyclicVectorError(
         f"no cyclic vector found in {_RETRIES} draws; the matrix may be derogatory")
-
-
-def _draw_index(cfg: GenConfig, rng: random.Random) -> int:
-    lo, hi = cfg.index_range
-    return rng.randint(lo, hi)
 
 
 def _passes_spectrum(report: SpectralReport, cfg: GenConfig, stats: GenStats) -> bool:
@@ -156,7 +153,7 @@ def sieve_companion(cfg: GenConfig, stats: Optional[GenStats] = None) -> Iterato
         except CyclicVectorError:
             stats.reject("no_cyclic_vector")
             continue
-        key = symmetric_key(coeffs, x0, _draw_index(cfg, rng))
+        key = symmetric_key(coeffs, x0, rng.randint(*cfg.index_range))
         stats.emitted += 1
         yield GeneratedKey(key, report)
 
@@ -263,7 +260,7 @@ def primitive_growth(seed01: IntMatrix, cfg: GenConfig,
         except CyclicVectorError:
             stats.reject("no_cyclic_vector")
             continue
-        key = general_key(m, x0, _draw_index(cfg, rng))
+        key = general_key(m, x0, rng.randint(*cfg.index_range))
         stats.emitted += 1
         yield GeneratedKey(key, report)
 
@@ -289,5 +286,5 @@ def right_form_keygen(rec: Recurrence, cfg: GenConfig) -> GeneratedKey:
             break
     else:
         raise RuntimeError(f"no invertible nonnegative initial matrix in {_RETRIES} draws")
-    key = right_form_key(rec.coeffs, m0, _draw_index(cfg, rng))
+    key = right_form_key(rec.coeffs, m0, rng.randint(*cfg.index_range))
     return GeneratedKey(key, report)

@@ -92,6 +92,17 @@ def test_keygen_right_form_without_coeffs_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", [["sieve"], ["abt"], ["primitive"],
+                                    ["right-form", "--coeffs", "1,0,1"]])
+@pytest.mark.parametrize("index_range", ["5,1", "-5,3"])
+def test_keygen_refuses_an_empty_or_negative_index_range(method, index_range, tmp_path, capsys):
+    out = tmp_path / "k.json"
+    lo, hi = index_range.split(",")
+    _refused(["keygen", "--method", *method, f"--index-range={index_range}", "--out", str(out)],
+             capsys, f"index range ({lo}, {hi}) is empty or negative")
+    assert not out.exists()
+
+
 def test_analyze_reports_smallest_n(two_fib_keyfile, tmp_path):
     out = tmp_path / "a.json"
     assert main(["analyze", two_fib_keyfile, "--text", "ALGORITHM", "--json",
@@ -306,6 +317,22 @@ def test_correct_clean_input_is_noop(two_fib_keyfile, tmp_path):
     assert fixed.read_text() == cfile.read_text()
     rep = json.loads(report.read_text())
     assert rep["blocks"] == [] and rep["counts"] == {"clean": 1, "corrected": 0, "failed": 0}
+
+
+def test_ciphertexts_on_stdout_are_the_bytes_written_with_out(two_fib_keyfile, tmp_path,
+                                                              capsysbinary):
+    plain = ALGORITHM * 400                          # 1200 rows: two chunks at k=3
+    msg = _write(tmp_path, "msg.txt", plain)
+    cfile, bad = tmp_path / "c.rmc", tmp_path / "bad.rmc"
+    assert main(["encrypt", two_fib_keyfile, msg, "--out", str(cfile)]) == 0
+    assert main(["corrupt", str(cfile), "--seed", "2", "--out", str(bad)]) == 0
+    capsysbinary.readouterr()
+    assert main(["encrypt", two_fib_keyfile, msg]) == 0
+    assert capsysbinary.readouterr().out == cfile.read_bytes()
+    assert main(["corrupt", str(cfile), "--seed", "2"]) == 0
+    assert capsysbinary.readouterr().out == bad.read_bytes()
+    assert main(["decrypt", two_fib_keyfile, str(cfile)]) == 0
+    assert capsysbinary.readouterr().out == plain
 
 
 def test_correct_formats_no_rows_without_out(two_fib_29_keyfile, tmp_path, monkeypatch):

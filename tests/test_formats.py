@@ -7,7 +7,7 @@ from rmcipher.cipher import split_blocks
 from rmcipher.coding import KEY_FIELDS
 from rmcipher.formats import (CipherFormatError, ErrorModel, FingerprintMismatchError,
                               KeyFormatError, cipher_from_text, cipher_to_text,
-                              corrupt_blocks, key_from_dict, key_to_dict, load_key,
+                              corrupt_blocks, format_rows, key_from_dict, key_to_dict, load_key,
                               read_cipher, records_from_json, records_to_json, require_valid,
                               save_key)
 
@@ -89,6 +89,14 @@ def test_cipher_text_roundtrip(tmp_path):
     with open(path, "rb") as fh:
         header, chunks = read_cipher(fh)
         assert split_blocks([v for chunk in chunks for v in chunk], header.order) == blocks
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_format_rows_writes_the_decimal_text_as_bytes(order):
+    values = [-(10 ** 3999) - 7, 0, -1, 10 ** 3999 + 3, 255, -300]      # 4000 digits
+    text = ((" ".join(["%d"] * order) + "\n") * (len(values) // order)) % tuple(values)
+    assert format_rows(values, order) == text.encode()
+    assert format_rows([], order) == b""
 
 
 def test_cipher_header_only_for_empty_payload():

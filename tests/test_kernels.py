@@ -369,6 +369,41 @@ def test_canonical_batches_and_fallback_agree_across_batches():
     assert _parse(text) == expected
 
 
+def _edge_texts() -> dict[str, str]:
+    head = "RMCv1 k=3 blocks=4 len=36 fp=ab"
+    canonical = "\n".join([head] + [f"{r} {-r} {7 * r}" for r in range(12)]) + "\n"
+    long_line = "RMCv1 k=3 blocks=1 len=9 fp=ab\n1 2 " + "9" * 100_000 + "\n3 4 5\n6 7 8\n"
+    return {
+        "canonical": canonical,
+        "no final line end": canonical[:-1],
+        "header only": "RMCv1 k=3 blocks=0 len=0 fp=ab\n",
+        "header only, no line end": "RMCv1 k=3 blocks=0 len=0 fp=ab",
+        "header only, blocks declared": head + "\n",
+        "trailing blank line": canonical + "\n",
+        "trailing space-only line": canonical + "   \n",
+        "trailing space-only line, no line end": canonical + "  ",
+        "one line of 100 000 digits": long_line,
+        "one line of 100 000 digits, k=1": "RMCv1 k=1 blocks=1 len=1 fp=ab\n" + "9" * 100_000,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_edge_texts()))
+def test_every_batch_size_reads_a_batch_edge_as_a_per_line_parse(name):
+    text = _edge_texts()[name]
+    expected = _reference_parse(text)
+    for hint in range(1, 81):
+        with mock.patch.object(formats, "READ_HINT", hint):
+            assert _parse(text) == expected, hint
+
+
+@pytest.mark.parametrize("separator", [b"\t", b"\r", b"\x0c"])
+def test_other_whitespace_for_a_separator_leaves_the_canonical_path(separator):
+    assert formats._canonical_values(b"1 2 3\n4 5 6\n", 3) == [1, 2, 3, 4, 5, 6]
+    assert formats._canonical_values(b"1 2" + separator + b"3\n4 5 6\n", 3) is None
+    # Two spaces a line and six entries in all: only the whitespace check refuses it.
+    assert formats._canonical_values(b"1 2" + separator + b"9 3\n4 5 \n", 3) is None
+
+
 def test_form_feed_in_the_header_line_starts_the_body():
     text = "RMCv1 k=2 blocks=1 len=4 fp=ab\x0c1 2\n3 4\n"
     assert _reference_parse(text) == [1, 2, 3, 4]

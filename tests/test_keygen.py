@@ -123,6 +123,13 @@ def test_abt_family_argument_checks():
         abt_family(2, 3, variant="nope")
 
 
+@pytest.mark.parametrize("index_range", [(5, 1), (-5, 3), (-1, -1)])
+def test_gen_config_refuses_an_empty_or_negative_index_range(index_range):
+    with pytest.raises(ValueError, match=r"^index range \(.*\) is empty or negative$"):
+        GenConfig(order=3, index_range=index_range)
+    assert GenConfig(order=3, index_range=(0, 0)).index_range == (0, 0)
+
+
 def test_abt_family_certified_for_small_parameters():
     # Every emitted polynomial is either certified Pisot or flagged as
     # having a dominant root above 2; nothing fails silently.
