@@ -68,7 +68,7 @@ from contextlib import contextmanager, nullcontext
 from functools import cache, partial
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, ContextManager, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, ContextManager, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from . import cipher, formats, spectral
 from .coding import (CodingKey, InvalidKeyError, KeyContext, KeyReport, key_fingerprint,
@@ -175,16 +175,17 @@ def _receiver_context(ctx: KeyContext, n: Optional[int] = None) -> KeyContext:
     return ctx
 
 
-def _open_output(out: Optional[str], mode: str = "w", newline: Optional[str] = None) -> ContextManager:
-    """The file out, opened in mode, or else standard output (its bytes in "wb")."""
-    if out:
-        return open(out, mode, newline=newline)
-    return nullcontext(sys.stdout.buffer if mode == "wb" else sys.stdout)
+def _open_output(out: Optional[str], newline: Optional[str] = None) -> ContextManager[TextIO]:
+    return open(out, "w", newline=newline) if out else nullcontext(sys.stdout)
 
 
-def _write_output(data: Union[str, bytes], out: Optional[str]) -> None:
-    with _open_output(out, "wb" if isinstance(data, bytes) else "w") as fh:
-        fh.write(data)
+def _write_output(text: str, out: Optional[str]) -> None:
+    with _open_output(out) as fh:
+        fh.write(text)
+
+
+def _open_bytes_output(out: Optional[str]) -> ContextManager:
+    return open(out, "wb") if out else nullcontext(sys.stdout.buffer)
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +322,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_encrypt(args: argparse.Namespace) -> int:
     # The ciphertext is written CHUNK_ROWS matrix rows at a time.
     ctx = _load_context(args.keyfile)
-    key = ctx.key
-    k = key.order
+    key, k = ctx.key, ctx.order
     try:
         data = Path(args.infile).read_bytes()
     except OSError as exc:
         raise CliError(f"cannot read {args.infile}: {exc}") from exc
     plain = cipher.padded(data, k)
     step = formats.CHUNK_ROWS * k
-    with _open_output(args.out, "wb") as out:
-        out.write(formats.cipher_header(k, len(plain) // (k * k), len(data),
-                                        key_fingerprint(key)))
+    with _open_bytes_output(args.out) as out:
+        out.write(formats.cipher_header(k, len(plain) // (k * k), len(data), key_fingerprint(key)))
         for start in range(0, len(plain), step):
             out.write(formats.format_rows(cipher.encrypt_rows(ctx, plain[start:start + step]), k))
     return EXIT_OK
@@ -354,7 +353,9 @@ def _decrypt_file(path: str, ctx: KeyContext) -> bytes:
 
 
 def cmd_decrypt(args: argparse.Namespace) -> int:
-    _write_output(_decrypt_file(args.cipherfile, _load_context(args.keyfile)), args.out)
+    data = _decrypt_file(args.cipherfile, _load_context(args.keyfile))
+    with _open_bytes_output(args.out) as out:
+        out.write(data)
     return EXIT_OK
 
 
@@ -379,7 +380,8 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
             records += formats.corrupt_block(block, b, model, rng)
         done += len(blocks)
         text.append(formats.format_rows(list(chain.from_iterable(chain.from_iterable(blocks))), k))
-    _write_output(b"".join(text), args.out)
+    with _open_bytes_output(args.out) as out:
+        out.write(b"".join(text))
     if args.sidecar:
         Path(args.sidecar).write_text(json.dumps({
             "model": {"kind": model.kind, "count": model.count,

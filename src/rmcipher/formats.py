@@ -152,8 +152,6 @@ def cipher_header(order: int, count: int, length: int, fingerprint: str) -> byte
 
 def format_rows(values: Sequence[int], order: int) -> bytes:
     """Matrix lines for flat row-major entries, order entries a line, as bytes."""
-    if not values:
-        return b""
     return ((b" ".join([b"%d"] * order) + b"\n") * (len(values) // order)) % tuple(values)
 
 
@@ -236,18 +234,18 @@ _NOT_SEPARATORS = bytes(c for c in range(256) if c not in b" \n")
 
 
 def _canonical_values(data: bytes, k: int) -> Optional[list[int]]:
-    """The entries of a batch, or None unless it is ASCII, holds no other
-    whitespace than ' ' and line ends (checked first: the next check deletes
-    it), its separators read k - 1 spaces and a line end for each of its L
-    line ends, and it splits into kL entries.  Then each line holds exactly
-    k entries, as the per-line parse needs: an entry ends at a separator of
-    its own line, so a line holds at most k, and kL in all leaves none short."""
+    """The entries of a batch, or None unless it is ASCII and ends in a line
+    end, holds no other whitespace than ' ' and line ends (checked first: the
+    next check deletes it), reads k - 1 spaces and a line end for each of its
+    L line ends, and splits into kL entries.  Then each line holds exactly k
+    entries, as the per-line parse needs: every entry lies on one of the L
+    lines and ends at a separator of its own, so a line holds at most k, and
+    kL in all leaves none short."""
     lines = data.count(b"\n")
-    if (not data.isascii() or any(c in data for c in _OTHER_WHITESPACE)
+    if (not data.isascii() or data[-1:] != b"\n" or any(c in data for c in _OTHER_WHITESPACE)
             or data.translate(None, _NOT_SEPARATORS) != (b" " * (k - 1) + b"\n") * lines):
         return None
-    entries = data.split()
-    if len(entries) != k * lines:
+    if len(entries := data.split()) != k * lines:
         return None
     try:
         return list(map(int, entries))

@@ -329,8 +329,9 @@ def cipher_path(tmp_path_factory):
 @SETTINGS
 @given(k=st.sampled_from([2, 3, 5]), blocks=st.integers(1, 12),
        variants=st.lists(st.sampled_from(VARIANTS), max_size=3), short=st.booleans(),
-       seed=st.integers(0, 2 ** 32))
-def test_read_cipher_matches_a_per_line_parse(cipher_path, k, blocks, variants, short, seed):
+       final_lf=st.booleans(), seed=st.integers(0, 2 ** 32))
+def test_read_cipher_matches_a_per_line_parse(cipher_path, k, blocks, variants, short,
+                                              final_lf, seed):
     rng = random.Random(seed)
     entry = [lambda: rng.randrange(256), lambda: rng.randrange(-10 ** 9, 10 ** 9),
              lambda: rng.randrange(10 ** 60)][seed % 3]
@@ -339,7 +340,8 @@ def test_read_cipher_matches_a_per_line_parse(cipher_path, k, blocks, variants, 
         _mutate(lines, variant, rng)
     if short:
         del lines[rng.randrange(len(lines))]
-    text = "\n".join([f"RMCv1 k={k} blocks={blocks} len={blocks * k * k} fp=ab"] + lines) + "\n"
+    text = "\n".join([f"RMCv1 k={k} blocks={blocks} len={blocks * k * k} fp=ab"] + lines)
+    text += "\n" * final_lf
     expected = _reference_parse(text)
     # Batches of 64 characters, so faults fall in every batch.
     with mock.patch.object(formats, "READ_HINT", 64):
@@ -384,6 +386,11 @@ def _edge_texts() -> dict[str, str]:
         "trailing space-only line, no line end": canonical + "  ",
         "one line of 100 000 digits": long_line,
         "one line of 100 000 digits, k=1": "RMCv1 k=1 blocks=1 len=1 fp=ab\n" + "9" * 100_000,
+        # An entry on an unterminated last line makes up the count of a short line.
+        "short line made up by an unterminated last line":
+            "RMCv1 k=2 blocks=1 len=4 fp=ab\n1 2\n3 \n4",
+        "short row made up by an unterminated last line":
+            "RMCv1 k=2 blocks=2 len=8 fp=ab\n1 2\n3 \n4 5\n6",
     }
 
 
@@ -402,6 +409,12 @@ def test_other_whitespace_for_a_separator_leaves_the_canonical_path(separator):
     assert formats._canonical_values(b"1 2" + separator + b"3\n4 5 6\n", 3) is None
     # Two spaces a line and six entries in all: only the whitespace check refuses it.
     assert formats._canonical_values(b"1 2" + separator + b"9 3\n4 5 \n", 3) is None
+
+
+def test_a_batch_without_a_final_line_end_leaves_the_canonical_path():
+    # One space a line and four entries in all, the fourth on no counted line.
+    assert formats._canonical_values(b"1 2\n3 \n4", 2) is None
+    assert formats._canonical_values(b"1 2\n3 4", 2) is None
 
 
 def test_form_feed_in_the_header_line_starts_the_body():
