@@ -42,9 +42,10 @@ first: so a fault anywhere in the file outranks one met in the rows and
 leaves no output file.
 
 detect and correct test each chunk's rows against the checking relations
-(guard.failing_rows), and diagnose in full only the blocks with a
-failing row (_flagged_blocks).  Their JSON reports give block counts by
-status and one entry per such block:
+(guard.failing_rows) and diagnose only the blocks with a failing row
+(_flagged_blocks): detect every row of such a block, for its report,
+correct only the failing rows, the ones it repairs.  Their JSON reports
+give block counts by status and one entry per such block:
 
   detect   {"blocks": [...], "clean": <no row flagged>,
             "counts": {"clean": B0, "flagged": B1}}; an entry is
@@ -66,7 +67,7 @@ import sys
 import time
 from contextlib import contextmanager, nullcontext
 from functools import cache, partial
-from itertools import chain
+from itertools import chain, groupby
 from pathlib import Path
 from typing import TYPE_CHECKING, ContextManager, Iterator, NamedTuple, Optional, Sequence, TextIO
 
@@ -426,19 +427,20 @@ def _receive(path: str, ctx: KeyContext) -> tuple[KeyContext, formats.CipherHead
 
 def _flagged_blocks(ctx: KeyContext, chunks: Iterator,
                     text: Optional[list[bytes]] = None) -> Iterator:
-    """(b, block, diagnoses) for each block of the ciphertext with a row that
-    detect_errors flags, b counted from the first block of the file.  The
-    caller may repair the block in place; given `text`, the matrix lines of
-    each chunk, repairs included, are appended to it."""
+    """(b, block, rows) for each block of the ciphertext with a row that
+    detect_errors flags, b counted from the first block of the file and
+    rows the flagged rows of the block, ascending.  The caller may repair
+    the block in place; given `text`, the matrix lines of each chunk,
+    repairs included, are appended to it."""
     from . import guard
     k = ctx.order
     size = k * k
     first = 0
     for values in chunks:
-        for b in sorted({r // k for r in guard.failing_rows(ctx, values)}):
+        for b, rows in groupby(sorted(guard.failing_rows(ctx, values)), key=lambda r: r // k):
             span = slice(b * size, (b + 1) * size)
             block = cipher.split_blocks(values[span], k)[0]
-            yield first + b, block, guard.detect_errors(block, ctx)
+            yield first + b, block, [r % k for r in rows]
             values[span] = chain.from_iterable(block)
         if text is not None:
             text.append(formats.format_rows(values, k))
@@ -446,9 +448,10 @@ def _flagged_blocks(ctx: KeyContext, chunks: Iterator,
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
+    from . import guard
     ctx, header, chunks = _receive(args.cipherfile, _load_context(args.keyfile))
-    found = [{"block": b, "clean": False, "rows": _diagnosis_json(diagnoses)}
-             for b, _block, diagnoses in _flagged_blocks(ctx, chunks)]
+    found = [{"block": b, "clean": False, "rows": _diagnosis_json(guard.detect_errors(block, ctx))}
+             for b, block, _rows in _flagged_blocks(ctx, chunks)]
     report = {"blocks": found, "clean": not found,
               "counts": {"clean": header.count - len(found), "flagged": len(found)}}
     _write_output(json.dumps(report, indent=2) + "\n", args.out)
@@ -490,12 +493,12 @@ def cmd_correct(args: argparse.Namespace) -> int:
     tested = 0
     exit_code = EXIT_OK
     with _draining(chunks):
-        for b, block, diagnoses in _flagged_blocks(ctx, chunks, text):
+        for b, block, rows in _flagged_blocks(ctx, chunks, text):
             validator = (partial(_printable_ascii, header.length, b * k * k)
                          if args.printable_ascii else None)
             try:
-                result = guard.correct(block, diagnoses, ctx, budget=args.budget,
-                                       validator=validator)
+                result = guard.correct(block, guard.detect_errors(block, ctx, rows), ctx,
+                                       budget=args.budget, validator=validator)
             except guard.GuardError as exc:
                 raise CliError(str(exc), EXIT_UNCORRECTED) from exc
             tested += result.tested_total

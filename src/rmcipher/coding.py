@@ -29,7 +29,7 @@ import json
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, combinations, repeat
 from typing import NamedTuple, Optional, Sequence
 
 from . import exactmat, spectral
@@ -284,37 +284,45 @@ def writable_matrix(key: CodingKey, n: int) -> IntMatrix:
     return m
 
 
-def column_ratio_bounds(m: Sequence[Sequence[int]], j: int, jp: int):
-    """Extreme ratios m[l][j] / m[l][jp] over the rows l, as exact rationals.
-
-    A ratio with zero denominator counts as +/- infinity with the sign of
-    the numerator; 0/0 rows are dropped.  Returns (minimum, maximum).
-    """
-    lo = None
-    hi = None
+def ratio_extremes(m: Sequence[Sequence[int]], j: int, jp: int) -> tuple[int, int, int, int]:
+    """Extreme ratios m[l][j] / m[l][jp] over the rows l, exactly, as
+    integers (lo_num, lo_den, hi_num, hi_den) in lowest terms: each
+    denominator >= 0, a ratio with zero denominator +/- infinity by the
+    sign of its numerator, held as (+/-1, 0); 0/0 rows are dropped.
+    Ratios are compared by cross-multiplication (_below)."""
+    extremes = []
     for row in m:
         num, den = row[j], row[jp]
-        if den == 0:
+        if den < 0:
+            num, den = -num, -den
+        elif den == 0:
             if num == 0:
                 continue
-            val = math.inf if num > 0 else -math.inf
-        else:
-            val = Fraction(num, den)
-        if lo is None or val < lo:
-            lo = val
-        if hi is None or val > hi:
-            hi = val
-    if lo is None:
+            num = 1 if num > 0 else -1
+        if not extremes:
+            extremes = [num, den, num, den]
+        elif _below(num, den, *extremes[:2]):
+            extremes[:2] = num, den
+        elif _below(*extremes[2:], num, den):
+            extremes[2:] = num, den
+    if not extremes:
         raise ValueError("no comparable rows: both columns are zero")
-    return lo, hi
+    lo_num, lo_den, hi_num, hi_den = extremes
+    g, h = math.gcd(lo_num, lo_den), math.gcd(hi_num, hi_den)
+    return lo_num // g, lo_den // g, hi_num // h, hi_den // h
 
 
-def cross_bound(bound) -> tuple[int, int]:
-    """A column-ratio bound as integers (num, den) with den >= 0, +/-inf
-    as (+/-1, 0), for tests by cross-multiplication."""
-    if bound in (math.inf, -math.inf):
-        return (1 if bound > 0 else -1), 0
-    return bound.numerator, bound.denominator
+def _below(num: int, den: int, other_num: int, other_den: int) -> bool:
+    """num / den < other_num / other_den, both denominators >= 0 and +/-inf
+    held as (+/-1, 0)."""
+    return num * other_den < other_num * den if den or other_den else num < other_num
+
+
+def column_ratio_bounds(m: Sequence[Sequence[int]], j: int, jp: int):
+    """ratio_extremes as (minimum, maximum): Fractions, or +/-math.inf."""
+    lo_num, lo_den, hi_num, hi_den = ratio_extremes(m, j, jp)
+    return (Fraction(lo_num, lo_den) if lo_den else lo_num * math.inf,
+            Fraction(hi_num, hi_den) if hi_den else hi_num * math.inf)
 
 
 class KeyContext(FrozenRecord):
@@ -323,9 +331,11 @@ class KeyContext(FrozenRecord):
     M_n and its columns are built on construction, by writable_matrix.
     The cipher's kernel facts (product_bits, cipher_slot_bits), the byte
     tables of encryption, the integer-scaled inverse, the transition ratio
-    tau with its powers, and ratio_bounds, the one table of every column
-    pair's exact ratio bounds, in integers for tests by
-    cross-multiplication, are computed on first use.  So encryption never
+    tau with its powers, and the receiver's tables are computed on first
+    use, once: ratio_bounds, every column pair's exact ratio bounds in
+    integers for tests by cross-multiplication, with reference_columns
+    and entry_ranges, and pair_checks, each pair's bounds beside the
+    expected float ratio a diagnosis reports.  So encryption never
     pays for an inverse or a root solve, and only an encryption of at
     least cipher.TABLE_ROWS rows, by a key whose products are too wide for
     64-bit slots but fit in cipher.TABLE_BITS bits, builds byte tables.
@@ -400,13 +410,25 @@ class KeyContext(FrozenRecord):
     @cached_property
     def ratio_bounds(self) -> dict:
         """For every ordered pair j != jp, the extreme ratios of columns j
-        and jp of M_n (column_ratio_bounds) as integers (lo_num, lo_den,
-        hi_num, hi_den) (cross_bound): each denominator >= 0, +/-inf as
-        (+/-1, 0).  A ratio num / den with den > 0 lies within them exactly
-        when lo_num * den <= num * lo_den and num * hi_den <= hi_num * den."""
+        and jp of M_n as integers (lo_num, lo_den, hi_num, hi_den)
+        (ratio_extremes): each denominator >= 0, +/-inf as (+/-1, 0).  A
+        ratio num / den with den > 0 lies within them exactly when
+        lo_num * den <= num * lo_den and num * hi_den <= hi_num * den."""
         k = self.order
-        return {(j, jp): sum(map(cross_bound, column_ratio_bounds(self.matrix, j, jp)), ())
+        return {(j, jp): ratio_extremes(self.matrix, j, jp)
                 for j in range(k) for jp in range(k) if j != jp}
+
+    @cached_property
+    def pair_checks(self) -> tuple[tuple[int, int, Optional[float], tuple[int, ...]], ...]:
+        """(j, jp, expected, ratio_bounds[(j, jp)]) for each column pair
+        j < jp in lexicographic order: expected is the float tau**(jp - j)
+        that a diagnosis reports, None beyond the float range."""
+        checks = []
+        for j, jp in combinations(range(self.order), 2):
+            expected = spectral.to_float(self.tau_powers[jp - j])
+            checks.append((j, jp, expected if math.isfinite(expected) else None,
+                           self.ratio_bounds[(j, jp)]))
+        return tuple(checks)
 
     @cached_property
     def reference_columns(self) -> dict:

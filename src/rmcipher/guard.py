@@ -31,12 +31,11 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations, repeat
 from operator import le, mul
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .cipher import CorruptionError, decrypt_row, digitize
 from .coding import CodingKey, KeyContext, MatrixBuilder, column_ratio_bounds
 from .exactmat import mat_mul
-from .spectral import to_float
 
 
 class GuardError(Exception):
@@ -74,13 +73,12 @@ class CheckingRange(NamedTuple):
         return self.hi - self.lo + 1
 
 
-def _scaled_bounds(ctx: KeyContext, j: int, ref: int, c_ref: int) -> tuple[Fraction, Fraction]:
-    """c_ref times ctx.ratio_bounds[(j, ref)], which must both be finite."""
+def _reference_bounds(ctx: KeyContext, j: int, ref: int) -> tuple[int, int, int, int]:
+    """ctx.ratio_bounds[(j, ref)], which must both be finite."""
     if ref not in ctx.reference_columns[j]:
         raise ValueError(f"column {ref} is no reference for column {j}: their ratio "
                          f"bounds are not both finite; pick another reference")
-    lo_num, lo_den, hi_num, hi_den = ctx.ratio_bounds[(j, ref)]
-    return Fraction(c_ref * lo_num, lo_den), Fraction(c_ref * hi_num, hi_den)
+    return ctx.ratio_bounds[(j, ref)]
 
 
 def checking_range(ctx: KeyContext, j: int, ref: int, c_ref: int) -> CheckingRange:
@@ -93,22 +91,26 @@ def checking_range(ctx: KeyContext, j: int, ref: int, c_ref: int) -> CheckingRan
     range (ctx.entry_ranges).  A reference of 0 gives [0, 0]; a negative
     one turns the bounds over, and an interval with no integer raises
     EmptyCheckingRangeError.  The spiral estimate is c_ref * tau**(ref - j),
-    rounded and moved into [lo, hi].
+    rounded half up and moved into [lo, hi].  lo, hi and the estimate are
+    found by integer floor division; only the two bounds are Fractions.
     """
-    lower, upper = _scaled_bounds(ctx, j, ref, c_ref)
+    lo_num, lo_den, hi_num, hi_den = _reference_bounds(ctx, j, ref)
     col_lo, col_hi = ctx.entry_ranges[j]
-    lower = max(lower, Fraction(col_lo))
-    upper = min(upper, Fraction(col_hi))
-    lo, hi = math.ceil(lower), math.floor(upper)
+    lo_num, hi_num = c_ref * lo_num, c_ref * hi_num      # the bounds lo_num/lo_den, hi_num/hi_den
+    lo, hi = max(-(-lo_num // lo_den), col_lo), min(hi_num // hi_den, col_hi)
     if lo > hi:
         raise EmptyCheckingRangeError(
             f"no integer of column {j}'s absolute range lies in its checking range "
             f"against column {ref}: reference is suspect")
+    lower = Fraction(lo_num, lo_den) if lo_num > col_lo * lo_den else Fraction(col_lo)
+    upper = Fraction(hi_num, hi_den) if hi_num < col_hi * hi_den else Fraction(col_hi)
     # The exact product is as close as the power of tau is: within about
     # c_ref * 2**-p of c_ref * tau**d for tau held to p bits (the context's
     # precision, KeyContext.tau_powers).  The spiral from it still reaches
     # every integer in [lo, hi].
-    estimate = math.floor(c_ref * ctx.tau_powers[ref - j] + Fraction(1, 2))
+    power = ctx.tau_powers[ref - j]
+    p, q = power.numerator, power.denominator
+    estimate = (2 * c_ref * p + q) // (2 * q)
     return CheckingRange(lower=lower, upper=upper, lo=lo, hi=hi,
                          estimate=min(max(estimate, lo), hi))
 
@@ -137,8 +139,10 @@ class RowDiagnosis(NamedTuple):
         return not self.flagged
 
 
-def detect_errors(c: Sequence[Sequence[int]], ctx: KeyContext) -> list[RowDiagnosis]:
-    """Per-row diagnosis of a received ciphertext.
+def detect_errors(c: Sequence[Sequence[int]], ctx: KeyContext,
+                  rows: Optional[Iterable[int]] = None) -> list[RowDiagnosis]:
+    """Per-row diagnosis of a received ciphertext: of the rows whose
+    indices `rows` gives in ascending order, else of every row.
 
     Column pairs are consistent when their ratio satisfies the exact
     checking bounds of M_n (_within).  Each pair also reports its
@@ -146,21 +150,18 @@ def detect_errors(c: Sequence[Sequence[int]], ctx: KeyContext) -> list[RowDiagno
     trusted set of a row is the maximum consistent clique of the entries
     inside their column's absolute range, ties preferring the smaller
     total deviation, then the leftmost columns.  Rows with no consistent
-    pair of such entries come back with an empty trusted set.
+    pair of such entries come back with an empty trusted set.  Bounds and
+    expected ratios come from ctx.pair_checks, built once per key.
     """
     k = ctx.order
-    pairs = []
-    for j, jp in combinations(range(k), 2):
-        expected = to_float(ctx.tau_powers[jp - j])
-        pairs.append((j, jp, expected if math.isfinite(expected) else None,
-                      ctx.ratio_bounds[(j, jp)]))
     diagnoses: list[RowDiagnosis] = []
-    for i, row in enumerate(c):
+    for i in range(len(c)) if rows is None else rows:
+        row = c[i]
         evidence: list[PairEvidence] = []
         adj: set[tuple[int, int]] = set()
         dev_of: dict[tuple[int, int], float] = {}
         inside = [lo <= v <= hi for v, (lo, hi) in zip(row, ctx.entry_ranges)]
-        for j, jp, expected, bound in pairs:
+        for j, jp, expected, bound in ctx.pair_checks:
             num, den = row[j], row[jp]
             rel_dev = _deviation(expected, num, den)
             consistent = _within(*bound, num, den)
@@ -385,8 +386,8 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
 def range_length(ctx: KeyContext, j: int, jp: int, c_ref: int) -> Fraction:
     """Exact length (max - min) * c_ref of the checking relation for column j
     relative to a reference value in column jp, before the absolute cut."""
-    lower, upper = _scaled_bounds(ctx, j, jp, c_ref)
-    return upper - lower
+    lo_num, lo_den, hi_num, hi_den = _reference_bounds(ctx, j, jp)
+    return Fraction(c_ref * hi_num, hi_den) - Fraction(c_ref * lo_num, lo_den)
 
 
 def smallest_unambiguous_n(key: CodingKey, plaintext: bytes, j: int, jp: int,

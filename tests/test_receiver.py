@@ -14,14 +14,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from rmcipher import (KeyContext, column_ratio_bounds, detect_errors, general_key, right_form_key,
-                      symmetric_key)
+from rmcipher import (CheckingRange, KeyContext, checking_range, column_ratio_bounds, correct,
+                      detect_errors, digitize, encrypt, general_key, right_form_key, symmetric_key)
 from rmcipher.cipher import encrypt_rows
-from rmcipher.cli import main
+from rmcipher.cli import _correction_json, main
+from rmcipher.coding import ratio_extremes
 from rmcipher.formats import (MODELS, ErrorModel, cipher_from_text, cipher_to_text,
-                              corrupt_blocks, records_to_json, save_key)
-from rmcipher.coding import cross_bound
-from rmcipher.guard import _within, failing_rows
+                              corrupt_blocks, load_key, records_to_json, save_key)
+from rmcipher.guard import EmptyCheckingRangeError, GuardError, _within, failing_rows
 
 
 def _shift_plus_identity(k):
@@ -47,22 +47,67 @@ DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150,
                         suppress_health_check=[HealthCheck.too_slow])
 
 
+def _reference_ratio(num, den):
+    """num / den exactly, x/0 as +inf or -inf by the sign of x; None for 0/0."""
+    if den == 0:
+        return None if num == 0 else (math.inf if num > 0 else -math.inf)
+    return Fraction(num, den)
+
+
+def _reference_ratio_bounds(m, j, jp):
+    """The extreme ratios m[l][j] / m[l][jp] over the rows l, as Fractions
+    or +/-inf, 0/0 rows dropped: the oracle for ratio_extremes."""
+    ratios = [r for r in (_reference_ratio(row[j], row[jp]) for row in m) if r is not None]
+    if not ratios:
+        raise ValueError("no comparable rows")
+    return min(ratios), max(ratios)
+
+
+def cross_bound(bound) -> tuple[int, int]:
+    """A ratio bound as integers (num, den) with den >= 0, +/-inf as (+/-1, 0)."""
+    if bound in (math.inf, -math.inf):
+        return (1 if bound > 0 else -1), 0
+    return bound.numerator, bound.denominator
+
+
 def test_some_bounds_are_infinite():
     """Each context's one bound table against cross_bound of the Fraction
-    bounds, and its references against the finite Fraction bounds: the
+    oracle, and its references against the finite oracle bounds: the
     contexts with +/-inf bounds included."""
     for name in ("general-3-zeros", "right_form-5-zeros"):
         assert any(0 in (b[1], b[3]) for b in CONTEXTS[name].ratio_bounds.values()), name
     for name, ctx in CONTEXTS.items():
         k = ctx.order
         for j, jp in permutations(range(k), 2):
-            lo, hi = column_ratio_bounds(ctx.matrix, j, jp)
+            lo, hi = _reference_ratio_bounds(ctx.matrix, j, jp)
             assert ctx.ratio_bounds[(j, jp)] == cross_bound(lo) + cross_bound(hi), (name, j, jp)
         for j in range(k):
             finite = {t for t in range(k) if t != j
-                      and math.inf not in map(abs, column_ratio_bounds(ctx.matrix, j, t))}
+                      and math.inf not in map(abs, _reference_ratio_bounds(ctx.matrix, j, t))}
             nonzero = {t for t in range(k) if t != j and 0 not in ctx.ratio_bounds[(j, t)][1::2]}
             assert set(ctx.reference_columns[j]) == finite == nonzero, (name, j)
+
+
+SMALL_MATRICES = st.integers(1, 5).flatmap(
+    lambda rows: st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=2),
+                          min_size=rows, max_size=rows))
+
+
+@DERANDOMIZED
+@given(SMALL_MATRICES)
+@example([[0, 0], [3, 0], [-2, 0], [1, 2]])     # 0/0, +inf and -inf in one pair
+@example([[-3, 0], [0, 0], [3, 0]])             # -inf before +inf
+@example([[2, -4], [-1, 2], [0, 0]])            # negative denominators, one ratio
+@example([[0, 0], [0, 0]])                      # no comparable row
+def test_ratio_extremes_match_the_fraction_oracle(m):
+    try:
+        lo, hi = _reference_ratio_bounds(m, 0, 1)
+    except ValueError:
+        with pytest.raises(ValueError):
+            ratio_extremes(m, 0, 1)
+        return
+    assert ratio_extremes(m, 0, 1) == cross_bound(lo) + cross_bound(hi)
+    assert column_ratio_bounds(m, 0, 1) == (lo, hi)
 
 
 @st.composite
@@ -99,13 +144,6 @@ def test_chunk_test_flags_the_rows_detect_errors_flags(case):
     assert failing_rows(ctx, [v for row in rows for v in row]) == flagged
 
 
-def _reference_ratio(num, den):
-    """num / den exactly, x/0 as +inf or -inf by the sign of x; None for 0/0."""
-    if den == 0:
-        return None if num == 0 else (math.inf if num > 0 else -math.inf)
-    return Fraction(num, den)
-
-
 def _reference_within(num, den, lo, hi):
     ratio = _reference_ratio(num, den)
     return ratio is None or lo <= ratio <= hi
@@ -125,7 +163,7 @@ def _reference_deviation(num, den, expected):
 @given(received_rows())
 def test_pair_verdicts_match_a_fraction_reference(case):
     """Every pair verdict of detect_errors against a Fraction comparison
-    with column_ratio_bounds, written out here."""
+    with the oracle bounds, written out here."""
     name, rows = case
     ctx = CONTEXTS[name]
     k = ctx.order
@@ -135,7 +173,7 @@ def test_pair_verdicts_match_a_fraction_reference(case):
             num, den = row[p.j], row[p.jp]
             dev = _reference_deviation(num, den, float(ctx.tau_powers[p.jp - p.j]))
             assert p.rel_deviation == dev
-            bounds = column_ratio_bounds(ctx.matrix, p.j, p.jp)
+            bounds = _reference_ratio_bounds(ctx.matrix, p.j, p.jp)
             assert p.consistent == _reference_within(num, den, *bounds)
 
 
@@ -191,6 +229,98 @@ def test_absolute_ranges_hold_every_genuine_entry():
     assert encrypt_rows(ctx, [255] * 3) == [2040, 1020, 510]
     assert CONTEXTS["general-3"].entry_ranges == tuple(
         (0, 255 * sum(col)) for col in CONTEXTS["general-3"].columns)
+
+
+# The keys of the golden run, the two keys above whose M_n has zero entries
+# (+/-inf bounds), and one whose M_n has a negative entry, so that a
+# checking range can be cut at the low end of its column's range.
+REPAIR_CONTEXTS = {
+    **{name: KeyContext(load_key(Path(__file__).parent / "golden" / f"{name}.json"))
+       for name in ("k3", "k5", "abt", "primitive", "right")},
+    "general-3-zeros": CONTEXTS["general-3-zeros"],
+    "right_form-5-zeros": CONTEXTS["right_form-5-zeros"],
+    "signed-2": KeyContext(symmetric_key((1, 1), (2, -1), 0)),      # M_0 = [[1, 2], [2, -1]]
+}
+
+
+def _repair(block, diagnoses, ctx):
+    """correct's result and its report bytes, or the fault it raised."""
+    try:
+        result = correct(block, diagnoses, ctx, budget=500)
+    except GuardError as exc:
+        return type(exc), str(exc)
+    return result, json.dumps(_correction_json(0, result), indent=2).encode()
+
+
+@settings(derandomize=True, deadline=None, max_examples=120,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(REPAIR_CONTEXTS)), st.binary(min_size=1, max_size=80),
+       st.sampled_from(MODELS), st.integers(1, 2), st.integers(0, 2 ** 16))
+def test_correct_from_the_failing_rows_alone_matches_correct_from_every_row(name, plain, model,
+                                                                            count, seed):
+    """`rmc correct` diagnoses only the rows failing_rows names; correct
+    skips clean rows, so its result and report are those from every row."""
+    ctx = REPAIR_CONTEXTS[name]
+    blocks, _ = digitize(plain, ctx.order)
+    received, _ = corrupt_blocks(encrypt(blocks, ctx),
+                                 ErrorModel(kind=model, count=count, seed=seed))
+    for block in received:
+        every = detect_errors(block, ctx)
+        rows = sorted(failing_rows(ctx, [v for row in block for v in row]))
+        failing = detect_errors(block, ctx, rows)
+        assert failing == [d for d in every if d.row in rows]
+        assert _repair(block, failing, ctx) == _repair(block, every, ctx)
+
+
+def _reference_checking_range(ctx, j, ref, c_ref):
+    """checking_range in Fractions from the oracle bounds; None where the
+    range holds no integer."""
+    lo_bound, hi_bound = _reference_ratio_bounds(ctx.matrix, j, ref)
+    col_lo, col_hi = ctx.entry_ranges[j]
+    lower, upper = max(c_ref * lo_bound, Fraction(col_lo)), min(c_ref * hi_bound, Fraction(col_hi))
+    lo, hi = math.ceil(lower), math.floor(upper)
+    if lo > hi:
+        return None
+    estimate = math.floor(c_ref * ctx.tau_powers[ref - j] + Fraction(1, 2))
+    return CheckingRange(lower, upper, lo, hi, min(max(estimate, lo), hi))
+
+
+def test_checking_range_matches_a_fraction_formula():
+    seen = set()
+    for name, ctx in {**CONTEXTS, **REPAIR_CONTEXTS}.items():
+        for j, ref in permutations(range(ctx.order), 2):
+            if ref not in ctx.reference_columns[j]:
+                with pytest.raises(ValueError):         # before the sign of the reference
+                    checking_range(ctx, j, ref, -1)
+                continue
+            ref_lo, ref_hi = ctx.entry_ranges[ref]
+            col_lo, col_hi = ctx.entry_ranges[j]
+            lo_bound, hi_bound = _reference_ratio_bounds(ctx.matrix, j, ref)
+            for c_ref in {0, 1, 2, 41, -1, -7, ref_lo, ref_hi, ref_hi // 2, ref_hi // 3, 10 ** 30}:
+                expect = _reference_checking_range(ctx, j, ref, c_ref)
+                if expect is None:
+                    with pytest.raises(EmptyCheckingRangeError):
+                        checking_range(ctx, j, ref, c_ref)
+                    seen.add("negative" if c_ref < 0 else "empty")
+                    continue
+                got = checking_range(ctx, j, ref, c_ref)
+                assert got == expect, (name, j, ref, c_ref)
+                assert type(got.lower) is type(got.upper) is Fraction
+                seen |= {tag for tag, hit in [("zero", c_ref == 0),
+                                              ("low cut", c_ref * lo_bound < col_lo),
+                                              ("high cut", c_ref * hi_bound > col_hi)] if hit}
+    assert seen == {"zero", "negative", "empty", "low cut", "high cut"}
+
+
+def test_a_checking_range_estimate_on_an_exact_half_rounds_up():
+    # M_1 = [[5, 2], [2, 3]]: against c_ref = 100 in column 1, column 0
+    # lies in [200/3, 250].  A power of tau of 135/200 puts the product on
+    # 67.5, which rounds up to 68.
+    ctx = KeyContext(symmetric_key((1, 1), (3, -1), 1))
+    vars(ctx)["tau_powers"] = {**ctx.tau_powers, 1: Fraction(135, 200)}
+    rng = checking_range(ctx, 0, 1, 100)
+    assert (rng.lo, rng.hi, rng.estimate) == (67, 250, 68)
+    assert rng == _reference_checking_range(ctx, 0, 1, 100)
 
 
 def test_a_transition_ratio_power_beyond_the_float_range_is_reported_as_null(tmp_path):
