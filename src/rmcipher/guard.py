@@ -7,8 +7,9 @@ and j' of M.  Those exact two-sided bounds drive everything here:
 * detection builds a per-row consistency graph over all column pairs
   and trusts the maximum consistent clique of entries inside their
   column's range (KeyContext.entry_ranges); a receiver first tests whole
-  chunks of rows (failing_rows) and builds the graph only where a row
-  fails,
+  chunks of rows (failing_rows) and builds the graph only for a block
+  where a row fails: for every row of it to report, for the failing
+  rows alone to correct,
 * correction searches one interval for each flagged entry, built from the
   KeyContext by checking_range: exactly the integers between its exact
   bounds against a trusted reference, cut to its column's absolute range.
@@ -16,11 +17,14 @@ and j' of M.  Those exact two-sided bounds drive everything here:
   validates candidate combinations by exact decryption.
 
 All bounds are exact rationals, held once per key as integers
-(KeyContext.ratio_bounds); column indices are 0-based throughout.  One
+(KeyContext.ratio_bounds, with each pair's expected float ratio in
+KeyContext.pair_checks); column indices are 0-based throughout.  One
 test decides whether a pair meets its checking relation, for detection
 and the chunk test alike: _within, by integer cross-multiplication
-against those bounds.  The transition ratio only sets where the spiral
-starts and, as floats, fills the reported expected ratio and deviation.
+against those bounds.  A checking range's integers and spiral start
+come by integer floor division.  The transition ratio only sets where
+the spiral starts and, as floats, fills the reported expected ratio and
+deviation.
 """
 
 from __future__ import annotations
