@@ -10,7 +10,7 @@ from rmcipher import (KeyContext, coding_matrix, coding_matrix_inverse, decrypt,
                       encrypt, general_key, key_fingerprint, right_form_key, symmetric_key)
 from rmcipher.cipher import encrypt_bytes
 from rmcipher.cli import main
-from rmcipher.formats import CHUNK_ROWS, cipher_from_text, read_cipher, save_key
+from rmcipher.formats import CHUNK_ROWS, READ_HINT, cipher_from_text, read_cipher, save_key
 
 
 def _shift_plus_identity(k):
@@ -221,6 +221,68 @@ def test_fingerprint_mismatch_outranks_corruption(three_chunks, tmp_path, capsys
     assert main(["decrypt", str(keyfile), _write_lines(tmp_path, lines), "--out", str(out)]) == 2
     assert "fingerprint mismatch" in capsys.readouterr().err
     assert not out.exists()
+
+
+NO_DOMINANT_ROOT = symmetric_key((1, 0), (1, 0), 10)     # X[n+2] = X[n]: roots +-1
+
+# (command, key, its own fault, and a part of that fault's message)
+OWN_FAULTS = [
+    ("corrupt", K3, "magnitude", "magnitude must be positive"),
+    ("detect", NO_DOMINANT_ROOT, "key", "dominant root"),
+    ("correct", NO_DOMINANT_ROOT, "key", "dominant root"),
+    ("decrypt", K3, "fingerprint", "fingerprint mismatch"),
+    ("detect", K3, "fingerprint", "fingerprint mismatch"),
+    ("correct", K3, "fingerprint", "fingerprint mismatch"),
+]
+
+
+def _own_fault_argv(command, keyfile, path, fault, out):
+    argv = [command] if command == "corrupt" else [command, str(keyfile)]
+    return argv + [path] + (["--magnitude", "0"] if fault == "magnitude" else []) + ["--out", out]
+
+
+@pytest.mark.parametrize("command, key, fault, message", OWN_FAULTS)
+def test_a_malformed_row_late_in_the_file_outranks_the_commands_own_fault(
+        command, key, fault, message, files, tmp_path, capsys):
+    keyfile, plain = files(key, random.Random(13).randbytes(READ_HINT))
+    cfile = tmp_path / "c.rmc"
+    assert main(["encrypt", str(keyfile), str(plain), "--out", str(cfile)]) == 0
+    assert cfile.stat().st_size > 2 * READ_HINT            # the reader takes several batches
+    lines = cfile.read_text().splitlines()
+    if fault == "fingerprint":
+        lines[0] = lines[0].rsplit("fp=", 1)[0] + "fp=0123456789abcdef"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    # The command's own fault alone is reported as such...
+    argv = _own_fault_argv(command, keyfile, _write_lines(tmp_path, lines), fault, str(out))
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    # ...and a malformed last row outranks it.
+    k = key.order
+    row = len(lines) - 2
+    lines[row + 1] = " ".join(lines[row + 1].split()[1:])
+    path = _write_lines(tmp_path, lines)
+    assert main(_own_fault_argv(command, keyfile, path, fault, str(out))) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot load ciphertext {path}: block {row // k} row {row % k} "
+        f"has {k - 1} entries, wanted {k}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option", [
+    ("decrypt", "--out"), ("corrupt", "--out"), ("detect", "--out"),
+    ("correct", "--out"), ("correct", "--report")])
+def test_an_unwritable_output_exits_2_with_the_bare_os_message(command, option, three_chunks,
+                                                               tmp_path, capsys):
+    keyfile, lines, _ = three_chunks
+    out = tmp_path / "missing" / "out"
+    with pytest.raises(OSError) as raised:
+        open(out, "wb")
+    argv = [command] if command == "corrupt" else [command, str(keyfile)]
+    capsys.readouterr()
+    assert main(argv + [_write_lines(tmp_path, lines), option, str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
 
 
 def test_missing_input_file_exits_2(files, tmp_path, capsys):
