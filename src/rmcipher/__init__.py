@@ -24,8 +24,7 @@ _EXPORTS = {
                "sieve_companion"),
     "recurrence": ("Recurrence", "extend_backward", "extend_forward", "standard_sequence"),
     "spectral": ("SpectralReport", "all_roots", "analyze_matrix", "analyze_recurrence",
-                 "is_pisot", "is_primitive", "is_strong_perron_frobenius",
-                 "second_eigenmodulus", "transition_ratio"),
+                 "is_pisot", "is_primitive", "is_strong_perron_frobenius", "transition_ratio"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -91,17 +91,6 @@ def digitize(data: bytes, k: int) -> tuple[list[IntMatrix], int]:
     return split_blocks(padded(data, k), k), len(data)
 
 
-def assemble(blocks: Sequence[Sequence[Sequence[int]]], length: int) -> bytes:
-    """Inverse of digitize: flatten row-major and strip the padding."""
-    return _trim(bytes(map(int, chain.from_iterable(chain.from_iterable(blocks)))), length)
-
-
-def _trim(plain: bytes, length: int) -> bytes:
-    if length > len(plain):
-        raise ValueError("stored length exceeds block capacity")
-    return plain[:length]
-
-
 def _product_columns(values: Sequence[int], cols, k: int) -> Iterator[list[int]]:
     """Column j of R * M for each column cols[j] of M, where R is the
     matrix whose rows are the consecutive k-entry runs of values.  Each
@@ -274,12 +263,10 @@ def decrypt_row(ctx: KeyContext, row: Sequence[int], block: int = 0, i: int = 0)
 def decrypt(blocks: Sequence[IntMatrix], ctx: KeyContext, length: Optional[int] = None) -> bytes:
     """Exact decryption; every entry must be an integer in [0, 255].
 
-    When length is None the full padded payload is returned.
+    When length is None the full padded payload is returned; a length past
+    it raises ValueError.
     """
     plain = decrypt_rows(ctx, _entries(blocks, ctx.order))
-    return _trim(plain, len(plain) if length is None else length)
-
-
-def encrypt_bytes(data: bytes, ctx: KeyContext) -> tuple[list[IntMatrix], int]:
-    blocks, length = digitize(data, ctx.order)
-    return encrypt(blocks, ctx), length
+    if length is not None and length > len(plain):
+        raise ValueError("stored length exceeds block capacity")
+    return plain[:length]

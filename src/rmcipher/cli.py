@@ -35,11 +35,12 @@ Ciphertexts are read and written as bytes, LF line ends on any platform
 (formats.read_cipher, format_rows; --out or standard output's buffer).  A
 ciphertext is opened once and read a chunk of whole blocks at a time
 (UTF-8 whatever the locale, a bad byte named by its offset in the file);
-nothing is written until the whole file has been read.  A command raises
-a fault of its own (a corrupted entry, a key that does not fit, a failed
-repair) under _draining, which reads and checks the rest of the file
-first: so a fault anywhere in the file outranks one met in the rows and
-leaves no output file.
+nothing is written until the whole file has been read.  Every command
+opens a ciphertext by _ciphertext, which checks the header against the
+key and, when the command raises a fault of its own (a corrupted entry, a
+key that does not fit, a failed repair), reads and checks the rest of the
+file first: so a fault anywhere in the file outranks one met in the rows
+and leaves no output file.
 
 detect and correct test each chunk's rows against the checking relations
 (guard.failing_rows) and diagnose only the blocks with a failing row
@@ -130,35 +131,29 @@ def _check_header(header: formats.CipherHeader, key: CodingKey) -> None:
 
 
 @contextmanager
-def _draining(chunks: Iterator):
-    """Reads and checks the rest of a ciphertext when the body raises a
-    CliError or ValueError, so that a fault later in the file outranks the
-    caller's own."""
-    try:
-        yield
-    except (CliError, ValueError):
-        for _ in chunks:
-            pass
-        raise
-
-
-def _cipher_chunks(path: str, key: Optional[CodingKey] = None) -> Iterator:
-    """The header of a ciphertext file, then its matrix rows a chunk of
-    whole blocks at a time, each chunk a flat row-major list.  The file is
-    opened once, as bytes (formats.read_cipher).
+def _ciphertext(path: str, key: Optional[CodingKey] = None) -> Iterator:
+    """(header, chunks) of a ciphertext file, its header checked against the
+    key if one is given, and chunks its matrix rows a chunk of whole blocks
+    at a time, each chunk a flat row-major list.  The file is opened once,
+    as bytes (formats.read_cipher).
 
     Faults rank as for a whole-file parse: the file format (anywhere in the
-    file), then, given a key, the fingerprint and the dimension, then a
-    caller's own (raised under _draining).
+    file), then, given a key, the fingerprint and the dimension, then the
+    body's own.  A CliError or ValueError raised in the body is re-raised
+    only after the rest of the file has been read and checked.  The body
+    writes nothing: an OSError in it would be reported as the file's.
     """
     try:
         with open(path, "rb") as fh:
             header, chunks = formats.read_cipher(fh)
-            yield header
-            if key is not None:
-                with _draining(chunks):
+            try:
+                if key is not None:
                     _check_header(header, key)
-            yield from chunks
+                yield header, chunks
+            except (CliError, ValueError):
+                for _ in chunks:
+                    pass
+                raise
     except (formats.CipherFormatError, OSError) as exc:
         raise CliError(f"cannot load ciphertext {path}: {exc}") from exc
 
@@ -337,26 +332,20 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _decrypt_file(path: str, ctx: KeyContext) -> bytes:
-    """Reads and decrypts a ciphertext file a chunk of rows at a time,
-    keeping only the plaintext bytes.  A corrupted entry ranks after
-    every fault of the file and its header (see _cipher_chunks)."""
-    chunks = _cipher_chunks(path, ctx.key)
-    header = next(chunks)
+def cmd_decrypt(args: argparse.Namespace) -> int:
+    # The ciphertext is decrypted a chunk of rows at a time, keeping only
+    # the plaintext bytes.
+    ctx = _load_context(args.keyfile)
     plain = bytearray()
-    with _draining(chunks):
+    with _ciphertext(args.cipherfile, ctx.key) as (header, chunks):
         for values in chunks:
             try:
                 plain += cipher.decrypt_rows(ctx, values, len(plain) // ctx.order)
             except cipher.CorruptionError as exc:
                 raise CliError(f"corrupted ciphertext: {exc}", EXIT_UNCORRECTED) from exc
-    return bytes(plain[:header.length])
-
-
-def cmd_decrypt(args: argparse.Namespace) -> int:
-    data = _decrypt_file(args.cipherfile, _load_context(args.keyfile))
+    del plain[header.length:]
     with _open_bytes_output(args.out) as out:
-        out.write(data)
+        out.write(plain)
     return EXIT_OK
 
 
@@ -365,22 +354,21 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_corrupt(args: argparse.Namespace) -> int:
-    chunks = _cipher_chunks(args.cipherfile)
-    header = next(chunks)
-    with _draining(chunks):
+    with _ciphertext(args.cipherfile) as (header, chunks):
         model = ErrorModel(kind=args.model, count=args.count,
                            magnitude=args.magnitude, seed=args.seed)
-    rng = random.Random(model.seed)
-    k = header.order
-    text = [formats.cipher_header(*header)]
-    records: list[formats.CorruptionRecord] = []
-    done = 0
-    for values in chunks:
-        blocks = cipher.split_blocks(values, k)
-        for b, block in enumerate(blocks, done):
-            records += formats.corrupt_block(block, b, model, rng)
-        done += len(blocks)
-        text.append(formats.format_rows(list(chain.from_iterable(chain.from_iterable(blocks))), k))
+        rng = random.Random(model.seed)
+        k = header.order
+        text = [formats.cipher_header(*header)]
+        records: list[formats.CorruptionRecord] = []
+        done = 0
+        for values in chunks:
+            blocks = cipher.split_blocks(values, k)
+            for b, block in enumerate(blocks, done):
+                records += formats.corrupt_block(block, b, model, rng)
+            done += len(blocks)
+            text.append(formats.format_rows(
+                list(chain.from_iterable(chain.from_iterable(blocks))), k))
     with _open_bytes_output(args.out) as out:
         out.write(b"".join(text))
     if args.sidecar:
@@ -414,17 +402,6 @@ def _diagnosis_json(diagnoses) -> list[dict]:
     return out
 
 
-def _receive(path: str, ctx: KeyContext) -> tuple[KeyContext, formats.CipherHeader, Iterator]:
-    """The loaded key compiled for detection and correction, and the header
-    and chunks of the ciphertext file (see _cipher_chunks).  A key that
-    cannot check ciphertexts ranks after the faults of the file."""
-    chunks = _cipher_chunks(path, ctx.key)
-    header = next(chunks)
-    with _draining(chunks):
-        ctx = _receiver_context(ctx)
-    return ctx, header, chunks
-
-
 def _flagged_blocks(ctx: KeyContext, chunks: Iterator,
                     text: Optional[list[bytes]] = None) -> Iterator:
     """(b, block, rows) for each block of the ciphertext with a row that
@@ -449,9 +426,12 @@ def _flagged_blocks(ctx: KeyContext, chunks: Iterator,
 
 def cmd_detect(args: argparse.Namespace) -> int:
     from . import guard
-    ctx, header, chunks = _receive(args.cipherfile, _load_context(args.keyfile))
-    found = [{"block": b, "clean": False, "rows": _diagnosis_json(guard.detect_errors(block, ctx))}
-             for b, block, _rows in _flagged_blocks(ctx, chunks)]
+    ctx = _load_context(args.keyfile)
+    with _ciphertext(args.cipherfile, ctx.key) as (header, chunks):
+        ctx = _receiver_context(ctx)
+        found = [{"block": b, "clean": False,
+                  "rows": _diagnosis_json(guard.detect_errors(block, ctx))}
+                 for b, block, _rows in _flagged_blocks(ctx, chunks)]
     report = {"blocks": found, "clean": not found,
               "counts": {"clean": header.count - len(found), "flagged": len(found)}}
     _write_output(json.dumps(report, indent=2) + "\n", args.out)
@@ -485,14 +465,15 @@ def _correction_json(b: int, result: guard.CorrectionResult) -> dict:
 
 def cmd_correct(args: argparse.Namespace) -> int:
     from . import guard
-    ctx, header, chunks = _receive(args.cipherfile, _load_context(args.keyfile))
+    ctx = _load_context(args.keyfile)
     k = ctx.order
-    text = [formats.cipher_header(*header)] if args.out else None
     found = []
     counts = {"clean": 0, "corrected": 0, "failed": 0}
     tested = 0
     exit_code = EXIT_OK
-    with _draining(chunks):
+    with _ciphertext(args.cipherfile, ctx.key) as (header, chunks):
+        ctx = _receiver_context(ctx)
+        text = [formats.cipher_header(*header)] if args.out else None
         for b, block, rows in _flagged_blocks(ctx, chunks, text):
             validator = (partial(_printable_ascii, header.length, b * k * k)
                          if args.printable_ascii else None)

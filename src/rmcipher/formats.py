@@ -240,10 +240,12 @@ def _canonical_values(data: bytes, k: int) -> Optional[list[int]]:
     L line ends, and splits into kL entries.  Then each line holds exactly k
     entries, as the per-line parse needs: every entry lies on one of the L
     lines and ends at a separator of its own, so a line holds at most k, and
-    kL in all leaves none short."""
+    kL in all leaves none short.  The separators are counted before their
+    pattern is built, so a header's k never sizes more than the batch."""
     lines = data.count(b"\n")
     if (not data.isascii() or data[-1:] != b"\n" or any(c in data for c in _OTHER_WHITESPACE)
-            or data.translate(None, _NOT_SEPARATORS) != (b" " * (k - 1) + b"\n") * lines):
+            or len(separators := data.translate(None, _NOT_SEPARATORS)) != k * lines
+            or separators != (b" " * (k - 1) + b"\n") * lines):
         return None
     if len(entries := data.split()) != k * lines:
         return None
@@ -402,7 +404,3 @@ def records_to_json(records: Sequence[CorruptionRecord]) -> list[dict]:
              "original": str(r.original), "corrupted": str(r.corrupted)}
             for r in records]
 
-
-def records_from_json(data: Sequence[dict]) -> list[CorruptionRecord]:
-    return [CorruptionRecord(int(d["block"]), int(d["row"]), int(d["col"]),
-                             int(d["original"]), int(d["corrupted"])) for d in data]

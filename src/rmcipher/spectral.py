@@ -430,14 +430,6 @@ def _dominance(rootset: RootSet) -> _Dominance:
     return _Dominance(VERDICT_YES, tau=Fraction(tx, one), index=top_i)
 
 
-def second_eigenmodulus(f: Sequence[int], precision: Optional[int] = None) -> Fraction:
-    """Largest modulus among the non-dominant roots of a monic integer
-    polynomial: the sigma of its analyze_recurrence report, rounded to
-    the working precision."""
-    report = analyze_recurrence(Recurrence.from_char_poly(poly_trim(list(f))), precision)
-    return _round_bits(report.sigma, report.precision_bits)
-
-
 def transition_ratio(rec: Recurrence, precision: Optional[int] = None) -> Fraction:
     """Dominant eigenvalue tau of the recurrence, rounded to the working
     precision: report_transition_ratio of its analyze_recurrence report."""

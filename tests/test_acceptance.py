@@ -8,12 +8,10 @@ checklist.  Randomized suites use fixed seeds and at least 200 trials.
 import random
 from fractions import Fraction
 
-from rmcipher import (KeyContext, Recurrence, checking_range, coding_matrix,
+from rmcipher import (KeyContext, Recurrence, analyze_recurrence, checking_range, coding_matrix,
                       coding_matrix_inverse, correct, decrypt,
                       detect_errors, digitize, encrypt, general_key, is_pisot, range_length, right_form_key,
-                      second_eigenmodulus, smallest_unambiguous_n, symmetric_key,
-                      transition_ratio)
-from rmcipher.cipher import encrypt_bytes
+                      smallest_unambiguous_n, symmetric_key, transition_ratio)
 from rmcipher.coding import MatrixBuilder, right_companion
 from rmcipher.exactmat import inverse_exact, mat_mul
 from rmcipher.guard import failing_rows
@@ -65,14 +63,14 @@ def test_criterion_3_second_eigenmoduli():
         ((1, 2, 2), 0.594, 0.005),
     ]
     for coeffs, expected, tol in targets:
-        sigma = float(second_eigenmodulus(Recurrence(coeffs).char_poly()))
+        sigma = float(analyze_recurrence(Recurrence(coeffs)).sigma)
         assert abs(sigma - expected) < tol, (coeffs, sigma, expected)
     assert is_pisot(Recurrence((1, 1, 0, 0)).char_poly()) == "no"
     # Pisot family members near the tribonacci limit point.
     f3 = [1, -1, -1, -2, 0, 0, 1]
     f4 = [1, -2, 1, -2, 1, -1, 1]
-    assert abs(float(second_eigenmodulus(f3)) - 0.94792) < 1e-4
-    assert abs(float(second_eigenmodulus(f4)) - 0.93460) < 1e-4
+    assert abs(float(analyze_recurrence(Recurrence.from_char_poly(f3)).sigma) - 0.94792) < 1e-4
+    assert abs(float(analyze_recurrence(Recurrence.from_char_poly(f4)).sigma) - 0.93460) < 1e-4
 
 
 def test_criterion_4_checking_range_table():
@@ -207,8 +205,8 @@ def test_criterion_8_property_suites():
     for _ in range(200):
         ctx = rng.choice(contexts)
         data = bytes(rng.randrange(256) for _ in range(rng.randint(0, 50)))
-        blocks, length = encrypt_bytes(data, ctx)
-        assert decrypt(blocks, ctx, length) == data
+        blocks, length = digitize(data, ctx.order)
+        assert decrypt(encrypt(blocks, ctx), ctx, length) == data
 
     # Checking inequalities hold on every genuine ciphertext.
     rng = random.Random(802)

@@ -5,7 +5,7 @@ import pytest
 
 from rmcipher import (CorruptionError, Recurrence, decrypt, digitize, encrypt,
                       general_key, right_form_key, symmetric_key, transition_ratio)
-from rmcipher.cipher import assemble, decrypt_rows, encrypt_bytes, encrypt_rows
+from rmcipher.cipher import decrypt_rows, encrypt_rows
 from rmcipher.coding import KeyContext
 from tests.conftest import (ALGORITHM, C_ALGORITHM_15, EXTRATERRESTRIAL, M5_TETRA)
 
@@ -31,7 +31,6 @@ def test_digitize_pads_with_zero():
     blocks, length = digitize(b"AB", 2)
     assert blocks == [[[65, 66], [0, 0]]]
     assert length == 2
-    assert assemble(blocks, length) == b"AB"
 
 
 def test_encrypt_worked_example(two_fib_key):
@@ -73,8 +72,8 @@ def test_roundtrip_random_messages():
     for _ in range(200):
         ctx = rng.choice(contexts)
         data = bytes(rng.randrange(256) for _ in range(rng.randint(0, 60)))
-        blocks, length = encrypt_bytes(data, ctx)
-        assert decrypt(blocks, ctx, length) == data
+        blocks, length = digitize(data, ctx.order)
+        assert decrypt(encrypt(blocks, ctx), ctx, length) == data
 
 
 def test_perturbation_detected_by_nonintegrality():
@@ -85,7 +84,8 @@ def test_perturbation_detected_by_nonintegrality():
     hits = 0
     for _ in range(50):
         data = bytes(rng.randrange(256) for _ in range(9))
-        blocks, length = encrypt_bytes(data, ctx)
+        blocks, length = digitize(data, 3)
+        blocks = encrypt(blocks, ctx)
         i, j = rng.randrange(3), rng.randrange(3)
         blocks[0][i][j] += rng.choice([-3, -2, -1, 1, 2, 3])
         try:
@@ -98,7 +98,8 @@ def test_perturbation_detected_by_nonintegrality():
 
 def test_large_perturbation_leaves_alphabet(two_fib_key):
     ctx = KeyContext(two_fib_key)
-    blocks, length = encrypt_bytes(ALGORITHM, ctx)
+    blocks, length = digitize(ALGORITHM, 3)
+    blocks = encrypt(blocks, ctx)
     blocks[0][0][0] += 10 ** 6
     with pytest.raises(CorruptionError):
         decrypt(blocks, ctx, length)
@@ -138,6 +139,9 @@ def test_ciphertext_growth_matches_transition_ratio(two_fib_key):
     assert abs(slope - math.log(tau)) / math.log(tau) < 0.05
 
 
-def test_assemble_length_check():
-    with pytest.raises(ValueError):
-        assemble([[[1, 2], [3, 4]]], 9)
+def test_decrypt_length_check(two_fib_key):
+    ctx = KeyContext(two_fib_key)
+    blocks = encrypt(digitize(ALGORITHM, 3)[0], ctx)
+    assert decrypt(blocks, ctx, 9) == ALGORITHM
+    with pytest.raises(ValueError, match="exceeds block capacity"):
+        decrypt(blocks, ctx, 10)

@@ -244,6 +244,22 @@ def test_a_decode_error_names_its_offset_in_the_file(two_fib_keyfile, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+HUGE_K = b"RMCv1 k=100000000000000000000 blocks=1 len=0 fp=0\n1\n"
+
+
+@pytest.mark.parametrize("command", ["decrypt", "detect", "correct", "corrupt"])
+def test_a_huge_k_in_the_header_is_a_line_count_fault(two_fib_keyfile, tmp_path, capsys,
+                                                       command):
+    # The header's k sizes no allocation: the one row falls short of its lines.
+    cfile = _write(tmp_path, "c.rmc", HUGE_K)
+    argv = [command, cfile] if command == "corrupt" else [command, two_fib_keyfile, cfile]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot load ciphertext {cfile}: "
+                                       f"expected 100000000000000000000 matrix lines, found 1\n")
+    assert not out.exists()
+
+
 def test_malformed_key_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,4 +1,6 @@
+import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -8,7 +10,7 @@ from rmcipher.coding import KEY_FIELDS
 from rmcipher.formats import (CipherFormatError, ErrorModel, FingerprintMismatchError,
                               KeyFormatError, cipher_from_text, cipher_to_text,
                               corrupt_blocks, format_rows, key_from_dict, key_to_dict, load_key,
-                              read_cipher, records_from_json, records_to_json, require_valid,
+                              read_cipher, records_to_json, require_valid,
                               save_key)
 
 
@@ -178,11 +180,27 @@ def test_error_model_argument_checks():
         ErrorModel(magnitude=0)
 
 
-def test_records_json_roundtrip():
+def test_a_huge_k_sizes_no_allocation_in_the_reader():
+    data = b"RMCv1 k=1000000 blocks=1 len=0 fp=0\n" + b"1\n" * 200      # 436 bytes
+    tracemalloc.start()
+    try:
+        _header, chunks = read_cipher(io.BytesIO(data))
+        with pytest.raises(CipherFormatError, match="expected 1000000 matrix lines, found 200"):
+            list(chunks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_records_to_json():
     blocks = [[[11, 22], [33, 44]]]
     model = ErrorModel(kind="replace_uniform", count=2, magnitude=5, seed=6)
-    _, records = corrupt_blocks(blocks, model)
-    assert records_from_json(records_to_json(records)) == records
+    corrupted, records = corrupt_blocks(blocks, model)
+    assert corrupted == [[[10, 17], [33, 44]]]
+    assert records_to_json(records) == [
+        {"block": 0, "row": 0, "col": 0, "original": "11", "corrupted": "10"},
+        {"block": 0, "row": 0, "col": 1, "original": "22", "corrupted": "17"}]
 
 
 def test_key_roundtrip_preserves_fingerprint(tmp_path):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmcipher import KeyContext, correct, decrypt, general_key, right_form_key, symmetric_key
-from rmcipher.cipher import encrypt_bytes
+from rmcipher import (KeyContext, correct, decrypt, digitize, encrypt, general_key, right_form_key,
+                      symmetric_key)
 from rmcipher.guard import RowDiagnosis, failing_rows
 
 # Per kind, builders of keys whose M_n is positive for every n >= 3.
@@ -40,8 +40,8 @@ def _contexts(kind):
 def test_decryption_inverts_encryption(kind, data):
     ctx = data.draw(_contexts(kind))
     plain = data.draw(st.binary(max_size=60))
-    blocks, length = encrypt_bytes(plain, ctx)
-    assert decrypt(blocks, ctx, length) == plain
+    blocks, length = digitize(plain, ctx.order)
+    assert decrypt(encrypt(blocks, ctx), ctx, length) == plain
 
 
 @pytest.mark.parametrize("kind", sorted(KEYS))
@@ -49,7 +49,7 @@ def test_decryption_inverts_encryption(kind, data):
 @given(data=st.data())
 def test_a_clean_ciphertext_passes_the_chunk_test(kind, data):
     ctx = data.draw(_contexts(kind))
-    blocks, _ = encrypt_bytes(data.draw(st.binary(max_size=60)), ctx)
+    blocks = encrypt(digitize(data.draw(st.binary(max_size=60)), ctx.order)[0], ctx)
     assert failing_rows(ctx, [v for block in blocks for row in block for v in row]) == set()
 
 
@@ -59,7 +59,7 @@ def test_a_clean_ciphertext_passes_the_chunk_test(kind, data):
 def test_the_true_value_lies_in_its_checking_and_absolute_ranges(kind, data):
     ctx = data.draw(_contexts(kind))
     k = ctx.order
-    block = encrypt_bytes(data.draw(st.binary(min_size=k * k, max_size=k * k)), ctx)[0][0]
+    block = encrypt(digitize(data.draw(st.binary(min_size=k * k, max_size=k * k)), k)[0], ctx)[0]
     i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
     truth = block[i][j]
     received = [row[:] for row in block]

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmcipher import (Recurrence, all_roots, exactmat, is_pisot, is_primitive,
-                      is_strong_perron_frobenius, left_companion,
-                      second_eigenmodulus, spectral, transition_ratio)
+                      is_strong_perron_frobenius, left_companion, spectral,
+                      transition_ratio)
 from rmcipher.exactmat import char_poly
 from rmcipher.spectral import (DominantRootError, analyze_matrix, analyze_recurrence,
                                resolve_precision)
@@ -130,7 +130,7 @@ def test_transition_ratio_needs_positive_dominant():
     ((1, 1, 1, 1), 0.8182761, 1e-5),
 ])
 def test_second_eigenmodulus_values(coeffs, expected, tol):
-    sigma = second_eigenmodulus(Recurrence(coeffs).char_poly())
+    sigma = analyze_recurrence(Recurrence(coeffs)).sigma
     assert abs(float(sigma) - expected) < tol
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from rmcipher import (KeyContext, coding_matrix, coding_matrix_inverse, decrypt, digitize,
                       encrypt, general_key, key_fingerprint, right_form_key, symmetric_key)
-from rmcipher.cipher import encrypt_bytes
 from rmcipher.cli import main
 from rmcipher.formats import CHUNK_ROWS, READ_HINT, cipher_from_text, read_cipher, save_key
 
@@ -87,7 +86,8 @@ def test_library_round_trip(name):
     rng = random.Random(name)
     for length in _lengths(key.order):
         data = rng.randbytes(length)
-        blocks, stored = encrypt_bytes(data, ctx)
+        blocks, stored = digitize(data, key.order)
+        blocks = encrypt(blocks, ctx)
         assert stored == length
         assert decrypt(blocks, ctx, stored) == data
         assert decrypt(blocks, ctx) == data + bytes(len(blocks) * key.order ** 2 - length)
