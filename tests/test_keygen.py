@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -232,3 +233,104 @@ def test_right_form_keygen_rejects_non_spf():
     cfg = GenConfig(order=3, coeff_range=(0, 2), seed=3)
     with pytest.raises(DominantRootError):
         right_form_keygen(Recurrence((-4, 0, 5)), cfg)
+
+
+# The bytes of the key file each method writes, as the first 16 hex digits
+# of its SHA-256; None where keygen exits 2 (r = m = 1, plus, geometric:
+# z**2 - 1 has no dominant root).  A refactor of keygen keeps every one.
+KEY_PIN = [
+    ('--k 3 --seed 0', '5ed6f154af364bff'),
+    ('--k 3 --seed 1', '98b25b36cbe90ff5'),
+    ('--k 3 --seed 2', '48120a5b724778e9'),
+    ('--k 3 --seed 3', 'c23572419f204d55'),
+    ('--k 3 --seed 4', '3126c80461310aef'),
+    ('--k 3 --seed 0 --pisot', '5ed6f154af364bff'),
+    ('--k 3 --seed 1 --pisot', '98b25b36cbe90ff5'),
+    ('--k 3 --seed 2 --pisot', '9ad631de1e304dc0'),
+    ('--k 3 --seed 3 --pisot', 'c23572419f204d55'),
+    ('--k 3 --seed 4 --pisot', '3126c80461310aef'),
+    ('--k 5 --seed 0', '8913539985049475'),
+    ('--k 5 --seed 1', '9b3e739fb988a699'),
+    ('--k 5 --seed 2', '5a85ab4a0f8afcbc'),
+    ('--k 5 --seed 3', '07b880fbeb89aaad'),
+    ('--k 5 --seed 4', '552b3d757bac4200'),
+    ('--k 5 --seed 0 --pisot', '09d922512d220210'),
+    ('--k 5 --seed 1 --pisot', '6f728221a1126b4f'),
+    ('--k 5 --seed 2 --pisot', '767993f687f9ce61'),
+    ('--k 5 --seed 3 --pisot', '0691999050c624ec'),
+    ('--k 5 --seed 4 --pisot', '552b3d757bac4200'),
+    ('--method primitive --seed 0', '552c6704007270e5'),
+    ('--method primitive --seed 1', '784d6d9c496d640a'),
+    ('--method primitive --seed 2', 'b1e8161bda9bf603'),
+    ('--method primitive --seed 3', '5f7a3f1ff4bfab34'),
+    ('--method primitive --seed 4', 'ae6ca230b65e82be'),
+    ('--method primitive --k 2 --seed 0', '04e7db5968f488da'),
+    ('--method primitive --k 2 --seed 1', 'df22909a677c271a'),
+    ('--method primitive --k 4 --seed 0', 'fb9dc407bfd79241'),
+    ('--method primitive --k 4 --seed 1', 'd534c5317a0c7694'),
+    ('--method primitive --k 5 --seed 0', 'ba6489ac8c16fb60'),
+    ('--method primitive --k 5 --seed 1', 'e6edf7080c3a5504'),
+    ('--method abt --r 1 --m 1 --sign plus --variant binomial', '095e588c4ebb4188'),
+    ('--method abt --r 1 --m 1 --sign plus --variant geometric', None),
+    ('--method abt --r 1 --m 1 --sign minus --variant binomial', '06cd34e296c740b1'),
+    ('--method abt --r 1 --m 1 --sign minus --variant geometric', 'efc6a451443f367d'),
+    ('--method abt --r 1 --m 2 --sign plus --variant binomial', '4a743fda2af3b771'),
+    ('--method abt --r 1 --m 2 --sign plus --variant geometric', '095e588c4ebb4188'),
+    ('--method abt --r 1 --m 2 --sign minus --variant binomial', '91e837514381d841'),
+    ('--method abt --r 1 --m 2 --sign minus --variant geometric', '74d17a98d707a147'),
+    ('--method abt --r 1 --m 3 --sign plus --variant binomial', '92e0e88e56e578af'),
+    ('--method abt --r 1 --m 3 --sign plus --variant geometric', '988afef86f7e54e1'),
+    ('--method abt --r 1 --m 3 --sign minus --variant binomial', '819ce96728ee0625'),
+    ('--method abt --r 1 --m 3 --sign minus --variant geometric', 'e267c49af2136d71'),
+    ('--method abt --r 1 --m 5 --sign plus --variant binomial', 'e7bd1582d44643c5'),
+    ('--method abt --r 1 --m 5 --sign plus --variant geometric', '5efb819dc04e2d2f'),
+    ('--method abt --r 1 --m 5 --sign minus --variant binomial', 'c4e489534a538718'),
+    ('--method abt --r 1 --m 5 --sign minus --variant geometric', '01a1f34747b60836'),
+    ('--method abt --r 2 --m 1 --sign plus --variant binomial', '988afef86f7e54e1'),
+    ('--method abt --r 2 --m 1 --sign plus --variant geometric', '095e588c4ebb4188'),
+    ('--method abt --r 2 --m 1 --sign minus --variant binomial', '42f78804e751f9c2'),
+    ('--method abt --r 2 --m 1 --sign minus --variant geometric', '28da6680ab29f8dc'),
+    ('--method abt --r 2 --m 2 --sign plus --variant binomial', '5efb819dc04e2d2f'),
+    ('--method abt --r 2 --m 2 --sign plus --variant geometric', '443b1736fe2cb732'),
+    ('--method abt --r 2 --m 2 --sign minus --variant binomial', '7f6a696d99b4212a'),
+    ('--method abt --r 2 --m 2 --sign minus --variant geometric', '326e1bc8574ec9f7'),
+    ('--method abt --r 2 --m 3 --sign plus --variant binomial', 'fe8fd655788d3516'),
+    ('--method abt --r 2 --m 3 --sign plus --variant geometric', 'cdd2a997792ea857'),
+    ('--method abt --r 2 --m 3 --sign minus --variant binomial', '7f87c82308e2c98d'),
+    ('--method abt --r 2 --m 3 --sign minus --variant geometric', 'a63203f3e8269639'),
+    ('--method abt --r 2 --m 5 --sign plus --variant binomial', '28d29cfbebc72bb2'),
+    ('--method abt --r 2 --m 5 --sign plus --variant geometric', '2b7804638c74f50d'),
+    ('--method abt --r 2 --m 5 --sign minus --variant binomial', 'e7797065d7e15198'),
+    ('--method abt --r 2 --m 5 --sign minus --variant geometric', '08983eabeb4ee3ad'),
+    ('--method abt --r 3 --m 1 --sign plus --variant binomial', 'b5e76c3a755dd7cc'),
+    ('--method abt --r 3 --m 1 --sign plus --variant geometric', '988afef86f7e54e1'),
+    ('--method abt --r 3 --m 1 --sign minus --variant binomial', '409914296dc1836c'),
+    ('--method abt --r 3 --m 1 --sign minus --variant geometric', '0b00e9f3fd56f9e9'),
+    ('--method abt --r 3 --m 2 --sign plus --variant binomial', '8c2f5863277bdc11'),
+    ('--method abt --r 3 --m 2 --sign plus --variant geometric', 'cdd2a997792ea857'),
+    ('--method abt --r 3 --m 2 --sign minus --variant binomial', '6694b4026d4ebd76'),
+    ('--method abt --r 3 --m 2 --sign minus --variant geometric', '9939e34cfbdb6668'),
+    ('--method abt --r 3 --m 3 --sign plus --variant binomial', 'a82808d6c2459961'),
+    ('--method abt --r 3 --m 3 --sign plus --variant geometric', '05a36c5f042c2942'),
+    ('--method abt --r 3 --m 3 --sign minus --variant binomial', 'e042edb05771614e'),
+    ('--method abt --r 3 --m 3 --sign minus --variant geometric', 'c878c9122148f68b'),
+    ('--method abt --r 3 --m 5 --sign plus --variant binomial', '9c4b582fb36d2880'),
+    ('--method abt --r 3 --m 5 --sign plus --variant geometric', 'd18011028165e78e'),
+    ('--method abt --r 3 --m 5 --sign minus --variant binomial', '0ecca7f52bed32bd'),
+    ('--method abt --r 3 --m 5 --sign minus --variant geometric', '420eb796616e8f2d'),
+    ('--method right-form --coeffs 1,0,1', '6a1fc838adfba127'),
+    ('--method right-form --coeffs 2,0,1', 'acb9ae64cfca50a9'),
+    ('--method right-form --coeffs 1,1', '77a2c6af5900a23d'),
+    ('--method right-form --coeffs 1,1,1', '99369763f97ce98f'),
+    ('--method right-form --coeffs 1,2,1,1', 'b46d1267619c21d3'),
+    ('--method right-form --coeffs 3,1', 'c393abdf6833a020'),
+]
+
+
+@pytest.mark.parametrize("argv, digest", KEY_PIN, ids=[argv for argv, _ in KEY_PIN])
+def test_every_method_keeps_its_key_bytes(argv, digest, tmp_path, capsys):
+    out = tmp_path / "key.json"
+    code = main(["keygen", *argv.split(), "--out", str(out)])
+    assert code == (2 if digest is None else 0), capsys.readouterr().err
+    if digest is not None:
+        assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
