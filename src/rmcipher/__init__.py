@@ -20,7 +20,7 @@ _EXPORTS = {
                "symmetric_key", "validate_key"),
     "guard": ("CheckingRange", "checking_range", "column_ratio_bounds", "correct",
               "detect_errors", "range_length", "smallest_unambiguous_n"),
-    "keygen": ("GenConfig", "abt_family", "primitive_growth", "right_form_keygen",
+    "keygen": ("GenConfig", "abt_family", "abt_keygen", "primitive_growth", "right_form_keygen",
                "sieve_companion"),
     "recurrence": ("Recurrence", "extend_backward", "extend_forward", "standard_sequence"),
     "spectral": ("SpectralReport", "all_roots", "analyze_matrix", "analyze_recurrence",

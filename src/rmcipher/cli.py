@@ -13,10 +13,11 @@ syntax.
      or malformed key or ciphertext, a fingerprint or dimension mismatch,
      a key that fails validation, a negative index, or a key whose
      ciphertext entries could pass 4300 digits (coding.writable_matrix;
-     keygen too), a key without a
-     simple positive dominant root (DominantRootError) where tau is needed.
+     keygen too), a key without a simple positive dominant root
+     (DominantRootError) where tau is needed.
      Also any ValueError that reaches main (KeyFormatError, CipherFormatError,
-     FingerprintMismatchError, InvalidKeyError, bad option values),
+     FingerprintMismatchError, InvalidKeyError, bad option values, an abt or
+     right-form keygen over --tau-max or not Pisot under --pisot),
      DominantRootError and RootFindingError (keygen on a recurrence
      without the spectral property it needs) and OSError (an output
      file that cannot be written).
@@ -74,7 +75,7 @@ from typing import TYPE_CHECKING, ContextManager, Iterator, NamedTuple, Optional
 
 from . import cipher, formats, spectral
 from .coding import (CodingKey, InvalidKeyError, KeyContext, KeyReport, key_fingerprint,
-                     left_companion, spf_target, symmetric_key, writable_matrix)
+                     spf_target, writable_matrix)
 from .coding import validate_key  # noqa: F401 - bound for perfbench's tracer (test_perfbench)
 from .formats import ErrorModel
 from .recurrence import Recurrence
@@ -205,31 +206,21 @@ def cmd_keygen(args: argparse.Namespace) -> int:
         if gen is None:
             raise CliError(f"sieve exhausted its budget with no feasible key: {stats.to_dict()}")
     elif args.method == "abt":
-        fam = keygen.abt_family(args.r, args.m, -1 if args.sign == "minus" else 1,
-                                args.variant)
-        if fam.report.is_spf != spectral.VERDICT_YES:
-            raise spectral.DominantRootError(
-                "family polynomial's companion matrix lacks the strong Perron-Frobenius "
-                f"property: {fam.report.spf_reason}")
-        if fam.tau_warning:
-            print(f"warning: dominant root {spectral.to_float(fam.report.tau):.5f} exceeds 2",
+        gen = keygen.abt_keygen(args.r, args.m, -1 if args.sign == "minus" else 1,
+                                args.variant, cfg)
+        if gen.report.tau > 2:
+            print(f"warning: dominant root {spectral.to_float(gen.report.tau):.5f} exceeds 2",
                   file=sys.stderr)
-        rec = Recurrence.from_char_poly(fam.poly)
-        rng = random.Random(keygen.derive_seed(args.seed, "abt-x0", 0))
-        x0 = keygen.random_cyclic_vector(left_companion(rec), *keygen.VECTOR_RANGE, rng)
-        index = rng.randint(*cfg.index_range)
-        key = symmetric_key(rec.coeffs, x0, index)
-        gen = keygen.GeneratedKey(key, fam.report)
     elif args.method == "primitive":
-        seed01 = _load_seed_matrix(args.seed_matrix, cfg.order)
+        seed01 = (keygen.primitive_seed(cfg.order) if args.seed_matrix is None
+                  else _load_seed_matrix(args.seed_matrix))
         gen = next(keygen.primitive_growth(seed01, cfg, stats), None)
         if gen is None:
             raise CliError(f"primitive growth emitted no key: {stats.to_dict()}")
     else:                                # right-form: argparse admits no other method
         if not args.coeffs:
             raise CliError("--method right-form requires --coeffs a_0,a_1,...")
-        coeffs = tuple(int(c) for c in args.coeffs.split(","))
-        gen = keygen.right_form_keygen(Recurrence(coeffs), cfg)
+        gen = keygen.right_form_keygen(Recurrence([int(c) for c in args.coeffs.split(",")]), cfg)
     if args.k is not None and gen.key.order != args.k:
         raise CliError(f"--k {args.k} differs from the generated key's order {gen.key.order}")
     key = gen.key if args.index is None else gen.key._replace(index=args.index)
@@ -240,20 +231,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_seed_matrix(path: Optional[str], k: int) -> list[list[int]]:
-    if path is None:
-        # Default seed: a companion subdiagonal and two ones in the first
-        # row, at columns 1 and k-1 for odd k (cycles of lengths 2 and k)
-        # and at k-2 and k-1 for even k (lengths k-1 and k), so the cycle
-        # lengths are coprime and the seed is primitive for every k >= 3.
-        if k == 2:
-            return [[1, 1], [1, 0]]
-        m = [[0] * k for _ in range(k)]
-        m[0][1 if k % 2 else k - 2] = 1
-        m[0][k - 1] = 1
-        for i in range(1, k):
-            m[i][i - 1] = 1
-        return m
+def _load_seed_matrix(path: str) -> list[list[int]]:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         return formats._int_array(data, 2, "the seed matrix")

@@ -2,16 +2,16 @@
 
 Four routes:
 
-* sieve_companion   - draw recurrence coefficients at random and keep
-                      those whose companion matrix has a small simple
-                      positive dominant root (optionally Pisot),
-* abt_family        - the classical two-parameter families of Pisot
+* sieve_companion   - draw recurrence coefficients at random,
+* abt_keygen        - the classical two-parameter families of Pisot
                       polynomials near the multinacci limit points,
 * primitive_growth  - grow a primitive 0/1 seed matrix by random
-                      increments, keeping the dominant root capped,
-* right_form_keygen - pair a strong-Perron-Frobenius right companion
-                      matrix with a random nonnegative invertible
-                      initial matrix.
+                      increments,
+* right_form_keygen - pair a right companion matrix with a random
+                      nonnegative invertible initial matrix.
+
+Each keeps a candidate by one rule (_spectrum_fault) and, but for
+right-form, emits its key by one step (_emit).
 
 Every emitted key passes validate_key's hard checks by construction (a_0
 or det L nonzero, M_0 invertible).  Streams are deterministic in the
@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator, NamedTuple, Optional
+from functools import partial
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import exactmat, spectral
 from .coding import (CodingKey, general_key, is_cyclic, left_companion, right_companion,
@@ -102,17 +103,33 @@ def random_cyclic_vector(left: IntMatrix, lo: int, hi: int,
         f"no cyclic vector found in {_RETRIES} draws; the matrix may be derogatory")
 
 
-def _passes_spectrum(report: SpectralReport, cfg: GenConfig, stats: GenStats) -> bool:
+def _spectrum_fault(report: SpectralReport, cfg: GenConfig) -> Optional[str]:
+    """The acceptance rule of every method: the GenStats name of the first
+    check failed (SPF, tau <= tau_cap, Pisot under require_pisot), or None."""
     if report.is_spf != VERDICT_YES:
-        stats.reject("not_spf")
-        return False
+        return "not_spf"
     if report.tau > cfg.tau_cap:
-        stats.reject("tau_above_cap")
-        return False
-    if cfg.require_pisot and report.is_pisot != VERDICT_YES:
-        stats.reject("not_pisot")
-        return False
-    return True
+        return "tau_above_cap"
+    return "not_pisot" if cfg.require_pisot and report.is_pisot != VERDICT_YES else None
+
+
+def _accept(report: SpectralReport, cfg: GenConfig, what: str) -> None:
+    """The acceptance rule of a single candidate, the matrix `what`: its failure raised."""
+    fault = _spectrum_fault(report, cfg)
+    if fault == "not_spf":
+        raise spectral.DominantRootError(
+            f"{what} lacks the strong Perron-Frobenius property: {report.spf_reason}")
+    if fault:
+        check = "the cap on tau" if fault == "tau_above_cap" else "the Pisot check"
+        raise ValueError(f"{what} fails {check}: tau {spectral.to_float(report.tau):.5f}, "
+                         f"cap {cfg.tau_cap}, Pisot verdict {report.is_pisot}")
+
+
+def _emit(left: IntMatrix, make_key: Callable, report: SpectralReport, rng: random.Random,
+          cfg: GenConfig) -> GeneratedKey:
+    """make_key(x0, index), x0 a random cyclic vector of left, then a random index."""
+    x0 = random_cyclic_vector(left, *VECTOR_RANGE, rng)
+    return GeneratedKey(make_key(x0, rng.randint(*cfg.index_range)), report)
 
 
 def _two_roots_outside(rec: Recurrence) -> bool:
@@ -145,17 +162,16 @@ def sieve_companion(cfg: GenConfig, stats: Optional[GenStats] = None) -> Iterato
             stats.reject("not_pisot")
             continue
         report = spectral.analyze_recurrence(rec)
-        if not _passes_spectrum(report, cfg, stats):
+        if fault := _spectrum_fault(report, cfg):
+            stats.reject(fault)
             continue
-        companion = left_companion(rec)
         try:
-            x0 = random_cyclic_vector(companion, *VECTOR_RANGE, rng)
+            gen = _emit(left_companion(rec), partial(symmetric_key, coeffs), report, rng, cfg)
         except CyclicVectorError:
             stats.reject("no_cyclic_vector")
             continue
-        key = symmetric_key(coeffs, x0, rng.randint(*cfg.index_range))
         stats.emitted += 1
-        yield GeneratedKey(key, report)
+        yield gen
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +227,27 @@ def abt_family(r: int, m: int, sign: int = -1,
                            tau_warning=warning)
 
 
+def abt_keygen(r: int, m: int, sign: int, variant: str, cfg: GenConfig) -> GeneratedKey:
+    """Symmetric key of the abt_family polynomial, if it passes the rule."""
+    fam = abt_family(r, m, sign, variant)
+    _accept(fam.report, cfg, "family polynomial's companion matrix")
+    rec = Recurrence.from_char_poly(fam.poly)
+    rng = random.Random(derive_seed(cfg.seed, "abt-x0", 0))
+    return _emit(left_companion(rec), partial(symmetric_key, rec.coeffs), fam.report, rng, cfg)
+
+
 # ---------------------------------------------------------------------------
 # primitive growth
 # ---------------------------------------------------------------------------
+
+def primitive_seed(order: int) -> IntMatrix:
+    """The default seed of primitive_growth: the companion matrix of
+    z**k - z**j - 1, j = k - 2 for odd k and 1 for even k, whose graph has
+    cycles of the coprime lengths k - j and k, so it is primitive."""
+    coeffs = [1] + [0] * (order - 1)
+    coeffs[order - 2 if order % 2 else 1] = 1
+    return left_companion(Recurrence(coeffs))
+
 
 def primitive_growth(seed01: IntMatrix, cfg: GenConfig,
                      stats: Optional[GenStats] = None) -> Iterator[GeneratedKey]:
@@ -224,7 +258,7 @@ def primitive_growth(seed01: IntMatrix, cfg: GenConfig,
     and column-sum bounds both blow past twice the cap are discarded
     early, and the exact dominant root decides acceptance.  Larger
     entries never break primitivity, so the seed's certificate carries
-    over (and is re-checked).
+    over.
     """
     if not spectral.is_primitive(seed01):
         raise ValueError("seed matrix must be primitive")
@@ -249,20 +283,17 @@ def primitive_growth(seed01: IntMatrix, cfg: GenConfig,
         if exactmat.det_exact(m) == 0:
             stats.reject("singular")
             continue
-        if not spectral.is_primitive(m):
-            stats.reject("not_primitive")
-            continue
         report = spectral.analyze_matrix(m)
-        if not _passes_spectrum(report, cfg, stats):
+        if fault := _spectrum_fault(report, cfg):
+            stats.reject(fault)
             continue
         try:
-            x0 = random_cyclic_vector(m, *VECTOR_RANGE, rng)
+            gen = _emit(m, partial(general_key, m), report, rng, cfg)
         except CyclicVectorError:
             stats.reject("no_cyclic_vector")
             continue
-        key = general_key(m, x0, rng.randint(*cfg.index_range))
         stats.emitted += 1
-        yield GeneratedKey(key, report)
+        yield gen
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +301,12 @@ def primitive_growth(seed01: IntMatrix, cfg: GenConfig,
 # ---------------------------------------------------------------------------
 
 def right_form_keygen(rec: Recurrence, cfg: GenConfig) -> GeneratedKey:
-    """Key from a strong-Perron-Frobenius right companion matrix and a
-    random nonnegative invertible initial matrix."""
+    """Key from a right companion matrix that passes the acceptance rule
+    and a random nonnegative invertible initial matrix."""
     if rec.a0 == 0:
         raise ValueError("right companion matrix is singular (a_0 = 0)")
     report = spectral.analyze_matrix(right_companion(rec))
-    if report.is_spf != VERDICT_YES:
-        raise spectral.DominantRootError(
-            "right companion matrix lacks the strong Perron-Frobenius property: "
-            f"{report.spf_reason}")
+    _accept(report, cfg, "right companion matrix")
     rng = random.Random(derive_seed(cfg.seed, "right_form", 0))
     for _ in range(_RETRIES):
         m0 = [[rng.randint(*VECTOR_RANGE) for _ in range(rec.order)] for _ in range(rec.order)]

@@ -65,8 +65,7 @@ def _check_window(rec: Recurrence, window: Sequence) -> None:
 def step_forward(rec: Recurrence, window: Sequence):
     """Next term from the k most recent terms given in descending order."""
     _check_window(rec, window)
-    rev = rec.coeffs[::-1]
-    return sum(a * x for a, x in zip(rev, window))
+    return sum(a * x for a, x in zip(rec.coeffs[::-1], window))
 
 
 def step_backward(rec: Recurrence, window: Sequence) -> Fraction:
@@ -74,10 +73,8 @@ def step_backward(rec: Recurrence, window: Sequence) -> Fraction:
     _check_window(rec, window)
     if rec.a0 == 0:
         raise ValueError("sequence is not backward-extendable: trailing coefficient a_0 is zero")
-    acc = Fraction(window[0])
-    for a, x in zip(rec.coeffs[::-1][:-1], window[1:]):
-        acc -= a * Fraction(x)
-    return acc / rec.a0
+    rest = sum(a * Fraction(x) for a, x in zip(rec.coeffs[:0:-1], window[1:]))
+    return (window[0] - rest) / rec.a0
 
 
 def extend_forward(rec: Recurrence, seed: Sequence, count: int) -> list:
@@ -87,8 +84,7 @@ def extend_forward(rec: Recurrence, seed: Sequence, count: int) -> list:
         raise ValueError("count must be non-negative")
     seq = list(reversed(list(seed)))
     for _ in range(count):
-        window = seq[-rec.order:]
-        seq.append(sum(a * x for a, x in zip(rec.coeffs, window)))
+        seq.append(step_forward(rec, seq[-rec.order:][::-1]))
     return seq
 
 
@@ -99,16 +95,11 @@ def extend_backward(rec: Recurrence, seed: Sequence, count: int) -> list[Fractio
         raise ValueError("count must be non-negative")
     if rec.a0 == 0:
         raise ValueError("sequence is not backward-extendable: trailing coefficient a_0 is zero")
-    window = [Fraction(x) for x in reversed(list(seed))]  # ascending X[n] .. X[n+k-1]
+    window = list(seed)
     out: list[Fraction] = []
     for _ in range(count):
-        top = window[-1]
-        acc = top
-        for a, x in zip(rec.coeffs[1:], window[:-1]):
-            acc -= a * x
-        prev = acc / rec.a0
-        out.append(prev)
-        window = [prev] + window[:-1]
+        out.append(step_backward(rec, window))
+        window = window[1:] + out[-1:]
     return out
 
 

@@ -163,13 +163,6 @@ def to_float(x: Fraction) -> float:
     return float(x) if abs(x) <= sys.float_info.max else (math.inf if x > 0 else -math.inf)
 
 
-def _horner(coeffs: Sequence, z):
-    acc = z * 0
-    for c in coeffs:
-        acc = acc * z + c
-    return acc
-
-
 def _aberth_step(coeffs: Sequence, dcoeffs: Sequence, z: list) -> tuple:
     """One Aberth-Ehrlich sweep over the iterates z in Python complex.
     Returns the new iterates and the largest step; a zero derivative or
@@ -177,7 +170,7 @@ def _aberth_step(coeffs: Sequence, dcoeffs: Sequence, z: list) -> tuple:
     new = list(z)
     max_step = 0
     for j, zj in enumerate(z):
-        w = _horner(coeffs, zj) / _horner(dcoeffs, zj)
+        w = exactmat.poly_eval(coeffs, zj) / exactmat.poly_eval(dcoeffs, zj)
         s = 0
         for l, zl in enumerate(z):
             if l != j:

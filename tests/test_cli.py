@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from rmcipher import formats, is_primitive, symmetric_key
-from rmcipher.cli import _load_seed_matrix, main
+from rmcipher.cli import main
 from rmcipher.formats import cipher_from_text, cipher_to_text, save_key
+from rmcipher.keygen import primitive_seed
 from tests.conftest import ALGORITHM, C_ALGORITHM_15
 
 
@@ -509,15 +510,31 @@ def test_abt_keygen_without_spf_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, check", [
+    (["--method", "right-form", "--coeffs", "1,1,0,0", "--pisot"], "the Pisot check"),
+    (["--method", "abt", "--r", "2", "--m", "2", "--sign", "plus", "--variant", "geometric",
+      "--pisot"], "the Pisot check"),
+    (["--method", "right-form", "--coeffs", "1,1", "--tau-max", "1.1"], "the cap on tau"),
+    (["--method", "right-form", "--coeffs", "5,5,5"], "the cap on tau"),
+], ids=["right-form-pisot", "abt-pisot", "right-form-tau-max", "right-form-default-cap"])
+def test_single_candidate_keygen_keeps_the_cap_and_the_pisot_check(argv, check, tmp_path,
+                                                                    capsys):
+    out = tmp_path / "k.json"
+    assert main(["keygen", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f" fails {check}: " in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("k", range(2, 9))
 def test_default_primitive_seed_is_primitive(k):
-    assert is_primitive(_load_seed_matrix(None, k))
+    assert is_primitive(primitive_seed(k))
 
 
 def test_default_primitive_seed_is_unchanged_at_k_2_and_odd_k():
-    assert _load_seed_matrix(None, 2) == [[1, 1], [1, 0]]
-    assert _load_seed_matrix(None, 5) == [[0, 1, 0, 0, 1], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
-                                          [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]
+    assert primitive_seed(2) == [[1, 1], [1, 0]]
+    assert primitive_seed(5) == [[0, 1, 0, 0, 1], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
+                                 [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]
 
 
 def test_keygen_primitive_at_k_4(tmp_path):
