@@ -289,7 +289,11 @@ def ratio_extremes(m: Sequence[Sequence[int]], j: int, jp: int) -> tuple[int, in
     integers (lo_num, lo_den, hi_num, hi_den) in lowest terms: each
     denominator >= 0, a ratio with zero denominator +/- infinity by the
     sign of its numerator, held as (+/-1, 0); 0/0 rows are dropped.
-    Ratios are compared by cross-multiplication (_below)."""
+    Ratios are compared by cross-multiplication (_below).  They bound c_j / c_jp
+    only where the weights m[l][jp] share a sign; else (-1, 0, 1, 0), no bound."""
+    jp_column = [row[jp] for row in m]
+    if min(jp_column, default=0) < 0 <= max(jp_column):
+        return -1, 0, 1, 0
     extremes = []
     for row in m:
         num, den = row[j], row[jp]

@@ -526,6 +526,21 @@ def test_single_candidate_keygen_keeps_the_cap_and_the_pisot_check(argv, check, 
     assert not out.exists()
 
 
+def test_a_key_with_a_column_of_both_signs_detects_a_clean_file_clean(tmp_path):
+    # Column 4 of this key's M_33 reads -, -, -, -, +: its row ratios bound
+    # no ratio of column sums, so no pair with that denominator is bounded.
+    key, plain, cipher = (str(tmp_path / name) for name in ("k.json", "p.bin", "c.rmc"))
+    assert main(["keygen", "--k", "5", "--seed", "138", "--out", key]) == 0
+    Path(plain).write_bytes(random.Random(0).randbytes(8192))
+    assert main(["encrypt", key, plain, "--out", cipher]) == 0
+    assert main(["detect", key, cipher, "--out", str(tmp_path / "d.json")]) == 0
+    assert json.loads((tmp_path / "d.json").read_text())["clean"] is True
+    fixed = tmp_path / "fixed.rmc"
+    assert main(["correct", key, cipher, "--out", str(fixed),
+                 "--report", str(tmp_path / "r.json")]) == 0
+    assert fixed.read_bytes() == Path(cipher).read_bytes()
+
+
 @pytest.mark.parametrize("k", range(2, 9))
 def test_default_primitive_seed_is_primitive(k):
     assert is_primitive(primitive_seed(k))

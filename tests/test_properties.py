@@ -1,16 +1,17 @@
 """Property tests of the receiver's invariants, for each of the three key kinds:
 decryption inverts encryption, a clean ciphertext passes the chunk test, and
 a corrupted entry's true value lies in the checking range that correction
-searches and in its column's absolute range."""
+searches and in its column's absolute range; and the last two again under
+validated keys whose M_n has entries of both signs."""
 
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from rmcipher import (KeyContext, correct, decrypt, digitize, encrypt, general_key, right_form_key,
-                      symmetric_key)
+from rmcipher import (KeyContext, checking_range, correct, decrypt, digitize, encrypt, general_key,
+                      right_form_key, symmetric_key, validate_key)
 from rmcipher.guard import RowDiagnosis, failing_rows
 
 # Per kind, builders of keys whose M_n is positive for every n >= 3.
@@ -73,3 +74,44 @@ def test_the_true_value_lies_in_its_checking_and_absolute_ranges(kind, data):
     lo, hi = ctx.entry_ranges[j]
     assert rng.lo <= truth <= rng.hi
     assert lo <= truth <= hi
+
+
+@st.composite
+def signed_keys(draw):
+    """A key that passes validate_key with a dominant root, of any kind, with
+    coefficients (but a right_form key's, which its SPF property keeps
+    nonnegative) and initial data of both signs."""
+    k, n = draw(st.integers(2, 4)), draw(st.integers(1, 20))
+    vector = st.lists(st.integers(-4, 4), min_size=k, max_size=k)
+    kind = draw(st.sampled_from(sorted(KEYS)))
+    if kind == "general":
+        key = general_key(draw(st.lists(vector, min_size=k, max_size=k)), draw(vector), n)
+    else:
+        low = -3 if kind == "symmetric" else 0
+        coeffs = [draw(st.integers(1, 3))] + draw(st.lists(st.integers(low, 3), min_size=k - 1,
+                                                            max_size=k - 1))
+        key = (symmetric_key(coeffs, draw(vector), n) if kind == "symmetric" else
+               right_form_key(coeffs, draw(st.lists(vector, min_size=k, max_size=k)), n))
+    validation = validate_key(key)
+    assume(validation.ok and validation.item("strong_perron_frobenius").status == "pass")
+    return key
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(signed_keys(), st.data())
+def test_a_clean_ciphertext_passes_under_keys_of_both_signs(key, data):
+    """No clean row fails the chunk test, and each entry lies in its checking
+    range against every reference whose entry is not negative (checking_range
+    refuses a negative reference as suspect)."""
+    ctx = KeyContext(key)
+    k = ctx.order
+    blocks = encrypt(digitize(data.draw(st.binary(min_size=1, max_size=3 * k * k)), k)[0], ctx)
+    rows = [row for block in blocks for row in block]
+    assert failing_rows(ctx, [v for row in rows for v in row]) == set()
+    for row in rows:
+        for j in range(k):
+            for ref in ctx.reference_columns[j]:
+                if row[ref] >= 0:
+                    rng = checking_range(ctx, j, ref, row[ref])
+                    assert rng.lo <= row[j] <= rng.hi

@@ -56,7 +56,12 @@ def _reference_ratio(num, den):
 
 def _reference_ratio_bounds(m, j, jp):
     """The extreme ratios m[l][j] / m[l][jp] over the rows l, as Fractions
-    or +/-inf, 0/0 rows dropped: the oracle for ratio_extremes."""
+    or +/-inf, 0/0 rows dropped: the oracle for ratio_extremes.  They bound
+    a ratio of weighted sums only when the weights m[l][jp] share a sign, so
+    a column jp with a negative entry and a nonnegative one gives (-inf, inf)."""
+    weights = [row[jp] for row in m]
+    if any(w < 0 for w in weights) and any(w >= 0 for w in weights):
+        return -math.inf, math.inf
     ratios = [r for r in (_reference_ratio(row[j], row[jp]) for row in m) if r is not None]
     if not ratios:
         raise ValueError("no comparable rows")
@@ -97,7 +102,9 @@ SMALL_MATRICES = st.integers(1, 5).flatmap(
 @given(SMALL_MATRICES)
 @example([[0, 0], [3, 0], [-2, 0], [1, 2]])     # 0/0, +inf and -inf in one pair
 @example([[-3, 0], [0, 0], [3, 0]])             # -inf before +inf
-@example([[2, -4], [-1, 2], [0, 0]])            # negative denominators, one ratio
+@example([[2, -4], [-1, 2], [0, 0]])            # denominators of both signs: no bound
+@example([[2, -4], [-1, -2]])                   # negative denominators
+@example([[1, 0], [2, -1]])                     # nonpositive with a zero: no bound
 @example([[0, 0], [0, 0]])                      # no comparable row
 def test_ratio_extremes_match_the_fraction_oracle(m):
     try:
