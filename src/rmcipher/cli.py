@@ -75,7 +75,7 @@ from typing import TYPE_CHECKING, ContextManager, Iterator, NamedTuple, Optional
 
 from . import cipher, formats, spectral
 from .coding import (CodingKey, InvalidKeyError, KeyContext, KeyReport, key_fingerprint,
-                     spf_target, writable_matrix)
+                     writable_matrix)
 from .coding import validate_key  # noqa: F401 - bound for perfbench's tracer (test_perfbench)
 from .formats import ErrorModel
 from .recurrence import Recurrence
@@ -103,16 +103,15 @@ def _parse_int_pair(text: str, what: str) -> tuple[int, int]:
 
 
 def _load_validated(path: str) -> tuple[KeyContext, KeyReport]:
-    """The key file, validated once on one `analyze_matrix` report and
-    compiled for its own index with that report, so a command solves the
-    key's polynomial once; and that validation.  Validation runs before M_n
-    is built, and a key whose ciphertexts could not be written is refused
+    """The key file, validated and compiled for its own index; and that
+    validation.  Both read the key's one spectral_report, so a command
+    solves the key's polynomial once.  Validation runs before M_n is built,
+    and a key whose ciphertexts could not be written is refused
     (coding.writable_matrix)."""
     try:
         key = formats.load_key(path)
-        report = spectral.analyze_matrix(spf_target(key))
-        validation = formats.require_valid(key, report)
-        return KeyContext(key, report=report), validation
+        validation = formats.require_valid(key)
+        return KeyContext(key), validation
     except (formats.KeyFormatError, formats.FingerprintMismatchError, InvalidKeyError, OSError,
             spectral.RootFindingError) as exc:
         raise CliError(f"cannot load key {path}: {exc}") from exc
@@ -164,7 +163,7 @@ def _receiver_context(ctx: KeyContext, n: Optional[int] = None) -> KeyContext:
     (default: its own), tau included: a key without a simple positive
     dominant root cannot check ciphertexts."""
     if n is not None and n != ctx.n:
-        ctx = KeyContext(ctx.key, n, report=ctx.report)
+        ctx = KeyContext(ctx.key, n)
     try:
         ctx.tau  # read here, once, so that a bad key fails before any block
     except spectral.DominantRootError as exc:
@@ -233,8 +232,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
 
 def _load_seed_matrix(path: str) -> list[list[int]]:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return formats._int_array(data, 2, "the seed matrix")
+        return formats._int_array(formats.read_json(path), 2, "the seed matrix")
     except (ValueError, OSError) as exc:
         raise CliError(f"cannot load seed matrix {path}: {exc}") from exc
 
@@ -508,8 +506,8 @@ def run_bench_trial(ctx: KeyContext, model: ErrorModel, trial_seed: int,
         data = plaintext
     blocks, _ = cipher.digitize(data, k)
     original = cipher.encrypt(blocks[:1], ctx)[0]
-    corrupted, _records = formats.corrupt_blocks([original], model, seed=trial_seed)
-    received = corrupted[0]
+    trial_model = ErrorModel(model.kind, model.count, model.magnitude, seed=trial_seed)
+    received = formats.corrupt_blocks([original], trial_model)[0][0]
     diagnoses = guard.detect_errors(received, ctx)
     if all(d.clean for d in diagnoses):
         changed = received != original

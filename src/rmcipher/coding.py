@@ -137,6 +137,16 @@ class CodingKey(FrozenRecord):
         """A new key, checked again, with the given fields changed."""
         return CodingKey(**{**dict(zip(self._fields, self._values())), **changes})
 
+    def spectral_report(self, precision: Optional[int] = None) -> spectral.SpectralReport:
+        """analyze_matrix on spf_target(self) at `precision` (default:
+        RMC_PRECISION_BITS), solved once per precision for this key object
+        and stored on it outside its fields: an equal key solves again."""
+        bits = spectral.resolve_precision(precision)
+        reports = vars(self).setdefault("_spectral_reports", {})
+        if bits not in reports:
+            reports[bits] = spectral.analyze_matrix(spf_target(self), bits)
+        return reports[bits]
+
     def recurrence(self) -> Recurrence:
         if self.kind == KIND_GENERAL:
             return Recurrence.from_char_poly(exactmat.char_poly(self.left_matrix()))
@@ -343,26 +353,27 @@ class KeyContext(FrozenRecord):
     pays for an inverse or a root solve, and only an encryption of at
     least cipher.TABLE_ROWS rows, by a key whose products are too wide for
     64-bit slots but fit in cipher.TABLE_BITS bits, builds byte tables.
-    tau has one source, `report`, the `analyze_matrix` report on the key's
-    spf_target: the one given (see check_report), else one made on first
-    use.  Its precision is `precision`, else RMC_PRECISION_BITS.
+    tau has one source, `report`, the key's spectral_report at `precision`
+    (default: RMC_PRECISION_BITS), so contexts of one key object at several
+    indices share one root solve.
     Build one per key and index, and pass it to every cipher and guard call.
     Contexts are equal only when they are one object.
     """
 
-    _fields = ("key", "n", "precision", "report", "matrix", "columns")
-    _hidden = ("report",)
+    _fields = ("key", "n", "precision", "matrix", "columns")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, key: CodingKey, n: Optional[int] = None, precision: Optional[int] = None,
-                 report: Optional[spectral.SpectralReport] = None) -> None:
+    def __init__(self, key: CodingKey, n: Optional[int] = None,
+                 precision: Optional[int] = None) -> None:
         n = key.index if n is None else n          # None: the key's own index
-        if report is not None:
-            check_report(report, key, precision)
         matrix = tuple(map(tuple, writable_matrix(key, n)))
-        vars(self).update(key=key, n=n, precision=precision, report=report, matrix=matrix,
+        vars(self).update(key=key, n=n, precision=precision, matrix=matrix,
                           columns=tuple(zip(*matrix)))
+
+    @property
+    def report(self) -> spectral.SpectralReport:
+        return self.key.spectral_report(self.precision)
 
     @property
     def order(self) -> int:
@@ -401,8 +412,6 @@ class KeyContext(FrozenRecord):
     @cached_property
     def tau(self) -> Fraction:
         """Transition ratio of the key's recurrence, read off `report`."""
-        if self.report is None:
-            vars(self)["report"] = spectral.analyze_matrix(spf_target(self.key), self.precision)
         return spectral.report_transition_ratio(self.report)
 
     @cached_property
@@ -490,27 +499,14 @@ class KeyReport(NamedTuple):
         ]}
 
 
-def check_report(report: spectral.SpectralReport, key: CodingKey,
-                 precision: Optional[int] = None) -> None:
-    """ValueError unless the report is on the key's characteristic
-    polynomial, at this precision."""
-    if (report.char_poly != key.recurrence().char_poly()
-            or report.precision_bits != spectral.resolve_precision(precision)):
-        raise ValueError("the spectral report is not on this key's polynomial "
-                         "at this precision")
-
-
-def validate_key(key: CodingKey, precision: Optional[int] = None,
-                 report: Optional[spectral.SpectralReport] = None) -> KeyReport:
+def validate_key(key: CodingKey, precision: Optional[int] = None) -> KeyReport:
     """Structured feasibility report: invertibility, cyclicity, spectral
     verdicts, a transition-ratio cap, and eventual positivity of M_n.
 
-    The spectral verdicts come from `report`, the `analyze_matrix` report
-    on the key's strong Perron-Frobenius target (its transition matrix, or
-    the right companion matrix of a right_form key) when the caller holds
-    one, else from one such analysis here at `precision` (default:
-    RMC_PRECISION_BITS).  A report on another polynomial or precision
-    raises ValueError (see check_report).
+    The spectral verdicts come from the key's spectral_report at
+    `precision` (default: RMC_PRECISION_BITS), on its strong
+    Perron-Frobenius target (its transition matrix, or the right companion
+    matrix of a right_form key).
     """
     items: list[CheckItem] = []
 
@@ -536,10 +532,7 @@ def validate_key(key: CodingKey, precision: Optional[int] = None,
                                "pass" if nonneg else "fail",
                                "", hard=True))
 
-    if report is None:
-        report = spectral.analyze_matrix(spf_target(key), precision)
-    else:
-        check_report(report, key, precision)
+    report = key.spectral_report(precision)
     status = {"yes": "pass", "no": "fail", "indeterminate": "indeterminate"}
     items.append(CheckItem("strong_perron_frobenius", status[report.is_spf], report.spf_reason))
     items.append(CheckItem("pisot", status[report.is_pisot]))

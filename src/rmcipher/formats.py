@@ -34,7 +34,6 @@ from .coding import (KEY_FIELDS, KEY_FORMAT, KINDS, CodingKey, KeyReport, canoni
                      key_fingerprint, validate_key)
 from .exactmat import IntMatrix
 from .records import FrozenRecord
-from .spectral import SpectralReport
 
 CIPHER_MAGIC = "RMCv1"
 
@@ -104,10 +103,10 @@ def key_from_dict(data: dict) -> CodingKey:
     return key
 
 
-def require_valid(key: CodingKey, report: Optional[SpectralReport] = None) -> KeyReport:
+def require_valid(key: CodingKey) -> KeyReport:
     """validate_key's report on the key, or KeyFormatError naming the hard
     checks that fail."""
-    validation = validate_key(key, report=report)
+    validation = validate_key(key)
     if not validation.ok:
         failures = [it.name for it in validation.items if it.hard and it.status == "fail"]
         raise KeyFormatError(f"key fails validation: {', '.join(failures)}")
@@ -122,11 +121,20 @@ def save_key(key: CodingKey, path: Union[str, Path]) -> None:
     Path(path).write_text(key_text(key))
 
 
+def read_json(path: Union[str, Path]):
+    """The JSON value in a UTF-8 file; ValueError for bad JSON, bad UTF-8,
+    an integer past int()'s digit limit, or nesting too deep to parse."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
+
+
 def load_key(path: Union[str, Path]) -> CodingKey:
     """The key in a key file, parsed as key_from_dict parses; not validated."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:     # bad JSON, bad UTF-8, an integer past int()'s digit limit
+        data = read_json(path)
+    except ValueError as exc:
         raise KeyFormatError(f"not a JSON key file: {exc}") from exc
     return key_from_dict(data)
 
@@ -370,13 +378,13 @@ def _corrupt_value(value: int, model: ErrorModel, rng: random.Random) -> int:
     return new
 
 
-def corrupt_blocks(blocks: Sequence[IntMatrix], model: ErrorModel,
-                   seed: Optional[int] = None) -> tuple[list[IntMatrix], list[CorruptionRecord]]:
-    """Deterministically corrupt `count` distinct entries per block.
+def corrupt_blocks(blocks: Sequence[IntMatrix],
+                   model: ErrorModel) -> tuple[list[IntMatrix], list[CorruptionRecord]]:
+    """Corrupt `count` distinct entries per block, drawing from model.seed.
 
     Returns the corrupted blocks and a ground-truth record of every
     change (the sidecar content for audits)."""
-    rng = random.Random(model.seed if seed is None else seed)
+    rng = random.Random(model.seed)
     out = [[list(row) for row in block] for block in blocks]
     records: list[CorruptionRecord] = []
     for b, block in enumerate(out):

@@ -93,14 +93,17 @@ def checking_range(ctx: KeyContext, j: int, ref: int, c_ref: int) -> CheckingRan
     M_n (ctx.ratio_bounds, both finite: ref must be one of
     ctx.reference_columns[j], else ValueError), cut to column j's absolute
     range (ctx.entry_ranges).  A reference of 0 gives [0, 0]; a negative
-    one turns the bounds over, and an interval with no integer raises
-    EmptyCheckingRangeError.  The spiral estimate is c_ref * tau**(ref - j),
-    rounded half up and moved into [lo, hi].  lo, hi and the estimate are
-    found by integer floor division; only the two bounds are Fractions.
+    one swaps the bounds (c_ref times the largest ratio is the lower), and
+    an interval with no integer raises EmptyCheckingRangeError.  The
+    spiral estimate is c_ref * tau**(ref - j), rounded half up and moved
+    into [lo, hi].  lo, hi and the estimate are found by integer floor
+    division; only the two bounds are Fractions.
     """
     lo_num, lo_den, hi_num, hi_den = _reference_bounds(ctx, j, ref)
     col_lo, col_hi = ctx.entry_ranges[j]
     lo_num, hi_num = c_ref * lo_num, c_ref * hi_num      # the bounds lo_num/lo_den, hi_num/hi_den
+    if c_ref < 0:
+        lo_num, lo_den, hi_num, hi_den = hi_num, hi_den, lo_num, lo_den
     lo, hi = max(-(-lo_num // lo_den), col_lo), min(hi_num // hi_den, col_hi)
     if lo > hi:
         raise EmptyCheckingRangeError(

@@ -182,7 +182,6 @@ class AbtFamilyResult(NamedTuple):
     poly: IntPolynomial
     report: SpectralReport
     removed_factors: list[str]
-    tau_warning: bool    # dominant root above 2 (small m does that)
 
 
 def multinacci_poly(r: int) -> IntPolynomial:
@@ -221,10 +220,8 @@ def abt_family(r: int, m: int, sign: int = -1,
             else:
                 break
     companion = left_companion(Recurrence.from_char_poly(poly))
-    report = spectral.analyze_matrix(companion)
-    warning = report.tau is not None and report.tau > 2
-    return AbtFamilyResult(poly=poly, report=report, removed_factors=removed,
-                           tau_warning=warning)
+    return AbtFamilyResult(poly=poly, report=spectral.analyze_matrix(companion),
+                           removed_factors=removed)
 
 
 def abt_keygen(r: int, m: int, sign: int, variant: str, cfg: GenConfig) -> GeneratedKey:

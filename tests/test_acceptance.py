@@ -145,7 +145,7 @@ def test_criterion_5d_triple_error_ranges():
         assert abs(float(rng.upper) - hi_val) < 0.01
     # For n >= 34 every one of the three ranges pins a single integer.
     for n in range(34, 43):
-        ctx = KeyContext(TETRANACCI, n, report=ctx.report)
+        ctx = KeyContext(TETRANACCI, n)
         m = ctx.matrix
         ref = sum(blocks[0][0][t] * m[t][0] for t in range(4))
         for j in (1, 2, 3):

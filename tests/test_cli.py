@@ -541,6 +541,28 @@ def test_a_key_with_a_column_of_both_signs_detects_a_clean_file_clean(tmp_path):
     assert fixed.read_bytes() == Path(cipher).read_bytes()
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_key_whose_entries_are_all_negative_repairs_against_negative_references(seed,
+                                                                                  tmp_path):
+    # Every entry of this key's M_27 is negative, so every trusted
+    # reference is too: its checking ranges are c_ref times the ratio
+    # bounds, swapped.
+    key, plain, cipher, bad, fixed, back = (str(tmp_path / name) for name in (
+        "k.json", "p.txt", "c.rmc", "bad.rmc", "fixed.rmc", "back.txt"))
+    assert main(["keygen", "--k", "3", "--seed", "9", "--out", key]) == 0
+    assert main(["analyze", key, "--json", "--out", str(tmp_path / "a.json")]) == 0
+    validation = json.loads((tmp_path / "a.json").read_text())["validation"]
+    assert {"name": "entries_eventually_positive", "status": "fail", "hard": False,
+            "detail": "entries stabilize negative; negate the initial data"} in validation["checks"]
+    Path(plain).write_bytes(b"ALGORITHM checking relations")
+    assert main(["encrypt", key, plain, "--out", cipher]) == 0
+    assert main(["corrupt", cipher, "--seed", str(seed), "--magnitude", "1000000000",
+                 "--out", bad]) == 0
+    assert main(["correct", key, bad, "--out", fixed, "--report", str(tmp_path / "r.json")]) == 0
+    assert main(["decrypt", key, fixed, "--out", back]) == 0
+    assert Path(back).read_bytes() == b"ALGORITHM checking relations"
+
+
 @pytest.mark.parametrize("k", range(2, 9))
 def test_default_primitive_seed_is_primitive(k):
     assert is_primitive(primitive_seed(k))
@@ -569,9 +591,9 @@ def _key_text_with(two_fib_keyfile, **fields):
     "[1, 0, 1]", '"rmc-key-v1"', "null", "17",
     "KEY:coefficients=[1.5, 0, 1]", "KEY:coefficients=[true, false, true]",
     'KEY:coefficients="101"', "KEY:order=3.0", "KEY:index=true",
-    '{"format": "rmc-key-v1", "order": ' + "9" * 5000 + "}",
+    '{"format": "rmc-key-v1", "order": ' + "9" * 5000 + "}", "[" * 5000,
 ], ids=["list", "string", "null", "number", "float-leaf", "bool-leaf", "string-list",
-        "float-order", "bool-index", "huge-json-int"])
+        "float-order", "bool-index", "huge-json-int", "nested-json"])
 def test_malformed_key_files_exit_2(text, two_fib_keyfile, tmp_path, capsys):
     if text.startswith("KEY:"):
         name, value = text[4:].split("=", 1)

@@ -172,9 +172,11 @@ def test_non_utf8_key_file_exits_2(files, tmp_path):
 
 
 # A seed matrix is read as strictly as a key file's matrices: a bare
-# number, a nested list, a float or a boolean is refused, not truncated.
+# number, a nested list, a float or a boolean is refused, not truncated;
+# so is JSON nested past the parser's recursion limit.
 BAD_SEED_MATRICES = ["5", "[[1,[2]],[1,0]]", "[[1.7,1],[1,0]]", "[[true,1],[1,0]]", "null",
-                     '"[[1,1],[1,0]]"', "{}", "[[1,1],[1]]", "[]", "[[-1,1],[1,0]]", "not json"]
+                     '"[[1,1],[1,0]]"', "{}", "[[1,1],[1]]", "[]", "[[-1,1],[1,0]]", "not json",
+                     pytest.param("[" * 5000, id="nested-json")]
 
 
 @pytest.mark.parametrize("text", BAD_SEED_MATRICES)

@@ -411,14 +411,17 @@ def test_the_bench_range_length_is_the_cut_width():
     ctx = KeyContext(symmetric_key((1, 0, 1), (1, 0, 0), 3))
     plain = bytes([255, 255, 255])
     original = encrypt(digitize(plain, 3)[0], ctx)[0]
-    model = ErrorModel(MODEL_REPLACE, magnitude=5000)
     # The first seed whose corruption lands on entry (0, 0), above its column's range.
     seed = next(s for s in range(200)
-                if corrupt_blocks([original], model, seed=s)[0][0][0][0] > 2295)
-    received = corrupt_blocks([original], model, seed=seed)[0][0]
+                if corrupt_blocks([original], ErrorModel(MODEL_REPLACE, magnitude=5000, seed=s))
+                [0][0][0][0] > 2295)
+    model = ErrorModel(MODEL_REPLACE, magnitude=5000, seed=seed)
+    received = corrupt_blocks([original], model)[0][0]
     cut = correct(received, detect_errors(received, ctx), ctx).rows[0].ranges[0]
     assert cut.upper == 2295
-    assert run_bench_trial(ctx, model, seed, plain).range_length == float(cut.upper - cut.lower)
+    # The trial corrupts by its own seed, whatever the model's.
+    other = ErrorModel(MODEL_REPLACE, magnitude=5000, seed=seed + 1)
+    assert run_bench_trial(ctx, other, seed, plain).range_length == float(cut.upper - cut.lower)
 
 
 def test_a_checking_range_outside_the_absolute_range_is_empty():

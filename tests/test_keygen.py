@@ -28,7 +28,7 @@ def test_sieve_reproducible_and_valid():
     assert [key_fingerprint(g.key) for g in first] == [key_fingerprint(g.key) for g in second]
     assert first, "sieve found no keys in 200 draws"
     for gen in first:
-        assert validate_key(gen.key, report=gen.report).ok
+        assert gen.key.spectral_report() == gen.report
         assert gen.report.is_spf == "yes"
         assert float(gen.report.tau) <= cfg.tau_cap
         assert validate_key(gen.key).ok
@@ -98,7 +98,7 @@ def test_abt_family_m3():
     assert abs(float(res.report.tau) - 1.98139) < 1e-4
     assert abs(float(res.report.sigma) - 0.94792) < 1e-4
     assert res.removed_factors == []
-    assert not res.tau_warning
+    assert not res.report.tau > 2
 
 
 def test_abt_family_m4_removes_trivial_factor():
@@ -111,8 +111,8 @@ def test_abt_family_m4_removes_trivial_factor():
 
 
 def test_abt_family_small_m_warns():
-    assert abt_family(2, 1, sign=-1).tau_warning
-    assert abt_family(2, 2, sign=-1).tau_warning
+    assert abt_family(2, 1, sign=-1).report.tau > 2
+    assert abt_family(2, 2, sign=-1).report.tau > 2
 
 
 def test_abt_family_argument_checks():
@@ -141,7 +141,8 @@ def test_abt_family_certified_for_small_parameters():
                     res = abt_family(r, m, sign, variant)
                     assert res.report.is_pisot in ("yes", "no", "indeterminate")
                     if res.report.is_pisot != "yes":
-                        assert res.tau_warning or res.report.is_pisot != "yes"
+                        tau = res.report.tau
+                        assert (tau is not None and tau > 2) or res.report.is_pisot != "yes"
 
 
 def test_primitive_growth_requires_primitive_seed():
@@ -161,7 +162,8 @@ def test_primitive_growth_emits_valid_keys():
         assert is_primitive(left)
         assert gen.report.is_spf == "yes"
         assert float(gen.report.tau) <= cfg.tau_cap
-        assert validate_key(gen.key, report=gen.report).ok
+        assert gen.key.spectral_report() == gen.report
+        assert validate_key(gen.key).ok
 
 
 def test_grown_showcase_matrix_certifies():
@@ -206,7 +208,8 @@ def test_right_form_keygen_feasible():
     cfg = GenConfig(order=3, coeff_range=(0, 2), seed=3)
     gen = right_form_keygen(Recurrence((2, 0, 1)), cfg)
     assert gen.key.kind == "right_form"
-    validation = validate_key(gen.key, report=gen.report)
+    assert gen.key.spectral_report() == gen.report
+    validation = validate_key(gen.key)
     assert validation.ok
     assert validation.item("strong_perron_frobenius").status == "pass"
     assert abs(float(gen.report.tau) - 1.6956) < 1e-4

@@ -7,10 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from rmcipher import (KeyContext, MatrixBuilder, Recurrence, analyze_matrix, general_key,
-                      right_form_key, spectral, symmetric_key, transition_ratio)
+from rmcipher import (KeyContext, MatrixBuilder, Recurrence, general_key, right_form_key,
+                      spectral, symmetric_key, transition_ratio)
 from rmcipher.cli import main
-from rmcipher.coding import spf_target
 from rmcipher.exactmat import char_poly
 from rmcipher.formats import save_key
 
@@ -39,7 +38,7 @@ def test_context_tau_is_transition_ratio_bit_for_bit(k, bits):
     verdicts = set()
     for coeffs in _seeded_recurrences(k, 8) + [(1,) * k]:
         key = symmetric_key(coeffs, (1,) + (0,) * (k - 1), 7)
-        ctx = KeyContext(key, precision=bits, report=analyze_matrix(spf_target(key), bits))
+        ctx = KeyContext(key, precision=bits)
         expected = _outcome(lambda: transition_ratio(Recurrence(coeffs), bits))
         assert _outcome(lambda: ctx.tau) == expected, coeffs
         verdicts.add(type(expected))
@@ -53,27 +52,18 @@ def test_context_tau_is_transition_ratio_bit_for_bit(k, bits):
     right_form_key((1, 1, 1, 1, 1), [[int(i == j) for j in range(5)] for i in range(5)], 30),
 ], ids=["general-2", "general-rotation", "right_form-504", "right_form-5"])
 def test_context_tau_of_general_and_right_form_keys(key):
-    ctx = KeyContext(key, report=analyze_matrix(spf_target(key)))
+    ctx = KeyContext(key)
     assert _outcome(lambda: ctx.tau) == _outcome(lambda: transition_ratio(key.recurrence()))
 
 
 def test_no_dominant_root_gives_transition_ratios_error():
     key = symmetric_key((1, 0), (1, 0), 10)                # roots +-1
-    ctx = KeyContext(key, report=analyze_matrix(spf_target(key)))
+    ctx = KeyContext(key)
     with pytest.raises(spectral.DominantRootError) as by_ctx:
         ctx.tau
     with pytest.raises(spectral.DominantRootError) as by_solve:
         transition_ratio(key.recurrence())
     assert str(by_ctx.value) == str(by_solve.value)
-
-
-def test_a_report_on_another_key_is_refused():
-    key = symmetric_key((1, 0, 1), (1, 0, 0), 15)
-    other = symmetric_key((1, 1, 1), (1, 0, 0), 15)
-    with pytest.raises(ValueError, match="not on this key's polynomial"):
-        KeyContext(key, report=analyze_matrix(spf_target(other)))
-    with pytest.raises(ValueError, match="not on this key's polynomial"):
-        KeyContext(key, precision=64, report=analyze_matrix(spf_target(key)))
 
 
 def _lcd_scaled(minv):

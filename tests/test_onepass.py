@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from rmcipher import (GenConfig, KeyContext, Recurrence, analyze_matrix, cli, coding, digitize,
-                      encrypt, formats, general_key, keygen, left_companion, right_companion,
+                      encrypt, formats, general_key, keygen, right_companion,
                       right_form_key, right_form_keygen, sieve_companion, spectral,
                       symmetric_key, validate_key)
 from rmcipher.cli import main
@@ -63,12 +63,36 @@ def test_analyze_matrix_solves_once(fixture, request, solves):
 
 
 @pytest.mark.parametrize("fixture", KEYS)
-def test_validate_key_with_a_report_solves_nothing(fixture, request, solves):
+def test_a_key_solves_once_for_validation_and_every_context(fixture, request, solves):
     key = request.getfixturevalue(fixture)
-    report = analyze_matrix(_target(key))
-    solves[0] = 0
-    validate_key(key, report=report)
-    assert solves[0] == 0
+    validate_key(key)
+    assert KeyContext(key).tau == KeyContext(key, key.index + 3).tau
+    assert solves[0] == 1
+
+
+def test_each_precision_is_its_own_solve(two_fib_key, solves):
+    key = two_fib_key
+    assert validate_key(key).ok and validate_key(key, 64).ok
+    assert KeyContext(key, precision=64).report is key.spectral_report(64)
+    assert key.spectral_report(64).precision_bits == 64
+    assert solves[0] == len({spectral.resolve_precision(), 64})
+
+
+def test_equal_keys_loaded_separately_do_not_share_a_solve(two_fib_key, tmp_path, solves):
+    save_key(two_fib_key, tmp_path / "key.json")
+    first, second = (formats.load_key(tmp_path / "key.json") for _ in range(2))
+    validate_key(first)
+    # The stored report is no field: equality, hashing and repr ignore it.
+    assert (first, hash(first), repr(first)) == (second, hash(second), repr(second))
+    validate_key(second)
+    assert solves[0] == 2
+
+
+def test_rmc_bench_over_an_index_grid_solves_once(two_fib_key, tmp_path, solves):
+    save_key(two_fib_key, tmp_path / "key.json")
+    assert main(["bench", str(tmp_path / "key.json"), "--n-grid", "15,20,25,29",
+                 "--trials", "2", "--out", str(tmp_path / "bench.csv")]) == 0
+    assert solves[0] == 1
 
 
 VALIDATION_KEYS = [
@@ -85,17 +109,11 @@ VALIDATION_KEYS = [
 
 @pytest.mark.parametrize("key", VALIDATION_KEYS,
                          ids=lambda key: f"{key.kind}-{key.coeffs or key.left}")
-def test_validate_key_is_the_same_with_or_without_a_report(key):
-    report = analyze_matrix(_target(key))
-    assert validate_key(key).to_dict() == validate_key(key, report=report).to_dict()
-
-
-def test_a_report_on_another_polynomial_or_precision_is_refused(two_fib_key):
-    with pytest.raises(ValueError):
-        validate_key(two_fib_key, report=analyze_matrix(left_companion(Recurrence((1, 1, 1)))))
-    with pytest.raises(ValueError):
-        validate_key(two_fib_key, report=analyze_matrix(_target(two_fib_key), 64))
-    assert validate_key(two_fib_key, 64, report=analyze_matrix(_target(two_fib_key), 64)).ok
+def test_validate_key_is_the_same_from_its_stored_report(key, solves):
+    fresh = key._replace()
+    first = validate_key(fresh).to_dict()
+    assert validate_key(fresh).to_dict() == first
+    assert solves[0] == 1
 
 
 @pytest.mark.parametrize("order,seed", [(3, 0), (3, 1), (5, 2)])
@@ -123,8 +141,8 @@ def test_sieve_solves_once_per_candidate(order, seed, solves, monkeypatch):
 def test_right_form_keygen_solves_once_and_keeps_its_message(solves):
     cfg = GenConfig(order=3, coeff_range=(0, 2), seed=3)
     gen = right_form_keygen(Recurrence((2, 0, 1)), cfg)
-    assert validate_key(gen.key, report=gen.report).ok
     assert solves[0] == 1
+    assert validate_key(gen.key).ok
     with pytest.raises(spectral.DominantRootError,
                        match="^right companion matrix lacks the strong Perron-Frobenius "
                              "property: dominant eigenvector changes sign$"):
@@ -158,7 +176,8 @@ def test_a_library_context_solves_once_for_tau_and_not_to_encrypt(fixture, reque
     key = request.getfixturevalue(fixture)
     ctx = KeyContext(key)
     encrypt(digitize(b"ALGORITHM checking relations", key.order)[0], ctx)
-    assert solves[0] == 0 and ctx.report is None
+    assert solves[0] == 0
     assert ctx.tau == spectral.report_transition_ratio(ctx.report)
+    assert ctx.report is key.spectral_report()
     assert ctx.report.char_poly == key.recurrence().char_poly()
     assert solves[0] == 1

@@ -282,9 +282,9 @@ def test_correct_from_the_failing_rows_alone_matches_correct_from_every_row(name
 def _reference_checking_range(ctx, j, ref, c_ref):
     """checking_range in Fractions from the oracle bounds; None where the
     range holds no integer."""
-    lo_bound, hi_bound = _reference_ratio_bounds(ctx.matrix, j, ref)
+    ends = sorted(c_ref * bound for bound in _reference_ratio_bounds(ctx.matrix, j, ref))
     col_lo, col_hi = ctx.entry_ranges[j]
-    lower, upper = max(c_ref * lo_bound, Fraction(col_lo)), min(c_ref * hi_bound, Fraction(col_hi))
+    lower, upper = max(ends[0], Fraction(col_lo)), min(ends[1], Fraction(col_hi))
     lo, hi = math.ceil(lower), math.floor(upper)
     if lo > hi:
         return None
@@ -308,14 +308,15 @@ def test_checking_range_matches_a_fraction_formula():
                 if expect is None:
                     with pytest.raises(EmptyCheckingRangeError):
                         checking_range(ctx, j, ref, c_ref)
-                    seen.add("negative" if c_ref < 0 else "empty")
+                    seen.add("empty")
                     continue
                 got = checking_range(ctx, j, ref, c_ref)
                 assert got == expect, (name, j, ref, c_ref)
                 assert type(got.lower) is type(got.upper) is Fraction
-                seen |= {tag for tag, hit in [("zero", c_ref == 0),
-                                              ("low cut", c_ref * lo_bound < col_lo),
-                                              ("high cut", c_ref * hi_bound > col_hi)] if hit}
+                lower, upper = sorted((c_ref * lo_bound, c_ref * hi_bound))
+                seen |= {tag for tag, hit in [("zero", c_ref == 0), ("negative", c_ref < 0),
+                                              ("low cut", lower < col_lo),
+                                              ("high cut", upper > col_hi)] if hit}
     assert seen == {"zero", "negative", "empty", "low cut", "high cut"}
 
 
