@@ -39,7 +39,7 @@ from .exactmat import IntMatrix
 # lookups for a call of TABLE_ROWS rows or more while its products fit in
 # TABLE_BITS bits; otherwise it multiplies.  The k * k * 256 table entries
 # pay back their building within about 600 rows, and fewer for wider
-# entries; `rmc encrypt` passes 1024-row chunks.  At 1024 bits the tables
+# entries; `rmc encrypt` passes TABLE_ROWS-row chunks.  At 1024 bits the tables
 # hold about 1 MB at k = 5, and the decimal text of a chunk already costs
 # over twice its product, so wider tables would hold more memory for less
 # time saved.

@@ -74,8 +74,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, ContextManager, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from . import cipher, formats, spectral
-from .coding import (CodingKey, InvalidKeyError, KeyContext, KeyReport, key_fingerprint,
-                     writable_matrix)
+from .coding import (TAU_CAP, CodingKey, InvalidKeyError, KeyContext, KeyReport,
+                     key_fingerprint, writable_matrix)
 from .coding import validate_key  # noqa: F401 - bound for perfbench's tracer (test_perfbench)
 from .formats import ErrorModel
 from .recurrence import Recurrence
@@ -292,7 +292,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_encrypt(args: argparse.Namespace) -> int:
-    # The ciphertext is written CHUNK_ROWS matrix rows at a time.
+    # Written cipher.TABLE_ROWS matrix rows at a time: enough rows for byte tables.
     ctx = _load_context(args.keyfile)
     key, k = ctx.key, ctx.order
     try:
@@ -300,7 +300,7 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise CliError(f"cannot read {args.infile}: {exc}") from exc
     plain = cipher.padded(data, k)
-    step = formats.CHUNK_ROWS * k
+    step = cipher.TABLE_ROWS * k
     with _open_bytes_output(args.out) as out:
         out.write(formats.cipher_header(k, len(plain) // (k * k), len(data), key_fingerprint(key)))
         for start in range(0, len(plain), step):
@@ -600,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None,
                    help="recurrence order (default 3; must match a given seed or --coeffs)")
     p.add_argument("--range", default="-2,2", help="coefficient range lo,hi")
-    p.add_argument("--tau-max", type=float, default=3.0, dest="tau_max")
+    p.add_argument("--tau-max", type=float, default=TAU_CAP, dest="tau_max")
     p.add_argument("--pisot", action="store_true", help="require a Pisot verdict")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=2000)

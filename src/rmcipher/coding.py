@@ -50,6 +50,7 @@ KEY_FIELDS = {
 KINDS = tuple(KEY_FIELDS)
 KEY_FORMAT = "rmc-key-v1"
 ALPHABET_MAX = 255        # plaintext entries are bytes
+TAU_CAP = 3.0             # validate_key warns above this tau; keygen refuses above it by default
 
 
 class InvalidKeyError(ValueError):
@@ -137,11 +138,12 @@ class CodingKey(FrozenRecord):
         """A new key, checked again, with the given fields changed."""
         return CodingKey(**{**dict(zip(self._fields, self._values())), **changes})
 
-    def spectral_report(self, precision: Optional[int] = None) -> spectral.SpectralReport:
-        """analyze_matrix on spf_target(self) at `precision` (default:
-        RMC_PRECISION_BITS), solved once per precision for this key object
-        and stored on it outside its fields: an equal key solves again."""
-        bits = spectral.resolve_precision(precision)
+    def spectral_report(self) -> spectral.SpectralReport:
+        """analyze_matrix on spf_target(self) at the working precision
+        (spectral.resolve_precision, read at each call), solved once per
+        precision for this key object and stored on it outside its fields:
+        an equal key solves again."""
+        bits = spectral.resolve_precision()
         reports = vars(self).setdefault("_spectral_reports", {})
         if bits not in reports:
             reports[bits] = spectral.analyze_matrix(spf_target(self), bits)
@@ -353,27 +355,24 @@ class KeyContext(FrozenRecord):
     pays for an inverse or a root solve, and only an encryption of at
     least cipher.TABLE_ROWS rows, by a key whose products are too wide for
     64-bit slots but fit in cipher.TABLE_BITS bits, builds byte tables.
-    tau has one source, `report`, the key's spectral_report at `precision`
-    (default: RMC_PRECISION_BITS), so contexts of one key object at several
-    indices share one root solve.
+    tau has one source, `report`, the key's spectral_report, so contexts of
+    one key object at several indices share one root solve.
     Build one per key and index, and pass it to every cipher and guard call.
     Contexts are equal only when they are one object.
     """
 
-    _fields = ("key", "n", "precision", "matrix", "columns")
+    _fields = ("key", "n", "matrix", "columns")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, key: CodingKey, n: Optional[int] = None,
-                 precision: Optional[int] = None) -> None:
+    def __init__(self, key: CodingKey, n: Optional[int] = None) -> None:
         n = key.index if n is None else n          # None: the key's own index
         matrix = tuple(map(tuple, writable_matrix(key, n)))
-        vars(self).update(key=key, n=n, precision=precision, matrix=matrix,
-                          columns=tuple(zip(*matrix)))
+        vars(self).update(key=key, n=n, matrix=matrix, columns=tuple(zip(*matrix)))
 
     @property
     def report(self) -> spectral.SpectralReport:
-        return self.key.spectral_report(self.precision)
+        return self.key.spectral_report()
 
     @property
     def order(self) -> int:
@@ -499,14 +498,13 @@ class KeyReport(NamedTuple):
         ]}
 
 
-def validate_key(key: CodingKey, precision: Optional[int] = None) -> KeyReport:
+def validate_key(key: CodingKey) -> KeyReport:
     """Structured feasibility report: invertibility, cyclicity, spectral
-    verdicts, a transition-ratio cap, and eventual positivity of M_n.
+    verdicts, a transition-ratio cap (TAU_CAP), and eventual positivity of M_n.
 
-    The spectral verdicts come from the key's spectral_report at
-    `precision` (default: RMC_PRECISION_BITS), on its strong
-    Perron-Frobenius target (its transition matrix, or the right companion
-    matrix of a right_form key).
+    The spectral verdicts come from the key's spectral_report, on its
+    strong Perron-Frobenius target (its transition matrix, or the right
+    companion matrix of a right_form key).
     """
     items: list[CheckItem] = []
 
@@ -532,14 +530,14 @@ def validate_key(key: CodingKey, precision: Optional[int] = None) -> KeyReport:
                                "pass" if nonneg else "fail",
                                "", hard=True))
 
-    report = key.spectral_report(precision)
+    report = key.spectral_report()
     status = {"yes": "pass", "no": "fail", "indeterminate": "indeterminate"}
     items.append(CheckItem("strong_perron_frobenius", status[report.is_spf], report.spf_reason))
     items.append(CheckItem("pisot", status[report.is_pisot]))
 
     if report.tau is not None:
-        items.append(CheckItem("tau_within_cap", "pass" if report.tau <= 3 else "warn",
-                               f"tau = {spectral.to_float(report.tau):.6g}, cap = 3"))
+        items.append(CheckItem("tau_within_cap", "pass" if report.tau <= TAU_CAP else "warn",
+                               f"tau = {spectral.to_float(report.tau):.6g}, cap = {TAU_CAP:g}"))
     else:
         items.append(CheckItem("tau_within_cap", "indeterminate", "no dominant eigenvalue"))
 

@@ -143,7 +143,6 @@ def load_key(path: Union[str, Path]) -> CodingKey:
 # ciphertext files
 # ---------------------------------------------------------------------------
 
-CHUNK_ROWS = 1024              # matrix rows per chunk of a ciphertext written in chunks
 READ_HINT = 1 << 15            # bytes a batch reads before it finishes its last line
 
 

@@ -30,7 +30,6 @@ deviation.
 from __future__ import annotations
 
 import heapq
-import math
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, repeat
@@ -38,7 +37,8 @@ from operator import le, mul
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .cipher import CorruptionError, decrypt_row, digitize
-from .coding import CodingKey, KeyContext, MatrixBuilder, column_ratio_bounds
+from .coding import CodingKey, KeyContext, MatrixBuilder, ratio_extremes
+from .coding import column_ratio_bounds  # noqa: F401 - bound for perfbench's tracer (test_perfbench)
 from .exactmat import mat_mul
 
 
@@ -52,9 +52,6 @@ class EmptyCheckingRangeError(GuardError):
 
 class UncorrectableRowError(GuardError):
     """A row has errors but no trusted entry to correct from."""
-
-
-_INFINITE = (math.inf, -math.inf)
 
 
 class CheckingRange(NamedTuple):
@@ -112,7 +109,7 @@ def checking_range(ctx: KeyContext, j: int, ref: int, c_ref: int) -> CheckingRan
     lower = Fraction(lo_num, lo_den) if lo_num > col_lo * lo_den else Fraction(col_lo)
     upper = Fraction(hi_num, hi_den) if hi_num < col_hi * hi_den else Fraction(col_hi)
     # The exact product is as close as the power of tau is: within about
-    # c_ref * 2**-p of c_ref * tau**d for tau held to p bits (the context's
+    # c_ref * 2**-p of c_ref * tau**d for tau held to p bits (the working
     # precision, KeyContext.tau_powers).  The spiral from it still reaches
     # every integer in [lo, hi].
     power = ctx.tau_powers[ref - j]
@@ -390,18 +387,26 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
 # range shrinkage
 # ---------------------------------------------------------------------------
 
+def _range_length(bounds: tuple[int, int, int, int], c_ref: int) -> Fraction:
+    """|c_ref| * (hi - lo) for finite ratio bounds (lo_num, lo_den, hi_num, hi_den):
+    a checking range's length before the absolute cut, c_ref of either sign."""
+    lo_num, lo_den, hi_num, hi_den = bounds
+    return Fraction(abs(c_ref) * (hi_num * lo_den - lo_num * hi_den), hi_den * lo_den)
+
+
 def range_length(ctx: KeyContext, j: int, jp: int, c_ref: int) -> Fraction:
-    """Exact length (max - min) * c_ref of the checking relation for column j
-    relative to a reference value in column jp, before the absolute cut."""
-    lo_num, lo_den, hi_num, hi_den = _reference_bounds(ctx, j, jp)
-    return Fraction(c_ref * hi_num, hi_den) - Fraction(c_ref * lo_num, lo_den)
+    """_range_length of ctx.ratio_bounds[(j, jp)]: checking_range's
+    upper - lower for a reference c_ref in column jp, where the cut takes nothing."""
+    return _range_length(_reference_bounds(ctx, j, jp), c_ref)
 
 
 def smallest_unambiguous_n(key: CodingKey, plaintext: bytes, j: int, jp: int,
                            cap: int = 200, row: int = 0) -> Optional[int]:
     """Least index n <= cap at which the checking range for column j
     (reference column jp, given row of the first plaintext block) has
-    length below 1, so it pins a single integer."""
+    length below 1 (_range_length), so it pins a single integer.  An index
+    is skipped where the reference entry is 0 or a ratio bound of M_n is
+    infinite (a zero denominator, or a column jp of both signs)."""
     blocks, _ = digitize(plaintext, key.order)
     if not blocks:
         raise ValueError("plaintext is empty")
@@ -412,11 +417,7 @@ def smallest_unambiguous_n(key: CodingKey, plaintext: bytes, j: int, jp: int,
     for n in range(1, cap + 1):
         m = mat_mul(m, builder.r)
         c_ref = sum(p_row[t] * m[t][jp] for t in range(k))
-        if c_ref <= 0:
-            continue
-        lo, hi = column_ratio_bounds(m, j, jp)
-        if lo in _INFINITE or hi in _INFINITE:
-            continue
-        if (hi - lo) * c_ref < 1:
+        bounds = ratio_extremes(m, j, jp)
+        if c_ref and 0 not in bounds[1::2] and _range_length(bounds, c_ref) < 1:
             return n
     return None

@@ -27,8 +27,8 @@ from functools import partial
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import exactmat, spectral
-from .coding import (CodingKey, general_key, is_cyclic, left_companion, right_companion,
-                     right_form_key, symmetric_key)
+from .coding import (TAU_CAP, CodingKey, general_key, is_cyclic, left_companion,
+                     right_companion, right_form_key, symmetric_key)
 from .coding import validate_key  # noqa: F401 - bound for perfbench's tracer (test_perfbench)
 from .exactmat import IntMatrix, IntPolynomial
 from .records import FrozenRecord, Record
@@ -47,7 +47,7 @@ class GenConfig(FrozenRecord):
     _fields = ("order", "coeff_range", "tau_cap", "require_pisot", "seed", "budget",
                "index_range")
 
-    def __init__(self, order: int, coeff_range: tuple[int, int] = (-2, 2), tau_cap: float = 3.0,
+    def __init__(self, order: int, coeff_range: tuple[int, int] = (-2, 2), tau_cap: float = TAU_CAP,
                  require_pisot: bool = False, seed: int = 0, budget: int = 1000,
                  index_range: tuple[int, int] = (16, 48)) -> None:
         if order < 2:

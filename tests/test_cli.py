@@ -125,6 +125,15 @@ def test_analyze_text_view_lists_the_smallest_n_table(two_fib_keyfile, tmp_path)
                           "  columns (1,0): 28", "  columns (2,1): 29"]
 
 
+def test_analyze_table_of_a_negated_key(tmp_path):
+    # x0 = (-1, 0, 0) negates every M_n, so every reference entry is negative.
+    keyfile, out = tmp_path / "neg.json", tmp_path / "a.json"
+    save_key(symmetric_key((1, 0, 1), (-1, 0, 0), 15), keyfile)
+    assert main(["analyze", str(keyfile), "--text", "ALGORITHM", "--json",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["smallest_unambiguous_n"] == {"1,0": 28, "2,1": 29}
+
+
 def test_analyze_tetranacci_tau(tmp_path):
     keyfile = tmp_path / "tet.json"
     save_key(symmetric_key((1, 1, 1, 1), (1, 0, 0, 0), 5), keyfile)

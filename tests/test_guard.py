@@ -1,6 +1,8 @@
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,7 @@ from rmcipher import (checking_range, column_ratio_bounds, correct, detect_error
                       smallest_unambiguous_n, symmetric_key)
 from rmcipher.cli import run_bench_trial
 from rmcipher.coding import KeyContext
-from rmcipher.formats import MODEL_REPLACE, ErrorModel, corrupt_blocks
+from rmcipher.formats import MODEL_REPLACE, ErrorModel, corrupt_blocks, load_key
 from rmcipher.guard import (EmptyCheckingRangeError, RowDiagnosis, UncorrectableRowError,
                             failing_rows, spiral_candidate)
 from tests.conftest import ALGORITHM, C_ALGORITHM_15, EXTRATERRESTRIAL, M15_2FIB
@@ -360,6 +362,30 @@ def test_smallest_unambiguous_wielandt3(wielandt3_key):
 
 def test_smallest_unambiguous_none_within_cap(wielandt4_key):
     assert smallest_unambiguous_n(wielandt4_key, EXTRATERRESTRIAL, 2, 1, cap=40) is None
+
+
+@pytest.mark.parametrize("name", ["k3", "k5", "abt", "primitive"])
+def test_a_negated_key_sizes_its_ranges_as_the_key_does(name):
+    # Negating x0 negates every M_n: each ratio of two entries stays, and
+    # each reference entry changes sign.  (A right_form key negated fails
+    # validation.)
+    key = load_key(Path(__file__).parent / "golden" / f"{name}.json")
+    negated = key._replace(x0=tuple(-v for v in key.x0))
+    k = key.order
+    for seed in range(2):
+        plain = random.Random(seed).randbytes(k * k)
+        for j, jp in permutations(range(k), 2):
+            for row in range(k):
+                assert smallest_unambiguous_n(negated, plain, j, jp, cap=60, row=row) == \
+                    smallest_unambiguous_n(key, plain, j, jp, cap=60, row=row)
+    ctx, negated_ctx = KeyContext(key), KeyContext(negated)
+    for row in encrypt(digitize(random.Random(name).randbytes(k * k), k)[0], ctx)[0]:
+        for j in range(k):
+            for ref in ctx.reference_columns[j]:
+                length = range_length(ctx, j, ref, row[ref])
+                assert range_length(negated_ctx, j, ref, -row[ref]) == length >= 0
+                cut = checking_range(negated_ctx, j, ref, -row[ref])
+                assert cut.upper - cut.lower <= length
 
 
 @pytest.mark.parametrize("delta", [37, -37])

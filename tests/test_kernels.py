@@ -92,7 +92,7 @@ def test_encrypt_rows_equals_the_multiply_product(name, data):
 def test_every_kernel_on_a_whole_chunk_with_the_extreme_rows(name):
     ctx = CONTEXTS[name]
     extremes = _extreme_rows(ctx)
-    rows = formats.CHUNK_ROWS - 2 * ctx.order
+    rows = TABLE_ROWS - 2 * ctx.order
     plain = extremes + random.Random(name).randbytes(rows * ctx.order)
     for chunk in (plain, extremes):
         results = _encrypt_kernels(ctx, chunk)
@@ -198,7 +198,7 @@ def test_packed_decrypt_agrees_with_the_multiply_kernel(name, data):
 def test_packed_decrypt_of_a_whole_chunk_with_one_entry_changed(name):
     ctx = CONTEXTS[name]
     rng = random.Random(name)
-    plain = _extreme_rows(ctx) + rng.randbytes((formats.CHUNK_ROWS - 2 * ctx.order) * ctx.order)
+    plain = _extreme_rows(ctx) + rng.randbytes((TABLE_ROWS - 2 * ctx.order) * ctx.order)
     values = encrypt_rows(ctx, plain)
     _check_decrypt_kernels(ctx, values, 7)
     for at in (0, len(values) - 1, rng.randrange(len(values))):

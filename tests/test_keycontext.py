@@ -7,7 +7,7 @@ import pytest
 
 from rmcipher import (CheckingRange, CorruptionError, GenConfig, KeyContext, Recurrence,
                       coding_matrix, correct, decrypt, detect_errors, digitize, encrypt,
-                      general_key, right_form_key, symmetric_key)
+                      general_key, right_form_key, spectral, symmetric_key)
 from rmcipher.coding import InvalidKeyError
 from rmcipher.formats import CipherHeader, CorruptionRecord, ErrorModel
 from rmcipher.guard import GuardError, PairEvidence, RowDiagnosis
@@ -142,8 +142,10 @@ def test_a_negative_index_is_refused_when_the_context_is_compiled():
 
 @pytest.mark.parametrize("name", ["symmetric-3", "symmetric-5", "right_form-3"])
 @pytest.mark.parametrize("bits", [None, 64, 300])
-def test_tau_powers_are_held_at_the_context_precision(name, bits):
-    ctx = KeyContext(KEYS[name], precision=bits)
+def test_tau_powers_are_held_at_the_context_precision(name, bits, monkeypatch):
+    if bits is not None:
+        monkeypatch.setenv(spectral.PRECISION_ENV, str(bits))
+    ctx = KeyContext(KEYS[name])
     powers = ctx.tau_powers
     assert powers[1] == ctx.tau
     assert powers == {d: ctx.tau ** d for d in range(1 - ctx.order, ctx.order)}

@@ -34,11 +34,12 @@ def _seeded_recurrences(k, count):
 
 @pytest.mark.parametrize("bits", [64, 128, 300])
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
-def test_context_tau_is_transition_ratio_bit_for_bit(k, bits):
+def test_context_tau_is_transition_ratio_bit_for_bit(k, bits, monkeypatch):
+    monkeypatch.setenv(spectral.PRECISION_ENV, str(bits))
     verdicts = set()
     for coeffs in _seeded_recurrences(k, 8) + [(1,) * k]:
         key = symmetric_key(coeffs, (1,) + (0,) * (k - 1), 7)
-        ctx = KeyContext(key, precision=bits)
+        ctx = KeyContext(key)
         expected = _outcome(lambda: transition_ratio(Recurrence(coeffs), bits))
         assert _outcome(lambda: ctx.tau) == expected, coeffs
         verdicts.add(type(expected))

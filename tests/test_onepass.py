@@ -70,12 +70,18 @@ def test_a_key_solves_once_for_validation_and_every_context(fixture, request, so
     assert solves[0] == 1
 
 
-def test_each_precision_is_its_own_solve(two_fib_key, solves):
+def test_each_precision_is_its_own_solve(two_fib_key, solves, monkeypatch):
     key = two_fib_key
-    assert validate_key(key).ok and validate_key(key, 64).ok
-    assert KeyContext(key, precision=64).report is key.spectral_report(64)
-    assert key.spectral_report(64).precision_bits == 64
-    assert solves[0] == len({spectral.resolve_precision(), 64})
+    assert validate_key(key).ok
+    default = key.spectral_report()
+    # The working precision is read from the environment at each call.
+    monkeypatch.setenv(spectral.PRECISION_ENV, "64")
+    assert validate_key(key).ok
+    assert KeyContext(key).report is key.spectral_report()
+    assert key.spectral_report().precision_bits == 64
+    monkeypatch.setenv(spectral.PRECISION_ENV, str(default.precision_bits))
+    assert key.spectral_report() is default
+    assert solves[0] == len({default.precision_bits, 64})
 
 
 def test_equal_keys_loaded_separately_do_not_share_a_solve(two_fib_key, tmp_path, solves):

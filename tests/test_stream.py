@@ -9,7 +9,8 @@ import pytest
 from rmcipher import (KeyContext, coding_matrix, coding_matrix_inverse, decrypt, digitize,
                       encrypt, general_key, key_fingerprint, right_form_key, symmetric_key)
 from rmcipher.cli import main
-from rmcipher.formats import CHUNK_ROWS, READ_HINT, cipher_from_text, read_cipher, save_key
+from rmcipher.cipher import TABLE_ROWS
+from rmcipher.formats import READ_HINT, cipher_from_text, read_cipher, save_key
 
 
 def _shift_plus_identity(k):
@@ -38,7 +39,7 @@ KEYS = {
 def _lengths(k):
     """Empty, one byte, one block but a byte, one block, and one row
     either side of the first chunk boundary."""
-    return [0, 1, k * k - 1, k * k, (CHUNK_ROWS - 1) * k, (CHUNK_ROWS + 1) * k]
+    return [0, 1, k * k - 1, k * k, (TABLE_ROWS - 1) * k, (TABLE_ROWS + 1) * k]
 
 
 def _naive_text(key, data: bytes) -> str:
@@ -104,7 +105,7 @@ def test_library_encrypt_matches_naive_product():
 
 def test_reader_chunks_and_whole_text_parse_agree(tmp_path):
     key = KEYS["symmetric-3"]
-    text = _naive_text(key, random.Random(3).randbytes(3 * CHUNK_ROWS * 3))
+    text = _naive_text(key, random.Random(3).randbytes(3 * TABLE_ROWS * 3))
     path = tmp_path / "c.rmc"
     path.write_text(text)
     with open(path, "rb") as fh:
@@ -127,7 +128,7 @@ K3 = KEYS["symmetric-3"]
 def three_chunks(files, tmp_path):
     """Key file, ciphertext lines (header first) of a payload that spans
     three reader chunks, and the payload."""
-    data = random.Random(11).randbytes(2 * CHUNK_ROWS * 3 + 500)
+    data = random.Random(11).randbytes(2 * TABLE_ROWS * 3 + 500)
     keyfile, plain = files(K3, data)
     cfile = tmp_path / "c.rmc"
     assert main(["encrypt", str(keyfile), str(plain), "--out", str(cfile)]) == 0
@@ -172,12 +173,12 @@ def test_corruption_in_last_chunk_names_block_and_entry(three_chunks, tmp_path, 
 
 def test_blank_lines_across_a_chunk_boundary(three_chunks, tmp_path, capsys):
     keyfile, lines, data = three_chunks
-    lines[CHUNK_ROWS - 3:CHUNK_ROWS - 3] = [""] * 5 + ["   "]   # straddles line CHUNK_ROWS
+    lines[TABLE_ROWS - 3:TABLE_ROWS - 3] = [""] * 5 + ["   "]   # straddles line TABLE_ROWS
     out = tmp_path / "out.bin"
     assert main(["decrypt", str(keyfile), _write_lines(tmp_path, lines), "--out", str(out)]) == 0
     assert out.read_bytes() == data
     # A corrupted entry after the blank lines is named by its matrix row.
-    row = CHUNK_ROWS + 5
+    row = TABLE_ROWS + 5
     _bump(lines, row + 1 + 6, 10 ** 6)
     out.unlink()
     capsys.readouterr()
@@ -189,7 +190,7 @@ def test_blank_lines_across_a_chunk_boundary(three_chunks, tmp_path, capsys):
 def test_malformed_row_in_a_later_chunk_outranks_corruption(three_chunks, tmp_path, capsys):
     keyfile, lines, _ = three_chunks
     _bump(lines, 1, 10 ** 6)                  # block 0
-    row = 2 * CHUNK_ROWS + 4
+    row = 2 * TABLE_ROWS + 4
     lines[row + 1] = "1 2"
     out = tmp_path / "out.bin"
     capsys.readouterr()
