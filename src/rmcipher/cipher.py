@@ -5,10 +5,10 @@ zero bytes; the original length is kept alongside so binary payloads
 invert exactly.  Encryption is C = P * M_n; decryption multiplies by the
 exact rational inverse and demands an integral, in-alphabet result,
 raising a corruption error that names the offending block and entry
-otherwise.  Every function takes the key as a KeyContext.  Every block
-shares M_n, so both products run on any number of rows at once
-(encrypt_rows, decrypt_rows), a column at a time, by one of three kernels
-chosen per key:
+otherwise, or a nonzero byte in the padding (unpadded).  Every function
+takes the key as a KeyContext.  Every block shares M_n, so both products
+run on any number of rows at once (encrypt_rows, decrypt_rows), a column
+at a time, by one of three kernels chosen per key:
 
 * packed 64-bit slots, for a key whose products fit them
   (KeyContext.product_bits, KeyContext.cipher_slot_bits): a chunk's input
@@ -65,6 +65,18 @@ class CorruptionError(ValueError):
 def padded(data: bytes, k: int) -> bytes:
     """The bytes followed by zero bytes up to a whole number of k x k blocks."""
     return data + bytes(-len(data) % (k * k))
+
+
+def unpadded(plain: bytes, length: int, k: int) -> bytes:
+    """The first length bytes of a plaintext of k x k blocks, the rest the
+    zero padding that padded writes: a nonzero byte there is a
+    CorruptionError naming its block and entry (ValueError past the end)."""
+    if length > len(plain):
+        raise ValueError("stored length exceeds block capacity")
+    if nonzero := plain[length:].lstrip(b"\0"):
+        block, at = divmod(len(plain) - len(nonzero), k * k)
+        raise CorruptionError(block, *divmod(at, k), f"padding value {nonzero[0]} is not 0")
+    return plain[:length]
 
 
 def split_blocks(values: Sequence[int], k: int) -> list[IntMatrix]:
@@ -263,10 +275,8 @@ def decrypt_row(ctx: KeyContext, row: Sequence[int], block: int = 0, i: int = 0)
 def decrypt(blocks: Sequence[IntMatrix], ctx: KeyContext, length: Optional[int] = None) -> bytes:
     """Exact decryption; every entry must be an integer in [0, 255].
 
-    When length is None the full padded payload is returned; a length past
-    it raises ValueError.
+    When length is None the full padded payload is returned; otherwise its
+    first length bytes, the rest checked as padding (unpadded).
     """
     plain = decrypt_rows(ctx, _entries(blocks, ctx.order))
-    if length is not None and length > len(plain):
-        raise ValueError("stored length exceeds block capacity")
-    return plain[:length]
+    return plain if length is None else unpadded(plain, length, ctx.order)

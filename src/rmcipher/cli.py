@@ -22,9 +22,10 @@ syntax.
      without the spectral property it needs) and OSError (an output
      file that cannot be written).
   3  CliError(code=3): corruption detected but not uniquely corrected
-     (CorruptionError in decrypt, GuardError or an ambiguous or failed
-     repair in correct; a flagged entry with no trusted entry whose ratio
-     bounds to it are finite, or an empty checking range, is a GuardError).
+     (CorruptionError in decrypt, a nonzero padding byte too; GuardError
+     or an ambiguous or failed repair in correct; a flagged entry with no
+     trusted entry whose ratio bounds to it are finite, or an empty
+     checking range, is a GuardError).
   4  correct: the candidate budget of a flagged block ran out (--budget
      caps the candidates tested in each flagged block, not in the file).
 
@@ -32,16 +33,15 @@ correct --out writes each uniquely repaired block repaired and every other
 block as received: a block with two accepted repairs is not guessed, so
 decrypting the output fails (exit 3) where correct did.
 
-Ciphertexts are read and written as bytes, LF line ends on any platform
-(formats.read_cipher, format_rows; --out or standard output's buffer).  A
-ciphertext is opened once and read a chunk of whole blocks at a time
-(UTF-8 whatever the locale, a bad byte named by its offset in the file);
-nothing is written until the whole file has been read.  Every command
-opens a ciphertext by _ciphertext, which checks the header against the
-key and, when the command raises a fault of its own (a corrupted entry, a
-key that does not fit, a failed repair), reads and checks the rest of the
-file first: so a fault anywhere in the file outranks one met in the rows
-and leaves no output file.
+Ciphertexts are written as bytes, LF line ends on any platform
+(format_rows; --out or standard output's buffer), and read as ASCII
+bytes, in the writer's grammar only (formats.read_cipher), a chunk of
+whole blocks at a time; nothing is written until the whole file has been
+read.  Every command opens a ciphertext by _ciphertext, which checks the
+header against the key and, when the command raises a fault of its own
+(a corrupted entry, a key that does not fit, a failed repair), reads and
+checks the rest of the file first: so a fault anywhere in the file
+outranks one met in the rows and leaves no output file.
 
 detect and correct test each chunk's rows against the checking relations
 (guard.failing_rows) and diagnose only the blocks with a failing row
@@ -137,11 +137,12 @@ def _ciphertext(path: str, key: Optional[CodingKey] = None) -> Iterator:
     at a time, each chunk a flat row-major list.  The file is opened once,
     as bytes (formats.read_cipher).
 
-    Faults rank as for a whole-file parse: the file format (anywhere in the
-    file), then, given a key, the fingerprint and the dimension, then the
-    body's own.  A CliError or ValueError raised in the body is re-raised
-    only after the rest of the file has been read and checked.  The body
-    writes nothing: an OSError in it would be reported as the file's.
+    Faults rank as for a whole-file parse: the header's form, then the
+    file format (anywhere in the file), then, given a key, the fingerprint
+    and the dimension, then the body's own.  A CliError or ValueError
+    raised in the body is re-raised only after the rest of the file has
+    been read and checked.  The body writes nothing: an OSError in it
+    would be reported as the file's.
     """
     try:
         with open(path, "rb") as fh:
@@ -310,16 +311,16 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
 
 def cmd_decrypt(args: argparse.Namespace) -> int:
     # The ciphertext is decrypted a chunk of rows at a time, keeping only
-    # the plaintext bytes.
+    # the plaintext bytes, and then unpadded.
     ctx = _load_context(args.keyfile)
     plain = bytearray()
     with _ciphertext(args.cipherfile, ctx.key) as (header, chunks):
-        for values in chunks:
-            try:
+        try:
+            for values in chunks:
                 plain += cipher.decrypt_rows(ctx, values, len(plain) // ctx.order)
-            except cipher.CorruptionError as exc:
-                raise CliError(f"corrupted ciphertext: {exc}", EXIT_UNCORRECTED) from exc
-    del plain[header.length:]
+            plain = cipher.unpadded(plain, header.length, ctx.order)
+        except cipher.CorruptionError as exc:
+            raise CliError(f"corrupted ciphertext: {exc}", EXIT_UNCORRECTED) from exc
     with _open_bytes_output(args.out) as out:
         out.write(plain)
     return EXIT_OK

@@ -2,22 +2,23 @@
 
 Key files are JSON ("rmc-key-v1"); every integer leaf is a decimal
 string so arbitrarily large values survive any JSON reader.  Ciphertext
-files are plain text: a header line
+files have one grammar, the writer's, read as ASCII bytes: the header line
 
-    RMCv1 k=<k> blocks=<B> len=<bytes> fp=<hex>
+    RMCv1 k=<k> blocks=<B> len=<bytes> fp=<letters and digits>
 
-followed by k lines of k space-separated decimal integers per block, LF
-line endings.  The key index n never appears in a ciphertext file: it is
-secret key material.  Fingerprints tie the two formats together and are
-checked before any arithmetic is attempted.
+exactly (single spaces, numbers with no sign, underscore or leading zero,
+k >= 1, B = ceil(len / k**2)), then k lines of k entries -?[0-9]+ per
+block, the plaintext zero-padded to whole blocks.  The writer puts one
+space between entries and LF line ends; the reader also takes any ASCII
+whitespace, CR and CRLF line ends, blank lines and an entry's leading
+zeros.  The key index n never appears in a ciphertext file: it is secret
+key material.  Fingerprints tie the two formats together and are checked
+before any arithmetic is attempted.
 
-Rows are written as bytes.  A reader takes a binary file one bytes batch
-of whole lines at a time; a whole text is read as its UTF-8 bytes.  A
-batch as the writer leaves it (ASCII, k - 1 single spaces and a line end
-on every line, k entries a line) is checked and parsed in whole-buffer
-byte operations, with no step per line; any other batch is decoded as
-UTF-8, whatever the locale, and goes through the per-line parse, which
-alone names a malformed row, so both give the same values and faults.
+The body is read a batch of whole lines at a time.  A batch as the writer
+leaves it is parsed in whole-buffer byte operations, with no step per
+line; any other batch goes through the per-line parse, which alone names
+a malformed row, so both give the same values and faults.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from __future__ import annotations
 import io
 import json
 import random
+import re
 from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .cipher import split_blocks
 from .coding import (KEY_FIELDS, KEY_FORMAT, KINDS, CodingKey, KeyReport, canonical_key_dict,
@@ -174,87 +176,69 @@ def cipher_to_text(blocks: Sequence[IntMatrix], length: int, order: int,
 def read_cipher(fh: BinaryIO) -> tuple[CipherHeader, Iterator[list[int]]]:
     """The header of a ciphertext and an iterator over its matrix rows, a
     chunk of whole blocks at a time, each chunk a flat row-major list.  The
-    binary file fh is read a batch of whole lines at a time (_batches) and
-    decoded as UTF-8, whatever the locale, only where a batch is not ASCII;
-    the lines are those str.splitlines() finds in its text.
+    binary file fh is read as ASCII bytes: the header line, then a batch of
+    whole lines at a time; the lines are those bytes.splitlines() finds.
 
-    The iterator checks the whole body before it reports a fault, so the
-    fault raised is the one a whole-file parse reports first: bytes that are
-    not UTF-8 (named by their offset in the file), then the line count, then
-    the capacity, then the first malformed row.  Chunks before a fault may
-    already have been yielded.  A header fault is raised after the rest of
-    the file is read, so undecodable bytes anywhere in the file outrank it.
+    A header not in the form cipher_header writes faults at once.  The
+    iterator checks the whole body before it reports a fault, so the fault
+    raised is the one a whole-file parse reports first: the line count,
+    then a blocks count other than ceil(len / k**2), then the first
+    malformed row.  Chunks before a fault may already have been yielded.
     """
-    batches = _batches(fh)
-    data = next(batches, b"")
-    if not data:
-        raise CipherFormatError("empty ciphertext file")
-    line, _, body = data.partition(b"\n")
-    first, *rest = line.decode().splitlines() or [""]
-    try:
-        header = _parse_header(first)
-    except CipherFormatError:
-        for _ in batches:       # undecodable bytes anywhere rank first
-            pass
-        raise
-    body = "".join(part + "\n" for part in rest).encode() + body
-    return header, _read_rows(header, chain([body], batches))
+    header = _parse_header(fh.readline().removesuffix(b"\n").removesuffix(b"\r"))
+    return header, _read_rows(header, fh)
 
 
-def _batches(fh: BinaryIO) -> Iterator[bytes]:
-    """The bytes of fh a batch at a time: READ_HINT bytes, then a readline to
-    the end of their line, however long; a CipherFormatError at the first
-    batch not UTF-8, with its decoding error's message at its offset in the file."""
-    at = 0
-    while data := fh.read(READ_HINT):
-        data += fh.readline()
-        if not data.isascii():
-            try:
-                data.decode()
-            except UnicodeDecodeError as exc:
-                start, end = at + exc.start, at + exc.end
-                where = (f"byte 0x{data[exc.start]:02x} in position {start}"
-                         if end - start == 1 else f"bytes in position {start}-{end - 1}")
-                raise CipherFormatError(
-                    f"'{exc.encoding}' codec can't decode {where}: {exc.reason}") from exc
-        at += len(data)
-        yield data
+_HEADER_FIELDS = (("k", rb"k=([1-9][0-9]*)"), ("blocks", rb"blocks=(0|[1-9][0-9]*)"),
+                  ("len", rb"len=(0|[1-9][0-9]*)"), ("fp", rb"fp=([0-9A-Za-z]+)"))
+_ENTRY_BYTES = b"-0123456789"          # an entry is -?[0-9]+
 
 
-def _parse_header(line: str) -> CipherHeader:
-    head = line.split()
-    if not head or head[0] != CIPHER_MAGIC:
+def _parse_header(line: bytes) -> CipherHeader:
+    """The header line, its line end stripped, in the form cipher_header
+    writes: the magic and the four fields in order, single spaces between
+    them and no other token, numbers with no sign, underscore or leading
+    zero, and k >= 1.  A fault names the first field that breaks the form."""
+    magic, *tokens = line.split(b" ")
+    if magic != CIPHER_MAGIC.encode():
         raise CipherFormatError("missing RMCv1 header")
-    fields = dict(part.split("=", 1) for part in head[1:] if "=" in part)
-    try:
-        header = CipherHeader(order=int(fields["k"]), count=int(fields["blocks"]),
-                              length=int(fields["len"]), fingerprint=fields["fp"])
-        if header.order < 1 or header.count < 0 or header.length < 0:
-            raise ValueError("header field out of range")
-    except (KeyError, ValueError) as exc:
-        raise CipherFormatError(f"malformed header: {line!r}") from exc
-    return header
+    fields = []
+    for (name, pattern), token in zip(_HEADER_FIELDS, tokens + [b""] * 4):
+        match = re.fullmatch(pattern, token)
+        try:
+            if match is None:
+                raise ValueError
+            fields.append(match[1].decode() if name == "fp" else int(match[1]))
+        except ValueError:                  # no match, or past int()'s digit limit
+            raise CipherFormatError(f"malformed header: bad {name} field {token!r}") from None
+    if len(tokens) > 4:
+        raise CipherFormatError(f"malformed header: {tokens[4]!r} after fp")
+    return CipherHeader(*fields)
 
 
-_OTHER_WHITESPACE = b"\t\x0b\x0c\r\x1c\x1d\x1e\x1f"   # ASCII whitespace but ' ' and '\n'
-_NOT_SEPARATORS = bytes(c for c in range(256) if c not in b" \n")
+def _entries(tokens: Iterable[bytes]) -> list[int]:
+    """The values of entries: ValueError at a token with a byte that is not
+    a digit or '-', and int() refuses the others that are not -?[0-9]+ (and
+    those past its digit limit)."""
+    tokens = list(tokens)
+    if b"".join(tokens).translate(None, _ENTRY_BYTES):
+        raise ValueError("not an entry")
+    return list(map(int, tokens))
 
 
 def _canonical_values(data: bytes, k: int) -> Optional[list[int]]:
-    """The entries of a batch, or None unless it is ASCII and ends in a line
-    end, holds no other whitespace than ' ' and line ends (checked first: the
-    next check deletes it), reads k - 1 spaces and a line end for each of its
-    L line ends, and splits into kL entries.  Then each line holds exactly k
-    entries, as the per-line parse needs: every entry lies on one of the L
-    lines and ends at a separator of its own, so a line holds at most k, and
-    kL in all leaves none short.  The separators are counted before their
-    pattern is built, so a header's k never sizes more than the batch."""
+    """The entries of a batch, or None unless it ends in a line end, reads
+    k - 1 spaces and a line end for each of its L line ends once its digits
+    and '-' are deleted, and splits into kL entries that int() takes.  Then
+    each line holds exactly k entries, each -?[0-9]+, as the per-line parse
+    needs: every entry lies on one of the L lines and ends at a separator
+    of its own, so a line holds at most k, and kL in all leaves none short.
+    The separators are counted before their pattern is built, so a header's
+    k never sizes more than the batch."""
     lines = data.count(b"\n")
-    if (not data.isascii() or data[-1:] != b"\n" or any(c in data for c in _OTHER_WHITESPACE)
-            or len(separators := data.translate(None, _NOT_SEPARATORS)) != k * lines
-            or separators != (b" " * (k - 1) + b"\n") * lines):
-        return None
-    if len(entries := data.split()) != k * lines:
+    if (data[-1:] != b"\n" or len(separators := data.translate(None, _ENTRY_BYTES)) != k * lines
+            or separators != (b" " * (k - 1) + b"\n") * lines
+            or len(entries := data.split()) != k * lines):
         return None
     try:
         return list(map(int, entries))
@@ -262,22 +246,23 @@ def _canonical_values(data: bytes, k: int) -> Optional[list[int]]:
         return None
 
 
-def _read_rows(header: CipherHeader, batches: Iterator[bytes]) -> Iterator[list[int]]:
+def _read_rows(header: CipherHeader, fh: BinaryIO) -> Iterator[list[int]]:
     k = header.order
     rows = 0
-    bad: Optional[tuple[list[list[str]], int]] = None     # chunk and first row of a fault
+    bad: Optional[tuple[list[list[bytes]], int]] = None   # chunk and first row of a fault
     carry: list[int] = []                                  # entries of a block not yet whole
-    for data in batches:
+    while data := fh.read(READ_HINT):
+        data += fh.readline()                              # to its line end, however far
         values = _canonical_values(data, k) if bad is None else None
         if values is not None:
             rows += len(values) // k
         else:
-            chunk = list(filter(None, map(str.split, data.decode().splitlines())))  # no blank lines
+            chunk = list(filter(None, map(bytes.split, data.splitlines())))  # no blank lines
             if bad is None:
                 try:
                     if not {k}.issuperset(map(len, chunk)):
                         raise ValueError
-                    values = list(map(int, chain.from_iterable(chunk)))
+                    values = _entries(chain.from_iterable(chunk))
                 except ValueError:
                     bad = chunk, rows
             rows += len(chunk)
@@ -290,20 +275,21 @@ def _read_rows(header: CipherHeader, batches: Iterator[bytes]) -> Iterator[list[
                 yield values
     if rows != header.count * k:
         raise CipherFormatError(f"expected {header.count * k} matrix lines, found {rows}")
-    if header.count * k * k < header.length:
-        raise CipherFormatError("declared length exceeds block capacity")
+    if header.count != (blocks := -(-header.length // (k * k))):
+        raise CipherFormatError(f"malformed header: blocks={header.count}, but "
+                                f"len={header.length} fills {blocks} at k={k}")
     if bad is not None:
         raise _row_error(*bad, k)
 
 
-def _row_error(chunk: list[list[str]], first_row: int, k: int) -> CipherFormatError:
+def _row_error(chunk: list[list[bytes]], first_row: int, k: int) -> CipherFormatError:
     """The fault of the first malformed row of a chunk."""
     for r, parts in enumerate(chunk, first_row):
         b, i = divmod(r, k)
         if len(parts) != k:
             return CipherFormatError(f"block {b} row {i} has {len(parts)} entries, wanted {k}")
         try:
-            list(map(int, parts))
+            _entries(parts)
         except ValueError:
             return CipherFormatError(f"non-integer entry in block {b} row {i}")
     raise AssertionError("chunk has no malformed row")
@@ -311,7 +297,7 @@ def _row_error(chunk: list[list[str]], first_row: int, k: int) -> CipherFormatEr
 
 def cipher_from_text(text: str) -> tuple[CipherHeader, list[IntMatrix]]:
     """The header and the blocks of a whole ciphertext text, read as its
-    UTF-8 bytes: a lone surrogate, which no file holds, is undecodable."""
+    UTF-8 bytes (a lone surrogate too), as read_cipher reads a file."""
     header, chunks = read_cipher(io.BytesIO(text.encode(errors="surrogatepass")))
     return header, split_blocks(list(chain.from_iterable(chunks)), header.order)
 

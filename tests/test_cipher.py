@@ -145,3 +145,13 @@ def test_decrypt_length_check(two_fib_key):
     assert decrypt(blocks, ctx, 9) == ALGORITHM
     with pytest.raises(ValueError, match="exceeds block capacity"):
         decrypt(blocks, ctx, 10)
+
+
+def test_decrypt_checks_the_padding(two_fib_key):
+    # Bytes past the stored length are padding, which encryption makes zero.
+    ctx = KeyContext(two_fib_key)
+    blocks = encrypt(digitize(ALGORITHM + b"ALGORI", 3)[0], ctx)
+    assert decrypt(blocks, ctx, 15) == ALGORITHM + b"ALGORI"
+    blocks = encrypt(digitize(ALGORITHM + b"ALGORI\0HM", 3)[0], ctx)
+    with pytest.raises(CorruptionError, match=r"^block 1, entry \(2, 1\): padding value 72 "):
+        decrypt(blocks, ctx, 15)

@@ -208,50 +208,101 @@ def test_negative_length_header_is_refused(two_fib_keyfile, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["decrypt", "detect", "corrupt"])
-def test_non_utf8_ciphertext_is_a_format_fault(two_fib_keyfile, tmp_path, capsys, command):
+def test_a_non_ascii_header_is_a_malformed_header(two_fib_keyfile, tmp_path, capsys, command):
     cfile = _write(tmp_path, "c.rmc", b"RMCv1 k=3 blocks=1 len=9 fp=\xff\xfe\n")
     argv = [command, cfile] if command == "corrupt" else [command, two_fib_keyfile, cfile]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot load ciphertext {cfile}: ") and "codec" in err
+    assert capsys.readouterr().err == (f"error: cannot load ciphertext {cfile}: "
+                                       "malformed header: bad fp field b'fp=\\xff\\xfe'\n")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("at", [40000, 45000, 50000])
-def test_a_decode_error_anywhere_outranks_a_malformed_header(two_fib_keyfile, tmp_path, capsys,
-                                                             at):
-    # The header and the byte lie in different read batches beyond the first.
+@pytest.mark.parametrize("command", ["decrypt", "detect", "correct"])
+def test_a_malformed_header_outranks_a_fault_in_the_body(two_fib_keyfile, tmp_path, capsys,
+                                                         command):
+    # The header faults at once: a non-ASCII byte batches into the body is never read.
     msg = _write(tmp_path, "msg.bin", random.Random(5).randbytes(24000))
     cfile = tmp_path / "c.rmc"
     assert main(["encrypt", two_fib_keyfile, msg, "--out", str(cfile)]) == 0
     head, body = cfile.read_bytes().split(b"\n", 1)
     data = bytearray(re.sub(rb"blocks=\d+", b"blocks=zz", head) + b"\n" + body)
-    assert len(data) > 2 * at
-    data[at] = 0xff
+    data[45000] = 0xff
     cfile.write_bytes(data)
     capsys.readouterr()
-    assert main(["decrypt", two_fib_keyfile, str(cfile), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert f"codec can't decode byte 0xff in position {at}:" in err
-    assert "malformed header" not in err
+    assert main([command, two_fib_keyfile, str(cfile), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"error: cannot load ciphertext {cfile}: "
+                                       "malformed header: bad blocks field b'blocks=zz'\n")
 
 
 @pytest.mark.parametrize("command", ["decrypt", "detect", "correct", "corrupt"])
-def test_a_decode_error_names_its_offset_in_the_file(two_fib_keyfile, tmp_path, capsys, command):
-    # Text reads decode the file a chunk at a time; the byte lies past the first.
+def test_a_non_ascii_byte_is_a_malformed_row_named_by_block_and_row(two_fib_keyfile, tmp_path,
+                                                                     capsys, command):
+    # The reader takes the file a batch at a time; the byte lies past the first.
     msg = _write(tmp_path, "msg.bin", random.Random(5).randbytes(24000))
     cfile = tmp_path / "c.rmc"
     assert main(["encrypt", two_fib_keyfile, msg, "--out", str(cfile)]) == 0
     data = bytearray(cfile.read_bytes())
-    data[70001] = 0xff
+    at = data.index(b"\n", 70000) + 1                     # the first digit of a row
+    block, row = divmod(data.count(b"\n", 0, at) - 1, 3)
+    data[at] = 0xff
     cfile.write_bytes(data)
     capsys.readouterr()
     argv = [command, str(cfile)] if command == "corrupt" else [command, two_fib_keyfile, str(cfile)]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "codec can't decode byte 0xff in position 70001: invalid start byte" in err
+    assert capsys.readouterr().err == (f"error: cannot load ciphertext {cfile}: "
+                                       f"non-integer entry in block {block} row {row}\n")
     assert not (tmp_path / "out").exists()
+
+
+FULLWIDTH = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
+# Changes to the header line and the first row of a 63-byte message's
+# ciphertext under the k=3 key at n=29 that make a file rmc encrypt never
+# writes, each with the fault rmc decrypt reports.
+FOREIGN = {
+    "len=0": (lambda head, row: (head.replace(" len=63 ", " len=0 "), row),
+              "malformed header: blocks=7, but len=0 fills 0 at k=3"),
+    "header in int() syntax": (
+        lambda head, row: (head.replace("k=3 blocks=7 len=63", "k=+3 blocks=0_7 len=\uff16\uff13")
+                           + " junk", row),
+        "malformed header: bad k field b'k=+3'"),
+    "underscore in an entry": (lambda head, row: (head, row[:2] + "_" + row[2:]),
+                               "non-integer entry in block 0 row 0"),
+    "full-width digits in an entry": (lambda head, row: (head, row.translate(FULLWIDTH)),
+                                      "non-integer entry in block 0 row 0"),
+}
+
+
+def _ciphertext_of_63_bytes(keyfile, tmp_path) -> Path:
+    msg = _write(tmp_path, "msg.bin", ALGORITHM * 7)
+    cfile = tmp_path / "c.rmc"
+    assert main(["encrypt", keyfile, msg, "--out", str(cfile)]) == 0
+    return cfile
+
+
+@pytest.mark.parametrize("form", sorted(FOREIGN))
+def test_a_ciphertext_rmc_never_writes_exits_2(two_fib_29_keyfile, tmp_path, capsys, form):
+    cfile = _ciphertext_of_63_bytes(two_fib_29_keyfile, tmp_path)
+    head, row, rest = cfile.read_text().split("\n", 2)
+    change, fault = FOREIGN[form]
+    cfile.write_bytes("\n".join([*change(head, row), rest]).encode())
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["decrypt", two_fib_29_keyfile, str(cfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot load ciphertext {cfile}: {fault}\n"
+    assert not out.exists()
+
+
+def test_a_nonzero_byte_in_the_padding_exits_3(two_fib_29_keyfile, tmp_path, capsys):
+    # len=60 keeps blocks=7, so plaintext bytes 60 to 62, "THM", would be padding.
+    cfile = _ciphertext_of_63_bytes(two_fib_29_keyfile, tmp_path)
+    cfile.write_text(cfile.read_text().replace(" len=63 ", " len=60 "))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["decrypt", two_fib_29_keyfile, str(cfile), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("error: corrupted ciphertext: block 6, entry (2, 0): "
+                                       f"padding value {ord('T')} is not 0\n")
+    assert not out.exists()
 
 
 HUGE_K = b"RMCv1 k=100000000000000000000 blocks=1 len=0 fp=0\n1\n"

@@ -128,28 +128,29 @@ def test_huge_index_is_refused_at_key_load(files, tmp_path, capsys, index):
 
 
 def _damaged_ciphers(text: str, rng: random.Random):
-    """Truncations, garbled headers, and entries replaced."""
+    """Truncations, garbled headers, and entries replaced; each with whether
+    its header is garbled."""
     for cut in sorted(rng.sample(range(len(text)), 5)) + [0]:
-        yield text[:cut]
+        yield text[:cut], False
     header, body = text.split("\n", 1)
     parts = header.split()
     garbles = ["", "RMCv2", "k=", "k=0", "k=-2", "k=4", "blocks=-1", "blocks=999",
                "len=-7", "len=99999", "fp=0000", f"k={HUGE}", "k=1.5", "x=y"]
     for i in range(len(parts)):
         for garble in rng.sample(garbles, 5):
-            yield " ".join(parts[:i] + [garble] + parts[i + 1:]) + "\n" + body
-    yield header + " extra=1\n" + body
+            yield " ".join(parts[:i] + [garble] + parts[i + 1:]) + "\n" + body, True
+    yield header + " extra=1\n" + body, True
     lines = body.splitlines()
     for value in ["x", "1.5", "-5", "0", HUGE, str(10 ** 200), "", "1 2"]:
         r = rng.randrange(len(lines))
         entries = lines[r].split()
         entries[rng.randrange(len(entries))] = value
-        yield "\n".join([header] + lines[:r] + [" ".join(entries)] + lines[r + 1:]) + "\n"
+        yield "\n".join([header] + lines[:r] + [" ".join(entries)] + lines[r + 1:]) + "\n", False
     # An entry 10**400 times its row neighbour: a ratio beyond the float range.
     first = lines[0].split()
-    yield "\n".join([header, " ".join([str(10 ** 400)] + first[1:])] + lines[1:]) + "\n"
-    yield text.replace("\n", "\r\n")
-    yield text + "\n\n"
+    yield "\n".join([header, " ".join([str(10 ** 400)] + first[1:])] + lines[1:]) + "\n", False
+    yield text.replace("\n", "\r\n"), False
+    yield text + "\n\n", False
 
 
 def test_damaged_ciphertexts(files, tmp_path):
@@ -157,10 +158,13 @@ def test_damaged_ciphertexts(files, tmp_path):
     rng = random.Random(f"{SEED}-cipher")
     codes = Counter()
     bad = tmp_path / "bad.rmc"
-    for text in _damaged_ciphers(cfile.read_text(), rng):
+    for text, garbled in _damaged_ciphers(cfile.read_text(), rng):
         bad.write_text(text)
         for argv in _cipher_commands(keyfile, bad, tmp_path / "out"):
-            codes[_run(argv)] += 1
+            code = _run(argv)
+            codes[code] += 1
+            # A garbled header is refused by every command that reads it with the key.
+            assert code == 2 or not garbled or argv[0] == "corrupt", (text.split("\n")[0], argv)
     assert codes[2] > 0 and codes[0] > 0 and codes[3] > 0
 
 

@@ -1,14 +1,18 @@
 import io
 import json
+import string
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmcipher import general_key, key_fingerprint, right_form_key, symmetric_key
 from rmcipher.cipher import split_blocks
 from rmcipher.coding import KEY_FIELDS
-from rmcipher.formats import (CipherFormatError, ErrorModel, FingerprintMismatchError,
-                              KeyFormatError, cipher_from_text, cipher_to_text,
+from rmcipher.formats import (CipherFormatError, CipherHeader, ErrorModel,
+                              FingerprintMismatchError, KeyFormatError, cipher_from_text,
+                              cipher_header, cipher_to_text,
                               corrupt_blocks, format_rows, key_from_dict, key_to_dict, load_key,
                               read_cipher, records_to_json, require_valid,
                               save_key)
@@ -123,6 +127,56 @@ def test_cipher_format_errors():
                    "k=2 blocks=-1 len=0", "k=2 blocks=1 len=-7"):
         with pytest.raises(CipherFormatError, match="^malformed header: "):
             cipher_from_text(f"RMCv1 {header} fp=x\n1 2\n3 4\n")
+
+
+FINGERPRINTS = st.text(string.ascii_letters + string.digits, min_size=1, max_size=16)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(k=st.integers(1, 10 ** 6), length=st.integers(0, 10 ** 40), fp=FINGERPRINTS)
+def test_every_header_the_writer_writes_reads_back_unchanged(k, length, fp):
+    blocks = -(-length // (k * k))
+    header, _chunks = read_cipher(io.BytesIO(cipher_header(k, blocks, length, fp)))
+    assert header == CipherHeader(k, blocks, length, fp)
+
+
+FULLWIDTH = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
+NUMBER_MUTATIONS = {
+    "plus sign": lambda v: "+" + v,
+    "minus sign": lambda v: "-" + v,
+    "underscore": lambda v: v[0] + "_" + v[1:],
+    "leading zero": lambda v: "0" + v,
+    "full-width digit": lambda v: v[0].translate(FULLWIDTH) + v[1:],
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(k=st.integers(1, 5), length=st.integers(0, 200), fp=FINGERPRINTS,
+       mutation=st.sampled_from(sorted(NUMBER_MUTATIONS) + ["extra token", "swapped fields",
+                                                            "blocks off by one"]),
+       field=st.integers(0, 2), down=st.booleans())
+def test_a_header_the_writer_never_writes_is_refused(k, length, fp, mutation, field, down):
+    blocks = -(-length // (k * k))
+    text = cipher_header(k, blocks, length, fp).decode()
+    header, chunks = read_cipher(io.BytesIO(text.encode() + format_rows([0] * (blocks * k * k), k)))
+    assert header == CipherHeader(k, blocks, length, fp)
+    assert sum(map(len, chunks)) == blocks * k * k
+    tokens = text.split()
+    count = blocks
+    if mutation == "extra token":
+        tokens.append("x=1")
+    elif mutation == "swapped fields":
+        tokens[field + 1], tokens[field + 2] = tokens[field + 2], tokens[field + 1]
+    elif mutation == "blocks off by one":
+        count = blocks - 1 if down and blocks else blocks + 1
+        tokens[2] = f"blocks={count}"               # and rows enough for count blocks
+    else:
+        name, _, value = tokens[field + 1].partition("=")
+        tokens[field + 1] = f"{name}={NUMBER_MUTATIONS[mutation](value)}"
+    bad = (" ".join(tokens) + "\n").encode() + format_rows([0] * (count * k * k), k)
+    with pytest.raises(CipherFormatError, match="^malformed header: "):
+        _header, chunks = read_cipher(io.BytesIO(bad))
+        list(chunks)
 
 
 def test_error_model_zero_count_is_identity():

@@ -5,7 +5,9 @@ canonical-batch ciphertext parse against a per-line parse of the whole
 text."""
 
 import io
+import math
 import random
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -219,24 +221,32 @@ def test_packed_decrypt_refuses_a_plaintext_entry_outside_the_alphabet(name, ent
 # ciphertext parse
 # ---------------------------------------------------------------------------
 
+ENTRY = re.compile(rb"-?[0-9]+")
+
+
 def _reference_parse(text: str):
     """The body's values, or the message of the fault, by a per-line parse
-    of the whole text: the line count, then the capacity, then the first
-    malformed row.  The header is one the tests build, always well formed."""
-    first, *lines = text.splitlines()
-    fields = dict(part.split("=", 1) for part in first.split()[1:])
-    k, count, length = int(fields["k"]), int(fields["blocks"]), int(fields["len"])
-    rows = [parts for parts in map(str.split, lines) if parts]
+    of the whole text as its UTF-8 bytes: the line count, then the blocks
+    count, then the first malformed row, whose every entry must match ENTRY
+    and lie within int()'s digit limit.  The header is one the tests build,
+    always well formed."""
+    first, *lines = text.encode().splitlines()
+    fields = dict(part.split(b"=", 1) for part in first.split()[1:])
+    k, count, length = int(fields[b"k"]), int(fields[b"blocks"]), int(fields[b"len"])
+    rows = [parts for parts in map(bytes.split, lines) if parts]
     if len(rows) != count * k:
         return f"expected {count * k} matrix lines, found {len(rows)}"
-    if count * k * k < length:
-        return "declared length exceeds block capacity"
+    if count != math.ceil(length / (k * k)):
+        return (f"malformed header: blocks={count}, but len={length} fills "
+                f"{math.ceil(length / (k * k))} at k={k}")
     values = []
     for r, parts in enumerate(rows):
         b, i = divmod(r, k)
         if len(parts) != k:
             return f"block {b} row {i} has {len(parts)} entries, wanted {k}"
         try:
+            if not all(ENTRY.fullmatch(part) for part in parts):
+                raise ValueError
             values += map(int, parts)
         except ValueError:
             return f"non-integer entry in block {b} row {i}"
@@ -361,7 +371,7 @@ def test_other_whitespace_keeping_the_space_and_entry_counts(whitespace, cipher_
 def test_canonical_batches_and_fallback_agree_across_batches():
     k = 3
     lines = [f"{r} {r + 1} {r + 2}" for r in range(0, 3 * 30, 3)]
-    lines[17] = "1 2 3\x0c4 5 6"                # one line in the text, two rows
+    lines[17] = "1 2 3\r\n4 5 6"                # a CRLF line end: two rows
     lines[18] = "7 8 9"
     text = "\n".join(["RMCv1 k=3 blocks=10 len=90 fp=ab"] + lines[:29]) + "\n"
     expected = _reference_parse(text)
@@ -407,7 +417,7 @@ def test_every_batch_size_reads_a_batch_edge_as_a_per_line_parse(name):
 def test_other_whitespace_for_a_separator_leaves_the_canonical_path(separator):
     assert formats._canonical_values(b"1 2 3\n4 5 6\n", 3) == [1, 2, 3, 4, 5, 6]
     assert formats._canonical_values(b"1 2" + separator + b"3\n4 5 6\n", 3) is None
-    # Two spaces a line and six entries in all: only the whitespace check refuses it.
+    # Two spaces a line and six entries in all: only the separator pattern refuses it.
     assert formats._canonical_values(b"1 2" + separator + b"9 3\n4 5 \n", 3) is None
 
 
@@ -417,28 +427,27 @@ def test_a_batch_without_a_final_line_end_leaves_the_canonical_path():
     assert formats._canonical_values(b"1 2\n3 4", 2) is None
 
 
-def test_form_feed_in_the_header_line_starts_the_body():
+def test_form_feed_in_the_header_line_is_a_malformed_header():
+    # The header is one line, read up to its LF: a form feed is no line end.
     text = "RMCv1 k=2 blocks=1 len=4 fp=ab\x0c1 2\n3 4\n"
-    assert _reference_parse(text) == [1, 2, 3, 4]
-    assert _parse(text) == [1, 2, 3, 4]
+    assert _parse(text) == "malformed header: bad fp field b'fp=ab\\x0c1'"
 
 
-def test_an_undecodable_byte_is_named_by_its_offset_in_the_file():
+def test_a_non_ascii_byte_is_a_malformed_row_named_by_block_and_row():
     lines = [f"{r} {r + 1}" for r in range(40)]
     text = "\n".join(["RMCv1 k=2 blocks=20 len=80 fp=ab"] + lines).encode() + b"\n"
-    codec = "'utf-8' codec can't decode"
-    with mock.patch.object(formats, "READ_HINT", 40):      # the fault lies batches in
-        assert (_parse(io.BytesIO(text[:200] + b"\xff" + text[201:]))
-                == f"{codec} byte 0xff in position 200: invalid start byte")
-        assert (_parse(io.BytesIO(text + b"\xe2\x82"))
-                == f"{codec} bytes in position {len(text)}-{len(text) + 1}: unexpected end of data")
+    at = text.index(b"\n25 ") + 2                          # a digit of row 25, batches in
+    with mock.patch.object(formats, "READ_HINT", 40):
+        assert (_parse(io.BytesIO(text[:at] + b"\xff" + text[at + 1:]))
+                == "non-integer entry in block 12 row 1")
+        assert _parse(io.BytesIO(text + b"\xe2\x82")) == "expected 40 matrix lines, found 41"
+        assert (_parse(io.BytesIO(text[:-1] + b" \xe2\x82\n"))
+                == "block 19 row 1 has 3 entries, wanted 2")
 
 
-def test_a_lone_surrogate_is_undecodable_bytes():
+def test_a_lone_surrogate_is_a_malformed_row():
     # A str can hold what no file does: cipher_from_text reads a text as its
-    # UTF-8 bytes, so a lone surrogate faults as undecodable bytes.
-    text = "RMCv1 k=2 blocks=1 len=4 fp=ab\n1 2\n3 \ud800\n"
-    at = len(text.encode(errors="surrogatepass")) - 4
-    with pytest.raises(CipherFormatError,
-                       match=f"^'utf-8' codec can't decode byte 0xed in position {at}: "):
+    # UTF-8 bytes, a lone surrogate too, and refuses them as any non-ASCII.
+    text = "RMCv1 k=2 blocks=1 len=4 fp=ab\n1 2\n3 4\ud800\n"
+    with pytest.raises(CipherFormatError, match="^non-integer entry in block 0 row 1$"):
         formats.cipher_from_text(text)
