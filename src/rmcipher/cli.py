@@ -362,21 +362,18 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _diagnosis_json(diagnoses) -> list[dict]:
-    out = []
-    for d in diagnoses:
-        out.append({
-            "row": d.row,
-            "trusted": list(d.trusted),
-            "flagged": list(d.flagged),
-            "pairs": [{
-                "j": p.j, "jp": p.jp,
-                "ratio": None if p.ratio is None else f"{p.ratio.numerator}/{p.ratio.denominator}",
-                "expected": p.expected,
-                "rel_deviation": p.rel_deviation,
-                "consistent": p.consistent,
-            } for p in d.pairs],
-        })
-    return out
+    return [{
+        "row": d.row,
+        "trusted": list(d.trusted),
+        "flagged": list(d.flagged),
+        "pairs": [{
+            "j": p.j, "jp": p.jp,
+            "ratio": None if p.ratio is None else f"{p.ratio.numerator}/{p.ratio.denominator}",
+            "expected": p.expected,
+            "rel_deviation": p.rel_deviation,
+            "consistent": p.consistent,
+        } for p in d.pairs],
+    } for d in diagnoses]
 
 
 def _flagged_blocks(ctx: KeyContext, chunks: Iterator,
@@ -501,10 +498,7 @@ def run_bench_trial(ctx: KeyContext, model: ErrorModel, trial_seed: int,
     from . import guard
     rng = random.Random(trial_seed)
     k = ctx.order
-    if plaintext is None:
-        data = bytes(rng.randrange(256) for _ in range(k * k))
-    else:
-        data = plaintext
+    data = bytes(rng.randrange(256) for _ in range(k * k)) if plaintext is None else plaintext
     blocks, _ = cipher.digitize(data, k)
     original = cipher.encrypt(blocks[:1], ctx)[0]
     trial_model = ErrorModel(model.kind, model.count, model.magnitude, seed=trial_seed)
@@ -539,12 +533,17 @@ def run_bench(loaded: KeyContext, n_grid: Sequence[int], model: ErrorModel, tria
     for n in n_grid:
         start = time.perf_counter()
         ctx = _receiver_context(loaded, n)
-        trial_seeds = [keygen.derive_seed(seed, f"bench-{n}", t) for t in range(trials)]
-        outcomes = [run_bench_trial(ctx, model, s, plaintext) for s in trial_seeds]
+        # Running totals, added in trial order: memory does not grow with trials.
+        n_detected = successes = searched = candidates = range_total = 0
+        for t in range(trials):
+            o = run_bench_trial(ctx, model, keygen.derive_seed(seed, f"bench-{n}", t), plaintext)
+            n_detected += o.detected
+            successes += o.success
+            if o.detected and o.candidates > 0:
+                searched += 1
+                candidates += o.candidates
+                range_total += o.range_length
         wall = (time.perf_counter() - start) * 1000
-        detected = [o for o in outcomes if o.detected and o.candidates > 0]
-        n_detected = sum(1 for o in outcomes if o.detected)
-        successes = sum(1 for o in outcomes if o.success)
         rows.append({
             "key_fp": fp,
             "n": n,
@@ -553,11 +552,9 @@ def run_bench(loaded: KeyContext, n_grid: Sequence[int], model: ErrorModel, tria
             "magnitude": model.magnitude,
             "trials": trials,
             "detected": n_detected,
-            "success_rate": successes / trials if trials else 0.0,
-            "mean_candidates": (sum(o.candidates for o in detected) / len(detected))
-            if detected else 0.0,
-            "mean_range_length": (sum(o.range_length for o in detected) / len(detected))
-            if detected else 0.0,
+            "success_rate": successes / trials,
+            "mean_candidates": candidates / searched if searched else 0.0,
+            "mean_range_length": range_total / searched if searched else 0.0,
             "wall_ms": round(wall, 3),
         })
     return rows

@@ -14,7 +14,8 @@ and j' of M.  Those exact two-sided bounds drive everything here:
   KeyContext by checking_range: exactly the integers between its exact
   bounds against a trusted reference, cut to its column's absolute range.
   It takes them in a spiral around the transition-ratio estimate and
-  validates candidate combinations by exact decryption.
+  validates candidate combinations by exact decryption, by total spiral
+  rank, ties lexicographic, in memory that does not grow with the budget.
 
 All bounds are exact rationals, held once per key as integers
 (KeyContext.ratio_bounds, with each pair's expected float ratio in
@@ -29,7 +30,6 @@ deviation.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, repeat
@@ -266,23 +266,26 @@ def spiral_candidate(rng: CheckingRange, i: int) -> int:
 
 
 def _ranked_product(ranges: Sequence[CheckingRange]):
-    """Cartesian product of the ranges' spirals ordered by total spiral
-    rank, ties lexicographic; each candidate is computed when reached, so
-    the cost follows the number taken, not the width of the ranges."""
-    start = (0,) * len(ranges)
-    heap = [(0, start)]
-    seen = {start}
-    while heap:
-        rank, idx = heapq.heappop(heap)
-        yield tuple(spiral_candidate(rng, i) for rng, i in zip(ranges, idx))
-        for d, rng in enumerate(ranges):
-            nxt = list(idx)
-            nxt[d] += 1
-            if nxt[d] < rng.count:
-                t = tuple(nxt)
-                if t not in seen:
-                    seen.add(t)
-                    heapq.heappush(heap, (rank + 1, t))
+    """The ranges' spirals' product in correct's order, each candidate made
+    when reached: for r = 0, 1, ..., the index tuples summing to r, lexicographically."""
+    tops = [rng.hi - rng.lo for rng in ranges]
+    total = sum(tops)
+    for r in range(total + 1):
+        yield from _rank_tuples(ranges, tops, 0, r, total)
+
+
+def _rank_tuples(ranges: Sequence[CheckingRange], tops: list[int], d: int, s: int, rest: int):
+    """Candidates of ranges[d:] whose spiral indices (at most tops) sum to s,
+    lexicographically; rest = sum(tops[d:]).  Index d takes only the values
+    that the later indices, summing to at most sum(tops[d + 1:]), make up to s."""
+    if d == len(ranges) - 1:
+        yield (spiral_candidate(ranges[d], s),)
+        return
+    rest -= tops[d]
+    for i in range(max(0, s - rest), min(s, tops[d]) + 1):
+        v = spiral_candidate(ranges[d], i)
+        for tail in _rank_tuples(ranges, tops, d + 1, s - i, rest):
+            yield (v, *tail)
 
 
 class RowCandidate(NamedTuple):
@@ -312,16 +315,16 @@ def correct(c: Sequence[Sequence[int]], diagnoses: Sequence[RowDiagnosis],
             validator: Optional[Callable[[int, list[int]], bool]] = None) -> CorrectionResult:
     """Spiral-search correction of the flagged entries.
 
-    Candidates for each flagged entry come from its checking range
-    against the nearest trusted column, enumerated spiral-first around
-    the transition-ratio estimate; combinations across a row's flagged
-    entries are tested in combined spiral order.  A candidate is
-    accepted when the patched row decrypts to integral values inside the
-    alphabet (plus the optional extra validator, called with the row
-    index and the decrypted row).  All accepted candidates are returned
-    in discovery order; the budget caps the total number of combinations
-    tested.  A flagged entry's reference is its nearest trusted column
-    with finite bounds (KeyContext.reference_columns), or none: then
+    Candidates for each flagged entry come from its checking range against the
+    nearest trusted column, enumerated spiral-first around the
+    transition-ratio estimate; combinations across a row's flagged entries are
+    tested by total spiral rank, ties lexicographic in the spiral indices.  A
+    candidate is accepted when the patched row decrypts to integral values
+    inside the alphabet (plus the optional extra validator, called with the
+    row index and the decrypted row).  All accepted candidates are returned in
+    discovery order; the budget caps the combinations tested, and memory does
+    not grow with it.  A flagged entry's reference is its nearest trusted
+    column with finite bounds (KeyContext.reference_columns), or none: then
     UncorrectableRowError; its candidates are those of checking_range.
     """
     rows_out: list[RowCorrection] = []

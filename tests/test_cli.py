@@ -2,6 +2,8 @@ import csv
 import json
 import random
 import re
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -465,6 +467,22 @@ def test_bench_csv_sanity(two_fib_keyfile, tmp_path):
     by_n = {r["n"]: r for r in rows}
     assert float(by_n["29"]["success_rate"]) == 1.0
     assert float(by_n["29"]["mean_candidates"]) < float(by_n["15"]["mean_candidates"])
+
+
+def test_bench_totals_are_the_means_of_its_trials(two_fib_key):
+    from rmcipher.cli import run_bench, run_bench_trial
+    from rmcipher.coding import KeyContext
+    from rmcipher.keygen import derive_seed
+    ctx, model, trials = KeyContext(two_fib_key), formats.ErrorModel(), 200
+    [row] = run_bench(ctx, [15], model, trials, 5)
+    outcomes = [run_bench_trial(ctx, model, derive_seed(5, "bench-15", t)) for t in range(trials)]
+    searched = [o for o in outcomes if o.detected and o.candidates > 0]
+    assert 0 < len(searched) < trials
+    assert row["detected"] == sum(o.detected for o in outcomes)
+    assert row["success_rate"] == sum(o.success for o in outcomes) / trials
+    assert row["mean_candidates"] == sum(o.candidates for o in searched) / len(searched)
+    lengths = reduce(add, (o.range_length for o in searched), 0)   # left to right, in trial order
+    assert row["mean_range_length"] == lengths / len(searched)
 
 
 def test_detect_compiles_the_key_once(two_fib_29_keyfile, tmp_path, monkeypatch):

@@ -1,10 +1,13 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmcipher import (checking_range, column_ratio_bounds, correct, detect_errors, digitize,
                       encrypt, general_key, range_length, right_form_key,
@@ -12,8 +15,9 @@ from rmcipher import (checking_range, column_ratio_bounds, correct, detect_error
 from rmcipher.cli import run_bench_trial
 from rmcipher.coding import KeyContext
 from rmcipher.formats import MODEL_REPLACE, ErrorModel, corrupt_blocks, load_key
-from rmcipher.guard import (EmptyCheckingRangeError, RowDiagnosis, UncorrectableRowError,
-                            failing_rows, spiral_candidate)
+from rmcipher.guard import (CheckingRange, EmptyCheckingRangeError, RowDiagnosis,
+                            UncorrectableRowError, _ranked_product, failing_rows,
+                            spiral_candidate)
 from tests.conftest import ALGORITHM, C_ALGORITHM_15, EXTRATERRESTRIAL, M15_2FIB
 
 
@@ -182,7 +186,6 @@ def test_spiral_order_and_exhaustiveness(two_fib_key):
 
 
 def test_spiral_exhaustive_random():
-    from rmcipher.guard import CheckingRange
     rand = random.Random(41)
     for _ in range(100):
         lo = rand.randint(-50, 50)
@@ -205,6 +208,42 @@ def _spiral_by_steps(rng):
             out.append(rng.estimate - step)
         step += 1
     return out
+
+
+def _range(lo: int, hi: int, estimate: int) -> CheckingRange:
+    return CheckingRange(lower=Fraction(lo), upper=Fraction(hi), lo=lo, hi=hi, estimate=estimate)
+
+
+@st.composite
+def _narrow_ranges(draw):
+    """1 to 4 ranges, each 1 to 7 wide, at any lo and with any estimate inside."""
+    ranges = []
+    for _ in range(draw(st.integers(1, 4))):
+        lo = draw(st.integers())
+        hi = lo + draw(st.integers(0, 6))
+        ranges.append(_range(lo, hi, draw(st.integers(lo, hi))))
+    return ranges
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_narrow_ranges())
+def test_ranked_product_takes_spiral_index_tuples_by_total_rank_then_lexicographically(ranges):
+    indices = sorted(product(*(range(rng.count) for rng in ranges)), key=lambda t: (sum(t), t))
+    assert list(_ranked_product(ranges)) == [
+        tuple(spiral_candidate(rng, i) for rng, i in zip(ranges, t)) for t in indices]
+
+
+@pytest.mark.parametrize("widths", [(10 ** 12,), (10 ** 12, 1, 10 ** 12)],
+                         ids=["one-wide", "wide-narrow-wide"])
+def test_ranked_product_memory_does_not_grow_with_the_candidates_taken(widths):
+    ranges = [_range(0, w - 1, w // 2) for w in widths]
+    tracemalloc.start()
+    try:
+        taken = sum(1 for _ in islice(_ranked_product(ranges), 20_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert taken == 20_000 and peak < 2 ** 20
 
 
 def test_correct_on_a_wide_range_spends_only_its_budget():
