@@ -5,10 +5,12 @@ zero bytes; the original length is kept alongside so binary payloads
 invert exactly.  Encryption is C = P * M_n; decryption multiplies by the
 exact rational inverse and demands an integral, in-alphabet result,
 raising a corruption error that names the offending block and entry
-otherwise, or a nonzero byte in the padding (unpadded).  Every function
-takes the key as a KeyContext.  Every block shares M_n, so both products
-run on any number of rows at once (encrypt_rows, decrypt_rows), a column
-at a time, by one of three kernels chosen per key:
+otherwise, or a nonzero byte in the padding (unpadded).  failing_rows
+names the rows that fail that test: the one clean-row verdict of every
+receiver.  Every function takes the key as a KeyContext.  Every block
+shares M_n, so both products run on any number of rows at once
+(encrypt_rows, decrypt_rows), a column at a time, by one of three
+kernels chosen per key:
 
 * packed 64-bit slots, for a key whose products fit them
   (KeyContext.product_bits, KeyContext.cipher_slot_bits): a chunk's input
@@ -16,8 +18,7 @@ at a time, by one of three kernels chosen per key:
   scalar multiplies of those ints, done in C.  No carry crosses a slot,
   so the product is exact, and decryption checks integrality and the
   alphabet on the packed ints (_packed_plaintext); a chunk that fails
-  them is multiplied again as below, which raises the CorruptionError of
-  its first bad entry;
+  them is multiplied again as below, which finds its failing rows;
 * byte tables, for a wider key encrypting TABLE_ROWS rows or more while
   its products fit in TABLE_BITS bits: each product b * M_n[t][j] is
   looked up in the key's tables (KeyContext.byte_tables) and only added;
@@ -73,10 +74,18 @@ def unpadded(plain: bytes, length: int, k: int) -> bytes:
     CorruptionError naming its block and entry (ValueError past the end)."""
     if length > len(plain):
         raise ValueError("stored length exceeds block capacity")
-    if nonzero := plain[length:].lstrip(b"\0"):
-        block, at = divmod(len(plain) - len(nonzero), k * k)
-        raise CorruptionError(block, *divmod(at, k), f"padding value {nonzero[0]} is not 0")
+    if nonzero := nonzero_padding(plain, length):
+        block, at = divmod(nonzero[0], k * k)
+        raise CorruptionError(block, *divmod(at, k), f"padding value {plain[nonzero[0]]} is not 0")
     return plain[:length]
+
+
+def nonzero_padding(plain: Sequence[int], length: int, start: int = 0) -> list[int]:
+    """The offsets in plain of its nonzero bytes at or past the stored
+    length, plain holding the plaintext from byte start on: the padding,
+    which padded fills with 0."""
+    cut = max(length - start, 0)
+    return [at for at, v in enumerate(plain[cut:], cut) if v]
 
 
 def split_blocks(values: Sequence[int], k: int) -> list[IntMatrix]:
@@ -218,13 +227,11 @@ def encrypt_rows(ctx: KeyContext, plain: Sequence[int]) -> list[int]:
     return out
 
 
-def decrypt_rows(ctx: KeyContext, values: Sequence[int], first_row: int = 0) -> bytes:
+def _plaintext(ctx: KeyContext, values: Sequence[int]) -> tuple[bytes, set[int]]:
     """Rows times M_n**-1, for rows given as flat row-major entries, as
-    plaintext bytes; a partial row raises ValueError.  Row r of values is row
-    first_row + r of the whole ciphertext, which labels a CorruptionError
-    with its block and row.  A key with ctx.cipher_slot_bits tries the
-    packed kernel first; a chunk it refuses, and any chunk of another key,
-    is multiplied."""
+    bytes, and the set of rows with an entry that is not an integer in
+    [0, ALPHABET_MAX], their bytes unspecified.  The packed kernel answers
+    where it applies (cipher_slot_bits); any other chunk is multiplied."""
     k = ctx.order
     if len(values) % k:
         raise ValueError(f"{len(values)} entries do not make whole rows of k = {k}")
@@ -233,21 +240,43 @@ def decrypt_rows(ctx: KeyContext, values: Sequence[int], first_row: int = 0) -> 
     if m is not None and SLOTS:
         plain = _packed_plaintext(values, cols, denom, m, k)
         if plain is not None:
-            return plain
+            return plain, set()
     out = bytearray(len(values))
-    try:
-        for j, column in enumerate(_product_columns(values, cols, k)):
-            if denom != 1:
-                if any(map(mod, column, repeat(denom))):
-                    raise ValueError("non-integral plaintext value")
-                column = map(floordiv, column, repeat(denom))
-            out[j::k] = bytes(column)         # ValueError outside [0, 255]
-    except ValueError:
-        # decrypt_row raises at the first bad entry in row order.
-        out = bytearray()
-        for r in range(len(values) // k):
-            out += bytes(decrypt_row(ctx, values[r * k:(r + 1) * k], *divmod(first_row + r, k)))
-    return bytes(out)
+    failing: set[int] = set()
+    for j, column in enumerate(_product_columns(values, cols, k)):
+        try:
+            if denom != 1 and any(map(mod, column, repeat(denom))):
+                raise ValueError
+            out[j::k] = bytes(map(floordiv, column, repeat(denom)))   # ValueError outside [0, 255]
+        except ValueError:
+            top = ALPHABET_MAX * denom
+            failing.update(r for r, v in enumerate(column) if v % denom or not 0 <= v <= top)
+            out[j::k] = bytes(v // denom if 0 <= v <= top else 0 for v in column)
+    return bytes(out), failing
+
+
+def failing_rows(ctx: KeyContext, values: Sequence[int], first_row: int = 0,
+                 length: Optional[int] = None) -> set[int]:
+    """The rows, given as flat row-major entries, that decrypt_row refuses
+    or, given the stored length, that hold a nonzero byte at or past it
+    (nonzero_padding).  Row r of values is row first_row + r of the file."""
+    plain, failing = _plaintext(ctx, values)
+    if length is not None:
+        k = ctx.order
+        failing.update(at // k for at in nonzero_padding(plain, length, first_row * k))
+    return failing
+
+
+def decrypt_rows(ctx: KeyContext, values: Sequence[int], first_row: int = 0) -> bytes:
+    """Rows times M_n**-1, for rows given as flat row-major entries, as
+    plaintext bytes.  A partial row raises ValueError; the first row r
+    that fails raises decrypt_row's CorruptionError, labelled as row
+    first_row + r of the whole ciphertext."""
+    plain, failing = _plaintext(ctx, values)
+    if failing:
+        k, r = ctx.order, min(failing)
+        decrypt_row(ctx, values[r * k:(r + 1) * k], *divmod(first_row + r, k))
+    return plain
 
 
 def encrypt(blocks: Sequence[IntMatrix], ctx: KeyContext) -> list[IntMatrix]:

@@ -23,11 +23,11 @@ syntax.
      file that cannot be written).
   3  CliError(code=3): corruption detected but not uniquely corrected
      (CorruptionError in decrypt, a nonzero padding byte too; GuardError
-     or an ambiguous or failed repair in correct; a flagged entry with no
-     trusted entry whose ratio bounds to it are finite, or an empty
-     checking range, is a GuardError).
-  4  correct: the candidate budget of a flagged block ran out (--budget
-     caps the candidates tested in each flagged block, not in the file).
+     or an ambiguous or failed repair in correct, a failing row with no
+     flagged entry too; a flagged entry with no trusted entry whose ratio
+     bounds to it are finite, or an empty checking range, is a GuardError).
+  4  correct: the candidate budget of a failing block ran out (--budget
+     caps the candidates tested in each failing block, not in the file).
 
 correct --out writes each uniquely repaired block repaired and every other
 block as received: a block with two accepted repairs is not guessed, so
@@ -43,16 +43,19 @@ header against the key and, when the command raises a fault of its own
 checks the rest of the file first: so a fault anywhere in the file
 outranks one met in the rows and leaves no output file.
 
-detect and correct test each chunk's rows against the checking relations
-(guard.failing_rows) and diagnose only the blocks with a failing row
-(_flagged_blocks): detect every row of such a block, for its report,
-correct only the failing rows, the ones it repairs.  Their JSON reports
-give block counts by status and one entry per such block:
+detect and correct find the rows that fail decrypt's own test, padding
+included (cipher.failing_rows), and diagnose only the blocks with such a
+row by the checking relations (_failing_blocks): detect every row of such
+a block, for its report, correct only the failing rows.  A repair must
+decrypt with zero padding, and a failing row with no flagged entry fails
+its block, so after exit 0 of correct its --out decrypts.  Their JSON
+reports give block counts by status and one entry per such block:
 
-  detect   {"blocks": [...], "clean": <no row flagged>,
+  detect   {"blocks": [...], "clean": <no row failing>,
             "counts": {"clean": B0, "flagged": B1}}; an entry is
-           {"block", "clean": false, "rows"}, every row of the block with
-           its trusted and flagged columns and its column-pair evidence.
+           {"block", "clean": false, "failing_rows", "rows"}: its failing
+           rows, then every row with its trusted and flagged columns and
+           its column-pair evidence.
   correct  {"blocks": [...], "candidates_tested": N,
             "counts": {"clean": B0, "corrected": B1, "failed": B2}}; an
            entry is the repair of one block ("status" corrected or failed).
@@ -376,19 +379,19 @@ def _diagnosis_json(diagnoses) -> list[dict]:
     } for d in diagnoses]
 
 
-def _flagged_blocks(ctx: KeyContext, chunks: Iterator,
+def _failing_blocks(ctx: KeyContext, chunks: Iterator, length: int,
                     text: Optional[list[bytes]] = None) -> Iterator:
-    """(b, block, rows) for each block of the ciphertext with a row that
-    detect_errors flags, b counted from the first block of the file and
-    rows the flagged rows of the block, ascending.  The caller may repair
-    the block in place; given `text`, the matrix lines of each chunk,
-    repairs included, are appended to it."""
-    from . import guard
+    """(b, block, rows) for each block of the ciphertext with a failing row
+    (cipher.failing_rows, padding past length included), b counted from the
+    first block of the file and rows its failing rows, ascending.  The
+    caller may repair the block in place; given `text`, the matrix lines of
+    each chunk, repairs included, are appended to it."""
     k = ctx.order
     size = k * k
     first = 0
     for values in chunks:
-        for b, rows in groupby(sorted(guard.failing_rows(ctx, values)), key=lambda r: r // k):
+        failing = cipher.failing_rows(ctx, values, first * k, length)
+        for b, rows in groupby(sorted(failing), key=lambda r: r // k):
             span = slice(b * size, (b + 1) * size)
             block = cipher.split_blocks(values[span], k)[0]
             yield first + b, block, [r % k for r in rows]
@@ -403,9 +406,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
     ctx = _load_context(args.keyfile)
     with _ciphertext(args.cipherfile, ctx.key) as (header, chunks):
         ctx = _receiver_context(ctx)
-        found = [{"block": b, "clean": False,
+        found = [{"block": b, "clean": False, "failing_rows": rows,
                   "rows": _diagnosis_json(guard.detect_errors(block, ctx))}
-                 for b, block, _rows in _flagged_blocks(ctx, chunks)]
+                 for b, block, rows in _failing_blocks(ctx, chunks, header.length)]
     report = {"blocks": found, "clean": not found,
               "counts": {"clean": header.count - len(found), "flagged": len(found)}}
     _write_output(json.dumps(report, indent=2) + "\n", args.out)
@@ -440,7 +443,6 @@ def _correction_json(b: int, result: guard.CorrectionResult) -> dict:
 def cmd_correct(args: argparse.Namespace) -> int:
     from . import guard
     ctx = _load_context(args.keyfile)
-    k = ctx.order
     found = []
     counts = {"clean": 0, "corrected": 0, "failed": 0}
     tested = 0
@@ -448,14 +450,15 @@ def cmd_correct(args: argparse.Namespace) -> int:
     with _ciphertext(args.cipherfile, ctx.key) as (header, chunks):
         ctx = _receiver_context(ctx)
         text = [formats.cipher_header(*header)] if args.out else None
-        for b, block, rows in _flagged_blocks(ctx, chunks, text):
-            validator = (partial(_printable_ascii, header.length, b * k * k)
-                         if args.printable_ascii else None)
+        for b, block, rows in _failing_blocks(ctx, chunks, header.length, text):
+            validator = partial(_acceptable, header, b, args.printable_ascii)
+            diagnoses = guard.detect_errors(block, ctx, rows)
             try:
-                result = guard.correct(block, guard.detect_errors(block, ctx, rows), ctx,
-                                       budget=args.budget, validator=validator)
+                result = guard.correct(block, diagnoses, ctx, budget=args.budget, validator=validator)
             except guard.GuardError as exc:
                 raise CliError(str(exc), EXIT_UNCORRECTED) from exc
+            if any(d.clean for d in diagnoses):     # it fails, but nothing is flagged
+                result = result._replace(matrix=None, unique=False)
             tested += result.tested_total
             found.append(_correction_json(b, result))
             counts[found[-1]["status"]] += 1
@@ -474,12 +477,13 @@ def cmd_correct(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _printable_ascii(length: int, block_offset: int, row: int, plain: Sequence[int]) -> bool:
-    """Printable ASCII (9..126) before the stored length, zero padding after
-    it; block_offset is the byte offset of the block's first entry."""
-    start = block_offset + row * len(plain)
-    return all(v == 0 if start + j >= length else 9 <= v <= 126
-               for j, v in enumerate(plain))
+def _acceptable(header: formats.CipherHeader, b: int, printable: bool, row: int,
+                plain: Sequence[int]) -> bool:
+    """Zero padding from the stored length on (cipher.nonzero_padding) in
+    row `row` of block b and, when printable, printable ASCII (9..126) before it."""
+    start = (b * header.order + row) * header.order
+    return not cipher.nonzero_padding(plain, header.length, start) and (
+        not printable or all(9 <= v <= 126 for v in plain[:max(header.length - start, 0)]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ and j' of M.  Those exact two-sided bounds drive everything here:
 
 * detection builds a per-row consistency graph over all column pairs
   and trusts the maximum consistent clique of entries inside their
-  column's range (KeyContext.entry_ranges); a receiver first tests whole
-  chunks of rows (failing_rows) and builds the graph only for a block
-  where a row fails: for every row of it to report, for the failing
-  rows alone to correct,
+  column's range (KeyContext.entry_ranges).  A receiver runs it only on
+  a block with a row that fails exact decryption (cipher.failing_rows,
+  its one clean-row verdict): on every row to report, on the failing
+  rows to correct.  A row that decrypts is P * M_n and meets every
+  relation; a failing row may break none, and then has nothing flagged,
 * correction searches one interval for each flagged entry, built from the
   KeyContext by checking_range: exactly the integers between its exact
   bounds against a trusted reference, cut to its column's absolute range.
@@ -20,20 +21,17 @@ and j' of M.  Those exact two-sided bounds drive everything here:
 All bounds are exact rationals, held once per key as integers
 (KeyContext.ratio_bounds, with each pair's expected float ratio in
 KeyContext.pair_checks); column indices are 0-based throughout.  One
-test decides whether a pair meets its checking relation, for detection
-and the chunk test alike: _within, by integer cross-multiplication
-against those bounds.  A checking range's integers and spiral start
-come by integer floor division.  The transition ratio only sets where
-the spiral starts and, as floats, fills the reported expected ratio and
-deviation.
+test decides whether a pair meets its checking relation: _within, by
+integer cross-multiplication against those bounds.  A checking range's
+integers and spiral start come by integer floor division.  The
+transition ratio only sets where the spiral starts and, as floats, fills
+the reported expected ratio and deviation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from itertools import combinations, repeat
-from operator import le, mul
+from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .cipher import CorruptionError, decrypt_row, digitize
@@ -179,38 +177,6 @@ def detect_errors(c: Sequence[Sequence[int]], ctx: KeyContext,
         diagnoses.append(RowDiagnosis(row=i, trusted=trusted, flagged=flagged,
                                       pairs=tuple(evidence)))
     return diagnoses
-
-
-def failing_rows(ctx: KeyContext, values: Sequence[int]) -> set[int]:
-    """Indices of the rows that detect_errors flags, for rows given as flat
-    row-major entries: the rows with an entry outside its column's
-    absolute range or a column pair that fails _within.
-
-    The test goes a whole column (pair) at a time (_all_within) and row by
-    row only for a column (pair) where that fails; no Fraction is built.
-    """
-    k = ctx.order
-    cols = [values[t::k] for t in range(k)]
-    failing: set[int] = set()
-    for col, (lo, hi) in zip(cols, ctx.entry_ranges):
-        if col and not lo <= min(col) <= max(col) <= hi:
-            failing.update(r for r, v in enumerate(col) if not lo <= v <= hi)
-    for j, jp in combinations(range(k), 2):
-        nums, dens = cols[j], cols[jp]
-        bound = ctx.ratio_bounds[(j, jp)]
-        if _all_within(nums, dens, *bound):
-            continue
-        pair_ok = partial(_within, *bound)
-        failing.update(r for r, ok in enumerate(map(pair_ok, nums, dens)) if not ok)
-    return failing
-
-
-def _all_within(nums, dens, lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> bool:
-    """Every denominator positive and _within true for every pair: the
-    same cross-multiplication, a whole column pair at a time."""
-    return (min(dens, default=1) > 0
-            and all(map(le, map(mul, dens, repeat(lo_num)), map(mul, nums, repeat(lo_den))))
-            and all(map(le, map(mul, nums, repeat(hi_den)), map(mul, dens, repeat(hi_num)))))
 
 
 def _within(lo_num: int, lo_den: int, hi_num: int, hi_den: int, num: int, den: int) -> bool:

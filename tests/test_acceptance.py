@@ -12,9 +12,9 @@ from rmcipher import (KeyContext, Recurrence, analyze_recurrence, checking_range
                       coding_matrix_inverse, correct, decrypt,
                       detect_errors, digitize, encrypt, general_key, is_pisot, range_length, right_form_key,
                       smallest_unambiguous_n, symmetric_key, transition_ratio)
+from rmcipher.cipher import failing_rows
 from rmcipher.coding import MatrixBuilder, right_companion
 from rmcipher.exactmat import inverse_exact, mat_mul
-from rmcipher.guard import failing_rows
 from tests.conftest import ALGORITHM, C_ALGORITHM_15, EXTRATERRESTRIAL, M15_2FIB, M15_2FIB_INV
 
 TWO_FIB = symmetric_key((1, 0, 1), (1, 0, 0), 15)
@@ -218,6 +218,7 @@ def test_criterion_8_property_suites():
         ctx = KeyContext(key, n)
         c = encrypt(blocks, ctx)[0]
         assert failing_rows(ctx, [v for row in c for v in row]) == set()
+        assert all(d.clean for d in detect_errors(c, ctx))
 
     # Transition identities L * M_n = M_{n+1} = M_n * R, exactly.
     from rmcipher.coding import induced_left_matrix

@@ -305,6 +305,13 @@ def test_a_nonzero_byte_in_the_padding_exits_3(two_fib_29_keyfile, tmp_path, cap
     assert capsys.readouterr().err == ("error: corrupted ciphertext: block 6, entry (2, 0): "
                                        f"padding value {ord('T')} is not 0\n")
     assert not out.exists()
+    # detect and correct apply the same verdict: row 2 of block 6 fails.
+    report = tmp_path / "r.json"
+    assert main(["detect", two_fib_29_keyfile, str(cfile), "--out", str(report)]) == 0
+    detected = json.loads(report.read_text())
+    assert [(b["block"], b["failing_rows"]) for b in detected["blocks"]] == [(6, [2])]
+    assert main(["correct", two_fib_29_keyfile, str(cfile), "--report", str(report)]) == 3
+    assert json.loads(report.read_text())["counts"] == {"clean": 6, "corrected": 0, "failed": 1}
 
 
 HUGE_K = b"RMCv1 k=100000000000000000000 blocks=1 len=0 fp=0\n1\n"
@@ -551,7 +558,8 @@ def test_correct_printable_ascii_repairs_a_zero_padding_row(two_fib_29_keyfile, 
 
 def test_correct_printable_ascii_refuses_nonzero_padding(two_fib_29_keyfile, tmp_path):
     # 6 bytes of text then three bytes past the stored length: a plaintext
-    # with 'A' in the padding is rejected, so no candidate is accepted.
+    # with 'A' in the padding is rejected, with --printable-ascii or
+    # without, so no candidate is accepted.
     msg = _write(tmp_path, "msg.txt", b"ABCDEFAAA")
     cfile = tmp_path / "c.rmc"
     assert main(["encrypt", two_fib_29_keyfile, msg, "--out", str(cfile)]) == 0
@@ -563,7 +571,7 @@ def test_correct_printable_ascii_refuses_nonzero_padding(two_fib_29_keyfile, tmp
     bad = tmp_path / "bad.rmc"
     bad.write_text("\n".join(lines) + "\n")
     args = ["correct", two_fib_29_keyfile, str(bad), "--report", str(tmp_path / "r.json")]
-    assert main(args) == 0
+    assert main(args) == 3
     assert main(args + ["--printable-ascii"]) == 3
 
 

@@ -9,6 +9,7 @@ To regenerate after a deliberate change of output:
 
 import contextlib
 import io
+import json
 import os
 import re
 import sys
@@ -47,18 +48,21 @@ CASES = [
                  "--out", "bad.rmc"], 0, [("bad.rmc", "bad.rmc"), ("side.json", "side.json")]),
     ("detect", ["detect", "k3.json", "bad.rmc"], 0, [("-", "detect.json")]),
     ("correct", ["correct", "k3.json", "bad.rmc", "--report", "correct.json",
-                 "--out", "fixed.rmc"], 0, [("correct.json", "correct.json"),
+                 "--out", "fixed.rmc"], 3, [("correct.json", "correct.json"),
                                             ("fixed.rmc", "fixed.rmc")]),
     ("bench", ["bench", "k3.json", "--trials", "3", "--n-grid", "5,12", "--magnitude", "100000",
                "--seed", "7", "--out", "bench.csv"], 0, [("bench.csv", "bench.csv")]),
 ]
 
 # The receiver under each other key, one corruption model each; the
-# right-form case changes two entries per block.  The primitive key's exit
-# 0 leaves a wrong entry in fixed-primitive.rmc: an error the checking
-# relations cannot see (ROADMAP item 1).
-for _key, _model, _count in [("k5", "replace_uniform", "1"), ("abt", "digit_transpose", "1"),
-                             ("primitive", "additive_noise", "1"), ("right", "replace_uniform", "2")]:
+# right-form case changes two entries per block.  The k3 case above and the
+# primitive case exit 3: each holds a block that fails exact decryption
+# with no entry that the checking relations flag (ROADMAP item 1), written
+# to fixed*.rmc as received.
+for _key, _model, _count, _code in [("k5", "replace_uniform", "1", 0),
+                                    ("abt", "digit_transpose", "1", 0),
+                                    ("primitive", "additive_noise", "1", 3),
+                                    ("right", "replace_uniform", "2", 0)]:
     CASES += [
         (f"encrypt-{_key}", ["encrypt", f"{_key}.json", "msg.txt", "--out", f"c-{_key}.rmc"], 0,
          [(f"c-{_key}.rmc", f"c-{_key}.rmc")]),
@@ -68,7 +72,8 @@ for _key, _model, _count in [("k5", "replace_uniform", "1"), ("abt", "digit_tran
         (f"detect-{_key}", ["detect", f"{_key}.json", f"bad-{_key}.rmc"], 0,
          [("-", f"detect-{_key}.json")]),
         (f"correct-{_key}", ["correct", f"{_key}.json", f"bad-{_key}.rmc",
-                             "--report", f"correct-{_key}.json", "--out", f"fixed-{_key}.rmc"], 0,
+                             "--report", f"correct-{_key}.json", "--out", f"fixed-{_key}.rmc"],
+         _code,
          [(f"correct-{_key}.json", f"correct-{_key}.json"),
           (f"fixed-{_key}.rmc", f"fixed-{_key}.rmc")]),
     ]
@@ -107,6 +112,15 @@ def test_outputs_are_byte_identical(tmp_path):
         assert code == expected_code, name
         for golden, data in written.items():
             assert data == (GOLDEN / golden).read_bytes(), f"{name}: {golden}"
+
+
+def test_a_detect_report_lists_every_flagged_row_as_failing():
+    """In every golden detect report, a block's "failing_rows" (the rows
+    that fail exact decryption) holds each row with a flagged entry."""
+    for path in sorted(GOLDEN.glob("detect*.json")):
+        for block in json.loads(path.read_bytes())["blocks"]:
+            flagged = {row["row"] for row in block["rows"] if row["flagged"]}
+            assert flagged <= set(block["failing_rows"]), (path.name, block["block"])
 
 
 if __name__ == "__main__":

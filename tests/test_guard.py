@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from rmcipher import (checking_range, column_ratio_bounds, correct, detect_errors, digitize,
                       encrypt, general_key, range_length, right_form_key,
                       smallest_unambiguous_n, symmetric_key)
+from rmcipher.cipher import failing_rows
 from rmcipher.cli import run_bench_trial
 from rmcipher.coding import KeyContext
 from rmcipher.formats import MODEL_REPLACE, ErrorModel, corrupt_blocks, load_key
 from rmcipher.guard import (CheckingRange, EmptyCheckingRangeError, RowDiagnosis,
-                            UncorrectableRowError, _ranked_product, failing_rows,
+                            UncorrectableRowError, _ranked_product,
                             spiral_candidate)
 from tests.conftest import ALGORITHM, C_ALGORITHM_15, EXTRATERRESTRIAL, M15_2FIB
 
@@ -90,8 +91,14 @@ def _flat(c):
     return [v for row in c for v in row]
 
 
+def _assert_clean(ctx, c):
+    """Every row of c decrypts, and the checking relations flag none."""
+    assert failing_rows(ctx, _flat(c)) == set()
+    assert all(d.clean for d in detect_errors(c, ctx))
+
+
 def test_verify_genuine_ciphertext(two_fib_key):
-    assert failing_rows(KeyContext(two_fib_key, 15), _flat(C_ALGORITHM_15)) == set()
+    _assert_clean(KeyContext(two_fib_key, 15), C_ALGORITHM_15)
 
 
 def test_verify_flags_corrupted_pair(two_fib_key):
@@ -108,14 +115,14 @@ def test_verify_scaled_row_still_passes(two_fib_key):
     blocks[0][1] = [2 * v for v in blocks[0][1]]
     ctx = KeyContext(two_fib_key)
     c = encrypt(blocks, ctx)[0]
-    assert failing_rows(ctx, _flat(c)) == set()
+    _assert_clean(ctx, c)
 
 
 def test_verify_zero_row_passes(two_fib_key):
     blocks = [[[0, 0, 0], [1, 2, 3], [0, 1, 0]]]
     ctx = KeyContext(two_fib_key)
     c = encrypt(blocks, ctx)[0]
-    assert failing_rows(ctx, _flat(c)) == set()
+    _assert_clean(ctx, c)
 
 
 def test_verify_randomized_trials():
@@ -130,7 +137,7 @@ def test_verify_randomized_trials():
         blocks, _ = digitize(data, key.order)
         ctx = KeyContext(key, n)
         c = encrypt(blocks, ctx)[0]
-        assert failing_rows(ctx, _flat(c)) == set()
+        _assert_clean(ctx, c)
 
 
 def test_detect_single_error(two_fib_key):

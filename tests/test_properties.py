@@ -1,8 +1,9 @@
 """Property tests of the receiver's invariants, for each of the three key kinds:
-decryption inverts encryption, a clean ciphertext passes the chunk test, and
-a corrupted entry's true value lies in the checking range that correction
-searches and in its column's absolute range; and the last two again under
-validated keys whose M_n has entries of both signs."""
+decryption inverts encryption, a clean ciphertext passes the row verdict and
+the checking relations, and a corrupted entry's true value lies in the
+checking range that correction searches and in its column's absolute range;
+and the last two again under validated keys whose M_n has entries of both
+signs."""
 
 from functools import cache
 
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from rmcipher import (KeyContext, checking_range, correct, decrypt, digitize, encrypt, general_key,
                       right_form_key, symmetric_key, validate_key)
-from rmcipher.guard import RowDiagnosis, failing_rows
+from rmcipher.cipher import failing_rows
+from rmcipher.guard import RowDiagnosis, detect_errors
 
 # Per kind, builders of keys whose M_n is positive for every n >= 3.
 KEYS = {
@@ -52,6 +54,7 @@ def test_a_clean_ciphertext_passes_the_chunk_test(kind, data):
     ctx = data.draw(_contexts(kind))
     blocks = encrypt(digitize(data.draw(st.binary(max_size=60)), ctx.order)[0], ctx)
     assert failing_rows(ctx, [v for block in blocks for row in block for v in row]) == set()
+    assert all(d.clean for block in blocks for d in detect_errors(block, ctx))
 
 
 @pytest.mark.parametrize("kind", sorted(KEYS))
@@ -101,13 +104,15 @@ def signed_keys(draw):
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(signed_keys(), st.data())
 def test_a_clean_ciphertext_passes_under_keys_of_both_signs(key, data):
-    """No clean row fails the chunk test, and each entry lies in its checking
-    range against every reference, whatever the sign of the reference's entry."""
+    """No clean row fails the row verdict or a checking relation, and each
+    entry lies in its checking range against every reference, whatever the
+    sign of the reference's entry."""
     ctx = KeyContext(key)
     k = ctx.order
     blocks = encrypt(digitize(data.draw(st.binary(min_size=1, max_size=3 * k * k)), k)[0], ctx)
     rows = [row for block in blocks for row in block]
     assert failing_rows(ctx, [v for row in rows for v in row]) == set()
+    assert all(d.clean for d in detect_errors(rows, ctx))
     for row in rows:
         for j in range(k):
             for ref in ctx.reference_columns[j]:

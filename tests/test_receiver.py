@@ -1,6 +1,7 @@
 """The streamed receiver: `rmc detect`/`rmc correct` test each chunk of rows
-by integer cross-multiplication, diagnose only the blocks with a failing
-row, and report block counts plus the entries of those blocks."""
+by exact decryption, diagnose only the blocks with a failing row by the
+checking relations, and report block counts plus the entries of those
+blocks."""
 
 import json
 import math
@@ -16,12 +17,12 @@ from hypothesis import strategies as st
 
 from rmcipher import (CheckingRange, KeyContext, checking_range, column_ratio_bounds, correct,
                       detect_errors, digitize, encrypt, general_key, right_form_key, symmetric_key)
-from rmcipher.cipher import encrypt_rows
+from rmcipher.cipher import CorruptionError, decrypt_row, encrypt_rows, failing_rows
 from rmcipher.cli import _correction_json, main
 from rmcipher.coding import ratio_extremes
 from rmcipher.formats import (MODELS, ErrorModel, cipher_from_text, cipher_to_text,
                               corrupt_blocks, load_key, records_to_json, save_key)
-from rmcipher.guard import EmptyCheckingRangeError, GuardError, _within, failing_rows
+from rmcipher.guard import EmptyCheckingRangeError, GuardError, _within
 
 
 def _shift_plus_identity(k):
@@ -145,10 +146,21 @@ def received_rows(draw):
 @DERANDOMIZED
 @given(received_rows())
 def test_chunk_test_flags_the_rows_detect_errors_flags(case):
+    """The chunk test names exactly the rows that decrypt_row refuses, and
+    among them every row with an entry the checking relations flag."""
     name, rows = case
     ctx = CONTEXTS[name]
-    flagged = {d.row for d in detect_errors(rows, ctx) if d.flagged}
-    assert failing_rows(ctx, [v for row in rows for v in row]) == flagged
+    failing = failing_rows(ctx, [v for row in rows for v in row])
+    assert failing == {r for r, row in enumerate(rows) if _refused(ctx, row)}
+    assert failing >= {d.row for d in detect_errors(rows, ctx) if d.flagged}
+
+
+def _refused(ctx, row):
+    try:
+        decrypt_row(ctx, row)
+    except CorruptionError:
+        return True
+    return False
 
 
 def _reference_within(num, den, lo, hi):
@@ -214,8 +226,10 @@ def test_pair_verdicts_read_x_over_0_by_its_sign_beside_a_zero_column():
 @example("general-3-zeros", [0, 1, 0])              # the row [3, 1, 0] reads 3/0 and 1/0
 def test_genuine_rows_pass_the_exact_test(name, plain):
     ctx = CONTEXTS[name]
-    plain = plain[:len(plain) - len(plain) % ctx.order]
-    assert failing_rows(ctx, encrypt_rows(ctx, plain)) == set()
+    k = ctx.order
+    rows = encrypt_rows(ctx, plain[:len(plain) - len(plain) % k])
+    assert failing_rows(ctx, rows) == set()
+    assert all(d.clean for d in detect_errors([rows[i:i + k] for i in range(0, len(rows), k)], ctx))
 
 
 def test_a_ratio_beyond_the_float_range_is_reported_not_raised():
